@@ -266,8 +266,7 @@ def _verify_battery(cfg: RunConfig):
     check("nonlinearity.identity_fails_limit",
           not rep_bad["vanishing_slope_at_zero"].passed,
           f"margin {rep_bad['vanishing_slope_at_zero'].margin:.2e}")
-    halved = canonical_family(cfg.mu, cfg.q, cfg.critical_weight)
-    halved = replace_kappa(halved, halved.kappa / 2.0)
+    halved = replace(nl, kappa=nl.kappa / 2.0)
     rep_halved = check_hypotheses(halved)
     check("nonlinearity.halved_kappa_fails_growth",
           not rep_halved["growth_bound"].passed,
@@ -293,18 +292,19 @@ def _verify_battery(cfg: RunConfig):
     check("limit.path_maximizer", abs(ground.t_star - 1.0) <= 1e-3,
           f"|t*-1| = {abs(ground.t_star - 1.0):.2e}")
 
-    # interaction bound with fitted constant
-    cs = []
+    # interaction bound int phi_u u^2 <= S^-1 |u|_{12/5}^4 at lam = 1, from
+    # |grad phi|^2 = int phi u^2 <= |phi|_6 |u|_{12/5}^2 and S |phi|_6^2 <= |grad phi|^2
+    ratios = []
     for _ in range(20):
         width = rng.uniform(0.5, 3.0)
         amp = rng.uniform(0.1, 3.0)
         vals = amp * np.exp(-grid.nodes**2 / (2.0 * width**2))
         vals[-1] = 0.0
         u = RadialFunction(grid, vals)
-        tval = poisson.T_value(u, 1.0)
-        cs.append(tval / h1_norm_sq(u) ** 2)
-    check("poisson.T_bound_battery", max(cs) < math.inf,
-          f"fitted c = {max(cs):.4e} over 20 samples")
+        bound = norm_lq(u, 12.0 / 5.0) ** 4 / constants_mod.SOBOLEV_S_CLOSED_FORM
+        ratios.append(poisson.solve_phi(u, 1.0).coupling / bound)
+    check("poisson.T_bound_battery", max(ratios) <= 1.0,
+          f"max coupling / bound = {max(ratios):.4f} over 20 samples")
 
     # coupled solve with dilation-stationarity certificate
     point = solve_at_lambda(ground.omega, nl, 0.05, _solver_opts(cfg))
@@ -314,12 +314,6 @@ def _verify_battery(cfg: RunConfig):
           f"dual norm {point.grad_residual_norm:.2e}")
 
     return results
-
-
-def replace_kappa(nl, new_kappa):
-    from dataclasses import replace as dc_replace
-
-    return dc_replace(nl, kappa=float(new_kappa))
 
 
 def _gradient_consistency(grid, nl, rng, trials=20, lam_choices=(0.0, 0.1, 0.5)):

@@ -40,6 +40,9 @@ class RadialGrid:
             and self.n == other.n
         )
 
+    def __hash__(self) -> int:
+        return hash((self.R, self.n))
+
 
 @dataclass(frozen=True)
 class RadialFunction:
@@ -141,15 +144,6 @@ def grad_norm_sq(u: RadialFunction) -> float:
     return float(4.0 * np.pi * h * np.sum(faces**2 * du**2))
 
 
-def dirichlet_inner(u: RadialFunction, v: RadialFunction) -> float:
-    """Bilinear form 4*pi * int u' v' r^2 dr in the same face discretization."""
-    _check_same_grid(u, v)
-    grid = u.grid
-    h = grid.h
-    faces = 0.5 * (grid.nodes[1:] + grid.nodes[:-1])
-    return float(4.0 * np.pi / h * np.sum(faces**2 * np.diff(u.values) * np.diff(v.values)))
-
-
 def norm_lq(u: RadialFunction, q: float) -> float:
     """L^q(R^3) norm of the radial extension."""
     if q < 1:
@@ -160,16 +154,6 @@ def norm_lq(u: RadialFunction, q: float) -> float:
 def h1_norm_sq(u: RadialFunction) -> float:
     """Squared H^1 norm, gradient part plus L^2 part."""
     return grad_norm_sq(u) + integrate_values(u.grid, u.values**2)
-
-
-def radial_derivative(u: RadialFunction) -> np.ndarray:
-    """Second-order nodal derivative; u'(0) = 0 by the reflected ghost value."""
-    h = u.grid.h
-    du = np.empty_like(u.values)
-    du[1:-1] = (u.values[2:] - u.values[:-2]) / (2.0 * h)
-    du[0] = 0.0
-    du[-1] = (3.0 * u.values[-1] - 4.0 * u.values[-2] + u.values[-3]) / (2.0 * h)
-    return du
 
 
 def dilate(u: RadialFunction, t: float) -> RadialFunction:
@@ -266,13 +250,3 @@ def dual_norm(grid: RadialGrid, residual: np.ndarray) -> float:
     val = float(np.dot(grid.weights, residual * w))
     return math.sqrt(max(val, 0.0))
 
-
-def tail_mass_fraction(u: RadialFunction) -> float:
-    """L^2 mass fraction in the last decade of the grid (truncation diagnostic)."""
-    grid = u.grid
-    mask = grid.nodes >= 0.9 * grid.R
-    total = integrate_values(grid, u.values**2)
-    if total == 0.0:
-        return 0.0
-    tail = float(np.dot(grid.weights[mask], u.values[mask] ** 2))
-    return tail / total

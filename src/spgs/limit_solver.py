@@ -14,9 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.optimize import brentq, minimize_scalar
 
-from .functionals import T0_value, V_value, energy, pohozaev_P
+from .functionals import T0_value, V_value, scaling_terms
 from .grid import (
     RadialFunction,
     RadialGrid,
@@ -27,6 +26,9 @@ from .grid import (
     solve_helmholtz,
 )
 from .nonlinearity import Nonlinearity
+
+# resampled dilations project_to_M may try; flows at n >= 750 need five at most
+_PROJECTION_STEPS = 8
 
 
 class InitializationFailure(RuntimeError):
@@ -87,27 +89,28 @@ def _g_field(nl: Nonlinearity, values: np.ndarray) -> np.ndarray:
 
 
 def project_to_M(u: RadialFunction, nl: Nonlinearity) -> RadialFunction:
-    """Dilate u so that int G(u) = 1 exactly (root-find on the scale)."""
-    v0 = V_value(u, nl)
-    if not v0 > 0:
-        raise InitializationFailure(f"constraint value must be positive, got {v0}")
-    guess = v0 ** (-1.0 / 3.0)
+    """Dilate u so that int G(u) = 1 on the grid.
 
-    def defect(t):
-        return V_value(dilate(u, t), nl) - 1.0
-
-    lo, hi = 0.5 * guess, 2.0 * guess
-    flo, fhi = defect(lo), defect(hi)
-    tries = 0
-    while flo * fhi > 0 and tries < 40:
-        lo *= 0.8
-        hi *= 1.25
-        flo, fhi = defect(lo), defect(hi)
-        tries += 1
-    if flo * fhi > 0:
-        raise InitializationFailure("could not bracket the constraint projection")
-    t = brentq(defect, lo, hi, xtol=1e-14, rtol=1e-15)
-    return dilate(u, t)
+    V scales as t^3 along u(./t), so t = V^(-1/3) projects up to the
+    resampling error.  The fixed point t <- t V(u(./t))^(-1/p) removes that
+    error, with p = 3 in the first step and then the exponent of V measured
+    between the last two dilations: on coarse grids, resampling a narrow
+    profile moves it well away from 3.  Each step checks V on the grid.
+    """
+    t, v, p = 1.0, V_value(u, nl), 3.0
+    for _ in range(_PROJECTION_STEPS):
+        if not v > 0:
+            raise InitializationFailure(f"constraint value must be positive, got {v}")
+        t_next = t * v ** (-1.0 / p)
+        w = dilate(u, t_next)
+        v_next = V_value(w, nl)
+        if abs(v_next - 1.0) <= 1e-13:
+            return w
+        if v_next > 0 and t_next != t:
+            p = math.log(v_next / v) / math.log(t_next / t)
+        p = p if p > 0 else 3.0
+        t, v = t_next, v_next
+    raise InitializationFailure(f"constraint projection stalled at |V - 1| = {abs(v - 1.0):.2e}")
 
 
 def _initial_bump(nl: Nonlinearity, grid: RadialGrid) -> RadialFunction:
@@ -264,7 +267,7 @@ def minimize_on_M(nl: Nonlinearity, grid: RadialGrid,
 
     m_val = T0_value(u)
     omega, t0 = cgm_rescale(u, nl)
-    p_val = t0 * m_val - t0**3 * V_value(u, nl)
+    p_val = scaling_terms(u, nl).gamma(t0)
     mp = mountain_pass_b(omega, nl)
     return LimitGroundState(
         u=u, omega=omega, M_value=m_val, p_value=p_val, b_value=mp.b,
@@ -283,24 +286,17 @@ def cgm_rescale(u0: RadialFunction, nl: Nonlinearity) -> tuple[RadialFunction, f
     return dilate(u0, t), t
 
 
-def mountain_pass_b(omega: RadialFunction, nl: Nonlinearity,
-                    t_hi: float = 1.8) -> MountainPassResult:
-    """Maximum of the limit energy along the dilation path through omega.
+def mountain_pass_b(omega: RadialFunction, nl: Nonlinearity) -> MountainPassResult:
+    """Maximum of the limit energy (A/2) t - V t^3 along the dilation path
+    through omega, reached at t* = sqrt(A / 6V) with value (A/3) t*.
 
-    For a converged ground state the maximum sits at t = 1 and equals
-    (1/3) |grad omega|_2^2.
+    For a converged ground state t* = 1 and b = (1/3) |grad omega|_2^2.
     """
-
-    def neg_energy(t):
-        return -energy(dilate(omega, t), nl, 0.0).I_value
-
-    res = minimize_scalar(neg_energy, bounds=(0.2, t_hi), method="bounded",
-                          options={"xatol": 1e-7})
-    b_path = -res.fun
-    b_at_one = energy(omega, nl, 0.0).I_value
-    if b_at_one >= b_path:
-        return MountainPassResult(b=b_at_one, t_star=1.0)
-    return MountainPassResult(b=b_path, t_star=float(res.x))
+    terms = scaling_terms(omega, nl)
+    if not terms.V > 0:
+        raise ValueError(f"no mountain-pass geometry: int G(omega) = {terms.V} <= 0")
+    t_star = terms.peak()
+    return MountainPassResult(b=terms.gamma(t_star), t_star=t_star)
 
 
 def _classify_shot(nl: Nonlinearity, a: float, r_end: float, opts: ShootOptions) -> str:

@@ -38,11 +38,6 @@ class Nonlinearity:
         return self.F(s) - 0.5 * s**2
 
 
-def G_eval(nl: Nonlinearity, s) -> float:
-    out = nl.G(np.asarray(s, dtype=float))
-    return float(out) if np.ndim(out) == 0 else out
-
-
 def _fd_derivative(f: Callable) -> Callable:
     def fprime(s):
         s = np.asarray(s, dtype=float)

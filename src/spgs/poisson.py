@@ -85,11 +85,3 @@ def coupling_scaling_check(u: RadialFunction, lam: float, t: float) -> float:
     scaled = solve_phi(dilate(u, t), lam).coupling
     return scaled / base
 
-
-def dense_phi_oracle(u: RadialFunction, lam: float) -> np.ndarray:
-    """O(n^2) dense-kernel evaluation of the potential, test oracle only."""
-    grid = u.grid
-    r = grid.nodes
-    a = grid.weights * u.values**2 / (4.0 * np.pi)
-    kernel = 1.0 / np.maximum(r[:, None], np.maximum(r[None, :], 1e-300))
-    return lam * kernel @ a

@@ -12,14 +12,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
-from .functionals import (
-    energy,
-    gradient_residual,
-    pohozaev_residual_lambda,
-    pohozaev_residual_lambda_relative,
-)
+from .functionals import energy, gradient_residual, scaling_terms
 from .grid import (
     RadialFunction,
     dilate,
@@ -188,7 +182,9 @@ def solve_at_lambda(u_init: RadialFunction, nl: Nonlinearity, lam: float,
 
     u = RadialFunction(grid, vals)
     psol = solve_phi(u, lam)
-    bd = energy(u, nl, lam)
+    terms = scaling_terms(u, nl, lam)
+    bd = terms.breakdown()
+    pohozaev_res, pohozaev_res_rel = terms.dilation_balance()
     return BranchPoint(
         lam=lam,
         u=u,
@@ -197,75 +193,34 @@ def solve_at_lambda(u_init: RadialFunction, nl: Nonlinearity, lam: float,
         i_energy=bd.I_value,
         h1_dist_to_omega=math.nan,
         phi_d12=math.sqrt(max(psol.dirichlet_energy, 0.0)),
-        pohozaev_res=pohozaev_residual_lambda(u, nl, lam),
-        pohozaev_res_rel=pohozaev_residual_lambda_relative(u, nl, lam),
+        pohozaev_res=pohozaev_res,
+        pohozaev_res_rel=pohozaev_res_rel,
         grad_residual_norm=nrm,
         iterations=iterations,
     )
 
 
 def find_t0(omega: RadialFunction, nl: Nonlinearity) -> float:
-    """Smallest dilation t > 1 with limit energy below -2, times a 1.05 margin.
+    """Dilation at which the limit energy (A/2) t - V t^3 along the path
+    through omega has dropped to -2, times a 1.05 margin.
 
-    Checks that the energy decreases monotonically beyond the path maximum.
+    With V > 0 the cubic V t^3 - (A/2) t - 2 has exactly one positive root,
+    and its other roots have negative real parts.
     """
-    grid = omega.grid
-
-    def I_of(t):
-        return energy(dilate(omega, t), nl, 0.0).I_value
-
-    # dilation stretches the profile; keep the truncated tail below 1e-4 of
-    # the amplitude so the path energies stay trustworthy
-    r_core = _support_radius(omega, frac=1e-4)
-    t_max_resolvable = max(1.5, grid.R / max(r_core, 1e-6))
-    ts = np.arange(1.0, t_max_resolvable + 0.05, 0.05)
-    vals = [I_of(t) for t in ts]
-    below = [i for i, v in enumerate(vals) if v < -2.0]
-    if not below:
+    terms = scaling_terms(omega, nl)
+    if not terms.V > 0:
         raise RangeFailure(
-            "limit energy never drops below -2 within the resolvable dilation range"
+            f"limit energy never drops below -2 along the dilation path (V = {terms.V:.3e})"
         )
-    i = below[0]
-    # monotone decrease past the maximizer
-    j0 = int(np.argmax(vals))
-    diffs = np.diff(vals[j0:])
-    if np.any(diffs > 1e-10):
-        raise RangeFailure("limit energy is not monotone beyond its maximum")
-    t_cross = brentq(lambda t: I_of(t) + 2.0, ts[max(i - 1, 0)], ts[i], xtol=1e-10) \
-        if i > 0 else ts[0]
-    return 1.05 * t_cross
-
-
-def _support_radius(u: RadialFunction, frac: float = 1e-10) -> float:
-    amp = float(np.max(np.abs(u.values)))
-    if amp == 0.0:
-        return 0.0
-    idx = np.nonzero(np.abs(u.values) > frac * amp)[0]
-    return float(u.grid.nodes[idx[-1]]) if idx.size else 0.0
+    roots = np.roots([terms.V, 0.0, -0.5 * terms.A, -2.0])
+    return 1.05 * float(np.max(roots.real))
 
 
 def path_max_D(omega: RadialFunction, nl: Nonlinearity, lam: float, t0: float) -> float:
-    """Ceiling D_lam = max over t in [0, t0] of the coupled energy along the
-    dilation path through omega."""
-
-    def neg_gamma(t):
-        return -energy(dilate(omega, t), nl, lam).Gamma_value
-
-    res = minimize_scalar(neg_gamma, bounds=(0.05, t0), method="bounded",
-                          options={"xatol": 1e-7})
-    candidates = [-res.fun, energy(omega, nl, lam).Gamma_value]
-    return max(candidates)
-
-
-def path_max_location(omega: RadialFunction, nl: Nonlinearity, lam: float, t0: float) -> float:
-    def neg_gamma(t):
-        return -energy(dilate(omega, t), nl, lam).Gamma_value
-
-    res = minimize_scalar(neg_gamma, bounds=(0.05, t0), method="bounded",
-                          options={"xatol": 1e-8})
-    if energy(omega, nl, lam).Gamma_value >= -res.fun:
-        return 1.0
-    return float(res.x)
+    """Ceiling D_lam = max over t in [0, t0] of the coupled energy
+    (A/2) t - V t^3 + K t^5 along the dilation path through omega."""
+    terms = scaling_terms(omega, nl, lam)
+    return max(terms.gamma(min(terms.peak(), t0)), terms.gamma(t0))
 
 
 def continuation(nl: Nonlinearity, lambda_schedule, ground: LimitGroundState,

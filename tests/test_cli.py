@@ -50,6 +50,17 @@ def test_solve_single_lambda(tmp_path):
     assert data["gamma_energy"]["value"] > data["i_energy"]["value"]
 
 
+def test_sweep_above_threshold_with_critical_term(tmp_path):
+    # the path ceiling needs the dilation t0 ~ 3.8, beyond what R = 30 resamples
+    cfg = write_cfg(tmp_path, "[nonlinearity]\nmu = 20.0\nq = 3.0\ncritical_weight = 1.0\n")
+    code = main(["--config", str(cfg), "--output", str(tmp_path / "out"), "sweep-lambda"])
+    assert code == 0
+    header, *lines = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
+    rows = [dict(zip(header.split(","), map(float, line.split(",")))) for line in lines]
+    assert len(rows) == 6
+    assert all(row["gamma_energy"] <= row["D_lambda"] for row in rows)
+
+
 def test_sweep_csv_header_and_determinism(tmp_path):
     cfg = write_cfg(tmp_path)
     for tag in ("a", "b"):

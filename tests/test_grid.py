@@ -4,15 +4,7 @@ import numpy as np
 import pytest
 
 from spgs import RadialFunction, dilate, grad_norm_sq, h1_norm_sq, integrate, make_grid, norm_lq
-from spgs.grid import (
-    dirichlet_inner,
-    dual_norm,
-    integrate_values,
-    laplacian_apply,
-    radial_derivative,
-    solve_helmholtz,
-    tail_mass_fraction,
-)
+from spgs.grid import dual_norm, integrate_values, laplacian_apply, solve_helmholtz
 
 
 def test_weights_integrate_constants_exactly():
@@ -56,6 +48,12 @@ def test_radial_function_validation():
         RadialFunction(g, vals)
 
 
+def test_equal_grids_hash_equal():
+    a, b = make_grid(30, 100), make_grid(30.0, 100)
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b, make_grid(30, 101)}) == 2
+
+
 def test_mismatched_grids_rejected():
     u = RadialFunction(make_grid(10.0, 64), np.zeros(64))
     v = RadialFunction(make_grid(11.0, 64), np.zeros(64))
@@ -78,24 +76,14 @@ def test_h1_norm_gaussian():
     assert abs(h1_norm_sq(u) - exact) <= 1e-6 * exact
 
 
-def test_dirichlet_inner_is_polarization_of_grad_norm():
-    g = make_grid(10.0, 500)
-    rng = np.random.default_rng(7)
-    u = RadialFunction(g, np.exp(-g.nodes**2 / 3.0) * rng.uniform(0.5, 1.5))
-    v = RadialFunction(g, np.exp(-g.nodes**2 / 2.5))
-    lhs = dirichlet_inner(u, v)
-    rhs = 0.25 * (grad_norm_sq(u + v) - grad_norm_sq(u - v))
-    assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
-
-
 def test_summation_by_parts():
-    # <-Delta u, v> through the weights equals the Dirichlet form for
-    # compactly supported fields
+    # <-Delta u, v> through the weights equals the Dirichlet form, the
+    # polarization of grad_norm_sq, for compactly supported fields
     g = make_grid(20.0, 2000)
     u = RadialFunction(g, np.exp(-g.nodes**2))
     v = RadialFunction(g, np.exp(-((g.nodes - 2.0) ** 2)))
     lhs = float(np.dot(g.weights, -laplacian_apply(u) * v.values))
-    rhs = dirichlet_inner(u, v)
+    rhs = 0.25 * (grad_norm_sq(u + v) - grad_norm_sq(u - v))
     assert abs(lhs - rhs) <= 1e-7 * max(abs(lhs), 1.0)
 
 
@@ -133,15 +121,6 @@ def test_norm_lq_and_validation():
         assert abs(norm_lq(u, q) ** q - exact) <= 1e-8 * exact
     with pytest.raises(ValueError):
         norm_lq(u, 0.5)
-
-
-def test_radial_derivative_center_and_edge():
-    g = make_grid(10.0, 1000)
-    u = RadialFunction(g, np.cos(g.nodes))
-    du = radial_derivative(u)
-    assert du[0] == 0.0
-    interior = slice(1, -1)
-    assert np.max(np.abs(du[interior] + np.sin(g.nodes[interior]))) <= 1e-4
 
 
 def test_dilate_scalings():
@@ -191,14 +170,6 @@ def test_dual_norm_nonnegative_and_scales():
     a = dual_norm(g, res)
     assert a > 0
     assert abs(dual_norm(g, 2.0 * res) - 2.0 * a) <= 1e-12 * a
-
-
-def test_tail_mass_fraction():
-    g = make_grid(10.0, 500)
-    inner = RadialFunction(g, np.exp(-g.nodes**2))
-    assert tail_mass_fraction(inner) <= 1e-20
-    flat = RadialFunction(g, np.ones(g.n))
-    assert tail_mass_fraction(flat) > 0.2
 
 
 def test_integrate_matches_integrate_values():

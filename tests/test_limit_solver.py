@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import resampled_path_max
 from spgs import (
     RadialFunction,
     canonical_family,
@@ -73,6 +74,16 @@ def test_project_to_M_roundtrip(grid30, nl_cubic):
     assert V_value(u, nl_cubic) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_project_to_M_underresolved_bump():
+    # a bump two cells wide: resampling moves the scaling exponent of V to
+    # about 2.85, so the projection needs its measured exponent to converge
+    grid = make_grid(30.0, 750)
+    nl = canonical_family(1.0, 5.5, 0.0)
+    vals = 5.0 * np.maximum(0.0, 1.0 - (grid.nodes / 0.1) ** 2) ** 2
+    u = project_to_M(RadialFunction(grid, vals), nl)
+    assert V_value(u, nl) == pytest.approx(1.0, abs=1e-12)
+
+
 def test_project_to_M_rejects_nonpositive_constraint(grid30, nl_cubic):
     tiny = RadialFunction(grid30, 1e-3 * np.exp(-grid30.nodes**2))
     with pytest.raises(InitializationFailure):
@@ -84,6 +95,13 @@ def test_mountain_pass_maximizer_at_one(ground_cubic, nl_cubic):
     assert abs(mp.t_star - 1.0) <= 1e-3
     assert mp.b == pytest.approx(energy(ground_cubic.omega, nl_cubic, 0.0).I_value,
                                  rel=1e-6)
+
+
+def test_mountain_pass_matches_resampled_oracle(ground_cubic, nl_cubic):
+    mp = mountain_pass_b(ground_cubic.omega, nl_cubic)
+    b_oracle, t_oracle = resampled_path_max(ground_cubic.omega, nl_cubic, 0.0, 0.2, 1.8)
+    assert mp.b == pytest.approx(b_oracle, rel=1e-6)
+    assert mp.t_star == pytest.approx(t_oracle, abs=1e-3)
 
 
 def test_path_energy_below_peak(ground_cubic, nl_cubic):

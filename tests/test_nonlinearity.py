@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from spgs import canonical_family, check_hypotheses, smallest_kappa, user_nonlinearity
-from spgs.nonlinearity import G_eval
 
 
 def test_canonical_cubic_values():
@@ -25,8 +24,8 @@ def test_canonical_critical_mix():
 
 def test_G_shifted_primitive():
     nl = canonical_family(1.0, 4.0, 0.0)
-    assert G_eval(nl, 2.0) == pytest.approx(2.0**4 / 4.0 - 2.0)
-    assert G_eval(nl, -1.0) == pytest.approx(-0.5)
+    assert nl.G(2.0) == pytest.approx(2.0**4 / 4.0 - 2.0)
+    assert nl.G(-1.0) == pytest.approx(-0.5)
 
 
 def test_canonical_rejects_bad_parameters():

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
+from oracles import dense_phi_oracle
 from spgs import RadialFunction, T_value, dirichlet_energy_direct, make_grid, solve_phi
-from spgs.poisson import coupling_scaling_check, dense_phi_oracle
+from spgs.poisson import coupling_scaling_check
 
 
 def gaussian_phi_exact(r):

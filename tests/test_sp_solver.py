@@ -3,12 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from oracles import resampled_path_max, resampled_t0
 from spgs import (
     RadialFunction,
     asymptotics_report,
+    canonical_family,
     continuation,
     energy,
     find_t0,
+    minimize_on_M,
     solve_at_lambda,
 )
 from spgs.sp_solver import (
@@ -17,7 +20,6 @@ from spgs.sp_solver import (
     SolverOptions,
     _loglog_slope,
     path_max_D,
-    path_max_location,
 )
 
 SCHEDULE = (0.2, 0.1, 0.05, 0.02, 0.01, 0.005)
@@ -88,6 +90,19 @@ def test_find_t0_energy_drop(ground_cubic, nl_cubic):
     assert energy(dilate(ground_cubic.omega, t0), nl_cubic, 0.0).I_value < -2.0
 
 
+def test_find_t0_matches_resampled_oracle(ground_cubic, nl_cubic):
+    t0 = find_t0(ground_cubic.omega, nl_cubic)
+    assert t0 == pytest.approx(resampled_t0(ground_cubic.omega, nl_cubic, t0), rel=1e-6)
+
+
+def test_find_t0_beyond_resampled_range(grid30):
+    # above the coupling threshold (mu* ~ 3.2); the dilation t0 ~ 3.8 stretches
+    # the ground state past what R = 30 holds, which the closed form never samples
+    nl = canonical_family(20.0, 3.0, 1.0)
+    ground = minimize_on_M(nl, grid30)
+    assert find_t0(ground.omega, nl) == pytest.approx(3.80, abs=0.01)
+
+
 def test_find_t0_range_failure(grid30, nl_cubic):
     # a profile with tiny energy scale never reaches the required drop
     small = RadialFunction(grid30, 1e-2 * np.exp(-grid30.nodes**2))
@@ -99,8 +114,16 @@ def test_path_ceiling_at_zero_coupling_is_b(ground_cubic, nl_cubic):
     t0 = find_t0(ground_cubic.omega, nl_cubic)
     D0 = path_max_D(ground_cubic.omega, nl_cubic, 0.0, t0)
     assert D0 == pytest.approx(ground_cubic.b_value, rel=1e-6)
-    loc = path_max_location(ground_cubic.omega, nl_cubic, 0.0, t0)
+    _, loc = resampled_path_max(ground_cubic.omega, nl_cubic, 0.0, 0.05, t0)
     assert abs(loc - 1.0) <= 1e-3
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.005, 0.05, 0.2])
+def test_path_ceiling_matches_resampled_oracle(ground_cubic, nl_cubic, lam):
+    t0 = find_t0(ground_cubic.omega, nl_cubic)
+    D_oracle, _ = resampled_path_max(ground_cubic.omega, nl_cubic, lam, 0.05, t0)
+    D = path_max_D(ground_cubic.omega, nl_cubic, lam, t0)
+    assert D == pytest.approx(D_oracle, rel=1e-6)
 
 
 def test_path_ceiling_moves_with_coupling(ground_cubic, nl_cubic):
