@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .functionals import T0_value, V_value, scaling_terms
 from .grid import (
@@ -299,51 +298,185 @@ def mountain_pass_b(omega: RadialFunction, nl: Nonlinearity) -> MountainPassResu
     return MountainPassResult(b=terms.gamma(t_star), t_star=t_star)
 
 
-def _classify_shot(nl: Nonlinearity, a: float, r_end: float, opts: ShootOptions) -> str:
-    """'overshoot' if u crosses zero, 'undershoot' if u turns around positive."""
-    a = float(a)
-    up0 = (a - float(nl.f(np.asarray(a)))) / 3.0  # u''(0)/2 * 2r at series order
-    if up0 > 0:
-        return "undershoot"
 
-    def rhs(r, y):
-        u, du = y
-        return [du, -2.0 / r * du + u - float(nl.f(np.asarray(u)))]
 
-    def cross(r, y):
-        return y[0]
+# Dormand-Prince 5(4) pair: nodes and coefficients of stages 1..6 (stage 6 is
+# the fifth-order solution, whose derivative is the next step's stage 0) and
+# the weights of the error estimate, fifth minus fourth order over 7 stages
+_DP_C = np.array([1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+_DP_A = (
+    np.array([1 / 5]),
+    np.array([3 / 40, 9 / 40]),
+    np.array([44 / 45, -56 / 15, 32 / 9]),
+    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
+    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
+    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
+)
+_DP_E = np.array([-71 / 57600, 0.0, 71 / 16695, -71 / 1920, 17253 / 339200,
+                  -22 / 525, 1 / 40])
 
-    cross.terminal = True
-    cross.direction = -1.0
+# interior amplitudes classified per k-section sweep: 6 bits of the bracket
+_SECTION_POINTS = 63
 
-    def turn(r, y):
-        return y[1]
 
-    turn.terminal = True
-    turn.direction = 1.0
+def _rms(x: np.ndarray) -> np.ndarray:
+    """Root mean square over the two components (u, u') of each lane."""
+    return np.sqrt(0.5 * (x[0] * x[0] + x[1] * x[1]))
 
+
+def _shot_derivative(nl: Nonlinearity, r, y: np.ndarray) -> np.ndarray:
+    """(u', u'') of the radial equation u'' + (2/r) u' = u - f(u) at y = (u, u')."""
+    u, du = y
+    return np.array([du, -2.0 / r * du + u - nl.f(u)])
+
+
+def _shot_start(nl: Nonlinearity, amps: np.ndarray, opts: ShootOptions):
+    """Series start at r_start of the shots from centre amplitudes amps:
+    u = a + (a - f(a)) r^2/6, u' = (a - f(a)) r/3.  Returns (r, y, y')."""
     r0 = opts.r_start
-    y0 = [a + (a - float(nl.f(np.asarray(a)))) * r0**2 / 6.0,
-          (a - float(nl.f(np.asarray(a)))) * r0 / 3.0]
-    sol = solve_ivp(rhs, (r0, r_end), y0, events=(cross, turn),
-                    rtol=opts.rtol, atol=opts.atol, method="RK45")
-    if sol.status == -1:
-        raise StiffnessFailure(f"integrator failed at a = {a}: {sol.message}")
-    if sol.t_events[0].size > 0:
-        return "overshoot"
-    return "undershoot"
+    c = amps - nl.f(amps)
+    y = np.array([amps + c * r0**2 / 6.0, c * r0 / 3.0])
+    r = np.full(amps.shape, r0)
+    return r, y, _shot_derivative(nl, r, y)
+
+
+def _first_step(nl: Nonlinearity, r, y, dy, r_end: float, opts: ShootOptions):
+    """Initial step of each lane (Hairer, Norsett & Wanner, Solving ODEs I, II.4)."""
+    scale = opts.atol + np.abs(y) * opts.rtol
+    d0, d1 = _rms(y / scale), _rms(dy / scale)
+    span = r_end - r
+    h0 = np.minimum(np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1), span)
+    dy1 = _shot_derivative(nl, r + h0, y + h0 * dy)
+    d2 = _rms((dy1 - dy) / scale) / h0
+    h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15), np.maximum(1e-6, h0 * 1e-3),
+                  (0.01 / np.maximum(d1, d2)) ** 0.2)
+    return np.minimum(np.minimum(100.0 * h0, h1), span)
+
+
+def _dp_attempt(nl: Nonlinearity, r, y, dy, h, retry, r_end: float, opts: ShootOptions):
+    """One Dormand-Prince 5(4) step attempt for every lane.
+
+    Each lane keeps its own radius r, state y = (u, u'), derivative dy and
+    step h.  The error norm is the RMS of err / (atol + rtol max(|y|, |y_new|));
+    a step is accepted below 1, and the next step is h 0.9 norm^(-1/5) kept in
+    [0.2 h, 10 h], with no growth on an attempt that follows a rejection
+    (retry).  Returns (accepted, r_new, y_new, dy_new, h_next).
+    """
+    # a rejected lane never holds a step below this, so only new steps move
+    min_step = 10.0 * np.spacing(r)
+    r_new = np.minimum(r + np.maximum(h, min_step), r_end)
+    h = r_new - r
+    n = r.size
+    # stage derivatives as rows [u' of every lane | u'' of every lane]
+    K = np.empty((7, 2 * n))
+    K[0] = dy.reshape(2 * n)
+    y_flat = y.reshape(2 * n)
+    hh = np.concatenate((h, h))
+    coef = -2.0 / (r + _DP_C[:, None] * h)
+    for s in range(1, 7):
+        ys = y_flat + hh * (_DP_A[s - 1] @ K[:s])
+        u, du = ys[:n], ys[n:]
+        # _shot_derivative, written into the stage row in place
+        K[s, :n] = du
+        K[s, n:] = coef[s - 1] * du + u - nl.f(u)
+    e = hh * (_DP_E @ K) / (opts.atol + np.maximum(np.abs(y_flat), np.abs(ys)) * opts.rtol)
+    e *= e
+    norm_sq = 0.5 * (e[:n] + e[n:])
+    accepted = norm_sq < 1.0
+    # accepted lanes have 0.9 norm^(-1/5) > 0.9 and rejected ones at most
+    # 0.9, so one clip serves both; fmax maps a NaN norm to the 0.2 shrink
+    h_next = h * np.fmax(0.2, np.minimum(np.where(retry, 1.0, 10.0), 0.9 * norm_sq**-0.1))
+    stuck = ~accepted & (h_next < min_step)
+    if stuck.any():
+        raise StiffnessFailure(
+            f"shooting step fell below 10 ulp of the radius at r = {r[stuck][0]:.6g}")
+    return accepted, r_new, ys.reshape(2, n), K[6].reshape(2, n), h_next
+
+
+# lanes that overflow fail the error test and shrink their step, and an exact
+# step has error norm 0 (growth capped at 10): neither needs a warning
+_QUIET = dict(over="ignore", invalid="ignore", divide="ignore")
+
+
+def _classify_shot(nl: Nonlinearity, amps, r_end: float, opts: ShootOptions) -> np.ndarray:
+    """Overshoot flags of the shots from the centre amplitudes amps, all
+    integrated together, one Dormand-Prince lane each.
+
+    A shot overshoots when u crosses zero before u' turns positive, and
+    undershoots otherwise, also when it reaches r_end with neither.  The
+    series start settles two cases: a centre that is a minimum (u''(0) > 0)
+    undershoots, and a start value u(r_start) <= 0 overshoots.
+    """
+    amps = np.asarray(amps, dtype=float)
+    with np.errstate(**_QUIET):
+        r, y, dy = _shot_start(nl, amps, opts)
+        over = y[0] <= 0.0
+        lanes = np.flatnonzero(~over & (y[1] <= 0.0))
+        r, y, dy = r[lanes], y[:, lanes], dy[:, lanes]
+        h = _first_step(nl, r, y, dy, r_end, opts)
+        retry = np.zeros(lanes.size, dtype=bool)
+        while lanes.size:
+            acc, r_new, y_new, dy_new, h = _dp_attempt(nl, r, y, dy, h, retry, r_end, opts)
+            retry = ~acc
+            y_old = y
+            r = np.where(acc, r_new, r)
+            y = np.where(acc, y_new, y)
+            dy = np.where(acc, dy_new, dy)
+            # a live lane has u > 0 and u' <= 0, so a sign change shows in y alone
+            cross = y[0] <= 0.0
+            turn = y[1] >= 0.0
+            done = cross | turn | (r >= r_end)
+            if done.any():
+                both = cross & turn
+                if both.any():
+                    # the earlier root of the two linear interpolants decides
+                    u0, du0 = y_old[:, both]
+                    u1, du1 = y[:, both]
+                    cross[both] = u0 * (du1 - du0) < -du0 * (u0 - u1)
+                over[lanes[cross]] = True
+                keep = ~done
+                lanes, r, y, dy = lanes[keep], r[keep], y[:, keep], dy[:, keep]
+                h, retry = h[keep], retry[keep]
+    return over
 
 
 def _auto_bracket(nl: Nonlinearity, r_end: float, opts: ShootOptions) -> tuple[float, float]:
+    """First undershoot/overshoot transition on a log scan of 40 amplitudes."""
     amps = np.logspace(-1, 2, 40)
-    labels = [None] * len(amps)
-    prev = None
-    for i, a in enumerate(amps):
-        labels[i] = _classify_shot(nl, a, r_end, opts)
-        if prev is not None and labels[i - 1] == "undershoot" and labels[i] == "overshoot":
-            return float(amps[i - 1]), float(amps[i])
-        prev = labels[i]
-    raise BracketFailure("no undershoot/overshoot transition on the amplitude scan")
+    over = _classify_shot(nl, amps, r_end, opts)
+    up = np.flatnonzero(~over[:-1] & over[1:])
+    if up.size == 0:
+        raise BracketFailure("no undershoot/overshoot transition on the amplitude scan")
+    return float(amps[up[0]]), float(amps[up[0] + 1])
+
+
+def _shot_trajectory(nl: Nonlinearity, a: float, r_end: float, opts: ShootOptions):
+    """Accepted steps (r, y, y') of the shot from centre amplitude a to r_end."""
+    with np.errstate(**_QUIET):
+        r, y, dy = _shot_start(nl, np.array([a]), opts)
+        h = _first_step(nl, r, y, dy, r_end, opts)
+        retry = np.zeros(1, dtype=bool)
+        steps = [(r, y, dy)]
+        while r[0] < r_end:
+            acc, r_new, y_new, dy_new, h = _dp_attempt(nl, r, y, dy, h, retry, r_end, opts)
+            retry = ~acc
+            if acc[0]:
+                r, y, dy = r_new, y_new, dy_new
+                steps.append((r, y, dy))
+    rs, ys, dys = zip(*steps)
+    return np.concatenate(rs), np.concatenate(ys, axis=1), np.concatenate(dys, axis=1)
+
+
+def _hermite(rs: np.ndarray, ys: np.ndarray, dys: np.ndarray, x) -> np.ndarray:
+    """Piecewise cubic Hermite interpolant of the rows of ys, with slopes dys,
+    at the increasing radii rs; evaluated at x in [rs[0], rs[-1]]."""
+    x = np.asarray(x, dtype=float)
+    i = np.clip(np.searchsorted(rs, x, side="right") - 1, 0, rs.size - 2)
+    h = rs[i + 1] - rs[i]
+    t = (x - rs[i]) / h
+    s = 1.0 - t
+    return (ys[:, i] * (1.0 + 2.0 * t) * s * s + ys[:, i + 1] * (1.0 + 2.0 * s) * t * t
+            + h * t * s * (dys[:, i] * s - dys[:, i + 1] * t))
 
 
 def shoot_ground_state(nl: Nonlinearity, grid: RadialGrid,
@@ -351,8 +484,10 @@ def shoot_ground_state(nl: Nonlinearity, grid: RadialGrid,
                        opts: ShootOptions | None = None) -> RadialFunction:
     """Radial shooting for the limit problem, independent of the flow route.
 
-    Bisects the center amplitude between undershoot and overshoot behavior;
-    the converged trajectory is sampled on the grid with an exponential
+    Narrows the center amplitude between undershoot and overshoot by
+    k-section: each sweep classifies _SECTION_POINTS interior amplitudes
+    together.  The converged trajectory is sampled on the grid by cubic
+    Hermite interpolation of its accepted steps, with an exponential
     far-field graft c exp(-r)/r beyond the last trustworthy radius.
     """
     opts = opts or ShootOptions()
@@ -361,41 +496,29 @@ def shoot_ground_state(nl: Nonlinearity, grid: RadialGrid,
         a_lo, a_hi = _auto_bracket(nl, r_end, opts)
     else:
         a_lo, a_hi = float(bracket[0]), float(bracket[1])
-        lo_c = _classify_shot(nl, a_lo, r_end, opts)
-        hi_c = _classify_shot(nl, a_hi, r_end, opts)
-        if lo_c == hi_c:
-            raise BracketFailure(f"both endpoints classify as {lo_c}")
-        if lo_c == "overshoot":
+        lo_over, hi_over = _classify_shot(nl, np.array([a_lo, a_hi]), r_end, opts)
+        if lo_over == hi_over:
+            label = "overshoot" if lo_over else "undershoot"
+            raise BracketFailure(f"both endpoints classify as {label}")
+        if lo_over:
             a_lo, a_hi = a_hi, a_lo
 
     while abs(a_hi - a_lo) > opts.tol * abs(a_hi):
-        mid = 0.5 * (a_lo + a_hi)
-        if _classify_shot(nl, mid, r_end, opts) == "undershoot":
-            a_lo = mid
-        else:
-            a_hi = mid
+        amps = np.linspace(a_lo, a_hi, _SECTION_POINTS + 2)
+        over = np.concatenate(([False], _classify_shot(nl, amps[1:-1], r_end, opts), [True]))
+        j = int(np.argmax(over))
+        a_lo, a_hi = float(amps[j - 1]), float(amps[j])
     a = 0.5 * (a_lo + a_hi)
 
-    def rhs(r, y):
-        u, du = y
-        return [du, -2.0 / r * du + u - float(nl.f(np.asarray(u)))]
-
+    rs, ys, dys = _shot_trajectory(nl, a, r_end, opts)
     r0 = opts.r_start
-    y0 = [a + (a - float(nl.f(np.asarray(a)))) * r0**2 / 6.0,
-          (a - float(nl.f(np.asarray(a)))) * r0 / 3.0]
-    sol = solve_ivp(rhs, (r0, r_end), y0, rtol=opts.rtol, atol=opts.atol,
-                    dense_output=True, method="RK45")
-    if sol.status == -1:
-        raise StiffnessFailure(sol.message)
-
     r_nodes = grid.nodes
     vals = np.empty_like(r_nodes)
-    r_reach = sol.t[-1]
-    traj = sol.sol
+    r_reach = rs[-1]
 
     # last radius where the trajectory is still a clean decaying profile
     r_dense = np.linspace(r0, r_reach, 4000)
-    u_dense, du_dense = traj(r_dense)
+    u_dense, du_dense = _hermite(rs, ys, dys, r_dense)
     ok = (u_dense > 1e-9 * a) & (du_dense < 0.0)
     bad = np.nonzero(~ok)[0]
     r_switch = r_dense[bad[0] - 1] if bad.size > 0 and bad[0] > 0 else r_reach
@@ -404,8 +527,8 @@ def shoot_ground_state(nl: Nonlinearity, grid: RadialGrid,
     vals[0] = a
     mask = inner.copy()
     mask[0] = False
-    vals[mask] = traj(np.clip(r_nodes[mask], r0, r_reach))[0]
-    u_sw = float(traj(min(r_switch, r_reach))[0])
+    vals[mask] = _hermite(rs, ys, dys, np.clip(r_nodes[mask], r0, r_reach))[0]
+    u_sw = float(_hermite(rs, ys, dys, min(r_switch, r_reach))[0])
     outer = ~inner
     vals[outer] = u_sw * (r_switch / r_nodes[outer]) * np.exp(-(r_nodes[outer] - r_switch))
     vals[-1] = 0.0

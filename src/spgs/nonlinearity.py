@@ -8,11 +8,11 @@ ladder; it reports, never proves.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 
 @dataclass(frozen=True)
@@ -51,19 +51,30 @@ def smallest_kappa(f: Callable, s_lo: float = 1e-6, s_hi: float = 1e6) -> float:
     """Smallest valid constant in f(s) <= s/2 + kappa s^5, by maximizing
     (f(s) - s/2)/s^5 over s > 0 (coarse log scan plus golden-section polish)."""
 
-    def neg_ratio(x):
+    def ratio(x):
         s = np.exp(x)
-        return -float((f(np.asarray(s)) - 0.5 * s) / s**5)
+        return float((f(np.asarray(s)) - 0.5 * s) / s**5)
 
     xs = np.linspace(np.log(s_lo), np.log(s_hi), 400)
-    vals = np.array([neg_ratio(x) for x in xs])
-    k = int(np.argmin(vals))
-    lo = xs[max(k - 1, 0)]
-    hi = xs[min(k + 1, len(xs) - 1)]
-    res = minimize_scalar(neg_ratio, bracket=None, bounds=(lo, hi), method="bounded",
-                          options={"xatol": 1e-12})
-    best = -min(res.fun, vals[k])
-    return max(best, 0.0)
+    s = np.exp(xs)
+    vals = (np.asarray(f(s), dtype=float) - 0.5 * s) / s**5
+    k = int(np.argmax(vals))
+    # golden-section search for the maximum of the ratio between the scan
+    # neighbours of the best sample, to 1e-12 in log s
+    g = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = xs[max(k - 1, 0)], xs[min(k + 1, len(xs) - 1)]
+    c, d = b - g * (b - a), a + g * (b - a)
+    fc, fd = ratio(c), ratio(d)
+    while b - a > 1e-12:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - g * (b - a)
+            fc = ratio(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + g * (b - a)
+            fd = ratio(d)
+    return max(vals[k], fc, fd, 0.0)
 
 
 def canonical_family(mu: float, q: float, critical_weight: float) -> Nonlinearity:
@@ -109,19 +120,25 @@ def user_nonlinearity(f: Callable, mu: float, q: float, critical_weight: float =
     """Wrap a user-supplied f; missing pieces are filled numerically.
 
     A missing derivative falls back to centered finite differences with step
-    1e-6 * max(1, |s|); a missing primitive is integrated by quadrature.
+    1e-6 * max(1, |s|); a missing primitive is integrated by 64-point
+    Gauss-Legendre quadrature on [0, s], exact to rounding for power laws
+    s^a and spectrally accurate for smooth f.  An f with a kink inside (0, s)
+    should come with its F.
     """
     if fprime is None:
         fprime = _fd_derivative(f)
     if F is None:
-        from scipy.integrate import quad
+        # Gauss-Legendre in tau = sqrt(x/s) on [0, 1]: the substitution turns
+        # the power law x^a of f at zero into the smooth tau^(2a+1), and
+        # dx = 2 s tau dtau with dtau = dxi/2 gives the weights w tau
+        xi, w = np.polynomial.legendre.leggauss(64)
+        tau = 0.5 * (xi + 1.0)
+        weight = w * tau
 
-        def F_single(s):
-            if s <= 0:
-                return 0.0
-            return quad(lambda x: float(f(np.asarray(x))), 0.0, s, limit=200)[0]
+        def F(s):
+            sp = np.maximum(np.asarray(s, dtype=float), 0.0)[..., None]
+            return np.sum(weight * sp * np.asarray(f(sp * tau**2), dtype=float), axis=-1)
 
-        F = np.vectorize(F_single)
     if kappa is None:
         kappa = smallest_kappa(f)
     return Nonlinearity(f=f, F=F, fprime=fprime, mu=float(mu), q=float(q),

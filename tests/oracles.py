@@ -2,9 +2,12 @@
 by cheaper or closed-form means."""
 
 import numpy as np
+from scipy.integrate import solve_ivp
+from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq, minimize_scalar
 
 from spgs import RadialFunction, dilate, energy
+from spgs.limit_solver import StiffnessFailure
 
 
 def dense_phi_oracle(u: RadialFunction, lam: float) -> np.ndarray:
@@ -39,3 +42,86 @@ def resampled_t0(u: RadialFunction, nl, t_hi: float) -> float:
     times the 1.05 margin of spgs.find_t0."""
     t = brentq(lambda s: resampled_gamma(u, nl, 0.0, s) + 2.0, 1.0, t_hi, xtol=1e-12)
     return 1.05 * t
+
+
+def pchip_dilate(u: RadialFunction, t: float) -> RadialFunction:
+    """r -> u(r/t) by scipy's PCHIP, the reference for spgs.dilate."""
+    if t == 1.0:
+        return RadialFunction(u.grid, u.values.copy())
+    interp = PchipInterpolator(u.grid.nodes, u.values, extrapolate=False)
+    vals = interp(u.grid.nodes / t)
+    vals = np.where(np.isnan(vals), 0.0, vals)
+    vals[-1] = 0.0 if abs(u.values[-1]) == 0.0 else vals[-1]
+    return RadialFunction(u.grid, vals)
+
+
+def bounded_kappa(f, s_lo: float = 1e-6, s_hi: float = 1e6) -> float:
+    """spgs.smallest_kappa with scipy's bounded scalar search as the polish."""
+
+    def neg_ratio(x):
+        s = np.exp(x)
+        return -float((f(np.asarray(s)) - 0.5 * s) / s**5)
+
+    xs = np.linspace(np.log(s_lo), np.log(s_hi), 400)
+    vals = np.array([neg_ratio(x) for x in xs])
+    k = int(np.argmin(vals))
+    res = minimize_scalar(neg_ratio, bounds=(xs[max(k - 1, 0)], xs[min(k + 1, len(xs) - 1)]),
+                          method="bounded", options={"xatol": 1e-12})
+    return max(-min(res.fun, vals[k]), 0.0)
+
+
+def _shot_ivp(nl, a: float, r_end: float, opts, **kwargs):
+    """solve_ivp (RK45) on u'' + (2/r) u' = u - f(u) from the series start."""
+
+    def rhs(r, y):
+        u, du = y
+        return [du, -2.0 / r * du + u - float(nl.f(np.asarray(u)))]
+
+    r0 = opts.r_start
+    c = a - float(nl.f(np.asarray(a)))
+    y0 = [a + c * r0**2 / 6.0, c * r0 / 3.0]
+    sol = solve_ivp(rhs, (r0, r_end), y0, rtol=opts.rtol, atol=opts.atol,
+                    method="RK45", **kwargs)
+    if sol.status == -1:
+        raise StiffnessFailure(f"integrator failed at a = {a}: {sol.message}")
+    return sol
+
+
+def shot_label(nl, a: float, r_end: float, opts) -> str:
+    """One shot at a time: 'overshoot' if u crosses zero, 'undershoot' if u
+    turns around positive, as solve_ivp terminal events."""
+    a = float(a)
+    r0 = opts.r_start
+    c = a - float(nl.f(np.asarray(a)))
+    if c > 0:
+        return "undershoot"
+    if a + c * r0**2 / 6.0 <= 0:
+        return "overshoot"
+
+    def cross(r, y):
+        return y[0]
+
+    def turn(r, y):
+        return y[1]
+
+    cross.terminal, cross.direction = True, -1.0
+    turn.terminal, turn.direction = True, 1.0
+    sol = _shot_ivp(nl, a, r_end, opts, events=(cross, turn))
+    return "overshoot" if sol.t_events[0].size > 0 else "undershoot"
+
+
+def bisect_amplitude(nl, a_lo: float, a_hi: float, r_end: float, opts) -> float:
+    """Centre amplitude by one-shot-at-a-time bisection of an undershoot
+    (a_lo) / overshoot (a_hi) bracket."""
+    while abs(a_hi - a_lo) > opts.tol * abs(a_hi):
+        mid = 0.5 * (a_lo + a_hi)
+        if shot_label(nl, mid, r_end, opts) == "undershoot":
+            a_lo = mid
+        else:
+            a_hi = mid
+    return 0.5 * (a_lo + a_hi)
+
+
+def shot_dense(nl, a: float, r_end: float, opts):
+    """Dense output (u, u') of the shot from centre amplitude a."""
+    return _shot_ivp(nl, a, r_end, opts, dense_output=True).sol

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -133,3 +136,14 @@ def test_verify_battery_passes(tmp_path, capsys):
     assert "[FAIL]" not in out
     report = json.loads((tmp_path / "out" / "verify.json").read_text())
     assert report["passed"]
+
+
+def test_import_footprint():
+    # the package and its command line load numpy and scipy.linalg only
+    code = ("import sys, spgs, spgs.cli; "
+            "print([m for m in ('scipy.integrate', 'scipy.interpolate', "
+            "'scipy.optimize', 'scipy.special') if m in sys.modules])")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"

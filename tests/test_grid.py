@@ -1,8 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from oracles import pchip_dilate
 from spgs import RadialFunction, dilate, grad_norm_sq, h1_norm_sq, integrate, make_grid, norm_lq
 from spgs.grid import dual_norm, integrate_values, laplacian_apply, solve_helmholtz
 
@@ -152,6 +154,29 @@ def test_dilate_preserves_zero_tail():
     u = RadialFunction(g, vals)
     shrunk = dilate(u, 0.5)
     assert np.all(shrunk.values[g.nodes > 1.2] == 0.0)
+
+
+@pytest.mark.parametrize("n", [750, 3000])
+@pytest.mark.parametrize("t", [0.7, 1.3])
+def test_dilate_matches_pchip_oracle(n, t):
+    g = make_grid(30.0, n)
+    r = g.nodes
+    for vals in (4.0 * np.exp(-r**2 / 4.0), np.sin(r) * np.exp(-r / 5.0),
+                 3.0 * np.maximum(0.0, 1.0 - (r / 5.0) ** 2) ** 2):
+        u = RadialFunction(g, vals)
+        err = np.max(np.abs(dilate(u, t).values - pchip_dilate(u, t).values))
+        assert err <= 1e-14 * np.max(np.abs(vals))
+
+
+def test_dilate_subnormal_tail_is_quiet():
+    # the tail of this bump underflows to subnormals and zeros, where the
+    # harmonic-mean slope of scipy's PCHIP overflows
+    g = make_grid(30.0, 750)
+    u = RadialFunction(g, 5.0 * np.exp(-(g.nodes / 0.12) ** 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t in (0.5, 0.9, 1.1, 2.0):
+            assert np.all(dilate(u, t).values >= 0.0)
 
 
 def test_solve_helmholtz_manufactured():

@@ -1,9 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from oracles import resampled_path_max
+from oracles import bisect_amplitude, resampled_path_max, shot_dense, shot_label
 from spgs import (
     RadialFunction,
     canonical_family,
@@ -21,6 +22,8 @@ from spgs.limit_solver import (
     FlowOptions,
     InitializationFailure,
     ShootOptions,
+    _auto_bracket,
+    _classify_shot,
     cgm_rescale,
     project_to_M,
 )
@@ -116,8 +119,13 @@ def test_flow_warm_start(grid30, nl_cubic, ground_cubic):
     assert gs2.M_value == pytest.approx(ground_cubic.M_value, rel=1e-10)
 
 
-def test_shooting_matches_flow_cubic(grid30, nl_cubic, ground_cubic):
-    w = shoot_ground_state(nl_cubic, grid30)
+@pytest.fixture(scope="module")
+def shot_cubic(grid30, nl_cubic):
+    return shoot_ground_state(nl_cubic, grid30)
+
+
+def test_shooting_matches_flow_cubic(nl_cubic, ground_cubic, shot_cubic):
+    w = shot_cubic
     i_shoot = energy(w, nl_cubic, 0.0).I_value
     assert i_shoot == pytest.approx(ground_cubic.b_value, rel=1e-3)
     assert w.values[0] == pytest.approx(OMEGA0_CUBIC_REF, rel=1e-3)
@@ -133,8 +141,47 @@ def test_shooting_bad_bracket_raises(grid30, nl_cubic):
         shoot_ground_state(nl_cubic, grid30, bracket=(0.1, 0.5))
 
 
-def test_shooting_profile_positive_decreasing(grid30, nl_cubic):
-    w = shoot_ground_state(nl_cubic, grid30)
+@pytest.mark.parametrize("case", [(1.0, 3.0, 0.0), (1.0, 4.0, 0.0), (1.0, 5.0, 0.0),
+                                  (20.0, 3.0, 1.0)])
+def test_batched_labels_match_one_shot_oracle(case, grid30):
+    nl = canonical_family(*case)
+    opts = ShootOptions()
+    amps = np.logspace(-1, 2, 40)
+    # the scan holds degenerate lanes (a = 1 is a fixed point of f for mu = 1,
+    # with error norm 0); they must not warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        over = _classify_shot(nl, amps, grid30.R, opts)
+    want = [shot_label(nl, a, grid30.R, opts) == "overshoot" for a in amps]
+    assert over.tolist() == want
+
+
+def test_k_section_matches_bisection_oracle(grid30, nl_cubic, shot_cubic):
+    opts = ShootOptions()
+    a_lo, a_hi = _auto_bracket(nl_cubic, grid30.R, opts)
+    a_ref = bisect_amplitude(nl_cubic, a_lo, a_hi, grid30.R, opts)
+    w = shot_cubic
+    assert w.values[0] == pytest.approx(a_ref, rel=opts.tol)
+    # cubic Hermite sampling of the accepted steps against the dense output
+    r = grid30.nodes
+    inner = (r > 0.0) & (r <= 10.0)
+    sol = shot_dense(nl_cubic, w.values[0], grid30.R, opts)
+    err = np.max(np.abs(w.values[inner] - sol(r[inner])[0]))
+    assert err <= 1e-8 * w.values[0]
+
+
+def test_shooting_bracket_with_negative_series_start(grid30):
+    # at a = 50 the series start a + (a - f(a)) r0^2/6 is already negative,
+    # which makes the shot an overshoot
+    nl = canonical_family(20.0, 3.0, 1.0)
+    assert shot_label(nl, 50.0, grid30.R, ShootOptions()) == "overshoot"
+    w = shoot_ground_state(nl, grid30, bracket=(0.1, 50.0))
+    auto = shoot_ground_state(nl, grid30)
+    assert w.values[0] == pytest.approx(auto.values[0], rel=1e-11)
+
+
+def test_shooting_profile_positive_decreasing(shot_cubic):
+    w = shot_cubic
     assert np.all(w.values[:-1] > 0)
     assert np.all(np.diff(w.values[:-1]) < 1e-12)
 

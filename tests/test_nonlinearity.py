@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from oracles import bounded_kappa
 from spgs import canonical_family, check_hypotheses, smallest_kappa, user_nonlinearity
 
 
@@ -54,12 +55,22 @@ def test_smallest_kappa_general_family():
         assert got == pytest.approx(exact, rel=1e-8)
 
 
+def test_smallest_kappa_matches_bounded_search_oracle():
+    for mu, q, cw in ((1.0, 3.0, 0.0), (1.0, 4.0, 0.0), (1.0, 5.0, 0.0), (20.0, 3.0, 1.0)):
+        nl = canonical_family(mu, q, cw)
+        assert nl.kappa == pytest.approx(bounded_kappa(nl.f), rel=1e-10)
+
+
 def test_user_nonlinearity_fills_missing_pieces():
     nl = user_nonlinearity(lambda s: np.maximum(s, 0.0) ** 3, mu=1.0, q=4.0)
     s = np.array([0.5, 1.5])
     assert np.allclose(nl.fprime(s), 3.0 * s**2, rtol=1e-6)
     assert np.allclose(nl.F(s), s**4 / 4.0, rtol=1e-8)
     assert nl.kappa == pytest.approx(0.5, rel=1e-6)
+    # a power law that is not smooth at zero
+    root = user_nonlinearity(lambda s: np.maximum(s, 0.0) ** 1.3, mu=1.0, q=2.3, kappa=1.0)
+    assert np.allclose(root.F(s), s**2.3 / 2.3, rtol=1e-12)
+    assert root.F(-1.0) == 0.0
 
 
 def test_check_hypotheses_canonical_passes():
