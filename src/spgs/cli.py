@@ -34,7 +34,6 @@ from .limit_solver import (
     Stagnation,
     StiffnessFailure,
     minimize_on_M,
-    shoot_ground_state,
 )
 from .nonlinearity import canonical_family, check_hypotheses, user_nonlinearity
 from .sp_solver import (

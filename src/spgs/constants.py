@@ -21,6 +21,7 @@ from .grid import (
     grad_norm_sq,
     h1_norm_sq,
     integrate_values,
+    laplacian_apply,
     norm_lq,
     solve_helmholtz,
 )
@@ -71,8 +72,6 @@ def sobolev_S(grid: RadialGrid, warn_threshold: float = 0.1):
     for _ in range(80):
         denom6 = integrate_values(grid, np.abs(u.values) ** 6)
         q = grad_norm_sq(u) / denom6 ** (1.0 / 3.0)
-        from .grid import laplacian_apply
-
         g = -laplacian_apply(u) - (q / denom6 ** (2.0 / 3.0)) * u.values**5
         g[-1] = 0.0
         d = solve_helmholtz(grid, 1.0, g)

@@ -228,8 +228,12 @@ def laplacian_bands(grid: RadialGrid) -> np.ndarray:
     """Banded (ab) representation of -laplacian_apply with a Dirichlet last row.
 
     Returns the 3 x n array consumed by scipy.linalg.solve_banded for the
-    operator v -> -Delta v, with row n-1 replaced by the identity.
+    operator v -> -Delta v, with row n-1 replaced by the identity.  It is
+    built once per grid, kept on the grid and returned read-only.
     """
+    cached = grid.__dict__.get("_bands")
+    if cached is not None:
+        return cached
     h = grid.h
     r = grid.nodes
     n = grid.n
@@ -255,6 +259,9 @@ def laplacian_bands(grid: RadialGrid) -> np.ndarray:
     ab[0, 1:] = upper[1:]
     ab[1, :] = diag
     ab[2, :-1] = lower[:-1]
+    ab.setflags(write=False)
+    # RadialGrid is frozen: the cache goes past its __setattr__
+    object.__setattr__(grid, "_bands", ab)
     return ab
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import dop853
 from .functionals import T0_value, V_value, scaling_terms
 from .grid import (
     RadialFunction,
@@ -300,23 +301,11 @@ def mountain_pass_b(omega: RadialFunction, nl: Nonlinearity) -> MountainPassResu
 
 
 
-# Dormand-Prince 5(4) pair: nodes and coefficients of stages 1..6 (stage 6 is
-# the fifth-order solution, whose derivative is the next step's stage 0) and
-# the weights of the error estimate, fifth minus fourth order over 7 stages
-_DP_C = np.array([1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = (
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-)
-_DP_E = np.array([-71 / 57600, 0.0, 71 / 16695, -71 / 1920, 17253 / 339200,
-                  -22 / 525, 1 / 40])
-
 # interior amplitudes classified per k-section sweep: 6 bits of the bracket
 _SECTION_POINTS = 63
+
+# the 5th- and 3rd-order error estimators of DOP853, as rows over stages 0..12
+_ERR = np.stack((dop853.E5, dop853.E3))
 
 
 def _rms(x: np.ndarray) -> np.ndarray:
@@ -341,7 +330,8 @@ def _shot_start(nl: Nonlinearity, amps: np.ndarray, opts: ShootOptions):
 
 
 def _first_step(nl: Nonlinearity, r, y, dy, r_end: float, opts: ShootOptions):
-    """Initial step of each lane (Hairer, Norsett & Wanner, Solving ODEs I, II.4)."""
+    """Initial step of each lane (Hairer, Norsett & Wanner, Solving ODEs I, II.4)
+    for the 7th-order error estimate of DOP853."""
     scale = opts.atol + np.abs(y) * opts.rtol
     d0, d1 = _rms(y / scale), _rms(dy / scale)
     span = r_end - r
@@ -349,48 +339,66 @@ def _first_step(nl: Nonlinearity, r, y, dy, r_end: float, opts: ShootOptions):
     dy1 = _shot_derivative(nl, r + h0, y + h0 * dy)
     d2 = _rms((dy1 - dy) / scale) / h0
     h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15), np.maximum(1e-6, h0 * 1e-3),
-                  (0.01 / np.maximum(d1, d2)) ** 0.2)
+                  (0.01 / np.maximum(d1, d2)) ** 0.125)
     return np.minimum(np.minimum(100.0 * h0, h1), span)
 
 
-def _dp_attempt(nl: Nonlinearity, r, y, dy, h, retry, r_end: float, opts: ShootOptions):
-    """One Dormand-Prince 5(4) step attempt for every lane.
+def _fill_stages(nl: Nonlinearity, K: np.ndarray, first: int, last: int,
+                 r, h, y_flat: np.ndarray) -> np.ndarray:
+    """Stage derivatives K[first:last] of a DOP853 step of length h from (r, y).
+
+    The rows of K are [u' of every lane | u'' of every lane], and y_flat is y
+    in the same layout.  Returns the state of the last stage filled.
+    """
+    n = r.size
+    hh = np.concatenate((h, h))
+    coef = -2.0 / (r + dop853.C[first:last, None] * h)
+    for s, c in zip(range(first, last), coef):
+        ys = y_flat + hh * (dop853.A[s, :s] @ K[:s])
+        u, du = ys[:n], ys[n:]
+        # _shot_derivative, written into the stage row in place
+        K[s, :n] = du
+        K[s, n:] = c * du + u - nl.f(u)
+    return ys
+
+
+def _dop853_attempt(nl: Nonlinearity, r, y, dy, h, retry, r_end: float,
+                    opts: ShootOptions):
+    """One DOP853 step attempt for every lane.
 
     Each lane keeps its own radius r, state y = (u, u'), derivative dy and
-    step h.  The error norm is the RMS of err / (atol + rtol max(|y|, |y_new|));
-    a step is accepted below 1, and the next step is h 0.9 norm^(-1/5) kept in
-    [0.2 h, 10 h], with no growth on an attempt that follows a rejection
-    (retry).  Returns (accepted, r_new, y_new, dy_new, h_next).
+    step h.  Over sc = atol + rtol max(|y|, |y_new|), the error norm is
+    h |e5/sc|^2 / sqrt(2 (|e5/sc|^2 + 0.01 |e3/sc|^2)) from the 5th- and
+    3rd-order estimates e5 and e3, and 0 when both vanish.  A step is accepted
+    below 1, and the next step is h 0.9 norm^(-1/8) kept in [0.2 h, 10 h],
+    with no growth on an attempt that follows a rejection (retry).  Returns
+    (accepted, r_new, y_new, K, h_next), where K holds the stage derivatives,
+    K[12] the one at (r_new, y_new), and room for the dense-output stages.
     """
     # a rejected lane never holds a step below this, so only new steps move
     min_step = 10.0 * np.spacing(r)
     r_new = np.minimum(r + np.maximum(h, min_step), r_end)
     h = r_new - r
     n = r.size
-    # stage derivatives as rows [u' of every lane | u'' of every lane]
-    K = np.empty((7, 2 * n))
+    K = np.empty((16, 2 * n))
     K[0] = dy.reshape(2 * n)
     y_flat = y.reshape(2 * n)
-    hh = np.concatenate((h, h))
-    coef = -2.0 / (r + _DP_C[:, None] * h)
-    for s in range(1, 7):
-        ys = y_flat + hh * (_DP_A[s - 1] @ K[:s])
-        u, du = ys[:n], ys[n:]
-        # _shot_derivative, written into the stage row in place
-        K[s, :n] = du
-        K[s, n:] = coef[s - 1] * du + u - nl.f(u)
-    e = hh * (_DP_E @ K) / (opts.atol + np.maximum(np.abs(y_flat), np.abs(ys)) * opts.rtol)
+    y_new = _fill_stages(nl, K, 1, 13, r, h, y_flat)
+    e = (_ERR @ K[:13]) / (opts.atol + np.maximum(np.abs(y_flat), np.abs(y_new)) * opts.rtol)
     e *= e
-    norm_sq = 0.5 * (e[:n] + e[n:])
-    accepted = norm_sq < 1.0
-    # accepted lanes have 0.9 norm^(-1/5) > 0.9 and rejected ones at most
+    e5, e3 = e[:, :n] + e[:, n:]
+    denom = e5 + 0.01 * e3
+    # a NaN or infinite estimate keeps a NaN norm, which is rejected
+    norm = np.where(denom == 0.0, 0.0, h * e5 / np.sqrt(2.0 * denom))
+    accepted = norm < 1.0
+    # accepted lanes have 0.9 norm^(-1/8) > 0.9 and rejected ones at most
     # 0.9, so one clip serves both; fmax maps a NaN norm to the 0.2 shrink
-    h_next = h * np.fmax(0.2, np.minimum(np.where(retry, 1.0, 10.0), 0.9 * norm_sq**-0.1))
+    h_next = h * np.fmax(0.2, np.minimum(np.where(retry, 1.0, 10.0), 0.9 * norm**-0.125))
     stuck = ~accepted & (h_next < min_step)
     if stuck.any():
         raise StiffnessFailure(
             f"shooting step fell below 10 ulp of the radius at r = {r[stuck][0]:.6g}")
-    return accepted, r_new, ys.reshape(2, n), K[6].reshape(2, n), h_next
+    return accepted, r_new, y_new.reshape(2, n), K, h_next
 
 
 # lanes that overflow fail the error test and shrink their step, and an exact
@@ -400,7 +408,7 @@ _QUIET = dict(over="ignore", invalid="ignore", divide="ignore")
 
 def _classify_shot(nl: Nonlinearity, amps, r_end: float, opts: ShootOptions) -> np.ndarray:
     """Overshoot flags of the shots from the centre amplitudes amps, all
-    integrated together, one Dormand-Prince lane each.
+    integrated together, one DOP853 lane each.
 
     A shot overshoots when u crosses zero before u' turns positive, and
     undershoots otherwise, also when it reaches r_end with neither.  The
@@ -416,12 +424,12 @@ def _classify_shot(nl: Nonlinearity, amps, r_end: float, opts: ShootOptions) -> 
         h = _first_step(nl, r, y, dy, r_end, opts)
         retry = np.zeros(lanes.size, dtype=bool)
         while lanes.size:
-            acc, r_new, y_new, dy_new, h = _dp_attempt(nl, r, y, dy, h, retry, r_end, opts)
+            acc, r_new, y_new, K, h = _dop853_attempt(nl, r, y, dy, h, retry, r_end, opts)
             retry = ~acc
             y_old = y
             r = np.where(acc, r_new, r)
             y = np.where(acc, y_new, y)
-            dy = np.where(acc, dy_new, dy)
+            dy = np.where(acc, K[12].reshape(2, -1), dy)
             # a live lane has u > 0 and u' <= 0, so a sign change shows in y alone
             cross = y[0] <= 0.0
             turn = y[1] >= 0.0
@@ -450,33 +458,58 @@ def _auto_bracket(nl: Nonlinearity, r_end: float, opts: ShootOptions) -> tuple[f
     return float(amps[up[0]]), float(amps[up[0] + 1])
 
 
+def _dense_coefficients(nl: Nonlinearity, r, y, y_new, K: np.ndarray, h) -> np.ndarray:
+    """Coefficients F (7, 2n) of the 7th-order continuous extension of an
+    accepted step of length h from (r, y) to y_new with stages K, after
+    filling the three stages 13..15 that only the extension needs."""
+    n = r.size
+    y_flat = y.reshape(2 * n)
+    _fill_stages(nl, K, 13, 16, r, h, y_flat)
+    hh = np.concatenate((h, h))
+    dy = y_new.reshape(2 * n) - y_flat
+    F = np.empty((7, 2 * n))
+    F[0] = dy
+    F[1] = hh * K[0] - dy
+    F[2] = 2.0 * dy - hh * (K[12] + K[0])
+    F[3:] = hh * (dop853.D @ K)
+    return F
+
+
 def _shot_trajectory(nl: Nonlinearity, a: float, r_end: float, opts: ShootOptions):
-    """Accepted steps (r, y, y') of the shot from centre amplitude a to r_end."""
+    """The shot from centre amplitude a to r_end with its dense output.
+
+    Returns the radii rs of the accepted steps, the state y0 (2, m) at the
+    start of each step and the coefficients F (7, 2, m) of the 7th-order
+    continuous extension of each step, which takes three more stages.
+    """
     with np.errstate(**_QUIET):
         r, y, dy = _shot_start(nl, np.array([a]), opts)
         h = _first_step(nl, r, y, dy, r_end, opts)
         retry = np.zeros(1, dtype=bool)
-        steps = [(r, y, dy)]
+        rs, y0, F = [r], [], []
         while r[0] < r_end:
-            acc, r_new, y_new, dy_new, h = _dp_attempt(nl, r, y, dy, h, retry, r_end, opts)
+            acc, r_new, y_new, K, h = _dop853_attempt(nl, r, y, dy, h, retry, r_end, opts)
             retry = ~acc
             if acc[0]:
-                r, y, dy = r_new, y_new, dy_new
-                steps.append((r, y, dy))
-    rs, ys, dys = zip(*steps)
-    return np.concatenate(rs), np.concatenate(ys, axis=1), np.concatenate(dys, axis=1)
+                F.append(_dense_coefficients(nl, r, y, y_new, K, r_new - r))
+                y0.append(y[:, 0])
+                r, y, dy = r_new, y_new, K[12].reshape(2, 1)
+                rs.append(r)
+    return np.concatenate(rs), np.stack(y0, axis=1), np.stack(F, axis=2)
 
 
-def _hermite(rs: np.ndarray, ys: np.ndarray, dys: np.ndarray, x) -> np.ndarray:
-    """Piecewise cubic Hermite interpolant of the rows of ys, with slopes dys,
-    at the increasing radii rs; evaluated at x in [rs[0], rs[-1]]."""
+def _dense_output(rs: np.ndarray, y0: np.ndarray, F: np.ndarray, x) -> np.ndarray:
+    """(u, u') of a shot at radii x in [rs[0], rs[-1]] from the continuous
+    extension of _shot_trajectory: on the step from rs[i] with
+    t = (x - rs[i]) / (rs[i+1] - rs[i]), y0 + t (F0 + (1-t) (F1 + t (F2 + ...)))."""
     x = np.asarray(x, dtype=float)
     i = np.clip(np.searchsorted(rs, x, side="right") - 1, 0, rs.size - 2)
-    h = rs[i + 1] - rs[i]
-    t = (x - rs[i]) / h
-    s = 1.0 - t
-    return (ys[:, i] * (1.0 + 2.0 * t) * s * s + ys[:, i + 1] * (1.0 + 2.0 * s) * t * t
-            + h * t * s * (dys[:, i] * s - dys[:, i + 1] * t))
+    t = (x - rs[i]) / (rs[i + 1] - rs[i])
+    out = np.zeros((2,) + x.shape)
+    for k in range(6, -1, -1):
+        out += F[k][:, i]
+        out *= t if k % 2 == 0 else 1.0 - t
+    return out + y0[:, i]
 
 
 def shoot_ground_state(nl: Nonlinearity, grid: RadialGrid,
@@ -486,8 +519,8 @@ def shoot_ground_state(nl: Nonlinearity, grid: RadialGrid,
 
     Narrows the center amplitude between undershoot and overshoot by
     k-section: each sweep classifies _SECTION_POINTS interior amplitudes
-    together.  The converged trajectory is sampled on the grid by cubic
-    Hermite interpolation of its accepted steps, with an exponential
+    together.  The converged trajectory is sampled on the grid through the
+    7th-order dense output of its accepted steps, with an exponential
     far-field graft c exp(-r)/r beyond the last trustworthy radius.
     """
     opts = opts or ShootOptions()
@@ -510,15 +543,15 @@ def shoot_ground_state(nl: Nonlinearity, grid: RadialGrid,
         a_lo, a_hi = float(amps[j - 1]), float(amps[j])
     a = 0.5 * (a_lo + a_hi)
 
-    rs, ys, dys = _shot_trajectory(nl, a, r_end, opts)
+    traj = _shot_trajectory(nl, a, r_end, opts)
     r0 = opts.r_start
     r_nodes = grid.nodes
     vals = np.empty_like(r_nodes)
-    r_reach = rs[-1]
+    r_reach = traj[0][-1]
 
     # last radius where the trajectory is still a clean decaying profile
     r_dense = np.linspace(r0, r_reach, 4000)
-    u_dense, du_dense = _hermite(rs, ys, dys, r_dense)
+    u_dense, du_dense = _dense_output(*traj, r_dense)
     ok = (u_dense > 1e-9 * a) & (du_dense < 0.0)
     bad = np.nonzero(~ok)[0]
     r_switch = r_dense[bad[0] - 1] if bad.size > 0 and bad[0] > 0 else r_reach
@@ -527,8 +560,8 @@ def shoot_ground_state(nl: Nonlinearity, grid: RadialGrid,
     vals[0] = a
     mask = inner.copy()
     mask[0] = False
-    vals[mask] = _hermite(rs, ys, dys, np.clip(r_nodes[mask], r0, r_reach))[0]
-    u_sw = float(_hermite(rs, ys, dys, min(r_switch, r_reach))[0])
+    vals[mask] = _dense_output(*traj, np.clip(r_nodes[mask], r0, r_reach))[0]
+    u_sw = float(_dense_output(*traj, min(r_switch, r_reach))[0])
     outer = ~inner
     vals[outer] = u_sw * (r_switch / r_nodes[outer]) * np.exp(-(r_nodes[outer] - r_switch))
     vals[-1] = 0.0

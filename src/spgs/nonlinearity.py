@@ -92,20 +92,23 @@ def canonical_family(mu: float, q: float, critical_weight: float) -> Nonlinearit
     if not 0.0 <= cw <= 1.0:
         raise ValueError(f"critical_weight must lie in [0, 1], got {cw}")
 
+    # without a critical term its zero terms are skipped: adding 0 s^k changes
+    # no value (short of s^k overflowing, where it gave NaN), yet it doubles
+    # the cost of f in shooting
     def f(s):
-        s = np.asarray(s, dtype=float)
-        sp = np.maximum(s, 0.0)
-        return cw * sp**5 + mu * sp ** (q - 1.0)
+        sp = np.maximum(np.asarray(s, dtype=float), 0.0)
+        sub = mu * sp ** (q - 1.0)
+        return sub + cw * sp**5 if cw else sub
 
     def F(s):
-        s = np.asarray(s, dtype=float)
-        sp = np.maximum(s, 0.0)
-        return cw * sp**6 / 6.0 + mu * sp**q / q
+        sp = np.maximum(np.asarray(s, dtype=float), 0.0)
+        sub = mu * sp**q / q
+        return sub + cw * sp**6 / 6.0 if cw else sub
 
     def fprime(s):
-        s = np.asarray(s, dtype=float)
-        sp = np.maximum(s, 0.0)
-        return 5.0 * cw * sp**4 + mu * (q - 1.0) * sp ** (q - 2.0)
+        sp = np.maximum(np.asarray(s, dtype=float), 0.0)
+        sub = mu * (q - 1.0) * sp ** (q - 2.0)
+        return sub + 5.0 * cw * sp**4 if cw else sub
 
     kappa = smallest_kappa(f)
     return Nonlinearity(

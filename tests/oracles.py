@@ -7,7 +7,7 @@ from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq, minimize_scalar
 
 from spgs import RadialFunction, dilate, energy
-from spgs.limit_solver import StiffnessFailure
+from spgs.limit_solver import ShootOptions, StiffnessFailure
 
 
 def dense_phi_oracle(u: RadialFunction, lam: float) -> np.ndarray:
@@ -71,7 +71,8 @@ def bounded_kappa(f, s_lo: float = 1e-6, s_hi: float = 1e6) -> float:
 
 
 def _shot_ivp(nl, a: float, r_end: float, opts, **kwargs):
-    """solve_ivp (RK45) on u'' + (2/r) u' = u - f(u) from the series start."""
+    """solve_ivp (DOP853, the pair of spgs) on u'' + (2/r) u' = u - f(u) from
+    the series start."""
 
     def rhs(r, y):
         u, du = y
@@ -81,7 +82,7 @@ def _shot_ivp(nl, a: float, r_end: float, opts, **kwargs):
     c = a - float(nl.f(np.asarray(a)))
     y0 = [a + c * r0**2 / 6.0, c * r0 / 3.0]
     sol = solve_ivp(rhs, (r0, r_end), y0, rtol=opts.rtol, atol=opts.atol,
-                    method="RK45", **kwargs)
+                    method="DOP853", **kwargs)
     if sol.status == -1:
         raise StiffnessFailure(f"integrator failed at a = {a}: {sol.message}")
     return sol
@@ -108,6 +109,12 @@ def shot_label(nl, a: float, r_end: float, opts) -> str:
     turn.terminal, turn.direction = True, 1.0
     sol = _shot_ivp(nl, a, r_end, opts, events=(cross, turn))
     return "overshoot" if sol.t_events[0].size > 0 else "undershoot"
+
+
+def tight_shot_label(nl, a: float, r_end: float) -> str:
+    """shot_label at rtol 1e-13 and atol 1e-16: where the undershoot/overshoot
+    transition lies, nearly free of integration error."""
+    return shot_label(nl, a, r_end, ShootOptions(rtol=1e-13, atol=1e-16))
 
 
 def bisect_amplitude(nl, a_lo: float, a_hi: float, r_end: float, opts) -> float:

@@ -6,7 +6,13 @@ import pytest
 
 from oracles import pchip_dilate
 from spgs import RadialFunction, dilate, grad_norm_sq, h1_norm_sq, integrate, make_grid, norm_lq
-from spgs.grid import dual_norm, integrate_values, laplacian_apply, solve_helmholtz
+from spgs.grid import (
+    dual_norm,
+    integrate_values,
+    laplacian_apply,
+    laplacian_bands,
+    solve_helmholtz,
+)
 
 
 def test_weights_integrate_constants_exactly():
@@ -187,6 +193,21 @@ def test_solve_helmholtz_manufactured():
     rhs = (-4.0 * r**2 + 6.0) * w_exact + w_exact
     w = solve_helmholtz(g, 1.0, rhs)
     assert np.max(np.abs(w - w_exact)) <= 2e-4
+
+
+def test_laplacian_bands_cached_per_grid_and_read_only():
+    g = make_grid(15.0, 800)
+    rhs = np.exp(-g.nodes)
+    shift = 1.0 + np.exp(-g.nodes**2)
+    first = solve_helmholtz(g, shift, rhs)
+    bands = laplacian_bands(g)
+    assert laplacian_bands(g) is bands
+    # a solve with another shift leaves the cached bands as they were
+    solve_helmholtz(g, 2.0, rhs)
+    assert np.array_equal(solve_helmholtz(g, shift, rhs), first)
+    assert np.array_equal(bands, laplacian_bands(make_grid(15.0, 800)))
+    with pytest.raises(ValueError):
+        bands[1, 0] = 0.0
 
 
 def test_dual_norm_nonnegative_and_scales():

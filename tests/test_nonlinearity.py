@@ -23,6 +23,22 @@ def test_canonical_critical_mix():
     assert nl.F(np.asarray(s)) == pytest.approx(0.5 * s**6 / 6.0 + 2.0 * s**3 / 3.0)
 
 
+@pytest.mark.parametrize("cw", [0.0, 1.0])
+@pytest.mark.parametrize("q", [2.5, 3.0, 4.0, 5.0, 5.5])
+def test_canonical_family_bitwise_equals_general_form(q, cw):
+    # the general form, with the critical terms also where cw = 0
+    mu = 1.7
+    ladder = np.logspace(-300, 50, 701)
+    s = np.concatenate(([0.0, -0.0], ladder, -ladder))
+    sp = np.maximum(s, 0.0)
+    want = {"f": cw * sp**5 + mu * sp ** (q - 1.0),
+            "F": cw * sp**6 / 6.0 + mu * sp**q / q,
+            "fprime": 5.0 * cw * sp**4 + mu * (q - 1.0) * sp ** (q - 2.0)}
+    nl = canonical_family(mu, q, cw)
+    for name, ref in want.items():
+        assert getattr(nl, name)(s).tobytes() == ref.tobytes(), name
+
+
 def test_G_shifted_primitive():
     nl = canonical_family(1.0, 4.0, 0.0)
     assert nl.G(2.0) == pytest.approx(2.0**4 / 4.0 - 2.0)
