@@ -11,13 +11,17 @@ from spgs import (
     continuation,
     energy,
     find_t0,
+    make_grid,
     minimize_on_M,
     solve_at_lambda,
 )
+from spgs.functionals import gradient_residual
+from spgs.grid import dual_norm
 from spgs.sp_solver import (
     NonConvergence,
     RangeFailure,
     SolverOptions,
+    _dense_jacobian_step,
     _loglog_slope,
     path_max_D,
 )
@@ -148,3 +152,24 @@ def test_asymptotic_slopes(branch, nl_cubic):
 def test_loglog_slope_on_power_law():
     x = np.array([0.1, 0.2, 0.4, 0.8])
     assert _loglog_slope(x, 3.0 * x**2) == pytest.approx(2.0, abs=1e-12)
+
+
+@pytest.fixture(scope="module")
+def omega_cubic_400(nl_cubic):
+    return minimize_on_M(nl_cubic, make_grid(30.0, 400)).omega
+
+
+@pytest.mark.parametrize("lam", [0.05, 0.3])
+def test_dense_jacobian_step_is_a_newton_step(lam, nl_cubic, omega_cubic_400):
+    # along an exact Newton step delta, R(u + eps delta) = (1 - eps) R(u) + O(eps^2),
+    # so the remainder falls 100x per decade of eps (measured 3.85e-8 -> 3.85e-10)
+    u = omega_cubic_400
+    grid = u.grid
+    res = gradient_residual(u, nl_cubic, lam).values
+    delta = _dense_jacobian_step(u.values, nl_cubic, lam, grid, res)
+    scale = dual_norm(grid, res)
+    rem = []
+    for eps in (1e-3, 1e-4):
+        moved = gradient_residual(RadialFunction(grid, u.values + eps * delta), nl_cubic, lam)
+        rem.append(dual_norm(grid, moved.values - (1.0 - eps) * res) / scale)
+    assert rem[1] * 50.0 <= rem[0]
