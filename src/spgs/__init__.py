@@ -8,14 +8,11 @@ from .functionals import (
     energy,
     gradient_residual,
     pohozaev_P,
-    pohozaev_residual_lambda,
-    residual_dual_norm,
 )
 from .grid import (
     RadialFunction,
     RadialGrid,
     dilate,
-    from_callable,
     grad_norm_sq,
     h1_norm_sq,
     integrate,
@@ -37,7 +34,7 @@ from .nonlinearity import (
     smallest_kappa,
     user_nonlinearity,
 )
-from .poisson import PoissonSolution, T_value, dirichlet_energy_direct, solve_phi
+from .poisson import PoissonSolution, dirichlet_energy_direct, solve_phi
 from .sp_solver import (
     BranchPoint,
     SolutionBranch,
@@ -65,7 +62,6 @@ __all__ = [
     "ShootOptions",
     "SolutionBranch",
     "SolverOptions",
-    "T_value",
     "apply_env_overrides",
     "asymptotics_report",
     "best_Cq",
@@ -77,7 +73,6 @@ __all__ = [
     "dirichlet_energy_direct",
     "energy",
     "find_t0",
-    "from_callable",
     "grad_norm_sq",
     "gradient_residual",
     "h1_norm_sq",
@@ -89,9 +84,7 @@ __all__ = [
     "norm_lq",
     "parse_config",
     "pohozaev_P",
-    "pohozaev_residual_lambda",
     "render_config",
-    "residual_dual_norm",
     "shoot_ground_state",
     "smallest_kappa",
     "sobolev_S",

@@ -1,5 +1,5 @@
 """Command-line front end: run orchestration, persistence and the `verify`
-invariant battery.
+run of the check registry in spgs.checks.
 
 Exit codes: 0 success, 2 configuration error, 3 solver nonconvergence,
 4 verification failure.
@@ -16,31 +16,23 @@ from pathlib import Path
 
 import numpy as np
 
+from . import checks, functionals
 from . import constants as constants_mod
-from . import functionals, poisson
 from .config import ConfigError, RunConfig, apply_env_overrides, parse_config, render_config
-from .grid import (
-    RadialFunction,
-    dilate,
-    h1_norm_sq,
-    integrate_values,
-    make_grid,
-    norm_lq,
-)
+# dilate is unused here; bench/selftest.py expects this binding of it
+from .grid import dilate, h1_norm_sq, make_grid  # noqa: F401
 from .limit_solver import (
     BracketFailure,
-    FlowOptions,
     InitializationFailure,
+    LimitGroundState,
     Stagnation,
     StiffnessFailure,
     minimize_on_M,
 )
-from .nonlinearity import canonical_family, check_hypotheses, user_nonlinearity
 from .sp_solver import (
     NonConvergence,
     PositivityLoss,
     RangeFailure,
-    SolverOptions,
     asymptotics_report,
     continuation,
     solve_at_lambda,
@@ -75,26 +67,38 @@ def _fmt(x) -> str:
     return repr(float(x))  # shortest round-trip decimal form
 
 
-def _nl_from_config(cfg: RunConfig):
-    return canonical_family(cfg.mu, cfg.q, cfg.critical_weight)
+class RegimeFailure(Stagnation):
+    """The limit solve failed where the existence theory gives no guarantee:
+    a critical term with mu below the sufficient threshold mu*(q)."""
 
 
-def _solver_opts(cfg: RunConfig) -> SolverOptions:
-    return SolverOptions(tol=cfg.tol, max_iter=cfg.max_iter,
-                         damping_floor=cfg.damping_floor, clip_budget=cfg.clip_budget)
+def _ground_state(cfg: RunConfig, nl, grid) -> LimitGroundState:
+    """Limit ground state of nl on grid with the configured flow options.
 
-
-def _flow_opts(cfg: RunConfig) -> FlowOptions:
-    return FlowOptions(tol=max(cfg.tol, 1e-10))
+    A failed solve with a critical term and mu below mu*(q) raises a
+    RegimeFailure chained from the solver's error; the threshold needs a
+    best_Cq solve, so only the failure path computes it.
+    """
+    try:
+        return minimize_on_M(nl, grid, cfg.flow_options())
+    except (Stagnation, InitializationFailure) as exc:
+        if cfg.critical_weight > 0:
+            mu_star = constants_mod.mu_threshold(
+                cfg.q, constants_mod.SOBOLEV_S_CLOSED_FORM, constants_mod.best_Cq(cfg.q, grid))
+            if cfg.mu < mu_star:
+                raise RegimeFailure(
+                    f"mu = {cfg.mu:g} lies below the sufficient threshold mu* = {mu_star:.4g} "
+                    f"for q = {cfg.q:g} with a critical term ({exc})") from exc
+        raise
 
 
 # ---------------------------------------------------------------- subcommands
 
 
 def cmd_solve_limit(cfg: RunConfig, outdir: Path) -> dict:
-    nl = _nl_from_config(cfg)
+    nl = cfg.nonlinearity()
     grid = make_grid(cfg.R, cfg.n)
-    ground = minimize_on_M(nl, grid, _flow_opts(cfg))
+    ground = _ground_state(cfg, nl, grid)
     poh = functionals.pohozaev_P(ground.omega, nl)
     summary = {
         "M": _num(ground.M_value, "computed (constrained flow)"),
@@ -114,10 +118,10 @@ def cmd_solve_limit(cfg: RunConfig, outdir: Path) -> dict:
 def cmd_solve(cfg: RunConfig, outdir: Path, lam: float) -> dict:
     if lam < 0:
         raise ConfigError(f"lambda = {lam} violates the precondition lambda >= 0")
-    nl = _nl_from_config(cfg)
+    nl = cfg.nonlinearity()
     grid = make_grid(cfg.R, cfg.n)
-    ground = minimize_on_M(nl, grid, _flow_opts(cfg))
-    point = solve_at_lambda(ground.omega, nl, lam, _solver_opts(cfg))
+    ground = _ground_state(cfg, nl, grid)
+    point = solve_at_lambda(ground.omega, nl, lam, cfg.solver_options())
     point.h1_dist_to_omega = math.sqrt(h1_norm_sq(point.u - ground.omega))
     summary = {
         "lambda": _num(lam, "config"),
@@ -138,10 +142,10 @@ def cmd_solve(cfg: RunConfig, outdir: Path, lam: float) -> dict:
 
 
 def cmd_sweep_lambda(cfg: RunConfig, outdir: Path) -> dict:
-    nl = _nl_from_config(cfg)
+    nl = cfg.nonlinearity()
     grid = make_grid(cfg.R, cfg.n)
-    ground = minimize_on_M(nl, grid, _flow_opts(cfg))
-    branch = continuation(nl, cfg.lambdas, ground, _solver_opts(cfg))
+    ground = _ground_state(cfg, nl, grid)
+    branch = continuation(nl, cfg.lambdas, ground, cfg.solver_options())
     rows = [
         (p.lam, p.gamma_energy, p.i_energy, p.h1_dist_to_omega, p.phi_d12,
          p.pohozaev_res, p.D_lambda, p.iterations, p.grad_residual_norm)
@@ -170,7 +174,7 @@ def cmd_sweep_lambda(cfg: RunConfig, outdir: Path) -> dict:
 
 def cmd_constants(cfg: RunConfig, outdir: Path, q_list: list[float]) -> dict:
     grid = make_grid(cfg.R, cfg.n)
-    report = constants_mod.constants_report(grid, q_list, _flow_opts(cfg))
+    report = constants_mod.constants_report(grid, q_list, cfg.flow_options())
     summary = {
         "S": _num(report.S, report.provenance["S"]),
         "Cq": {str(q): _num(v, report.provenance[f"Cq[{q}]"])
@@ -184,27 +188,12 @@ def cmd_constants(cfg: RunConfig, outdir: Path, q_list: list[float]) -> dict:
 
 def cmd_poisson_test(cfg: RunConfig, outdir: Path) -> dict:
     """Gaussian closed-form oracle for the Newton potential."""
-    # the closed form is for whole space; R = 12 keeps the truncated charge
-    # negligible while the node count follows the configuration
-    grid = make_grid(12.0, cfg.n)
-    u = RadialFunction(grid, np.exp(-grid.nodes**2 / 2.0))
-    sol = poisson.solve_phi(u, 1.0)
-    r = grid.nodes
-    exact = np.empty_like(r)
-    exact[1:] = (math.sqrt(math.pi) / 4.0) * np.array([math.erf(x) for x in r[1:]]) / r[1:]
-    exact[0] = 0.5
-    window = r <= 8.0
-    phi_err = float(np.max(np.abs(sol.phi.values[window] - exact[window])
-                           / np.abs(exact[window])))
-    coupling_exact = math.pi**1.5 / (2.0 * math.sqrt(2.0))
-    coupling_err = abs(sol.coupling - coupling_exact) / coupling_exact
+    errors = checks.gaussian_poisson_errors(cfg.n)
     summary = {
-        "phi_max_rel_error": _num(phi_err, "computed vs closed form"),
-        "coupling_rel_error": _num(coupling_err, "computed vs closed form"),
-        "dirichlet_consistency": _num(
-            abs(poisson.dirichlet_energy_direct(sol, u) - sol.dirichlet_energy)
-            / sol.dirichlet_energy,
-            "computed (two-route energy)"),
+        "phi_max_rel_error": _num(errors["phi_max_rel_error"], "computed vs closed form"),
+        "coupling_rel_error": _num(errors["coupling_rel_error"], "computed vs closed form"),
+        "dirichlet_consistency": _num(errors["dirichlet_consistency"],
+                                      "computed (two-route energy)"),
     }
     _write_json(outdir / "poisson_test.json", summary)
     return summary
@@ -214,128 +203,10 @@ def cmd_poisson_test(cfg: RunConfig, outdir: Path) -> dict:
 
 
 def _verify_battery(cfg: RunConfig):
-    """Cross-module invariant battery; returns a list of (name, ok, detail)."""
-    results = []
-
-    def check(name, ok, detail):
-        results.append({"name": name, "passed": bool(ok), "detail": detail})
-
-    rng = np.random.default_rng(cfg.seed)
-
-    # quadrature
-    grid = make_grid(cfg.R, cfg.n)
-    vol = float(np.sum(grid.weights))
-    vol_exact = 4.0 * math.pi * cfg.R**3 / 3.0
-    check("grid.volume_exact", abs(vol - vol_exact) <= 1e-10 * vol_exact,
-          f"rel err {abs(vol - vol_exact) / vol_exact:.2e}")
-
-    g12 = make_grid(12.0, 4000)
-    gauss = RadialFunction(g12, np.exp(-g12.nodes**2))
-    ierr = abs(integrate_values(g12, gauss.values) - math.pi**1.5) / math.pi**1.5
-    check("grid.gaussian_integral", ierr <= 1e-8, f"rel err {ierr:.2e}")
-
-    # poisson oracle; thresholds are calibrated for the reference resolution
-    psummary = cmd_poisson_test(replace(cfg, n=max(cfg.n, 4000)),
-                                Path(cfg.directory) / "verify")
-    check("poisson.phi_oracle", psummary["phi_max_rel_error"]["value"] <= 1e-5,
-          f"max rel err {psummary['phi_max_rel_error']['value']:.2e}")
-    check("poisson.coupling_oracle", psummary["coupling_rel_error"]["value"] <= 1e-6,
-          f"rel err {psummary['coupling_rel_error']['value']:.2e}")
-    check("poisson.energy_consistency",
-          psummary["dirichlet_consistency"]["value"] <= 1e-4,
-          f"rel err {psummary['dirichlet_consistency']['value']:.2e}")
-
-    # dilation scaling of the coupling
-    ug = RadialFunction(g12, np.exp(-g12.nodes**2 / 2.0))
-    for t in (0.5, 2.0):
-        ratio = poisson.coupling_scaling_check(ug, 1.0, t)
-        err = abs(ratio - t**5) / t**5
-        check(f"poisson.coupling_scaling_t{t:g}", err <= 1e-3, f"rel err {err:.2e}")
-
-    # hypothesis checker, positive and negative fixtures
-    nl = _nl_from_config(cfg)
-    rep = check_hypotheses(nl)
-    check("nonlinearity.hypotheses_pass", rep.all_passed,
-          json.dumps({c.name: c.passed for c in rep.checks}))
-    ident = user_nonlinearity(lambda s: np.asarray(s, dtype=float),
-                              mu=1.0, q=4.0, kappa=1.0, label="identity")
-    rep_bad = check_hypotheses(ident)
-    check("nonlinearity.identity_fails_limit",
-          not rep_bad["vanishing_slope_at_zero"].passed,
-          f"margin {rep_bad['vanishing_slope_at_zero'].margin:.2e}")
-    halved = replace(nl, kappa=nl.kappa / 2.0)
-    rep_halved = check_hypotheses(halved)
-    check("nonlinearity.halved_kappa_fails_growth",
-          not rep_halved["growth_bound"].passed,
-          f"margin {rep_halved['growth_bound'].margin:.2e}")
-
-    # gradient consistency on random smooth fields
-    max_rel = _gradient_consistency(grid, nl, rng, trials=20)
-    check("functionals.gradient_consistency", max_rel <= 1e-5,
-          f"max rel err {max_rel:.2e}")
-
-    # limit-problem identities
-    ground = minimize_on_M(nl, grid, _flow_opts(cfg))
-    v_err = abs(functionals.V_value(ground.u, nl) - 1.0)
-    check("limit.constraint_on_M", v_err <= 1e-8, f"|V-1| = {v_err:.2e}")
-    p_pred = (2.0 * math.sqrt(3.0) / 9.0) * ground.M_value**1.5
-    p_err = abs(ground.p_value - p_pred) / ground.p_value
-    check("limit.p_identity", p_err <= 1e-6, f"rel err {p_err:.2e}")
-    A = functionals.T0_value(ground.omega) * 2.0
-    b_err = abs(ground.b_value - A / 3.0) / ground.b_value
-    check("limit.b_identity", b_err <= 1e-4, f"rel err {b_err:.2e}")
-    poh = abs(functionals.pohozaev_P(ground.omega, nl)) / A
-    check("limit.pohozaev_on_arrival", poh <= 1e-4, f"rel residual {poh:.2e}")
-    check("limit.path_maximizer", abs(ground.t_star - 1.0) <= 1e-3,
-          f"|t*-1| = {abs(ground.t_star - 1.0):.2e}")
-
-    # interaction bound int phi_u u^2 <= S^-1 |u|_{12/5}^4 at lam = 1, from
-    # |grad phi|^2 = int phi u^2 <= |phi|_6 |u|_{12/5}^2 and S |phi|_6^2 <= |grad phi|^2
-    ratios = []
-    for _ in range(20):
-        width = rng.uniform(0.5, 3.0)
-        amp = rng.uniform(0.1, 3.0)
-        vals = amp * np.exp(-grid.nodes**2 / (2.0 * width**2))
-        vals[-1] = 0.0
-        u = RadialFunction(grid, vals)
-        bound = norm_lq(u, 12.0 / 5.0) ** 4 / constants_mod.SOBOLEV_S_CLOSED_FORM
-        ratios.append(poisson.solve_phi(u, 1.0).coupling / bound)
-    check("poisson.T_bound_battery", max(ratios) <= 1.0,
-          f"max coupling / bound = {max(ratios):.4f} over 20 samples")
-
-    # coupled solve with dilation-stationarity certificate
-    point = solve_at_lambda(ground.omega, nl, 0.05, _solver_opts(cfg))
-    check("sp.pohozaev_certificate", point.pohozaev_res_rel <= 1e-3,
-          f"rel residual {point.pohozaev_res_rel:.2e}")
-    check("sp.residual_certificate", point.grad_residual_norm <= cfg.tol,
-          f"dual norm {point.grad_residual_norm:.2e}")
-
-    return results
-
-
-def _gradient_consistency(grid, nl, rng, trials=20, lam_choices=(0.0, 0.1, 0.5)):
-    max_rel = 0.0
-    eps = 1e-5
-    for k in range(trials):
-        lam = lam_choices[k % len(lam_choices)]
-        wu = rng.uniform(0.8, 3.0)
-        wv = rng.uniform(0.8, 3.0)
-        au = rng.uniform(0.3, 1.5)
-        av = rng.uniform(0.3, 1.5)
-        uvals = au * np.exp(-grid.nodes**2 / (2 * wu**2))
-        vvals = av * np.exp(-grid.nodes**2 / (2 * wv**2)) * (1 + 0.3 * np.sin(grid.nodes))
-        uvals[-1] = 0.0
-        vvals[-1] = 0.0
-        u = RadialFunction(grid, uvals)
-        v = RadialFunction(grid, vvals)
-        res = functionals.gradient_residual(u, nl, lam)
-        pairing = float(np.dot(grid.weights, res.values * v.values))
-        ep = functionals.energy(RadialFunction(grid, uvals + eps * vvals), nl, lam).Gamma_value
-        em = functionals.energy(RadialFunction(grid, uvals - eps * vvals), nl, lam).Gamma_value
-        fd = (ep - em) / (2 * eps)
-        rel = abs(fd - pairing) / max(abs(fd), 1e-12)
-        max_rel = max(max_rel, rel)
-    return max_rel
+    """The registry of spgs.checks run in order on one shared context;
+    returns a list of {name, passed, detail}."""
+    ctx = checks.Context(cfg)
+    return [check.run(ctx) for check in checks.CHECKS]
 
 
 def cmd_verify(cfg: RunConfig, outdir: Path) -> tuple[dict, bool]:

@@ -6,6 +6,10 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field, replace
 
+from .limit_solver import FlowOptions
+from .nonlinearity import Nonlinearity, canonical_family
+from .sp_solver import SolverOptions
+
 DEFAULT_SCHEDULE = (0.2, 0.1, 0.05, 0.02, 0.01, 0.005)
 
 ENV_PREFIX = "SPGS_"
@@ -35,6 +39,16 @@ class RunConfig:
     directory: str = "out"
     emit_profiles: bool = False
     seed: int = 12345
+
+    def nonlinearity(self) -> Nonlinearity:
+        return canonical_family(self.mu, self.q, self.critical_weight)
+
+    def flow_options(self) -> FlowOptions:
+        return FlowOptions(tol=max(self.tol, 1e-10))
+
+    def solver_options(self) -> SolverOptions:
+        return SolverOptions(tol=self.tol, max_iter=self.max_iter,
+                             damping_floor=self.damping_floor, clip_budget=self.clip_budget)
 
 
 # (section, key) -> (attribute, parser)

@@ -13,7 +13,6 @@ import numpy as np
 
 from .grid import (
     RadialFunction,
-    dual_norm,
     grad_norm_sq,
     integrate_values,
     laplacian_apply,
@@ -128,31 +127,10 @@ def gradient_residual(u: RadialFunction, nl: Nonlinearity, lam: float) -> Radial
     return RadialFunction(u.grid, res)
 
 
-def residual_dual_norm(u: RadialFunction, nl: Nonlinearity, lam: float) -> float:
-    """Dual norm of the residual in the discrete H^1 pairing."""
-    res = gradient_residual(u, nl, lam)
-    return dual_norm(u.grid, res.values)
-
-
 def pohozaev_P(u: RadialFunction, nl: Nonlinearity) -> float:
     """P(u) = |grad u|_2^2 - 6 int G(u); zero on the Pohozaev manifold."""
     terms = scaling_terms(u, nl)
     return terms.A - 6.0 * terms.V
-
-
-def pohozaev_residual_lambda(u: RadialFunction, nl: Nonlinearity, lam: float) -> float:
-    """Dilation-stationarity balance of the coupled energy.
-
-    d/dt Gamma_lam(u(./t)) at t = 1 equals
-    (1/2)|grad u|^2 + (3/2)|u|_2^2 + (5 lam/4) int phi_u u^2 - 3 int F(u).
-    Vanishes at critical points; reported as a diagnostic, never enforced.
-    """
-    return scaling_terms(u, nl, lam).dilation_balance()[0]
-
-
-def pohozaev_residual_lambda_relative(u: RadialFunction, nl: Nonlinearity, lam: float) -> float:
-    """lambda-Pohozaev residual normalized by the magnitude of its terms."""
-    return scaling_terms(u, nl, lam).dilation_balance()[1]
 
 
 def V_value(u: RadialFunction, nl: Nonlinearity) -> float:

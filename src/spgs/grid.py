@@ -110,10 +110,6 @@ def make_grid(R: float, n: int) -> RadialGrid:
     return RadialGrid(R=R, n=n, nodes=nodes, weights=weights)
 
 
-def from_callable(grid: RadialGrid, fn) -> RadialFunction:
-    return RadialFunction(grid, np.asarray(fn(grid.nodes), dtype=float))
-
-
 def integrate(g: RadialFunction) -> float:
     """3D integral of the radial extension of g."""
     return float(np.dot(g.grid.weights, g.values))

@@ -108,7 +108,13 @@ def project_to_M(u: RadialFunction, nl: Nonlinearity) -> RadialFunction:
     for _ in range(_PROJECTION_STEPS):
         if not v > 0:
             raise InitializationFailure(f"constraint value must be positive, got {v}")
-        t_next = t * v ** (-1.0 / p)
+        try:
+            t_next = t * v ** (-1.0 / p)
+        except OverflowError:
+            t_next = math.inf
+        if not math.isfinite(t_next):
+            raise InitializationFailure(
+                f"constraint projection diverged: V = {v:.3e} after dilation by {t:.3e}")
         w = dilate(u, t_next)
         v_next = V_value(w, nl)
         if abs(v_next - 1.0) <= 1e-13:

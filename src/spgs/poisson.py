@@ -71,11 +71,6 @@ def dirichlet_energy_direct(sol: PoissonSolution, u: RadialFunction) -> float:
     return inside + outside
 
 
-def T_value(u: RadialFunction, lam: float) -> float:
-    """Interaction functional (1/4) int phi_u u^2."""
-    return 0.25 * solve_phi(u, lam).coupling
-
-
 def coupling_scaling_check(u: RadialFunction, lam: float, t: float) -> float:
     """Ratio coupling(u(./t)) / coupling(u); equals t^5 up to interpolation error."""
     if not t > 0:

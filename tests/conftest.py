@@ -29,8 +29,3 @@ def ground_cubic(nl_cubic, grid30):
 @pytest.fixture(scope="session")
 def gaussian12(grid12):
     return RadialFunction(grid12, np.exp(-grid12.nodes**2 / 2.0))
-
-
-@pytest.fixture()
-def rng():
-    return np.random.default_rng(20260823)

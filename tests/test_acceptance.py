@@ -1,38 +1,32 @@
-"""End-to-end acceptance battery.
+"""End-to-end acceptance criteria that `spgs verify` does not run.
 
-Each test prints one summary line with its measured margins so a full run
-reads as a checklist; tolerances are part of the contract of the suite.
+Criteria 1, 2, 7 and 10 and most of 3 are entries of the check registry
+(spgs.checks, run by tests/test_checks.py).  Each test here prints one summary
+line with its measured margins so a full run reads as a checklist; tolerances
+are part of the contract of the suite.
 """
 
 import math
 
-import numpy as np
 import pytest
-from scipy.special import erf
 
 from spgs import (
-    RadialFunction,
     SOBOLEV_S_CLOSED_FORM,
     asymptotics_report,
     best_Cq,
     canonical_family,
-    check_hypotheses,
     continuation,
     dilate,
     energy,
     find_t0,
-    grad_norm_sq,
-    gradient_residual,
     make_grid,
     minimize_on_M,
     mu_threshold,
     shoot_ground_state,
     sobolev_S,
-    solve_phi,
-    user_nonlinearity,
 )
-from spgs.functionals import pohozaev_P, pohozaev_residual_lambda
-from spgs.poisson import coupling_scaling_check
+from spgs.checks import gaussian_poisson_errors
+from spgs.functionals import scaling_terms
 from spgs.sp_solver import path_max_D
 
 
@@ -48,50 +42,12 @@ def report(capsys):
     return _report
 
 
-def test_criterion_1_poisson_gaussian_oracle(report):
-    grid = make_grid(12.0, 4000)
-    u = RadialFunction(grid, np.exp(-grid.nodes**2 / 2.0))
-    sol = solve_phi(u, 1.0)
-    r = grid.nodes
-    exact = np.empty_like(r)
-    exact[1:] = (math.sqrt(math.pi) / 4.0) * erf(r[1:]) / r[1:]
-    exact[0] = 0.5
-    window = r <= 8.0
-    phi_err = float(np.max(np.abs(sol.phi.values[window] - exact[window])
-                           / np.abs(exact[window])))
-    coupling_exact = math.pi**1.5 / (2.0 * math.sqrt(2.0))
-    cpl_err = abs(sol.coupling - coupling_exact) / coupling_exact
-    report("criterion 1 (potential closed form)",
-           phi_err <= 1e-5 and cpl_err <= 1e-6,
-           f"phi max rel err {phi_err:.2e} (tol 1e-5), "
-           f"coupling rel err {cpl_err:.2e} (tol 1e-6)")
-
-
-def test_criterion_2_coupling_dilation_scaling(report):
-    grid = make_grid(12.0, 4000)
-    u = RadialFunction(grid, np.exp(-grid.nodes**2 / 2.0))
-    errs = {t: abs(coupling_scaling_check(u, 1.0, t) - t**5) / t**5
-            for t in (0.5, 2.0)}
-    report("criterion 2 (t^5 interaction scaling)",
-           all(e <= 1e-3 for e in errs.values()),
-           ", ".join(f"t={t:g}: rel err {e:.2e}" for t, e in errs.items())
-           + " (tol 1e-3)")
-
-
-def test_criterion_3_limit_levels(report, ground_cubic, nl_cubic):
+def test_criterion_3_limit_levels(report, ground_cubic):
+    # the other identities of the limit levels are registry checks (limit.*);
+    # b = p holds to 1e-5 only where it is calibrated, on the cubic model
     gs = ground_cubic
-    p_pred = (2.0 * math.sqrt(3.0) / 9.0) * gs.M_value**1.5
-    p_err = abs(gs.p_value - p_pred) / p_pred
-    A = grad_norm_sq(gs.omega)
-    b_err = abs(gs.b_value - A / 3.0) / gs.b_value
-    poh = abs(pohozaev_P(gs.omega, nl_cubic)) / A
-    t_err = abs(gs.t_star - 1.0)
     bp_err = abs(gs.b_value - gs.p_value) / gs.p_value
-    ok = (p_err <= 1e-6 and b_err <= 1e-4 and poh <= 1e-4
-          and t_err <= 1e-3 and bp_err <= 1e-5)
-    report("criterion 3 (limit level identities)", ok,
-           f"p identity {p_err:.2e} (tol 1e-6), b vs A/3 {b_err:.2e} (tol 1e-4), "
-           f"Pohozaev {poh:.2e} (tol 1e-4), |t*-1| {t_err:.2e} (tol 1e-3), "
+    report("criterion 3 (least-energy level equals mountain-pass level)", bp_err <= 1e-5,
            f"b vs p {bp_err:.2e} (tol 1e-5)")
 
 
@@ -151,29 +107,6 @@ def test_criterion_6_small_coupling_asymptotics(report, branch, nl_cubic, ground
            f"{rep.h1_dist_monotone}; ceiling at zero rel err {d0_err:.2e} (tol 1e-6)")
 
 
-def test_criterion_7_gradient_consistency(report, grid30, nl_cubic):
-    rng = np.random.default_rng(20260823)
-    eps = 1e-5
-    worst = 0.0
-    lams = (0.0, 0.1, 0.5)
-    for k in range(20):
-        lam = lams[k % 3]
-        wu, wv = rng.uniform(0.8, 3.0, size=2)
-        au, av = rng.uniform(0.3, 1.5, size=2)
-        u_vals = au * np.exp(-grid30.nodes**2 / (2 * wu**2))
-        v_vals = av * np.exp(-grid30.nodes**2 / (2 * wv**2)) \
-            * (1.0 + 0.3 * np.sin(grid30.nodes))
-        u_vals[-1] = v_vals[-1] = 0.0
-        res = gradient_residual(RadialFunction(grid30, u_vals), nl_cubic, lam)
-        pairing = float(np.dot(grid30.weights, res.values * v_vals))
-        ep = energy(RadialFunction(grid30, u_vals + eps * v_vals), nl_cubic, lam).Gamma_value
-        em = energy(RadialFunction(grid30, u_vals - eps * v_vals), nl_cubic, lam).Gamma_value
-        fd = (ep - em) / (2.0 * eps)
-        worst = max(worst, abs(fd - pairing) / max(abs(fd), 1e-12))
-    report("criterion 7 (variational gradient consistency)", worst <= 1e-5,
-           f"worst rel mismatch over 20 random triples {worst:.2e} (tol 1e-5)")
-
-
 def test_criterion_8_dilation_stationarity(report, branch, nl_cubic):
     worst_rel = max(pt.pohozaev_res_rel for pt in branch.points)
     # independent cross-check: numerical dilation derivative at one point
@@ -182,7 +115,7 @@ def test_criterion_8_dilation_stationarity(report, branch, nl_cubic):
     gp = energy(dilate(pt.u, 1.0 + dt), nl_cubic, pt.lam).Gamma_value
     gm = energy(dilate(pt.u, 1.0 - dt), nl_cubic, pt.lam).Gamma_value
     fd = (gp - gm) / (2.0 * dt)
-    analytic = pohozaev_residual_lambda(pt.u, nl_cubic, pt.lam)
+    analytic = scaling_terms(pt.u, nl_cubic, pt.lam).dilation_balance()[0]
     fd_err = abs(fd - analytic) / abs(pt.gamma_energy)
     ok = worst_rel <= 1e-3 and fd_err <= 1e-3
     report("criterion 8 (coupled dilation balance)", ok,
@@ -192,13 +125,7 @@ def test_criterion_8_dilation_stationarity(report, branch, nl_cubic):
 
 def test_criterion_9_grid_convergence(report, nl_cubic):
     # true-error orders for the potential oracle under factor-2 refinement
-    errs = []
-    coupling_exact = math.pi**1.5 / (2.0 * math.sqrt(2.0))
-    for n in (1000, 2000, 4000):
-        g = make_grid(12.0, n)
-        u = RadialFunction(g, np.exp(-g.nodes**2 / 2.0))
-        sol = solve_phi(u, 1.0)
-        errs.append(abs(sol.coupling - coupling_exact) / coupling_exact)
+    errs = [gaussian_poisson_errors(n)["coupling_rel_error"] for n in (1000, 2000, 4000)]
     p_phi = min(math.log2(errs[0] / errs[1]), math.log2(errs[1] / errs[2]))
 
     # Richardson orders for the solver levels
@@ -211,18 +138,3 @@ def test_criterion_9_grid_convergence(report, nl_cubic):
     report("criterion 9 (grid convergence orders)", ok,
            f"interaction integral order {p_phi:.2f}, constrained minimum order "
            f"{p_M:.2f} (both >= 1.8)")
-
-
-def test_criterion_10_hypothesis_screening(report):
-    good = check_hypotheses(canonical_family(1.0, 4.0, 0.0))
-    linear = user_nonlinearity(lambda s: np.maximum(s, 0.0), mu=1.0, q=4.0, kappa=1.0)
-    bad1 = check_hypotheses(linear)
-    signed = user_nonlinearity(lambda s: np.abs(s) ** 3, mu=1.0, q=4.0, kappa=0.5)
-    bad2 = check_hypotheses(signed)
-    ok = (good.all_passed
-          and not bad1["vanishing_slope_at_zero"].passed
-          and not bad2["vanishes_on_negatives"].passed)
-    report("criterion 10 (admissibility screening)", ok,
-           f"canonical passes: {good.all_passed}; linear-at-zero rejected: "
-           f"{not bad1['vanishing_slope_at_zero'].passed}; signed growth rejected: "
-           f"{not bad2['vanishes_on_negatives'].passed}")

@@ -1,11 +1,14 @@
 import json
+import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from spgs import checks
 from spgs.cli import SWEEP_HEADER, main
 
 FAST_CFG = """
@@ -136,6 +139,40 @@ def test_verify_battery_passes(tmp_path, capsys):
     assert "[FAIL]" not in out
     report = json.loads((tmp_path / "out" / "verify.json").read_text())
     assert report["passed"]
+    # the names are those of the registry, in its order and once each
+    names = [c["name"] for c in report["checks"]]
+    assert names == [c.name for c in checks.CHECKS]
+    assert len(set(names)) == len(names)
+
+
+def test_verify_failure_exits_4(tmp_path, capsys, monkeypatch):
+    # a NaN measurement must fail its check
+    failing = replace(checks.CHECKS[3], measure=lambda ctx: math.nan)
+    monkeypatch.setattr(checks, "CHECKS", checks.CHECKS[:3] + (failing,) + checks.CHECKS[4:])
+    code = main(["--output", str(tmp_path / "out"), "verify"])
+    assert code == 4
+    assert f"[FAIL] {failing.name}" in capsys.readouterr().out
+    report = json.loads((tmp_path / "out" / "verify.json").read_text())
+    assert report["passed"] is False
+
+
+def test_projection_overflow_is_solver_failure(tmp_path, capsys):
+    # the initial projection asks for a dilation by 3e35
+    cfg = write_cfg(tmp_path, "[nonlinearity]\nmu = 20.0\nq = 2.2\ncritical_weight = 1.0\n"
+                              "[grid]\nR = 20.0\nn = 750\n")
+    code = main(["--config", str(cfg), "--output", str(tmp_path / "out"), "solve-limit"])
+    assert code == 3
+    assert "constraint projection diverged" in capsys.readouterr().err
+
+
+def test_failure_below_mu_threshold_is_regime_failure(tmp_path, capsys):
+    # mu = 1 lies below mu*(4) = 4.42, where the flow ends in a stalled polish
+    cfg = write_cfg(tmp_path, "[nonlinearity]\nmu = 1.0\nq = 4.0\ncritical_weight = 1.0\n")
+    code = main(["--config", str(cfg), "--output", str(tmp_path / "out"), "solve-limit"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "mu = 1 lies below the sufficient threshold mu* = 4.42" in err
+    assert "Newton polish stalled" in err
 
 
 def test_import_footprint():

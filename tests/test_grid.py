@@ -22,12 +22,6 @@ def test_weights_integrate_constants_exactly():
         assert abs(float(np.sum(g.weights)) - vol) <= 1e-10 * vol
 
 
-def test_gaussian_integral():
-    g = make_grid(12.0, 4000)
-    val = integrate_values(g, np.exp(-g.nodes**2))
-    assert abs(val - math.pi**1.5) <= 1e-8 * math.pi**1.5
-
-
 def test_gaussian_moments():
     # int exp(-r^2) r^2 over R^3 = (3/2) pi^(3/2) * (1/2) ... computed directly:
     # 4 pi int r^4 exp(-r^2) dr = 4 pi * 3 sqrt(pi)/8 = (3/2) pi^(3/2)
