@@ -131,11 +131,10 @@ def _halved_kappa_accepted(ctx: Context) -> float:
     return float(check_hypotheses(halved)["growth_bound"].passed)
 
 
-def _gradient_consistency(ctx: Context, trials: int = 20, eps: float = 1e-5) -> float:
+def gradient_fd_gap(grid, nl, rng: np.random.Generator, trials: int = 20,
+                    lams: tuple[float, ...] = (0.0, 0.1, 0.5), eps: float = 1e-5) -> float:
     """Worst relative gap between <gradient residual, v> and the central
     difference of the coupled energy along v, over random smooth (u, v, lam)."""
-    grid, nl, rng = ctx.grid, ctx.nl, ctx.rng()
-    lams = (0.0, 0.1, 0.5)
     worst = 0.0
     for k in range(trials):
         lam = lams[k % len(lams)]
@@ -202,7 +201,7 @@ CHECKS: tuple[Check, ...] = (
     Check("nonlinearity.halved_kappa_fails_growth", 0.0, "growth bound accepted",
           _halved_kappa_accepted),
     Check("functionals.gradient_consistency", 1e-5, "max rel err over 20 samples",
-          _gradient_consistency),
+          lambda c: gradient_fd_gap(c.grid, c.nl, c.rng())),
     Check("limit.constraint_on_M", 1e-8, "|V - 1|",
           lambda c: abs(V_value(c.ground.u, c.nl) - 1.0)),
     Check("limit.p_identity", 1e-6, "rel err", _p_identity),

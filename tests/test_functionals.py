@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from spgs import RadialFunction, energy, gradient_residual
+from spgs.checks import gradient_fd_gap
 from spgs.functionals import T0_value, V_value, scaling_terms
 from spgs.grid import dual_norm, grad_norm_sq, integrate_values
 
@@ -25,6 +26,12 @@ def test_energy_rejects_negative_lam(grid30, nl_cubic):
     u = RadialFunction(grid30, np.exp(-grid30.nodes**2))
     with pytest.raises(ValueError):
         energy(u, nl_cubic, -1.0)
+
+
+def test_gradient_residual_is_energy_derivative(grid30, nl_cubic):
+    # the registry's finite-difference loop on its own samples, at lam 0 and 0.2
+    assert gradient_fd_gap(grid30, nl_cubic, np.random.default_rng(7),
+                           trials=4, lams=(0.0, 0.2)) <= 1e-5
 
 
 def test_residual_dual_norm_small_at_ground_state(ground_cubic, nl_cubic):
