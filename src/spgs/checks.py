@@ -16,10 +16,10 @@ from typing import Callable
 import numpy as np
 
 from .config import RunConfig
-from .constants import SOBOLEV_S_CLOSED_FORM
+from .constants import SOBOLEV_S_CLOSED_FORM, best_Cq, mu_threshold
 from .functionals import T0_value, V_value, energy, gradient_residual, pohozaev_P
 from .grid import RadialFunction, integrate_values, make_grid, norm_lq
-from .limit_solver import minimize_on_M
+from .limit_solver import InitializationFailure, LimitGroundState, Stagnation, minimize_on_M
 from .nonlinearity import check_hypotheses, user_nonlinearity
 from .poisson import coupling_scaling_check, dirichlet_energy_direct, solve_phi
 from .sp_solver import solve_at_lambda
@@ -50,6 +50,30 @@ def gaussian_poisson_errors(n: int) -> dict[str, float]:
         "dirichlet_consistency": abs(dirichlet_energy_direct(sol, u) - sol.dirichlet_energy)
         / sol.dirichlet_energy,
     }
+
+
+class RegimeFailure(Stagnation):
+    """The limit solve failed where the existence theory gives no guarantee:
+    a critical term with mu below the sufficient threshold mu*(q)."""
+
+
+def ground_state(cfg: RunConfig, nl, grid) -> LimitGroundState:
+    """Limit ground state of nl on grid with the configured flow options.
+
+    A failed solve with a critical term and mu below mu*(q) raises a
+    RegimeFailure chained from the solver's error; the threshold needs a
+    best_Cq solve, so only the failure path computes it.
+    """
+    try:
+        return minimize_on_M(nl, grid, cfg.flow_options())
+    except (Stagnation, InitializationFailure) as exc:
+        if cfg.critical_weight > 0:
+            mu_star = mu_threshold(cfg.q, SOBOLEV_S_CLOSED_FORM, best_Cq(cfg.q, grid))
+            if cfg.mu < mu_star:
+                raise RegimeFailure(
+                    f"mu = {cfg.mu:g} lies below the sufficient threshold mu* = {mu_star:.4g} "
+                    f"for q = {cfg.q:g} with a critical term ({exc})") from exc
+        raise
 
 
 class Context:
@@ -87,7 +111,7 @@ class Context:
 
     @cached_property
     def ground(self):
-        return minimize_on_M(self.nl, self.grid, self.cfg.flow_options())
+        return ground_state(self.cfg, self.nl, self.grid)
 
     @cached_property
     def point(self):

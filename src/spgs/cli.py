@@ -18,17 +18,12 @@ import numpy as np
 
 from . import checks, functionals
 from . import constants as constants_mod
+# RegimeFailure stays importable from the module that maps it to exit code 3
+from .checks import RegimeFailure, ground_state  # noqa: F401
 from .config import ConfigError, RunConfig, apply_env_overrides, parse_config, render_config
 # dilate is unused here; bench/selftest.py expects this binding of it
 from .grid import dilate, h1_norm_sq, make_grid  # noqa: F401
-from .limit_solver import (
-    BracketFailure,
-    InitializationFailure,
-    LimitGroundState,
-    Stagnation,
-    StiffnessFailure,
-    minimize_on_M,
-)
+from .limit_solver import BracketFailure, InitializationFailure, Stagnation, StiffnessFailure
 from .sp_solver import (
     NonConvergence,
     PositivityLoss,
@@ -67,38 +62,13 @@ def _fmt(x) -> str:
     return repr(float(x))  # shortest round-trip decimal form
 
 
-class RegimeFailure(Stagnation):
-    """The limit solve failed where the existence theory gives no guarantee:
-    a critical term with mu below the sufficient threshold mu*(q)."""
-
-
-def _ground_state(cfg: RunConfig, nl, grid) -> LimitGroundState:
-    """Limit ground state of nl on grid with the configured flow options.
-
-    A failed solve with a critical term and mu below mu*(q) raises a
-    RegimeFailure chained from the solver's error; the threshold needs a
-    best_Cq solve, so only the failure path computes it.
-    """
-    try:
-        return minimize_on_M(nl, grid, cfg.flow_options())
-    except (Stagnation, InitializationFailure) as exc:
-        if cfg.critical_weight > 0:
-            mu_star = constants_mod.mu_threshold(
-                cfg.q, constants_mod.SOBOLEV_S_CLOSED_FORM, constants_mod.best_Cq(cfg.q, grid))
-            if cfg.mu < mu_star:
-                raise RegimeFailure(
-                    f"mu = {cfg.mu:g} lies below the sufficient threshold mu* = {mu_star:.4g} "
-                    f"for q = {cfg.q:g} with a critical term ({exc})") from exc
-        raise
-
-
 # ---------------------------------------------------------------- subcommands
 
 
 def cmd_solve_limit(cfg: RunConfig, outdir: Path) -> dict:
     nl = cfg.nonlinearity()
     grid = make_grid(cfg.R, cfg.n)
-    ground = _ground_state(cfg, nl, grid)
+    ground = ground_state(cfg, nl, grid)
     poh = functionals.pohozaev_P(ground.omega, nl)
     summary = {
         "M": _num(ground.M_value, "computed (constrained flow)"),
@@ -120,7 +90,7 @@ def cmd_solve(cfg: RunConfig, outdir: Path, lam: float) -> dict:
         raise ConfigError(f"lambda = {lam} violates the precondition lambda >= 0")
     nl = cfg.nonlinearity()
     grid = make_grid(cfg.R, cfg.n)
-    ground = _ground_state(cfg, nl, grid)
+    ground = ground_state(cfg, nl, grid)
     point = solve_at_lambda(ground.omega, nl, lam, cfg.solver_options())
     point.h1_dist_to_omega = math.sqrt(h1_norm_sq(point.u - ground.omega))
     summary = {
@@ -144,7 +114,7 @@ def cmd_solve(cfg: RunConfig, outdir: Path, lam: float) -> dict:
 def cmd_sweep_lambda(cfg: RunConfig, outdir: Path) -> dict:
     nl = cfg.nonlinearity()
     grid = make_grid(cfg.R, cfg.n)
-    ground = _ground_state(cfg, nl, grid)
+    ground = ground_state(cfg, nl, grid)
     branch = continuation(nl, cfg.lambdas, ground, cfg.solver_options())
     rows = [
         (p.lam, p.gamma_energy, p.i_energy, p.h1_dist_to_omega, p.phi_d12,

@@ -7,7 +7,7 @@ from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq, minimize_scalar
 
 from spgs import RadialFunction, dilate, energy
-from spgs.limit_solver import ShootOptions, StiffnessFailure
+from spgs.limit_solver import ShootOptions, StiffnessFailure, _classify_shot
 
 
 def dense_phi_oracle(u: RadialFunction, lam: float) -> np.ndarray:
@@ -132,3 +132,15 @@ def bisect_amplitude(nl, a_lo: float, a_hi: float, r_end: float, opts) -> float:
 def shot_dense(nl, a: float, r_end: float, opts):
     """Dense output (u, u') of the shot from centre amplitude a."""
     return _shot_ivp(nl, a, r_end, opts, dense_output=True).sol
+
+
+def series_start_amplitude(nl, a_lo: float, a_hi: float, r_end: float, opts) -> float:
+    """Centre amplitude by the k-section of shoot_ground_state from an
+    undershoot (a_lo) / overshoot (a_hi) bracket, with every sweep of 63
+    amplitudes integrated from the series start at r_start."""
+    while abs(a_hi - a_lo) > opts.tol * abs(a_hi):
+        amps = np.linspace(a_lo, a_hi, 65)
+        over = np.concatenate(([False], _classify_shot(nl, amps[1:-1], r_end, opts), [True]))
+        j = int(np.argmax(over))
+        a_lo, a_hi = float(amps[j - 1]), float(amps[j])
+    return 0.5 * (a_lo + a_hi)

@@ -175,6 +175,14 @@ def test_failure_below_mu_threshold_is_regime_failure(tmp_path, capsys):
     assert "Newton polish stalled" in err
 
 
+def test_verify_below_mu_threshold_is_regime_failure(tmp_path, capsys):
+    # verify builds its ground state with the same diagnosis as solve-limit
+    cfg = write_cfg(tmp_path, "[nonlinearity]\nmu = 1.0\nq = 4.0\ncritical_weight = 1.0\n")
+    code = main(["--config", str(cfg), "--output", str(tmp_path / "out"), "verify"])
+    assert code == 3
+    assert "mu = 1 lies below the sufficient threshold mu* = 4.42" in capsys.readouterr().err
+
+
 def test_import_footprint():
     # the package and its command line load numpy and scipy.linalg only
     code = ("import sys, spgs, spgs.cli; "

@@ -7,6 +7,7 @@ import pytest
 from oracles import (
     bisect_amplitude,
     resampled_path_max,
+    series_start_amplitude,
     shot_dense,
     shot_label,
     tight_shot_label,
@@ -128,8 +129,27 @@ def test_flow_warm_start(grid30, nl_cubic, ground_cubic):
 
 
 @pytest.fixture(scope="module")
-def shot_cubic(grid30, nl_cubic):
-    return shoot_ground_state(nl_cubic, grid30)
+def ground_shots(grid30):
+    """The shot of each GROUND_CASES nonlinearity on grid30, and the DOP853
+    step attempts that the four took together."""
+    attempts = 0
+    attempt = limit_solver._dop853_attempt
+
+    def counted(*args):
+        nonlocal attempts
+        attempts += 1
+        return attempt(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(limit_solver, "_dop853_attempt", counted)
+        shots = {case: shoot_ground_state(canonical_family(*case), grid30)
+                 for case in GROUND_CASES}
+    return shots, attempts
+
+
+@pytest.fixture(scope="module")
+def shot_cubic(ground_shots):
+    return ground_shots[0][(1.0, 4.0, 0.0)]
 
 
 def test_shooting_matches_flow_cubic(nl_cubic, ground_cubic, shot_cubic):
@@ -163,27 +183,53 @@ def test_batched_labels_match_one_shot_oracle(case, grid30):
     assert over.tolist() == want
 
 
-def test_k_section_matches_bisection_oracle(grid30, nl_cubic, shot_cubic):
+@pytest.mark.parametrize("case", GROUND_CASES)
+def test_k_section_matches_bisection_oracle(case, grid30, ground_shots):
+    # the restarted sweeps must not change the integration error of the labels
+    nl = canonical_family(*case)
     opts = ShootOptions()
-    a_lo, a_hi = _auto_bracket(nl_cubic, grid30.R, opts)
-    a_ref = bisect_amplitude(nl_cubic, a_lo, a_hi, grid30.R, opts)
-    w = shot_cubic
+    a_lo, a_hi = _auto_bracket(nl, grid30.R, opts)
+    a_ref = bisect_amplitude(nl, a_lo, a_hi, grid30.R, opts)
+    w = ground_shots[0][case]
     assert w.values[0] == pytest.approx(a_ref, rel=opts.tol)
     # the grid profile read from the dense output of the accepted steps
     r = grid30.nodes
     inner = (r > 0.0) & (r <= 10.0)
-    sol = shot_dense(nl_cubic, w.values[0], grid30.R, opts)
+    sol = shot_dense(nl, w.values[0], grid30.R, opts)
     err = np.max(np.abs(w.values[inner] - sol(r[inner])[0]))
     assert err <= 1e-8 * w.values[0]
 
 
 @pytest.mark.parametrize("case", GROUND_CASES)
-def test_shooting_amplitude_within_1e11_of_tight_transition(case, grid30):
+def test_restarted_sweeps_match_series_start_k_section(case, grid30, ground_shots):
+    nl = canonical_family(*case)
+    opts = ShootOptions()
+    a_ref = series_start_amplitude(nl, *_auto_bracket(nl, grid30.R, opts), grid30.R, opts)
+    assert ground_shots[0][case].values[0] == pytest.approx(a_ref, rel=1e-13)
+
+
+def test_restarted_sweeps_match_series_start_k_section_small_amplitude():
+    # mu=20, q=2.2, cw=1 on R=40: the transition lies at a = 1.37e-6, below
+    # the amplitude scan of _auto_bracket, so both routes start from a bracket
+    nl = canonical_family(20.0, 2.2, 1.0)
+    opts = ShootOptions()
+    a = shoot_ground_state(nl, make_grid(40.0, 750), bracket=(1e-6, 1e-5)).values[0]
+    assert a == pytest.approx(series_start_amplitude(nl, 1e-6, 1e-5, 40.0, opts), rel=1e-13)
+
+
+def test_restarted_sweeps_save_attempts(ground_shots):
+    # 1 789 DOP853 attempts for the four ground states at n=3000 (sweeps that
+    # all start from r_start take 2 721)
+    assert ground_shots[1] <= 2000
+
+
+@pytest.mark.parametrize("case", GROUND_CASES)
+def test_shooting_amplitude_within_1e11_of_tight_transition(case, grid30, ground_shots):
     # the k-section stops at 1e-12, so the integration error of the labels
     # decides how close the amplitude lies to the transition that a much
     # tighter integration finds
     nl = canonical_family(*case)
-    a = shoot_ground_state(nl, grid30).values[0]
+    a = ground_shots[0][case].values[0]
     assert tight_shot_label(nl, a * (1.0 - 1e-11), grid30.R) == "undershoot"
     assert tight_shot_label(nl, a * (1.0 + 1e-11), grid30.R) == "overshoot"
 
@@ -197,13 +243,13 @@ def test_dop853_tableau_is_the_published_one():
         assert np.array_equal(getattr(dop853, name), getattr(ref, name)), name
 
 
-def test_shooting_bracket_with_negative_series_start(grid30):
+def test_shooting_bracket_with_negative_series_start(grid30, ground_shots):
     # at a = 50 the series start a + (a - f(a)) r0^2/6 is already negative,
     # which makes the shot an overshoot
     nl = canonical_family(20.0, 3.0, 1.0)
     assert shot_label(nl, 50.0, grid30.R, ShootOptions()) == "overshoot"
     w = shoot_ground_state(nl, grid30, bracket=(0.1, 50.0))
-    auto = shoot_ground_state(nl, grid30)
+    auto = ground_shots[0][(20.0, 3.0, 1.0)]
     assert w.values[0] == pytest.approx(auto.values[0], rel=1e-11)
 
 
