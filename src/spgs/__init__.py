@@ -15,14 +15,12 @@ from .grid import (
     dilate,
     grad_norm_sq,
     h1_norm_sq,
-    integrate,
     make_grid,
     norm_lq,
 )
 from .limit_solver import (
     FlowOptions,
     LimitGroundState,
-    ShootOptions,
     minimize_on_M,
     mountain_pass_b,
     shoot_ground_state,
@@ -59,7 +57,6 @@ __all__ = [
     "RadialGrid",
     "RunConfig",
     "SOBOLEV_S_CLOSED_FORM",
-    "ShootOptions",
     "SolutionBranch",
     "SolverOptions",
     "apply_env_overrides",
@@ -76,7 +73,6 @@ __all__ = [
     "grad_norm_sq",
     "gradient_residual",
     "h1_norm_sq",
-    "integrate",
     "make_grid",
     "minimize_on_M",
     "mountain_pass_b",

@@ -188,13 +188,13 @@ def _b_identity(ctx: Context) -> float:
     return _rel(g.b_value, 2.0 * T0_value(g.omega) / 3.0)
 
 
-def _interaction_bound(ctx: Context, samples: int = 20) -> float:
+def _interaction_bound(ctx: Context) -> float:
     """Largest int phi_u u^2 / (S^-1 |u|_{12/5}^4) at lambda = 1 over random
     Gaussians; the bound follows from |grad phi|^2 = int phi u^2 <=
     |phi|_6 |u|_{12/5}^2 and S |phi|_6^2 <= |grad phi|^2."""
     grid, rng = ctx.grid, ctx.rng()
     worst = 0.0
-    for _ in range(samples):
+    for _ in range(20):
         width = rng.uniform(0.5, 3.0)
         amp = rng.uniform(0.1, 3.0)
         vals = amp * np.exp(-grid.nodes**2 / (2.0 * width**2))

@@ -83,6 +83,9 @@ _SCHEMA: dict[tuple[str, str], tuple[str, object]] = {
 
 _SECTIONS = sorted({s for s, _ in _SCHEMA})
 
+# value formats of render_config by parser; the others print with str
+_RENDER = {float: repr, _parse_lambdas: lambda xs: ", ".join(repr(x) for x in xs)}
+
 
 def validate(cfg: RunConfig) -> RunConfig:
     """Check every field against the preconditions of the consuming modules."""
@@ -168,30 +171,10 @@ def apply_env_overrides(cfg: RunConfig, environ=None) -> RunConfig:
 
 
 def render_config(cfg: RunConfig) -> str:
-    """Canonical text form; parse(render(cfg)) == cfg."""
-    lines = [
-        "[nonlinearity]",
-        f"mu = {cfg.mu!r}",
-        f"q = {cfg.q!r}",
-        f"critical_weight = {cfg.critical_weight!r}",
-        "",
-        "[grid]",
-        f"R = {cfg.R!r}",
-        f"n = {cfg.n}",
-        "",
-        "[solver]",
-        f"tol = {cfg.tol!r}",
-        f"max_iter = {cfg.max_iter}",
-        f"damping_floor = {cfg.damping_floor!r}",
-        f"clip_budget = {cfg.clip_budget!r}",
-        "",
-        "[schedule]",
-        "lambdas = " + ", ".join(repr(x) for x in cfg.lambdas),
-        "",
-        "[output]",
-        f"directory = {cfg.directory}",
-        f"emit_profiles = {cfg.emit_profiles}",
-        f"seed = {cfg.seed}",
-        "",
-    ]
-    return "\n".join(lines)
+    """Canonical text form in the key order of _SCHEMA; parse(render(cfg)) == cfg."""
+    lines: list[str] = []
+    for (section, key), (attr, parser) in _SCHEMA.items():
+        if f"[{section}]" not in lines:
+            lines += ["", f"[{section}]"] if lines else [f"[{section}]"]
+        lines.append(f"{key} = {_RENDER.get(parser, str)(getattr(cfg, attr))}")
+    return "\n".join(lines) + "\n"

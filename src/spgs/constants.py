@@ -53,7 +53,7 @@ def _l6_quotient(u: RadialFunction) -> float:
     return grad_norm_sq(u) / denom
 
 
-def sobolev_S(grid: RadialGrid, warn_threshold: float = 0.1):
+def sobolev_S(grid: RadialGrid):
     """Best constant of the gradient-to-L^6 embedding via Rayleigh quotients.
 
     Samples the bubble family in its width parameter, then polishes the best
@@ -89,8 +89,8 @@ def sobolev_S(grid: RadialGrid, warn_threshold: float = 0.1):
             break
 
     warn = bool(
-        eps_grid[k] < (1.0 + warn_threshold) * eps_grid[0]
-        or eps_grid[k] > (1.0 - warn_threshold) * eps_grid[-1]
+        eps_grid[k] < 1.1 * eps_grid[0]
+        or eps_grid[k] > 0.9 * eps_grid[-1]
     )
     return float(best), warn
 

@@ -110,19 +110,8 @@ def make_grid(R: float, n: int) -> RadialGrid:
     return RadialGrid(R=R, n=n, nodes=nodes, weights=weights)
 
 
-def integrate(g: RadialFunction) -> float:
-    """3D integral of the radial extension of g."""
-    return float(np.dot(g.grid.weights, g.values))
-
-
 def integrate_values(grid: RadialGrid, values: np.ndarray) -> float:
     return float(np.dot(grid.weights, values))
-
-
-def inner(u: RadialFunction, v: RadialFunction) -> float:
-    """L^2(R^3) inner product."""
-    _check_same_grid(u, v)
-    return float(np.dot(u.grid.weights, u.values * v.values))
 
 
 def grad_norm_sq(u: RadialFunction) -> float:

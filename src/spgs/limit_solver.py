@@ -58,15 +58,6 @@ class StiffnessFailure(RuntimeError):
 class FlowOptions:
     tol: float = 1e-8
     max_iter: int = 3000
-    step0: float = 1.0
-
-
-@dataclass
-class ShootOptions:
-    tol: float = 1e-12
-    r_start: float = 1e-3
-    rtol: float = 1e-10
-    atol: float = 1e-13
 
 
 @dataclass
@@ -160,8 +151,7 @@ def _projected_gradient(u: RadialFunction, nl: Nonlinearity):
     return pg, theta
 
 
-def _newton_polish(u: RadialFunction, theta: float, nl: Nonlinearity,
-                   tol: float, max_iter: int = 60):
+def _newton_polish(u: RadialFunction, theta: float, nl: Nonlinearity, tol: float):
     """Solve -Delta u = theta (f(u) - u), V(u) = 1 by a bordered Newton method.
 
     Returns (u, theta, accepted Newton steps).
@@ -179,7 +169,7 @@ def _newton_polish(u: RadialFunction, theta: float, nl: Nonlinearity,
     vals = u.values.copy()
     f1, f2 = residuals(vals, theta)
     steps = 0
-    for _ in range(max_iter):
+    for _ in range(60):
         nrm = dual_norm(grid, f1)
         if nrm <= tol and abs(f2) <= 1e-12:
             break
@@ -227,7 +217,7 @@ def minimize_on_M(nl: Nonlinearity, grid: RadialGrid,
     u = u_start if u_start is not None else _initial_bump(nl, grid)
     u = project_to_M(u, nl)
 
-    eta = opts.step0
+    eta = 1.0
     pg_nrm = math.inf
     it = 0
     for it in range(opts.max_iter):
@@ -318,13 +308,19 @@ def mountain_pass_b(omega: RadialFunction, nl: Nonlinearity) -> MountainPassResu
     return MountainPassResult(b=terms.gamma(t_star), t_star=t_star)
 
 
-
+# the k-section stops once the bracket is at most _SHOOT_TOL times the
+# amplitude; the shots leave their series start at _R_START, and DOP853 keeps
+# the error of each step within _RTOL |y| + _ATOL
+_SHOOT_TOL = 1e-12
+_R_START = 1e-3
+_RTOL = 1e-10
+_ATOL = 1e-13
 
 # interior amplitudes classified per k-section sweep: 6 bits of the bracket
 _SECTION_POINTS = 63
 
 # a restarted sweep may move the transition by at most this fraction of
-# ShootOptions.tol times the amplitude (_restart).  On the four `ground`
+# _SHOOT_TOL times the amplitude (_restart).  On the four `ground`
 # nonlinearities and on mu=20, q=2.2, cw=1 at R=40, the amplitude differs from
 # that of sweeps that all start at r_start by at most 4.7e-14 relative (about
 # one lane spacing of the last sweep) for 0.001 to 0.03, and not at all at
@@ -346,20 +342,20 @@ def _shot_derivative(nl: Nonlinearity, r, y: np.ndarray) -> np.ndarray:
     return np.array([du, -2.0 / r * du + u - nl.f(u)])
 
 
-def _shot_start(nl: Nonlinearity, amps: np.ndarray, opts: ShootOptions):
+def _shot_start(nl: Nonlinearity, amps: np.ndarray):
     """Series start at r_start of the shots from centre amplitudes amps:
     u = a + (a - f(a)) r^2/6, u' = (a - f(a)) r/3.  Returns (r, y, y')."""
-    r0 = opts.r_start
+    r0 = _R_START
     c = amps - nl.f(amps)
     y = np.array([amps + c * r0**2 / 6.0, c * r0 / 3.0])
     r = np.full(amps.shape, r0)
     return r, y, _shot_derivative(nl, r, y)
 
 
-def _first_step(nl: Nonlinearity, r, y, dy, r_end: float, opts: ShootOptions):
+def _first_step(nl: Nonlinearity, r, y, dy, r_end: float):
     """Initial step of each lane (Hairer, Norsett & Wanner, Solving ODEs I, II.4)
     for the 7th-order error estimate of DOP853."""
-    scale = opts.atol + np.abs(y) * opts.rtol
+    scale = _ATOL + np.abs(y) * _RTOL
     d0, d1 = _rms(y / scale), _rms(dy / scale)
     span = r_end - r
     h0 = np.minimum(np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1), span)
@@ -389,8 +385,7 @@ def _fill_stages(nl: Nonlinearity, K: np.ndarray, first: int, last: int,
     return ys
 
 
-def _dop853_attempt(nl: Nonlinearity, r, y, dy, h, retry, r_end: float,
-                    opts: ShootOptions):
+def _dop853_attempt(nl: Nonlinearity, r, y, dy, h, retry, r_end: float):
     """One DOP853 step attempt for every lane.
 
     Each lane keeps its own radius r, state y = (u, u'), derivative dy and
@@ -411,7 +406,7 @@ def _dop853_attempt(nl: Nonlinearity, r, y, dy, h, retry, r_end: float,
     K[0] = dy.reshape(2 * n)
     y_flat = y.reshape(2 * n)
     y_new = _fill_stages(nl, K, 1, 13, r, h, y_flat)
-    e = (_ERR @ K[:13]) / (opts.atol + np.maximum(np.abs(y_flat), np.abs(y_new)) * opts.rtol)
+    e = (_ERR @ K[:13]) / (_ATOL + np.maximum(np.abs(y_flat), np.abs(y_new)) * _RTOL)
     e *= e
     e5, e3 = e[:, :n] + e[:, n:]
     denom = e5 + 0.01 * e3
@@ -433,7 +428,7 @@ def _dop853_attempt(nl: Nonlinearity, r, y, dy, h, retry, r_end: float,
 _QUIET = dict(over="ignore", invalid="ignore", divide="ignore")
 
 
-def _classify_shot(nl: Nonlinearity, amps, r_end: float, opts: ShootOptions,
+def _classify_shot(nl: Nonlinearity, amps, r_end: float,
                    start: tuple | None = None, steps: list | None = None) -> np.ndarray:
     """Overshoot flags of the shots from the centre amplitudes amps, all
     integrated together, one DOP853 lane each.
@@ -443,7 +438,7 @@ def _classify_shot(nl: Nonlinearity, amps, r_end: float, opts: ShootOptions,
     series start settles two cases: a centre that is a minimum (u''(0) > 0)
     undershoots, and a start value u(r_start) <= 0 overshoots.
 
-    The lanes leave from their series start at r_start, or from start =
+    The lanes leave from their series start at _R_START, or from start =
     (r, y, h), a radius, state and next step per lane (_restart).  A list
     passed as steps receives, after every attempt, (lanes, live, r, y, dy, h):
     the indices of the lanes integrated in it, which of them accepted it and
@@ -452,17 +447,17 @@ def _classify_shot(nl: Nonlinearity, amps, r_end: float, opts: ShootOptions,
     amps = np.asarray(amps, dtype=float)
     with np.errstate(**_QUIET):
         if start is None:
-            r, y, dy = _shot_start(nl, amps, opts)
+            r, y, dy = _shot_start(nl, amps)
         else:
             r, y, h = start
             dy = _shot_derivative(nl, r, y)
         over = y[0] <= 0.0
         lanes = np.flatnonzero(~over & (y[1] <= 0.0))
         r, y, dy = r[lanes], y[:, lanes], dy[:, lanes]
-        h = _first_step(nl, r, y, dy, r_end, opts) if start is None else h[lanes]
+        h = _first_step(nl, r, y, dy, r_end) if start is None else h[lanes]
         retry = np.zeros(lanes.size, dtype=bool)
         while lanes.size:
-            acc, r_new, y_new, K, h = _dop853_attempt(nl, r, y, dy, h, retry, r_end, opts)
+            acc, r_new, y_new, K, h = _dop853_attempt(nl, r, y, dy, h, retry, r_end)
             retry = ~acc
             y_old = y
             r = np.where(acc, r_new, r)
@@ -489,7 +484,7 @@ def _classify_shot(nl: Nonlinearity, amps, r_end: float, opts: ShootOptions,
 
 
 def _restart(nl: Nonlinearity, steps: list, lo: int, amps: np.ndarray,
-             new_amps: np.ndarray, opts: ShootOptions):
+             new_amps: np.ndarray):
     """Start (r, y, h) of the lanes new_amps, which lie between the lanes lo
     and lo + 1 of the sweep over amps that recorded steps (_classify_shot),
     or None when they must leave from the series start.
@@ -504,9 +499,9 @@ def _restart(nl: Nonlinearity, steps: list, lo: int, amps: np.ndarray,
     the latest accepted step up to which the pair and a third adjacent lane
     took the same attempts, accepted and rejected alike, and where at every
     accepted step the interpolation error |D2 y| / 8 moves the transition by
-    at most _RESTART_SHIFT tol a through the slope |D y| / w: D y and D2 y are
-    the first and second differences of the three lanes, each taken over
-    its larger component, and w is the spacing of amps.
+    at most _RESTART_SHIFT _SHOOT_TOL a through the slope |D y| / w: D y and
+    D2 y are the first and second differences of the three lanes, each taken
+    over its larger component, and w is the spacing of amps.
     """
     first = lo if lo + 2 < amps.size else lo - 1
     if first < 0 or lo + 1 >= amps.size or not steps:
@@ -527,7 +522,7 @@ def _restart(nl: Nonlinearity, steps: list, lo: int, amps: np.ndarray,
     w = amps[lo + 1] - amps[lo]
     slope = np.abs(y[:, :, i + 1] - y[:, :, i]).max(axis=0)
     curve = np.abs(y[:, :, 2] - 2.0 * y[:, :, 1] + y[:, :, 0]).max(axis=0)
-    ok = w * curve <= 8.0 * _RESTART_SHIFT * opts.tol * abs(amps[lo + 1]) * slope
+    ok = w * curve <= 8.0 * _RESTART_SHIFT * _SHOOT_TOL * abs(amps[lo + 1]) * slope
     k = int(np.logical_and.accumulate(ok).sum()) - 1
     if k < 0:
         return None
@@ -537,10 +532,10 @@ def _restart(nl: Nonlinearity, steps: list, lo: int, amps: np.ndarray,
             h[k, i] + t * (h[k, i + 1] - h[k, i]))
 
 
-def _auto_bracket(nl: Nonlinearity, r_end: float, opts: ShootOptions) -> tuple[float, float]:
+def _auto_bracket(nl: Nonlinearity, r_end: float) -> tuple[float, float]:
     """First undershoot/overshoot transition on a log scan of 40 amplitudes."""
     amps = np.logspace(-1, 2, 40)
-    over = _classify_shot(nl, amps, r_end, opts)
+    over = _classify_shot(nl, amps, r_end)
     up = np.flatnonzero(~over[:-1] & over[1:])
     if up.size == 0:
         raise BracketFailure("no undershoot/overshoot transition on the amplitude scan")
@@ -564,32 +559,37 @@ def _dense_coefficients(nl: Nonlinearity, r, y, y_new, K: np.ndarray, h) -> np.n
     return F
 
 
-def _shot_trajectory(nl: Nonlinearity, a: float, r_end: float, opts: ShootOptions):
-    """The shot from centre amplitude a to r_end with its dense output.
+def _traced_shot(nl: Nonlinearity, a: float, r_end: float):
+    """The shot from centre amplitude a up to the radius that decides it, with
+    the 7th-order continuous extension of its accepted steps.
 
-    Returns the radii rs of the accepted steps, the state y0 (2, m) at the
-    start of each step and the coefficients F (7, 2, m) of the 7th-order
-    continuous extension of each step, which takes three more stages.
+    _classify_shot integrates it as one lane and records its steps; the start
+    states of the accepted steps then become the lanes of one pass that fills
+    the stages of every step again and the three that only the extension
+    needs.  Returns the radii rs of the accepted steps, the state y0 (2, m) at
+    the start of each step and the coefficients F (7, 2, m) of its extension.
     """
+    amps = np.array([a])
+    steps: list = []
+    _classify_shot(nl, amps, r_end, steps=steps)
     with np.errstate(**_QUIET):
-        r, y, dy = _shot_start(nl, np.array([a]), opts)
-        h = _first_step(nl, r, y, dy, r_end, opts)
-        retry = np.zeros(1, dtype=bool)
-        rs, y0, F = [r], [], []
-        while r[0] < r_end:
-            acc, r_new, y_new, K, h = _dop853_attempt(nl, r, y, dy, h, retry, r_end, opts)
-            retry = ~acc
-            if acc[0]:
-                F.append(_dense_coefficients(nl, r, y, y_new, K, r_new - r))
-                y0.append(y[:, 0])
-                r, y, dy = r_new, y_new, K[12].reshape(2, 1)
-                rs.append(r)
-    return np.concatenate(rs), np.stack(y0, axis=1), np.stack(F, axis=2)
+        records = [_shot_start(nl, amps)] + [s[2:5] for s in steps]
+        r, y, dy = (np.concatenate(c, axis=-1) for c in zip(*records))
+        # a rejected attempt leaves the radius where it was
+        acc = np.concatenate(([True], r[1:] > r[:-1]))
+        rs, y, dy = r[acc], y[:, acc], dy[:, acc]
+        r, h, m = rs[:-1], np.diff(rs), rs.size - 1
+        y0 = y[:, :-1]
+        K = np.empty((16, 2 * m))
+        K[0] = dy[:, :-1].reshape(2 * m)
+        _fill_stages(nl, K, 1, 13, r, h, y0.reshape(2 * m))
+        F = _dense_coefficients(nl, r, y0, y[:, 1:], K, h)
+    return rs, y0, F.reshape(7, 2, m)
 
 
 def _dense_output(rs: np.ndarray, y0: np.ndarray, F: np.ndarray, x) -> np.ndarray:
     """(u, u') of a shot at radii x in [rs[0], rs[-1]] from the continuous
-    extension of _shot_trajectory: on the step from rs[i] with
+    extension of _traced_shot: on the step from rs[i] with
     t = (x - rs[i]) / (rs[i+1] - rs[i]), y0 + t (F0 + (1-t) (F1 + t (F2 + ...)))."""
     x = np.asarray(x, dtype=float)
     i = np.clip(np.searchsorted(rs, x, side="right") - 1, 0, rs.size - 2)
@@ -602,8 +602,7 @@ def _dense_output(rs: np.ndarray, y0: np.ndarray, F: np.ndarray, x) -> np.ndarra
 
 
 def shoot_ground_state(nl: Nonlinearity, grid: RadialGrid,
-                       bracket: tuple[float, float] | None = None,
-                       opts: ShootOptions | None = None) -> RadialFunction:
+                       bracket: tuple[float, float] | None = None) -> RadialFunction:
     """Radial shooting for the limit problem, independent of the flow route.
 
     Narrows the center amplitude between undershoot and overshoot by
@@ -613,18 +612,19 @@ def shoot_ground_state(nl: Nonlinearity, grid: RadialGrid,
     steps that passes the admissibility rule of _restart, instead of from
     the series start: on the four nonlinearities of the `ground` benchmark
     the last three sweeps start at r = 9.5 to 15.5 and take 3 to 9 attempts
-    each, and the four shots take 1 789 DOP853 attempts instead of 2 721.
-    The converged trajectory is sampled on the grid through the 7th-order
-    dense output of its accepted steps, with an exponential far-field graft
-    c exp(-r)/r beyond the last trustworthy radius.
+    each.  The final shot runs through the same driver and stops where it is
+    decided (r = 17.7 to 19.1 on those four), and the four ground states take
+    1 712 DOP853 attempts instead of 2 721.  The grid samples that shot
+    through the 7th-order dense output of its accepted steps (_traced_shot),
+    with an exponential far-field graft c exp(-r)/r beyond the last
+    trustworthy radius.
     """
-    opts = opts or ShootOptions()
     r_end = grid.R
     if bracket is None:
-        a_lo, a_hi = _auto_bracket(nl, r_end, opts)
+        a_lo, a_hi = _auto_bracket(nl, r_end)
     else:
         a_lo, a_hi = float(bracket[0]), float(bracket[1])
-        lo_over, hi_over = _classify_shot(nl, np.array([a_lo, a_hi]), r_end, opts)
+        lo_over, hi_over = _classify_shot(nl, np.array([a_lo, a_hi]), r_end)
         if lo_over == hi_over:
             label = "overshoot" if lo_over else "undershoot"
             raise BracketFailure(f"both endpoints classify as {label}")
@@ -633,19 +633,19 @@ def shoot_ground_state(nl: Nonlinearity, grid: RadialGrid,
 
     amps = np.linspace(a_lo, a_hi, _SECTION_POINTS + 2)
     start = None
-    while abs(a_hi - a_lo) > opts.tol * abs(a_hi):
+    while abs(a_hi - a_lo) > _SHOOT_TOL * abs(a_hi):
         steps: list = []
-        over = np.concatenate(([False], _classify_shot(nl, amps[1:-1], r_end, opts, start, steps),
+        over = np.concatenate(([False], _classify_shot(nl, amps[1:-1], r_end, start, steps),
                                [True]))
         j = int(np.argmax(over))
         a_lo, a_hi = float(amps[j - 1]), float(amps[j])
         # lane k of the sweep shot amps[k + 1]
         swept, amps = amps[1:-1], np.linspace(a_lo, a_hi, _SECTION_POINTS + 2)
-        start = _restart(nl, steps, j - 2, swept, amps[1:-1], opts)
+        start = _restart(nl, steps, j - 2, swept, amps[1:-1])
     a = 0.5 * (a_lo + a_hi)
 
-    traj = _shot_trajectory(nl, a, r_end, opts)
-    r0 = opts.r_start
+    traj = _traced_shot(nl, a, r_end)
+    r0 = _R_START
     r_nodes = grid.nodes
     vals = np.empty_like(r_nodes)
     r_reach = traj[0][-1]

@@ -47,15 +47,16 @@ def _fd_derivative(f: Callable) -> Callable:
     return fprime
 
 
-def smallest_kappa(f: Callable, s_lo: float = 1e-6, s_hi: float = 1e6) -> float:
+def smallest_kappa(f: Callable) -> float:
     """Smallest valid constant in f(s) <= s/2 + kappa s^5, by maximizing
-    (f(s) - s/2)/s^5 over s > 0 (coarse log scan plus golden-section polish)."""
+    (f(s) - s/2)/s^5 over s in [1e-6, 1e6] (coarse log scan plus
+    golden-section polish)."""
 
     def ratio(x):
         s = np.exp(x)
         return float((f(np.asarray(s)) - 0.5 * s) / s**5)
 
-    xs = np.linspace(np.log(s_lo), np.log(s_hi), 400)
+    xs = np.linspace(np.log(1e-6), np.log(1e6), 400)
     s = np.exp(xs)
     vals = (np.asarray(f(s), dtype=float) - 0.5 * s) / s**5
     k = int(np.argmax(vals))
@@ -162,30 +163,16 @@ class HypothesisCheck:
 class HypothesisReport:
     checks: list[HypothesisCheck] = field(default_factory=list)
 
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
     def __getitem__(self, name: str) -> HypothesisCheck:
         for c in self.checks:
             if c.name == name:
                 return c
         raise KeyError(name)
 
-    def as_dict(self) -> dict:
-        return {
-            c.name: {
-                "passed": c.passed,
-                "worst_s": c.worst_s,
-                "margin": c.margin,
-                "detail": c.detail,
-            }
-            for c in self.checks
-        }
 
-
-def check_hypotheses(nl: Nonlinearity, samples: int = 400) -> HypothesisReport:
-    """Sample the four admissibility conditions on a log ladder over [1e-8, 1e4].
+def check_hypotheses(nl: Nonlinearity) -> HypothesisReport:
+    """Sample the four admissibility conditions on a log ladder of 400 points
+    over [1e-8, 1e4].
 
     Failures become report entries, not exceptions.  The checks:
       vanishes_on_negatives   f(s) = 0 for s <= 0
@@ -193,9 +180,7 @@ def check_hypotheses(nl: Nonlinearity, samples: int = 400) -> HypothesisReport:
       subcritical_lower_bound f(s) >= mu s^(q-1)
       growth_bound            f(s) <= s/2 + kappa s^5 with the declared kappa
     """
-    if samples < 100:
-        raise ValueError(f"need at least 100 samples, got {samples}")
-    ladder = np.logspace(-8, 4, samples)
+    ladder = np.logspace(-8, 4, 400)
     report = HypothesisReport()
 
     neg = -ladder

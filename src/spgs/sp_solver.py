@@ -50,8 +50,6 @@ class SolverOptions:
     max_iter: int = 80
     damping_floor: float = 1e-4
     clip_budget: float = 1e-8
-    stagnation_window: int = 5
-    stagnation_factor: float = 0.9  # < 10% residual reduction over the window
 
 
 @dataclass
@@ -109,6 +107,12 @@ def _dense_jacobian_step(u_vals, nl, lam, grid, residual):
     return np.linalg.solve(ab, rhs)
 
 
+# the frozen iteration stagnates when the last _STAGNATION_WINDOW steps cut the
+# residual by less than 10 %, and solve_at_lambda then takes the dense step
+_STAGNATION_WINDOW = 5
+_STAGNATION_FACTOR = 0.9
+
+
 def solve_at_lambda(u_init: RadialFunction, nl: Nonlinearity, lam: float,
                     opts: SolverOptions | None = None) -> BranchPoint:
     """Damped quasi-Newton solve of the coupled equation at fixed lam.
@@ -138,8 +142,8 @@ def solve_at_lambda(u_init: RadialFunction, nl: Nonlinearity, lam: float,
         if nrm <= opts.tol:
             break
         stagnating = (
-            len(history) > opts.stagnation_window
-            and history[-1] > opts.stagnation_factor * history[-1 - opts.stagnation_window]
+            len(history) > _STAGNATION_WINDOW
+            and history[-1] > _STAGNATION_FACTOR * history[-1 - _STAGNATION_WINDOW]
         )
         if stagnating:
             delta = _dense_jacobian_step(vals, nl, lam, grid, res)
@@ -224,8 +228,7 @@ def path_max_D(omega: RadialFunction, nl: Nonlinearity, lam: float, t0: float) -
 
 
 def continuation(nl: Nonlinearity, lambda_schedule, ground: LimitGroundState,
-                 opts: SolverOptions | None = None,
-                 compute_D: bool = True) -> SolutionBranch:
+                 opts: SolverOptions | None = None) -> SolutionBranch:
     """Warm-started branch following along a strictly decreasing lam schedule."""
     schedule = [float(x) for x in lambda_schedule]
     if not schedule:
@@ -238,15 +241,14 @@ def continuation(nl: Nonlinearity, lambda_schedule, ground: LimitGroundState,
     omega = ground.omega
     b_ref = energy(omega, nl, 0.0).I_value
     branch = SolutionBranch(points=[], omega_ref=omega, b_ref=b_ref)
-    t0 = find_t0(omega, nl) if compute_D else math.nan
+    t0 = find_t0(omega, nl)
 
     u_warm = omega
     for lam in schedule:
         point = solve_at_lambda(u_warm, nl, lam, opts)
         diff = point.u - omega
         point.h1_dist_to_omega = math.sqrt(h1_norm_sq(diff))
-        if compute_D:
-            point.D_lambda = path_max_D(omega, nl, lam, t0)
+        point.D_lambda = path_max_D(omega, nl, lam, t0)
         branch.points.append(point)
         u_warm = point.u
     return branch
@@ -263,7 +265,6 @@ def _loglog_slope(x, y) -> float:
 
 @dataclass
 class AsymptoticsReport:
-    table: list[dict]
     slope_phi_d12: float
     slope_gamma_gap: float
     slope_D_gap: float
@@ -276,7 +277,7 @@ class AsymptoticsReport:
 
 def asymptotics_report(branch: SolutionBranch, nl: Nonlinearity,
                        sobolev_S: float | None = None) -> AsymptoticsReport:
-    """Convergence table and fitted rates for the small-coupling limit.
+    """Fitted rates and branch-wide checks for the small-coupling limit.
 
     Also verifies that the branch stays within the distance budget
     d < min{(1/3)[(3/2) S^3 / kappa]^(1/4), sqrt(3 b)} below the reported
@@ -300,20 +301,7 @@ def asymptotics_report(branch: SolutionBranch, nl: Nonlinearity,
     within = [p.lam for p in branch.points if p.h1_dist_to_omega < d_budget]
     lambda0 = max(within) if within else 0.0
 
-    table = [
-        {
-            "lambda": p.lam,
-            "h1_dist": p.h1_dist_to_omega,
-            "phi_d12": p.phi_d12,
-            "gamma_gap": abs(p.gamma_energy - b),
-            "D_gap": p.D_lambda - b,
-            "pohozaev_res_rel": p.pohozaev_res_rel,
-            "iterations": p.iterations,
-        }
-        for p in branch.points
-    ]
     return AsymptoticsReport(
-        table=table,
         slope_phi_d12=_loglog_slope(lams, phid),
         slope_gamma_gap=_loglog_slope(lams, ggap),
         slope_D_gap=_loglog_slope(lams, dgap),

@@ -7,7 +7,18 @@ from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq, minimize_scalar
 
 from spgs import RadialFunction, dilate, energy
-from spgs.limit_solver import ShootOptions, StiffnessFailure, _classify_shot
+from spgs.limit_solver import (
+    _ATOL,
+    _R_START,
+    _RTOL,
+    _SHOOT_TOL,
+    StiffnessFailure,
+    _classify_shot,
+    _dense_coefficients,
+    _dop853_attempt,
+    _first_step,
+    _shot_start,
+)
 
 
 def dense_phi_oracle(u: RadialFunction, lam: float) -> np.ndarray:
@@ -55,14 +66,14 @@ def pchip_dilate(u: RadialFunction, t: float) -> RadialFunction:
     return RadialFunction(u.grid, vals)
 
 
-def bounded_kappa(f, s_lo: float = 1e-6, s_hi: float = 1e6) -> float:
+def bounded_kappa(f) -> float:
     """spgs.smallest_kappa with scipy's bounded scalar search as the polish."""
 
     def neg_ratio(x):
         s = np.exp(x)
         return -float((f(np.asarray(s)) - 0.5 * s) / s**5)
 
-    xs = np.linspace(np.log(s_lo), np.log(s_hi), 400)
+    xs = np.linspace(np.log(1e-6), np.log(1e6), 400)
     vals = np.array([neg_ratio(x) for x in xs])
     k = int(np.argmin(vals))
     res = minimize_scalar(neg_ratio, bounds=(xs[max(k - 1, 0)], xs[min(k + 1, len(xs) - 1)]),
@@ -70,7 +81,8 @@ def bounded_kappa(f, s_lo: float = 1e-6, s_hi: float = 1e6) -> float:
     return max(-min(res.fun, vals[k]), 0.0)
 
 
-def _shot_ivp(nl, a: float, r_end: float, opts, **kwargs):
+def _shot_ivp(nl, a: float, r_end: float, rtol: float = _RTOL, atol: float = _ATOL,
+              **kwargs):
     """solve_ivp (DOP853, the pair of spgs) on u'' + (2/r) u' = u - f(u) from
     the series start."""
 
@@ -78,21 +90,20 @@ def _shot_ivp(nl, a: float, r_end: float, opts, **kwargs):
         u, du = y
         return [du, -2.0 / r * du + u - float(nl.f(np.asarray(u)))]
 
-    r0 = opts.r_start
+    r0 = _R_START
     c = a - float(nl.f(np.asarray(a)))
     y0 = [a + c * r0**2 / 6.0, c * r0 / 3.0]
-    sol = solve_ivp(rhs, (r0, r_end), y0, rtol=opts.rtol, atol=opts.atol,
-                    method="DOP853", **kwargs)
+    sol = solve_ivp(rhs, (r0, r_end), y0, rtol=rtol, atol=atol, method="DOP853", **kwargs)
     if sol.status == -1:
         raise StiffnessFailure(f"integrator failed at a = {a}: {sol.message}")
     return sol
 
 
-def shot_label(nl, a: float, r_end: float, opts) -> str:
+def shot_label(nl, a: float, r_end: float, rtol: float = _RTOL, atol: float = _ATOL) -> str:
     """One shot at a time: 'overshoot' if u crosses zero, 'undershoot' if u
     turns around positive, as solve_ivp terminal events."""
     a = float(a)
-    r0 = opts.r_start
+    r0 = _R_START
     c = a - float(nl.f(np.asarray(a)))
     if c > 0:
         return "undershoot"
@@ -107,40 +118,60 @@ def shot_label(nl, a: float, r_end: float, opts) -> str:
 
     cross.terminal, cross.direction = True, -1.0
     turn.terminal, turn.direction = True, 1.0
-    sol = _shot_ivp(nl, a, r_end, opts, events=(cross, turn))
+    sol = _shot_ivp(nl, a, r_end, rtol, atol, events=(cross, turn))
     return "overshoot" if sol.t_events[0].size > 0 else "undershoot"
 
 
 def tight_shot_label(nl, a: float, r_end: float) -> str:
     """shot_label at rtol 1e-13 and atol 1e-16: where the undershoot/overshoot
     transition lies, nearly free of integration error."""
-    return shot_label(nl, a, r_end, ShootOptions(rtol=1e-13, atol=1e-16))
+    return shot_label(nl, a, r_end, rtol=1e-13, atol=1e-16)
 
 
-def bisect_amplitude(nl, a_lo: float, a_hi: float, r_end: float, opts) -> float:
+def bisect_amplitude(nl, a_lo: float, a_hi: float, r_end: float) -> float:
     """Centre amplitude by one-shot-at-a-time bisection of an undershoot
     (a_lo) / overshoot (a_hi) bracket."""
-    while abs(a_hi - a_lo) > opts.tol * abs(a_hi):
+    while abs(a_hi - a_lo) > _SHOOT_TOL * abs(a_hi):
         mid = 0.5 * (a_lo + a_hi)
-        if shot_label(nl, mid, r_end, opts) == "undershoot":
+        if shot_label(nl, mid, r_end) == "undershoot":
             a_lo = mid
         else:
             a_hi = mid
     return 0.5 * (a_lo + a_hi)
 
 
-def shot_dense(nl, a: float, r_end: float, opts):
+def shot_dense(nl, a: float, r_end: float):
     """Dense output (u, u') of the shot from centre amplitude a."""
-    return _shot_ivp(nl, a, r_end, opts, dense_output=True).sol
+    return _shot_ivp(nl, a, r_end, dense_output=True).sol
 
 
-def series_start_amplitude(nl, a_lo: float, a_hi: float, r_end: float, opts) -> float:
+def series_start_amplitude(nl, a_lo: float, a_hi: float, r_end: float) -> float:
     """Centre amplitude by the k-section of shoot_ground_state from an
     undershoot (a_lo) / overshoot (a_hi) bracket, with every sweep of 63
     amplitudes integrated from the series start at r_start."""
-    while abs(a_hi - a_lo) > opts.tol * abs(a_hi):
+    while abs(a_hi - a_lo) > _SHOOT_TOL * abs(a_hi):
         amps = np.linspace(a_lo, a_hi, 65)
-        over = np.concatenate(([False], _classify_shot(nl, amps[1:-1], r_end, opts), [True]))
+        over = np.concatenate(([False], _classify_shot(nl, amps[1:-1], r_end), [True]))
         j = int(np.argmax(over))
         a_lo, a_hi = float(amps[j - 1]), float(amps[j])
     return 0.5 * (a_lo + a_hi)
+
+
+def stepwise_trajectory(nl, a: float, r_end: float):
+    """The shot from centre amplitude a to r_end, one DOP853 attempt at a
+    time, with the continuous extension of each accepted step computed right
+    after it: (rs, y0, F) in the layout of limit_solver._traced_shot."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        r, y, dy = _shot_start(nl, np.array([a]))
+        h = _first_step(nl, r, y, dy, r_end)
+        retry = np.zeros(1, dtype=bool)
+        rs, y0, F = [r], [], []
+        while r[0] < r_end:
+            acc, r_new, y_new, K, h = _dop853_attempt(nl, r, y, dy, h, retry, r_end)
+            retry = ~acc
+            if acc[0]:
+                F.append(_dense_coefficients(nl, r, y, y_new, K, r_new - r))
+                y0.append(y[:, 0])
+                r, y, dy = r_new, y_new, K[12].reshape(2, 1)
+                rs.append(r)
+    return np.concatenate(rs), np.stack(y0, axis=1), np.stack(F, axis=2)

@@ -183,6 +183,12 @@ def test_verify_below_mu_threshold_is_regime_failure(tmp_path, capsys):
     assert "mu = 1 lies below the sufficient threshold mu* = 4.42" in capsys.readouterr().err
 
 
+def test_public_names_resolve():
+    import spgs
+
+    assert [name for name in spgs.__all__ if not hasattr(spgs, name)] == []
+
+
 def test_import_footprint():
     # the package and its command line load numpy and scipy.linalg only
     code = ("import sys, spgs, spgs.cli; "

@@ -14,6 +14,15 @@ def test_empty_text_gives_defaults():
     assert cfg == RunConfig()
 
 
+def test_render_default_config_text():
+    assert render_config(RunConfig()) == (
+        "[nonlinearity]\nmu = 1.0\nq = 4.0\ncritical_weight = 0.0\n\n"
+        "[grid]\nR = 30.0\nn = 3000\n\n"
+        "[solver]\ntol = 1e-08\nmax_iter = 80\ndamping_floor = 0.0001\nclip_budget = 1e-08\n\n"
+        "[schedule]\nlambdas = 0.2, 0.1, 0.05, 0.02, 0.01, 0.005\n\n"
+        "[output]\ndirectory = out\nemit_profiles = False\nseed = 12345\n")
+
+
 def test_full_round_trip():
     cfg = RunConfig(mu=2.5, q=3.2, critical_weight=0.4, R=25.0, n=2048,
                     tol=1e-7, max_iter=120, lambdas=(0.3, 0.1, 0.02),

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import pchip_dilate
-from spgs import RadialFunction, dilate, grad_norm_sq, h1_norm_sq, integrate, make_grid, norm_lq
+from spgs import RadialFunction, dilate, grad_norm_sq, h1_norm_sq, make_grid, norm_lq
 from spgs.grid import (
     dual_norm,
     integrate_values,
@@ -210,9 +210,3 @@ def test_dual_norm_nonnegative_and_scales():
     a = dual_norm(g, res)
     assert a > 0
     assert abs(dual_norm(g, 2.0 * res) - 2.0 * a) <= 1e-12 * a
-
-
-def test_integrate_matches_integrate_values():
-    g = make_grid(10.0, 500)
-    u = RadialFunction(g, np.exp(-g.nodes))
-    assert integrate(u) == integrate_values(g, u.values)

@@ -10,6 +10,7 @@ from oracles import (
     series_start_amplitude,
     shot_dense,
     shot_label,
+    stepwise_trajectory,
     tight_shot_label,
 )
 from spgs import (
@@ -28,11 +29,14 @@ from spgs.functionals import T0_value, V_value
 from spgs.limit_solver import (
     BracketFailure,
     FlowOptions,
+    _R_START,
+    _SHOOT_TOL,
     InitializationFailure,
-    ShootOptions,
     Stagnation,
     _auto_bracket,
     _classify_shot,
+    _dense_output,
+    _traced_shot,
     cgm_rescale,
     project_to_M,
 )
@@ -172,14 +176,13 @@ def test_shooting_bad_bracket_raises(grid30, nl_cubic):
 @pytest.mark.parametrize("case", GROUND_CASES)
 def test_batched_labels_match_one_shot_oracle(case, grid30):
     nl = canonical_family(*case)
-    opts = ShootOptions()
     amps = np.logspace(-1, 2, 40)
     # the scan holds degenerate lanes (a = 1 is a fixed point of f for mu = 1,
     # with error norm 0); they must not warn
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        over = _classify_shot(nl, amps, grid30.R, opts)
-    want = [shot_label(nl, a, grid30.R, opts) == "overshoot" for a in amps]
+        over = _classify_shot(nl, amps, grid30.R)
+    want = [shot_label(nl, a, grid30.R) == "overshoot" for a in amps]
     assert over.tolist() == want
 
 
@@ -187,15 +190,13 @@ def test_batched_labels_match_one_shot_oracle(case, grid30):
 def test_k_section_matches_bisection_oracle(case, grid30, ground_shots):
     # the restarted sweeps must not change the integration error of the labels
     nl = canonical_family(*case)
-    opts = ShootOptions()
-    a_lo, a_hi = _auto_bracket(nl, grid30.R, opts)
-    a_ref = bisect_amplitude(nl, a_lo, a_hi, grid30.R, opts)
+    a_ref = bisect_amplitude(nl, *_auto_bracket(nl, grid30.R), grid30.R)
     w = ground_shots[0][case]
-    assert w.values[0] == pytest.approx(a_ref, rel=opts.tol)
+    assert w.values[0] == pytest.approx(a_ref, rel=_SHOOT_TOL)
     # the grid profile read from the dense output of the accepted steps
     r = grid30.nodes
     inner = (r > 0.0) & (r <= 10.0)
-    sol = shot_dense(nl, w.values[0], grid30.R, opts)
+    sol = shot_dense(nl, w.values[0], grid30.R)
     err = np.max(np.abs(w.values[inner] - sol(r[inner])[0]))
     assert err <= 1e-8 * w.values[0]
 
@@ -203,8 +204,7 @@ def test_k_section_matches_bisection_oracle(case, grid30, ground_shots):
 @pytest.mark.parametrize("case", GROUND_CASES)
 def test_restarted_sweeps_match_series_start_k_section(case, grid30, ground_shots):
     nl = canonical_family(*case)
-    opts = ShootOptions()
-    a_ref = series_start_amplitude(nl, *_auto_bracket(nl, grid30.R, opts), grid30.R, opts)
+    a_ref = series_start_amplitude(nl, *_auto_bracket(nl, grid30.R), grid30.R)
     assert ground_shots[0][case].values[0] == pytest.approx(a_ref, rel=1e-13)
 
 
@@ -212,15 +212,32 @@ def test_restarted_sweeps_match_series_start_k_section_small_amplitude():
     # mu=20, q=2.2, cw=1 on R=40: the transition lies at a = 1.37e-6, below
     # the amplitude scan of _auto_bracket, so both routes start from a bracket
     nl = canonical_family(20.0, 2.2, 1.0)
-    opts = ShootOptions()
     a = shoot_ground_state(nl, make_grid(40.0, 750), bracket=(1e-6, 1e-5)).values[0]
-    assert a == pytest.approx(series_start_amplitude(nl, 1e-6, 1e-5, 40.0, opts), rel=1e-13)
+    assert a == pytest.approx(series_start_amplitude(nl, 1e-6, 1e-5, 40.0), rel=1e-13)
 
 
 def test_restarted_sweeps_save_attempts(ground_shots):
-    # 1 789 DOP853 attempts for the four ground states at n=3000 (sweeps that
-    # all start from r_start take 2 721)
+    # 1 712 DOP853 attempts for the four ground states at n=3000: 1 377 that
+    # classify and 335 for the final shots, which stop at their decision
+    # (sweeps that all start from r_start and final shots integrated out to R
+    # take 2 721)
     assert ground_shots[1] <= 2000
+
+
+@pytest.mark.parametrize("case", GROUND_CASES)
+def test_final_shot_matches_stepwise_dense_output(case, grid30, ground_shots):
+    # the one batched pass over the accepted steps of the final shot gives the
+    # dense output of the loop that extends each step right after taking it
+    nl = canonical_family(*case)
+    a = ground_shots[0][case].values[0]
+    rs, y0, F = _traced_shot(nl, a, grid30.R)
+    ref = stepwise_trajectory(nl, a, grid30.R)
+    # the shot stops where it is decided, well before R
+    assert rs[-1] < grid30.R - 5.0
+    assert np.array_equal(rs, ref[0][:rs.size])
+    x = np.linspace(_R_START, rs[-1], 20001)
+    err = np.max(np.abs(_dense_output(rs, y0, F, x) - _dense_output(*ref, x)))
+    assert err <= 1e-14 * a
 
 
 @pytest.mark.parametrize("case", GROUND_CASES)
@@ -247,7 +264,7 @@ def test_shooting_bracket_with_negative_series_start(grid30, ground_shots):
     # at a = 50 the series start a + (a - f(a)) r0^2/6 is already negative,
     # which makes the shot an overshoot
     nl = canonical_family(20.0, 3.0, 1.0)
-    assert shot_label(nl, 50.0, grid30.R, ShootOptions()) == "overshoot"
+    assert shot_label(nl, 50.0, grid30.R) == "overshoot"
     w = shoot_ground_state(nl, grid30, bracket=(0.1, 50.0))
     auto = ground_shots[0][(20.0, 3.0, 1.0)]
     assert w.values[0] == pytest.approx(auto.values[0], rel=1e-11)

@@ -92,13 +92,7 @@ def test_user_nonlinearity_fills_missing_pieces():
 def test_check_hypotheses_canonical_passes():
     for cw in (0.0, 1.0):
         rep = check_hypotheses(canonical_family(1.0, 4.0, cw))
-        assert rep.all_passed, rep.as_dict()
-
-
-def test_check_hypotheses_sample_floor():
-    nl = canonical_family(1.0, 4.0, 0.0)
-    with pytest.raises(ValueError):
-        check_hypotheses(nl, samples=50)
+        assert all(c.passed for c in rep.checks), rep.checks
 
 
 def test_check_hypotheses_negative_fixture_linear():
