@@ -4,7 +4,6 @@ system on R^3, with the uncoupled limit problem and its variational levels."""
 from .config import ConfigError, RunConfig, apply_env_overrides, parse_config, render_config
 from .constants import SOBOLEV_S_CLOSED_FORM, best_Cq, constants_report, mu_threshold, sobolev_S
 from .functionals import (
-    EnergyBreakdown,
     energy,
     gradient_residual,
     pohozaev_P,
@@ -19,7 +18,6 @@ from .grid import (
     norm_lq,
 )
 from .limit_solver import (
-    FlowOptions,
     LimitGroundState,
     minimize_on_M,
     mountain_pass_b,
@@ -48,8 +46,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BranchPoint",
     "ConfigError",
-    "EnergyBreakdown",
-    "FlowOptions",
     "LimitGroundState",
     "Nonlinearity",
     "PoissonSolution",

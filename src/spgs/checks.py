@@ -65,7 +65,7 @@ def ground_state(cfg: RunConfig, nl, grid) -> LimitGroundState:
     best_Cq solve, so only the failure path computes it.
     """
     try:
-        return minimize_on_M(nl, grid, cfg.flow_options())
+        return minimize_on_M(nl, grid, cfg.flow_tol())
     except (Stagnation, InitializationFailure) as exc:
         if cfg.critical_weight > 0:
             mu_star = mu_threshold(cfg.q, SOBOLEV_S_CLOSED_FORM, best_Cq(cfg.q, grid))

@@ -144,7 +144,7 @@ def cmd_sweep_lambda(cfg: RunConfig, outdir: Path) -> dict:
 
 def cmd_constants(cfg: RunConfig, outdir: Path, q_list: list[float]) -> dict:
     grid = make_grid(cfg.R, cfg.n)
-    report = constants_mod.constants_report(grid, q_list, cfg.flow_options())
+    report = constants_mod.constants_report(grid, q_list, cfg.flow_tol())
     summary = {
         "S": _num(report.S, report.provenance["S"]),
         "Cq": {str(q): _num(v, report.provenance[f"Cq[{q}]"])

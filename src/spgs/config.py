@@ -4,9 +4,8 @@ defaults, environment overrides and a round-trip renderer."""
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
-from .limit_solver import FlowOptions
 from .nonlinearity import Nonlinearity, canonical_family
 from .sp_solver import SolverOptions
 
@@ -43,8 +42,8 @@ class RunConfig:
     def nonlinearity(self) -> Nonlinearity:
         return canonical_family(self.mu, self.q, self.critical_weight)
 
-    def flow_options(self) -> FlowOptions:
-        return FlowOptions(tol=max(self.tol, 1e-10))
+    def flow_tol(self) -> float:
+        return max(self.tol, 1e-10)
 
     def solver_options(self) -> SolverOptions:
         return SolverOptions(tol=self.tol, max_iter=self.max_iter,

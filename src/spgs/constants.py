@@ -25,7 +25,7 @@ from .grid import (
     norm_lq,
     solve_helmholtz,
 )
-from .limit_solver import FlowOptions, minimize_on_M
+from .limit_solver import minimize_on_M
 from .nonlinearity import canonical_family
 
 SOBOLEV_S_CLOSED_FORM = 3.0 * math.pi * (math.sqrt(math.pi) / 4.0) ** (2.0 / 3.0)
@@ -102,18 +102,21 @@ def _quotient_hq(u: RadialFunction, q: float) -> float:
     return h1_norm_sq(u) / denom
 
 
-def best_Cq(q: float, grid: RadialGrid, opts: FlowOptions | None = None) -> float:
+def best_Cq(q: float, grid: RadialGrid, tol: float = 1e-8) -> float:
     """Best constant of the H^1 to L^q embedding, q in (2, 6).
 
     Route one: the ground state w of -Delta w + w = w^(q-1) satisfies
-    |w|_H1^2 = |w|_q^q, so its Rayleigh quotient is |w|_q^(q-2).  Route two:
-    inverse-power quotient descent from a Gaussian.  Both are upper estimates
-    of the infimum; the smaller is returned.
+    |w|_H1^2 = |w|_q^q, so its Rayleigh quotient is |w|_q^(q-2); tol is the
+    flow tolerance of minimize_on_M.  Route two: inverse-power quotient
+    descent from a Gaussian, the quotient of an actual field and so an upper
+    estimate of the infimum.  Route one is not: the identity holds only up to
+    the discretization error, and its value can fall below the quotient of
+    the computed ground state itself.  The smaller of the two is returned.
     """
     if not 2.0 < q < 6.0:
         raise ValueError(f"q must lie in (2, 6), got {q}")
     nl = canonical_family(1.0, q, 0.0)
-    ground = minimize_on_M(nl, grid, opts)
+    ground = minimize_on_M(nl, grid, tol)
     est_ground = norm_lq(ground.omega, q) ** (q - 2.0)
 
     # inverse-power iteration on the quotient from a Gaussian start
@@ -146,14 +149,14 @@ def mu_threshold(q: float, S: float, Cq: float) -> float:
     return bracket ** ((q - 2.0) / 2.0) * Cq ** (q / 2.0)
 
 
-def constants_report(grid: RadialGrid, q_values, opts: FlowOptions | None = None) -> ConstantsReport:
+def constants_report(grid: RadialGrid, q_values, tol: float = 1e-8) -> ConstantsReport:
     S, warned = sobolev_S(grid)
     report = ConstantsReport(S=S)
     report.provenance["S"] = "computed (bubble family + quotient descent)" + (
         "; warning: minimizing width near grid resolution limit" if warned else ""
     )
     for q in q_values:
-        cq = best_Cq(float(q), grid, opts)
+        cq = best_Cq(float(q), grid, tol)
         report.Cq[float(q)] = cq
         report.mu_thresholds[float(q)] = mu_threshold(float(q), S, cq)
         report.provenance[f"Cq[{q}]"] = "computed (ground-state identity vs quotient descent, min)"

@@ -22,22 +22,6 @@ from .poisson import solve_phi
 
 
 @dataclass(frozen=True)
-class EnergyBreakdown:
-    """Components of the coupled energy at a given field.
-
-    Gamma_value = I_value + nonlocal, where nonlocal = (lam/4) int phi_u u^2
-    is nonnegative, so the coupled energy always dominates the limit energy.
-    """
-
-    kinetic: float
-    mass: float
-    nonlocal_term: float
-    potential: float
-    I_value: float
-    Gamma_value: float
-
-
-@dataclass(frozen=True)
 class ScalingTerms:
     """The four terms behind every functional on the dilation path of u.
 
@@ -57,6 +41,16 @@ class ScalingTerms:
         """Constraint functional int G(u) = C - B/2."""
         return self.C - 0.5 * self.B
 
+    @property
+    def I_value(self) -> float:
+        """Limit energy A/2 + B/2 - C of u itself (t = 1)."""
+        return 0.5 * self.A + 0.5 * self.B - self.C
+
+    @property
+    def Gamma_value(self) -> float:
+        """Coupled energy I + K of u itself; K >= 0, so it dominates I."""
+        return self.I_value + self.K
+
     def gamma(self, t: float) -> float:
         """Coupled energy of u(./t)."""
         return 0.5 * self.A * t - self.V * t**3 + self.K * t**5
@@ -71,20 +65,6 @@ class ScalingTerms:
         disc = 9.0 * self.V**2 - 10.0 * self.K * self.A
         denom = 3.0 * self.V + math.sqrt(disc) if disc >= 0.0 else 0.0
         return math.sqrt(self.A / denom) if denom > 0.0 else math.inf
-
-    def breakdown(self) -> EnergyBreakdown:
-        """Energy components of u itself (t = 1)."""
-        kinetic = 0.5 * self.A
-        mass = 0.5 * self.B
-        i_val = kinetic + mass - self.C
-        return EnergyBreakdown(
-            kinetic=kinetic,
-            mass=mass,
-            nonlocal_term=self.K,
-            potential=self.C,
-            I_value=i_val,
-            Gamma_value=i_val + self.K,
-        )
 
     def dilation_balance(self) -> tuple[float, float]:
         """gamma'(1) = A/2 + 3B/2 + 5K - 3C, absolute and relative to the sum
@@ -107,9 +87,10 @@ def scaling_terms(u: RadialFunction, nl: Nonlinearity, lam: float = 0.0) -> Scal
     )
 
 
-def energy(u: RadialFunction, nl: Nonlinearity, lam: float) -> EnergyBreakdown:
-    """Energy breakdown of both the coupled and the limit functional."""
-    return scaling_terms(u, nl, lam).breakdown()
+def energy(u: RadialFunction, nl: Nonlinearity, lam: float) -> ScalingTerms:
+    """Scaling terms of u, whose I_value and Gamma_value are the limit and
+    the coupled energy; an alias of scaling_terms with lam required."""
+    return scaling_terms(u, nl, lam)
 
 
 def gradient_residual(u: RadialFunction, nl: Nonlinearity, lam: float) -> RadialFunction:

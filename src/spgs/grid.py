@@ -2,8 +2,8 @@
 
 Functions on R^3 are represented by their radial profile sampled on a uniform
 grid over [0, R].  All integrals are taken against the volume measure
-4*pi*r^2 dr, so `integrate` returns genuine three-dimensional integrals of the
-radial extension.
+4*pi*r^2 dr, so `integrate_values` returns genuine three-dimensional integrals
+of the radial extension.
 """
 
 from __future__ import annotations
@@ -17,16 +17,28 @@ from scipy.linalg import solve_banded
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """Uniform radial grid on [0, R] with 3D quadrature weights.
+    """Uniform radial grid on [0, R] with 3D quadrature weights and the
+    conservative stencil of the radial Laplacian.
 
     weights[i] is the quadrature weight of node i against 4*pi*r^2 dr:
     sum(weights * g(nodes)) approximates the integral of g over R^3.
+
+    The stencil is written once, in flux form: conductance[i] = 4 pi
+    r_{i+1/2}^2 / h couples nodes i and i+1, and mass[i] is the volume of the
+    cell of node i (4 pi h r_i^2, the ball of radius h/2 at the centre, half a
+    cell at R).  Then -Delta_h u = -diff(conductance * diff(u)) / mass, so
+    mass * (-Delta_h) is symmetric and sum(conductance * diff(u)**2) is its
+    quadratic form.  bands holds -Delta_h for scipy.linalg.solve_banded, with
+    the last row replaced by the Dirichlet identity.  All arrays are read-only.
     """
 
     R: float
     n: int
     nodes: np.ndarray
     weights: np.ndarray
+    conductance: np.ndarray
+    mass: np.ndarray
+    bands: np.ndarray
 
     @property
     def h(self) -> float:
@@ -105,9 +117,24 @@ def make_grid(R: float, n: int) -> RadialGrid:
     weights[-1] -= (h / 24.0) * 3.0 * gt[-1]
     weights[-2] += (h / 24.0) * 4.0 * gt[-2]
     weights[-3] -= (h / 24.0) * 1.0 * gt[-3]
-    weights.setflags(write=False)
-    nodes.setflags(write=False)
-    return RadialGrid(R=R, n=n, nodes=nodes, weights=weights)
+
+    faces = 0.5 * (nodes[1:] + nodes[:-1])
+    conductance = 4.0 * np.pi * faces**2 / h
+    mass = h * gt
+    mass[0] = np.pi * h**3 / 6.0
+    mass[-1] *= 0.5
+    # row i of -Delta_h: (c_{i-1} + c_i) u_i - c_{i-1} u_{i-1} - c_i u_{i+1},
+    # divided by m_i; the last row is the identity
+    bands = np.zeros((3, n))
+    bands[0, 1:] = -conductance / mass[:-1]
+    bands[1, 0] = conductance[0] / mass[0]
+    bands[1, 1:-1] = (conductance[:-1] + conductance[1:]) / mass[1:-1]
+    bands[1, -1] = 1.0
+    bands[2, :-2] = -conductance[:-1] / mass[1:-1]
+    for a in (nodes, weights, conductance, mass, bands):
+        a.setflags(write=False)
+    return RadialGrid(R=R, n=n, nodes=nodes, weights=weights,
+                      conductance=conductance, mass=mass, bands=bands)
 
 
 def integrate_values(grid: RadialGrid, values: np.ndarray) -> float:
@@ -117,15 +144,10 @@ def integrate_values(grid: RadialGrid, values: np.ndarray) -> float:
 def grad_norm_sq(u: RadialFunction) -> float:
     """Dirichlet energy 4*pi * int_0^R u'(r)^2 r^2 dr.
 
-    Uses centered differences at the cell faces r_{i+1/2} with the midpoint
-    rule, which is the exact quadratic form of the conservative discrete
-    Laplacian (summation by parts holds at the discrete level).
+    Face differences weighted by the conductances: the exact quadratic form
+    of the discrete Laplacian (summation by parts holds at the discrete level).
     """
-    grid = u.grid
-    h = grid.h
-    faces = 0.5 * (grid.nodes[1:] + grid.nodes[:-1])
-    du = np.diff(u.values) / h
-    return float(4.0 * np.pi * h * np.sum(faces**2 * du**2))
+    return float(np.dot(u.grid.conductance, np.diff(u.values) ** 2))
 
 
 def norm_lq(u: RadialFunction, q: float) -> float:
@@ -193,66 +215,20 @@ def dilate(u: RadialFunction, t: float) -> RadialFunction:
 def laplacian_apply(u: RadialFunction) -> np.ndarray:
     """Conservative radial Laplacian u'' + (2/r) u' at the nodes.
 
-    Flux form (r^2 u')' / r^2 in the interior; at r = 0 the operator limit
-    3 u''(0) is used with the reflected ghost value, i.e. 6 (u_1 - u_0)/h^2.
-    The last node is left untouched (Dirichlet rows handle it).
+    Differences of the face fluxes conductance * diff(u), divided by the node
+    masses; at r = 0 this is 6 (u_1 - u_0)/h^2, the operator limit 3 u''(0)
+    with the reflected ghost value.  The last node is left at 0 (Dirichlet
+    rows handle it).
     """
     grid = u.grid
-    h = grid.h
-    r = grid.nodes
-    faces = 0.5 * (r[1:] + r[:-1])
-    flux = faces**2 * np.diff(u.values) / h
     out = np.zeros_like(u.values)
-    out[1:-1] = (flux[1:] - flux[:-1]) / (h * r[1:-1] ** 2)
-    out[0] = 6.0 * (u.values[1] - u.values[0]) / h**2
-    out[-1] = 0.0
+    out[:-1] = np.diff(grid.conductance * np.diff(u.values), prepend=0.0) / grid.mass[:-1]
     return out
-
-
-def laplacian_bands(grid: RadialGrid) -> np.ndarray:
-    """Banded (ab) representation of -laplacian_apply with a Dirichlet last row.
-
-    Returns the 3 x n array consumed by scipy.linalg.solve_banded for the
-    operator v -> -Delta v, with row n-1 replaced by the identity.  It is
-    built once per grid, kept on the grid and returned read-only.
-    """
-    cached = grid.__dict__.get("_bands")
-    if cached is not None:
-        return cached
-    h = grid.h
-    r = grid.nodes
-    n = grid.n
-    faces = 0.5 * (r[1:] + r[:-1])
-    lower = np.zeros(n)
-    diag = np.zeros(n)
-    upper = np.zeros(n)
-
-    diag[0] = 6.0 / h**2
-    upper[1] = -6.0 / h**2
-
-    rin = r[1:-1]
-    fm = faces[:-1] ** 2
-    fp = faces[1:] ** 2
-    diag[1:-1] = (fm + fp) / (h**2 * rin**2)
-    lower[0:-2] = -fm / (h**2 * rin**2)
-    upper[2:] = -fp / (h**2 * rin**2)
-
-    diag[-1] = 1.0
-    lower[-2] = 0.0
-
-    ab = np.zeros((3, n))
-    ab[0, 1:] = upper[1:]
-    ab[1, :] = diag
-    ab[2, :-1] = lower[:-1]
-    ab.setflags(write=False)
-    # RadialGrid is frozen: the cache goes past its __setattr__
-    object.__setattr__(grid, "_bands", ab)
-    return ab
 
 
 def solve_helmholtz(grid: RadialGrid, shift: np.ndarray | float, rhs: np.ndarray) -> np.ndarray:
     """Solve (-Delta + shift) w = rhs with w(R) = 0, tridiagonal in O(n)."""
-    ab = laplacian_bands(grid).copy()
+    ab = grid.bands.copy()
     shift = np.broadcast_to(np.asarray(shift, dtype=float), (grid.n,))
     ab[1, :-1] = ab[1, :-1] + shift[:-1]
     b = np.asarray(rhs, dtype=float).copy()

@@ -10,7 +10,7 @@ and mountain-pass levels with their algebraic interrelations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,6 +37,9 @@ _PROJECTION_STEPS = 8
 # polish first fails from 0.1, and never from 0.05
 _FLOW_HANDOVER = 0.02
 
+# flow steps before Stagnation; mu=1, q=2.5, cw=0 takes 64 on R=30 at any n
+_FLOW_MAX_ITER = 3000
+
 
 class InitializationFailure(RuntimeError):
     """No admissible starting bump with positive constraint value was found."""
@@ -52,12 +55,6 @@ class BracketFailure(RuntimeError):
 
 class StiffnessFailure(RuntimeError):
     """The shooting integrator failed to advance."""
-
-
-@dataclass
-class FlowOptions:
-    tol: float = 1e-8
-    max_iter: int = 3000
 
 
 @dataclass
@@ -139,7 +136,10 @@ def _initial_bump(nl: Nonlinearity, grid: RadialGrid) -> RadialFunction:
 
 
 def _projected_gradient(u: RadialFunction, nl: Nonlinearity):
-    """T0 gradient with its component along the constraint gradient removed."""
+    """T0 gradient with its component along the constraint gradient removed.
+
+    Returns (projected gradient, theta, T0'(u) = -Delta u, V'(u) = f(u) - u).
+    """
     grid = u.grid
     t0g = -laplacian_apply(u)
     vg = _g_field(nl, u.values)
@@ -148,7 +148,7 @@ def _projected_gradient(u: RadialFunction, nl: Nonlinearity):
     theta = float(np.dot(w, t0g * vg)) / denom if denom > 0 else 0.0
     pg = t0g - theta * vg
     pg[-1] = 0.0
-    return pg, theta
+    return pg, theta, t0g, vg
 
 
 def _newton_polish(u: RadialFunction, theta: float, nl: Nonlinearity, tol: float):
@@ -203,25 +203,23 @@ def _newton_polish(u: RadialFunction, theta: float, nl: Nonlinearity, tol: float
     return RadialFunction(grid, vals), theta, steps
 
 
-def minimize_on_M(nl: Nonlinearity, grid: RadialGrid,
-                  opts: FlowOptions | None = None,
-                  u_start: RadialFunction | None = None) -> LimitGroundState:
+def minimize_on_M(nl: Nonlinearity, grid: RadialGrid, tol: float = 1e-8) -> LimitGroundState:
     """Constrained minimization of T0 over {V = 1}.
 
     Preconditioned projected-gradient descent with backtracking and dilation
     reprojection per step, followed by a bordered Newton polish of the
     stationarity system once the projected gradient is small relative to
-    |grad u|_2 (_FLOW_HANDOVER).
+    |grad u|_2 (_FLOW_HANDOVER).  tol is the polish tolerance on the dual
+    norm of the residual; a projected gradient above 100 tol after the
+    polish raises Stagnation.
     """
-    opts = opts or FlowOptions()
-    u = u_start if u_start is not None else _initial_bump(nl, grid)
-    u = project_to_M(u, nl)
+    u = project_to_M(_initial_bump(nl, grid), nl)
 
     eta = 1.0
     pg_nrm = math.inf
     it = 0
-    for it in range(opts.max_iter):
-        pg, theta = _projected_gradient(u, nl)
+    for it in range(_FLOW_MAX_ITER):
+        pg, theta, t0g, vg = _projected_gradient(u, nl)
         pg_nrm = dual_norm(grid, pg)
         t0_here = T0_value(u)
         if pg_nrm <= _FLOW_HANDOVER * math.sqrt(2.0 * t0_here):
@@ -229,8 +227,6 @@ def minimize_on_M(nl: Nonlinearity, grid: RadialGrid,
         # precondition first, then make the step tangent to the constraint in
         # the preconditioned metric; projecting before preconditioning loses
         # tangency and the dilation reprojection cancels the descent
-        t0g = -laplacian_apply(u)
-        vg = _g_field(nl, u.values)
         t0g[-1] = 0.0
         vg[-1] = 0.0
         d1 = solve_helmholtz(grid, 1.0, t0g)
@@ -260,16 +256,16 @@ def minimize_on_M(nl: Nonlinearity, grid: RadialGrid,
             break
     else:
         raise Stagnation(
-            f"constrained flow did not reach tolerance in {opts.max_iter} steps "
+            f"constrained flow did not reach tolerance in {_FLOW_MAX_ITER} steps "
             f"(projected gradient {pg_nrm:.3e})"
         )
 
     # every exit above leaves theta from the projected gradient at this u
-    u, theta, polish_steps = _newton_polish(u, theta, nl, tol=opts.tol)
+    u, theta, polish_steps = _newton_polish(u, theta, nl, tol=tol)
     u = project_to_M(u, nl)
-    pg, theta = _projected_gradient(u, nl)
+    pg, theta, _, _ = _projected_gradient(u, nl)
     pg_nrm = dual_norm(grid, pg)
-    if pg_nrm > 100 * opts.tol:
+    if pg_nrm > 100 * tol:
         raise Stagnation(
             f"Newton polish stalled at projected gradient {pg_nrm:.3e}"
         )

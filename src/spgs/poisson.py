@@ -8,12 +8,11 @@ lambda^2, which sets every asymptotic rate downstream.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import RadialFunction, RadialGrid, dilate, integrate_values
+from .grid import RadialFunction, dilate, grad_norm_sq, integrate_values
 
 
 @dataclass(frozen=True)
@@ -59,16 +58,11 @@ def solve_phi(u: RadialFunction, lam: float) -> PoissonSolution:
 
 
 def dirichlet_energy_direct(sol: PoissonSolution, u: RadialFunction) -> float:
-    """Cross-check of the Dirichlet energy: 4 pi int_0^R phi'^2 r^2 dr plus the
+    """Cross-check of the Dirichlet energy: |grad phi|^2 on the grid plus the
     exact exterior contribution 4 pi lam^2 Q^2 / R of the far field lam Q / r."""
     grid = sol.phi.grid
-    h = grid.h
-    faces = 0.5 * (grid.nodes[1:] + grid.nodes[:-1])
-    dphi = np.diff(sol.phi.values) / h
-    inside = 4.0 * np.pi * h * float(np.sum(faces**2 * dphi**2))
-    charge = float(np.dot(grid.weights, u.values**2)) / (4.0 * np.pi)
-    outside = 4.0 * np.pi * sol.lam**2 * charge**2 / grid.R
-    return inside + outside
+    charge = integrate_values(grid, u.values**2) / (4.0 * np.pi)
+    return grad_norm_sq(sol.phi) + 4.0 * np.pi * sol.lam**2 * charge**2 / grid.R
 
 
 def coupling_scaling_check(u: RadialFunction, lam: float, t: float) -> float:

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .constants import SOBOLEV_S_CLOSED_FORM
 from .functionals import energy, gradient_residual, scaling_terms
 from .grid import (
     RadialFunction,
@@ -20,7 +21,6 @@ from .grid import (
     dual_norm,
     h1_norm_sq,
     integrate_values,
-    laplacian_apply,
     solve_helmholtz,
 )
 from .limit_solver import LimitGroundState
@@ -88,9 +88,7 @@ def _dense_jacobian_step(u_vals, nl, lam, grid, residual):
     fp = np.asarray(nl.fprime(u_vals), dtype=float)
 
     ab = np.zeros((n, n))
-    from .grid import laplacian_bands
-
-    bands = laplacian_bands(grid)
+    bands = grid.bands
     idx = np.arange(n)
     ab[idx, idx] = bands[1]
     ab[idx[:-1], idx[:-1] + 1] = bands[0, 1:]
@@ -154,7 +152,6 @@ def solve_at_lambda(u_init: RadialFunction, nl: Nonlinearity, lam: float,
             delta = solve_helmholtz(grid, shift, -res)
 
         theta = 1.0
-        accepted = False
         while theta >= opts.damping_floor:
             cand = vals + theta * delta
             neg = np.minimum(cand, 0.0)
@@ -170,13 +167,10 @@ def solve_at_lambda(u_init: RadialFunction, nl: Nonlinearity, lam: float,
             cand_nrm = dual_norm(grid, cand_res)
             if cand_nrm < nrm:
                 vals, res, nrm = cand, cand_res, cand_nrm
-                accepted = True
                 break
             theta *= 0.5
-        if not accepted:
-            # keep going: the stagnation detector will switch to the dense step
-            history.append(nrm)
-            continue
+        # a rejected step leaves nrm as it was, and the stagnation detector
+        # then switches to the dense step
         history.append(nrm)
     else:
         raise NonConvergence(
@@ -187,14 +181,13 @@ def solve_at_lambda(u_init: RadialFunction, nl: Nonlinearity, lam: float,
     u = RadialFunction(grid, vals)
     psol = solve_phi(u, lam)
     terms = scaling_terms(u, nl, lam)
-    bd = terms.breakdown()
     pohozaev_res, pohozaev_res_rel = terms.dilation_balance()
     return BranchPoint(
         lam=lam,
         u=u,
         phi=psol.phi,
-        gamma_energy=bd.Gamma_value,
-        i_energy=bd.I_value,
+        gamma_energy=terms.Gamma_value,
+        i_energy=terms.I_value,
         h1_dist_to_omega=math.nan,
         phi_d12=math.sqrt(max(psol.dirichlet_energy, 0.0)),
         pohozaev_res=pohozaev_res,
@@ -275,8 +268,7 @@ class AsymptoticsReport:
     b_ref: float
 
 
-def asymptotics_report(branch: SolutionBranch, nl: Nonlinearity,
-                       sobolev_S: float | None = None) -> AsymptoticsReport:
+def asymptotics_report(branch: SolutionBranch, nl: Nonlinearity) -> AsymptoticsReport:
     """Fitted rates and branch-wide checks for the small-coupling limit.
 
     Also verifies that the branch stays within the distance budget
@@ -292,10 +284,8 @@ def asymptotics_report(branch: SolutionBranch, nl: Nonlinearity,
     ggap = [abs(p.gamma_energy - b) for p in branch.points]
     dgap = [p.D_lambda - b for p in branch.points]
 
-    if sobolev_S is None:
-        sobolev_S = 3.0 * math.pi * (math.sqrt(math.pi) / 4.0) ** (2.0 / 3.0)
     d_budget = min(
-        (1.0 / 3.0) * (1.5 * sobolev_S**3 / nl.kappa) ** 0.25 if nl.kappa > 0 else math.inf,
+        (1.0 / 3.0) * (1.5 * SOBOLEV_S_CLOSED_FORM**3 / nl.kappa) ** 0.25 if nl.kappa > 0 else math.inf,
         math.sqrt(3.0 * b),
     )
     within = [p.lam for p in branch.points if p.h1_dist_to_omega < d_budget]

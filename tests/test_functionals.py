@@ -10,15 +10,15 @@ from spgs.grid import dual_norm, grad_norm_sq, integrate_values
 def test_energy_breakdown_consistency(grid30, nl_cubic):
     u = RadialFunction(grid30, 2.0 * np.exp(-grid30.nodes**2 / 2.0))
     bd = energy(u, nl_cubic, 0.3)
-    assert bd.Gamma_value == pytest.approx(bd.I_value + bd.nonlocal_term, rel=1e-14)
-    assert bd.I_value == pytest.approx(bd.kinetic + bd.mass - bd.potential, rel=1e-14)
-    assert bd.nonlocal_term > 0
+    assert bd.Gamma_value == pytest.approx(bd.I_value + bd.K, rel=1e-14)
+    assert bd.I_value == pytest.approx(0.5 * bd.A + 0.5 * bd.B - bd.C, rel=1e-14)
+    assert bd.K > 0
 
 
 def test_energy_limit_case_has_no_nonlocal_term(grid30, nl_cubic):
     u = RadialFunction(grid30, np.exp(-grid30.nodes**2))
     bd = energy(u, nl_cubic, 0.0)
-    assert bd.nonlocal_term == 0.0
+    assert bd.K == 0.0
     assert bd.Gamma_value == bd.I_value
 
 

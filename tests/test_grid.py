@@ -10,7 +10,6 @@ from spgs.grid import (
     dual_norm,
     integrate_values,
     laplacian_apply,
-    laplacian_bands,
     solve_helmholtz,
 )
 
@@ -189,19 +188,64 @@ def test_solve_helmholtz_manufactured():
     assert np.max(np.abs(w - w_exact)) <= 2e-4
 
 
-def test_laplacian_bands_cached_per_grid_and_read_only():
+def test_solve_helmholtz_leaves_grid_bands_unchanged():
     g = make_grid(15.0, 800)
+    bands = g.bands.copy()
     rhs = np.exp(-g.nodes)
     shift = 1.0 + np.exp(-g.nodes**2)
     first = solve_helmholtz(g, shift, rhs)
-    bands = laplacian_bands(g)
-    assert laplacian_bands(g) is bands
-    # a solve with another shift leaves the cached bands as they were
     solve_helmholtz(g, 2.0, rhs)
+    assert np.array_equal(g.bands, bands)
     assert np.array_equal(solve_helmholtz(g, shift, rhs), first)
-    assert np.array_equal(bands, laplacian_bands(make_grid(15.0, 800)))
-    with pytest.raises(ValueError):
-        bands[1, 0] = 0.0
+
+
+def test_grid_arrays_are_read_only():
+    g = make_grid(15.0, 800)
+    arrays = {k: v for k, v in vars(g).items() if isinstance(v, np.ndarray)}
+    assert set(arrays) == {"nodes", "weights", "conductance", "mass", "bands"}
+    for a in arrays.values():
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+
+
+def _banded_apply(g, u):
+    """-Delta_h u from the bands, rows 0..n-2."""
+    b = g.bands
+    out = b[1] * u
+    out[:-1] += b[0, 1:] * u[1:]
+    out[1:] += b[2, :-1] * u[:-1]
+    return out[:-1]
+
+
+@pytest.mark.parametrize("n", [750, 3000])
+def test_mass_times_laplacian_is_symmetric(n):
+    # m (-Delta_h) couples nodes i and i+1 by -c_i from both sides, so it is
+    # symmetric on the rows above the Dirichlet row
+    g = make_grid(30.0, n)
+    upper = g.mass[:-2] * g.bands[0, 1:-1]  # row i, column i+1
+    lower = g.mass[1:-1] * g.bands[2, :-2]  # row i+1, column i
+    scale = np.max(np.abs(g.mass[:-1] * g.bands[1, :-1]))
+    assert np.max(np.abs(upper - lower)) <= 1e-14 * scale
+    assert np.allclose(upper, -g.conductance[:-1], rtol=1e-14, atol=0.0)
+    # the bands are the operator that laplacian_apply applies
+    u = np.random.default_rng(n).standard_normal(n)
+    lap = -laplacian_apply(RadialFunction(g, u))[:-1]
+    assert np.max(np.abs(_banded_apply(g, u) - lap)) <= 1e-13 * np.max(np.abs(lap))
+
+
+@pytest.mark.parametrize("n", [750, 3000])
+def test_mass_pairing_is_the_dirichlet_form(n):
+    # sum m v (-Delta_h u) = sum c du dv exactly (summation by parts with the
+    # node masses) for fields that vanish at R
+    g = make_grid(30.0, n)
+    rng = np.random.default_rng(n)
+    u, v = rng.standard_normal((2, n))
+    u[-1] = v[-1] = 0.0
+    lhs = float(np.dot(g.mass, v * -laplacian_apply(RadialFunction(g, u))))
+    rhs = float(np.dot(g.conductance, np.diff(u) * np.diff(v)))
+    assert abs(lhs - rhs) <= 1e-13 * abs(rhs)
+    assert grad_norm_sq(RadialFunction(g, u)) == pytest.approx(
+        float(np.dot(g.mass, u * -laplacian_apply(RadialFunction(g, u)))), rel=1e-13)
 
 
 def test_dual_norm_nonnegative_and_scales():
