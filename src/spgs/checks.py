@@ -167,7 +167,7 @@ def gradient_fd_gap(grid, nl, rng: np.random.Generator, trials: int = 20,
         u_vals = au * np.exp(-grid.nodes**2 / (2 * wu**2))
         v_vals = av * np.exp(-grid.nodes**2 / (2 * wv**2)) * (1 + 0.3 * np.sin(grid.nodes))
         u_vals[-1] = v_vals[-1] = 0.0
-        res = gradient_residual(RadialFunction(grid, u_vals), nl, lam)
+        res, _ = gradient_residual(RadialFunction(grid, u_vals), nl, lam)
         pairing = float(np.dot(grid.weights, res.values * v_vals))
         ep = energy(RadialFunction(grid, u_vals + eps * v_vals), nl, lam).Gamma_value
         em = energy(RadialFunction(grid, u_vals - eps * v_vals), nl, lam).Gamma_value

@@ -23,7 +23,7 @@ from .grid import (
     integrate_values,
     laplacian_apply,
     norm_lq,
-    solve_helmholtz,
+    solve_riesz,
 )
 from .limit_solver import minimize_on_M
 from .nonlinearity import canonical_family
@@ -74,7 +74,7 @@ def sobolev_S(grid: RadialGrid):
         q = grad_norm_sq(u) / denom6 ** (1.0 / 3.0)
         g = -laplacian_apply(u) - (q / denom6 ** (2.0 / 3.0)) * u.values**5
         g[-1] = 0.0
-        d = solve_helmholtz(grid, 1.0, g)
+        d = solve_riesz(grid, g)
         step = 0.2
         improved = False
         for _ in range(12):
@@ -126,7 +126,7 @@ def best_Cq(q: float, grid: RadialGrid, tol: float = 1e-8) -> float:
     last = math.inf
     for _ in range(400):
         rhs = np.abs(u.values) ** (q - 2.0) * u.values
-        w = solve_helmholtz(grid, 1.0, rhs)
+        w = solve_riesz(grid, rhs)
         cand = RadialFunction(grid, w)
         cand = RadialFunction(grid, cand.values / norm_lq(cand, q))
         qc = _quotient_hq(cand, q)

@@ -18,7 +18,7 @@ from .grid import (
     laplacian_apply,
 )
 from .nonlinearity import Nonlinearity
-from .poisson import solve_phi
+from .poisson import PoissonSolution, solve_phi
 
 
 @dataclass(frozen=True)
@@ -93,19 +93,22 @@ def energy(u: RadialFunction, nl: Nonlinearity, lam: float) -> ScalingTerms:
     return scaling_terms(u, nl, lam)
 
 
-def gradient_residual(u: RadialFunction, nl: Nonlinearity, lam: float) -> RadialFunction:
-    """Strong-form residual -Delta u + u + lam phi_u u - f(u) on the grid.
+def gradient_residual(u: RadialFunction, nl: Nonlinearity,
+                      lam: float) -> tuple[RadialFunction, PoissonSolution]:
+    """Strong-form residual -Delta u + u + lam phi_u u - f(u) on the grid,
+    with the Poisson solution of u at lam that it used.
 
     Its pairing against test fields through the quadrature weights is the
-    directional derivative of the coupled energy.
+    directional derivative of the coupled energy.  The potential is solved
+    at lam = 0 too (it vanishes there), so every call makes one solve.
     """
     if lam < 0:
         raise ValueError(f"coupling parameter must be nonnegative, got {lam}")
     res = -laplacian_apply(u) + u.values - np.asarray(nl.f(u.values), dtype=float)
+    psol = solve_phi(u, lam)
     if lam > 0:
-        phi = solve_phi(u, lam).phi
-        res = res + lam * phi.values * u.values
-    return RadialFunction(u.grid, res)
+        res = res + lam * psol.phi.values * u.values
+    return RadialFunction(u.grid, res), psol
 
 
 def pohozaev_P(u: RadialFunction, nl: Nonlinearity) -> float:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 
 @dataclass(frozen=True)
@@ -29,7 +30,10 @@ class RadialGrid:
     cell at R).  Then -Delta_h u = -diff(conductance * diff(u)) / mass, so
     mass * (-Delta_h) is symmetric and sum(conductance * diff(u)**2) is its
     quadratic form.  bands holds -Delta_h for scipy.linalg.solve_banded, with
-    the last row replaced by the Dirichlet identity.  All arrays are read-only.
+    the last row replaced by the Dirichlet identity.  riesz_lu is the LAPACK
+    dgttrf factor (dl, d, du, du2, ipiv) of the Riesz operator -Delta_h + 1
+    with the same Dirichlet row, which solve_riesz back-solves.  All arrays
+    are read-only.
     """
 
     R: float
@@ -39,6 +43,7 @@ class RadialGrid:
     conductance: np.ndarray
     mass: np.ndarray
     bands: np.ndarray
+    riesz_lu: tuple[np.ndarray, ...]
 
     @property
     def h(self) -> float:
@@ -131,10 +136,15 @@ def make_grid(R: float, n: int) -> RadialGrid:
     bands[1, 1:-1] = (conductance[:-1] + conductance[1:]) / mass[1:-1]
     bands[1, -1] = 1.0
     bands[2, :-2] = -conductance[:-1] / mass[1:-1]
-    for a in (nodes, weights, conductance, mass, bands):
+    # -Delta_h + 1 is strictly diagonally dominant, so dgttrf cannot fail
+    diag = bands[1].copy()
+    diag[:-1] += 1.0
+    riesz_lu = dgttrf(bands[2, :-1], diag, bands[0, 1:])[:5]
+    for a in (nodes, weights, conductance, mass, bands, *riesz_lu):
         a.setflags(write=False)
     return RadialGrid(R=R, n=n, nodes=nodes, weights=weights,
-                      conductance=conductance, mass=mass, bands=bands)
+                      conductance=conductance, mass=mass, bands=bands,
+                      riesz_lu=riesz_lu)
 
 
 def integrate_values(grid: RadialGrid, values: np.ndarray) -> float:
@@ -226,8 +236,21 @@ def laplacian_apply(u: RadialFunction) -> np.ndarray:
     return out
 
 
+def solve_riesz(grid: RadialGrid, rhs: np.ndarray) -> np.ndarray:
+    """Solve (-Delta + 1) w = rhs with w(R) = 0 through the factor of make_grid.
+
+    A non-finite rhs raises ValueError, as scipy's check_finite does.
+    """
+    b = np.array(rhs, dtype=float)
+    b[-1] = 0.0
+    return dgttrs(*grid.riesz_lu, np.asarray_chkfinite(b), overwrite_b=1)[0]
+
+
 def solve_helmholtz(grid: RadialGrid, shift: np.ndarray | float, rhs: np.ndarray) -> np.ndarray:
-    """Solve (-Delta + shift) w = rhs with w(R) = 0, tridiagonal in O(n)."""
+    """Solve (-Delta + shift) w = rhs with w(R) = 0, tridiagonal in O(n).
+
+    Factors the shifted matrix on every call; solve_riesz serves shift 1.
+    """
     ab = grid.bands.copy()
     shift = np.broadcast_to(np.asarray(shift, dtype=float), (grid.n,))
     ab[1, :-1] = ab[1, :-1] + shift[:-1]
@@ -243,7 +266,7 @@ def dual_norm(grid: RadialGrid, residual: np.ndarray) -> float:
     its Riesz representative w solves (-Delta + 1) w = residual, and the dual
     norm is sqrt(<residual, w>) in the discrete pairing.
     """
-    w = solve_helmholtz(grid, 1.0, residual)
+    w = solve_riesz(grid, residual)
     val = float(np.dot(grid.weights, residual * w))
     return math.sqrt(max(val, 0.0))
 

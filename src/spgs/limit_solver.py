@@ -24,6 +24,7 @@ from .grid import (
     grad_norm_sq,
     laplacian_apply,
     solve_helmholtz,
+    solve_riesz,
 )
 from .nonlinearity import Nonlinearity
 
@@ -229,8 +230,8 @@ def minimize_on_M(nl: Nonlinearity, grid: RadialGrid, tol: float = 1e-8) -> Limi
         # tangency and the dilation reprojection cancels the descent
         t0g[-1] = 0.0
         vg[-1] = 0.0
-        d1 = solve_helmholtz(grid, 1.0, t0g)
-        d2 = solve_helmholtz(grid, 1.0, vg)
+        d1 = solve_riesz(grid, t0g)
+        d2 = solve_riesz(grid, vg)
         wv = grid.weights * vg
         denom = float(np.dot(wv, d2))
         th = float(np.dot(wv, d1)) / denom if denom != 0.0 else 0.0

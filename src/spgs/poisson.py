@@ -41,7 +41,8 @@ def solve_phi(u: RadialFunction, lam: float) -> PoissonSolution:
         raise ValueError(f"coupling parameter must be nonnegative, got {lam}")
     grid = u.grid
     r = grid.nodes
-    a = grid.weights * u.values**2 / (4.0 * np.pi)  # W_j u_j^2 / 4pi
+    u2 = u.values**2
+    a = grid.weights * u2 / (4.0 * np.pi)  # W_j u_j^2 / 4pi
 
     interior = np.cumsum(a) - a  # sum over j < i
     over_r = a / np.where(r > 0, r, np.inf)
@@ -51,7 +52,7 @@ def solve_phi(u: RadialFunction, lam: float) -> PoissonSolution:
     phi_vals[0] = lam * exterior[0]
 
     phi = RadialFunction(grid, phi_vals)
-    coupling = integrate_values(grid, phi_vals * u.values**2)
+    coupling = integrate_values(grid, phi_vals * u2)
     return PoissonSolution(phi=phi, lam=lam,
                            dirichlet_energy=lam * coupling,
                            coupling=coupling)

@@ -9,13 +9,14 @@ recording residual-certified diagnostics at every accepted point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .constants import SOBOLEV_S_CLOSED_FORM
-from .functionals import energy, gradient_residual, scaling_terms
-from .grid import (
+from .functionals import ScalingTerms, gradient_residual, scaling_terms
+# dilate is unused here; bench/selftest.py expects this binding of it
+from .grid import (  # noqa: F401
     RadialFunction,
     dilate,
     dual_norm,
@@ -25,7 +26,6 @@ from .grid import (
 )
 from .limit_solver import LimitGroundState
 from .nonlinearity import Nonlinearity
-from .poisson import solve_phi
 
 
 class NonConvergence(RuntimeError):
@@ -75,16 +75,15 @@ class SolutionBranch:
     b_ref: float = math.nan
 
 
-def _dense_jacobian_step(u_vals, nl, lam, grid, residual):
+def _dense_jacobian_step(u_vals, phi, nl, lam, grid, residual):
     """Full-Newton correction including the nonlocal rank-structured block.
 
-    The extra block is 2 lam^2 diag(u) K diag(u) W with the symmetric Coulomb
-    kernel K_ij = 1/(4 pi max(r_i, r_j)); used only when frozen-phi damping
-    stagnates.
+    phi is the potential of u_vals at lam.  The extra block is
+    2 lam^2 diag(u) K diag(u) W with the symmetric Coulomb kernel
+    K_ij = 1/(4 pi max(r_i, r_j)); used only when frozen-phi damping stagnates.
     """
     n = grid.n
     r = grid.nodes
-    phi = solve_phi(RadialFunction(grid, u_vals), lam).phi.values
     fp = np.asarray(nl.fprime(u_vals), dtype=float)
 
     ab = np.zeros((n, n))
@@ -119,7 +118,8 @@ def solve_at_lambda(u_init: RadialFunction, nl: Nonlinearity, lam: float,
     (-Delta + 1 + lam phi_k - f'(u_k)) delta = -residual is solved as a
     tridiagonal system; a dense full-Jacobian step is the fallback when the
     frozen iteration stagnates.  Negative parts are clipped (positive branch)
-    against an L^2 mass budget.
+    against an L^2 mass budget.  The potential phi_k comes with the residual
+    of the accepted iterate, so each residual evaluation is one Poisson solve.
     """
     opts = opts or SolverOptions()
     lam = float(lam)
@@ -130,9 +130,10 @@ def solve_at_lambda(u_init: RadialFunction, nl: Nonlinearity, lam: float,
     vals[-1] = 0.0
 
     def residual_of(v):
-        return gradient_residual(RadialFunction(grid, v), nl, lam).values
+        res, psol = gradient_residual(RadialFunction(grid, v), nl, lam)
+        return res.values, psol
 
-    res = residual_of(vals)
+    res, psol = residual_of(vals)
     nrm = dual_norm(grid, res)
     history = [nrm]
     iterations = 0
@@ -143,10 +144,10 @@ def solve_at_lambda(u_init: RadialFunction, nl: Nonlinearity, lam: float,
             len(history) > _STAGNATION_WINDOW
             and history[-1] > _STAGNATION_FACTOR * history[-1 - _STAGNATION_WINDOW]
         )
+        phi = psol.phi.values
         if stagnating:
-            delta = _dense_jacobian_step(vals, nl, lam, grid, res)
+            delta = _dense_jacobian_step(vals, phi, nl, lam, grid, res)
         else:
-            phi = solve_phi(RadialFunction(grid, vals), lam).phi.values if lam > 0 else 0.0
             fp = np.asarray(nl.fprime(vals), dtype=float)
             shift = 1.0 + lam * phi - fp
             delta = solve_helmholtz(grid, shift, -res)
@@ -163,10 +164,10 @@ def solve_at_lambda(u_init: RadialFunction, nl: Nonlinearity, lam: float,
                 )
             cand = np.maximum(cand, 0.0)
             cand[-1] = 0.0
-            cand_res = residual_of(cand)
+            cand_res, cand_psol = residual_of(cand)
             cand_nrm = dual_norm(grid, cand_res)
             if cand_nrm < nrm:
-                vals, res, nrm = cand, cand_res, cand_nrm
+                vals, res, psol, nrm = cand, cand_res, cand_psol, cand_nrm
                 break
             theta *= 0.5
         # a rejected step leaves nrm as it was, and the stagnation detector
@@ -179,8 +180,7 @@ def solve_at_lambda(u_init: RadialFunction, nl: Nonlinearity, lam: float,
         )
 
     u = RadialFunction(grid, vals)
-    psol = solve_phi(u, lam)
-    terms = scaling_terms(u, nl, lam)
+    terms = replace(scaling_terms(u, nl), K=0.25 * lam * psol.coupling)
     pohozaev_res, pohozaev_res_rel = terms.dilation_balance()
     return BranchPoint(
         lam=lam,
@@ -216,13 +216,21 @@ def find_t0(omega: RadialFunction, nl: Nonlinearity) -> float:
 def path_max_D(omega: RadialFunction, nl: Nonlinearity, lam: float, t0: float) -> float:
     """Ceiling D_lam = max over t in [0, t0] of the coupled energy
     (A/2) t - V t^3 + K t^5 along the dilation path through omega."""
-    terms = scaling_terms(omega, nl, lam)
+    return _path_max(scaling_terms(omega, nl, lam), t0)
+
+
+def _path_max(terms: ScalingTerms, t0: float) -> float:
     return max(terms.gamma(min(terms.peak(), t0)), terms.gamma(t0))
 
 
 def continuation(nl: Nonlinearity, lambda_schedule, ground: LimitGroundState,
                  opts: SolverOptions | None = None) -> SolutionBranch:
-    """Warm-started branch following along a strictly decreasing lam schedule."""
+    """Warm-started branch following along a strictly decreasing lam schedule.
+
+    The scaling terms of omega are computed once, at lam = 1: A, B and C do
+    not depend on lam and K(lam) = lam^2 K(1), so b_ref and every D_lam come
+    from one Poisson solve.
+    """
     schedule = [float(x) for x in lambda_schedule]
     if not schedule:
         raise ValueError("empty continuation schedule")
@@ -232,8 +240,8 @@ def continuation(nl: Nonlinearity, lambda_schedule, ground: LimitGroundState,
         raise ValueError("schedule entries must be nonnegative")
 
     omega = ground.omega
-    b_ref = energy(omega, nl, 0.0).I_value
-    branch = SolutionBranch(points=[], omega_ref=omega, b_ref=b_ref)
+    terms = scaling_terms(omega, nl, 1.0)
+    branch = SolutionBranch(points=[], omega_ref=omega, b_ref=terms.I_value)
     t0 = find_t0(omega, nl)
 
     u_warm = omega
@@ -241,7 +249,7 @@ def continuation(nl: Nonlinearity, lambda_schedule, ground: LimitGroundState,
         point = solve_at_lambda(u_warm, nl, lam, opts)
         diff = point.u - omega
         point.h1_dist_to_omega = math.sqrt(h1_norm_sq(diff))
-        point.D_lambda = path_max_D(omega, nl, lam, t0)
+        point.D_lambda = _path_max(replace(terms, K=lam**2 * terms.K), t0)
         branch.points.append(point)
         u_warm = point.u
     return branch

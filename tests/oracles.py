@@ -4,6 +4,7 @@ by cheaper or closed-form means."""
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.interpolate import PchipInterpolator
+from scipy.linalg import solve_banded
 from scipy.optimize import brentq, minimize_scalar
 
 from spgs import RadialFunction, dilate, energy
@@ -28,6 +29,17 @@ def dense_phi_oracle(u: RadialFunction, lam: float) -> np.ndarray:
     a = grid.weights * u.values**2 / (4.0 * np.pi)
     kernel = 1.0 / np.maximum(r[:, None], np.maximum(r[None, :], 1e-300))
     return lam * kernel @ a
+
+
+def banded_riesz_solve(grid, rhs: np.ndarray) -> np.ndarray:
+    """(-Delta_h + 1) w = rhs with w(R) = 0 by scipy's solve_banded on the
+    grid's bands plus 1 on the interior diagonal, the reference for
+    spgs.grid.solve_riesz."""
+    ab = grid.bands.copy()
+    ab[1, :-1] += 1.0
+    b = np.array(rhs, dtype=float)
+    b[-1] = 0.0
+    return solve_banded((1, 1), ab, b)
 
 
 def resampled_gamma(u: RadialFunction, nl, lam: float, t: float) -> float:

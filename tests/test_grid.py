@@ -4,13 +4,14 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import pchip_dilate
+from oracles import banded_riesz_solve, pchip_dilate
 from spgs import RadialFunction, dilate, grad_norm_sq, h1_norm_sq, make_grid, norm_lq
 from spgs.grid import (
     dual_norm,
     integrate_values,
     laplacian_apply,
     solve_helmholtz,
+    solve_riesz,
 )
 
 
@@ -203,9 +204,35 @@ def test_grid_arrays_are_read_only():
     g = make_grid(15.0, 800)
     arrays = {k: v for k, v in vars(g).items() if isinstance(v, np.ndarray)}
     assert set(arrays) == {"nodes", "weights", "conductance", "mass", "bands"}
-    for a in arrays.values():
+    assert len(g.riesz_lu) == 5
+    for a in (*arrays.values(), *g.riesz_lu):
         with pytest.raises(ValueError):
             a[0] = 0.0
+    # solving leaves the factor as it was
+    factor = [a.copy() for a in g.riesz_lu]
+    solve_riesz(g, np.exp(-g.nodes))
+    assert all(np.array_equal(a, b) for a, b in zip(g.riesz_lu, factor))
+
+
+@pytest.mark.parametrize("n", [750, 3000, 12000])
+def test_riesz_factor_solve_matches_solve_banded_bitwise(n):
+    g = make_grid(30.0, n)
+    rhs = np.random.default_rng(n).standard_normal(n)
+    w = solve_riesz(g, rhs)
+    assert np.array_equal(w, banded_riesz_solve(g, rhs))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_riesz_solve_rejects_non_finite_rhs(bad):
+    g = make_grid(15.0, 800)
+    rhs = np.exp(-g.nodes)
+    rhs[g.n // 2] = bad
+    with pytest.raises(ValueError):
+        solve_riesz(g, rhs)
+    # the Dirichlet row ignores the last entry of rhs, as solve_helmholtz does
+    rhs = np.exp(-g.nodes)
+    rhs[-1] = bad
+    assert np.array_equal(solve_riesz(g, rhs), solve_helmholtz(g, 1.0, rhs))
 
 
 def _banded_apply(g, u):

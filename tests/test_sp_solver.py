@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -15,8 +16,9 @@ from spgs import (
     minimize_on_M,
     solve_at_lambda,
 )
-from spgs.functionals import gradient_residual
+from spgs.functionals import gradient_residual, scaling_terms
 from spgs.grid import dual_norm
+from spgs.poisson import solve_phi
 from spgs.sp_solver import (
     NonConvergence,
     RangeFailure,
@@ -84,6 +86,62 @@ def test_continuation_schedule_validation(nl_cubic, ground_cubic):
         continuation(nl_cubic, (0.1, 0.2), ground_cubic)
     with pytest.raises(ValueError):
         continuation(nl_cubic, (0.1, -0.05), ground_cubic)
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """Count the calls of a function through every spgs module that binds it."""
+
+    def install(fn):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+
+        for name, mod in list(sys.modules.items()):
+            if mod is not None and (name == "spgs" or name.startswith("spgs.")):
+                for attr, obj in list(vars(mod).items()):
+                    if obj is fn:
+                        monkeypatch.setattr(mod, attr, counted)
+        return calls
+
+    return install
+
+
+def test_one_poisson_solve_per_residual_evaluation(ground_cubic, nl_cubic, count_calls):
+    # the frozen-phi step and the final point reuse the potential that the
+    # residual of the accepted iterate solved
+    phi_calls = count_calls(solve_phi)
+    residual_calls = count_calls(gradient_residual)
+    pt = solve_at_lambda(ground_cubic.omega, nl_cubic, 0.1)
+    assert pt.iterations >= 3
+    assert len(residual_calls) >= pt.iterations
+    assert len(phi_calls) == len(residual_calls)
+
+
+def test_continuation_adds_one_poisson_solve_per_branch(ground_cubic, nl_cubic, count_calls):
+    # omega's scaling terms at lam = 1 give b_ref and every D_lam
+    phi_calls = count_calls(solve_phi)
+    residual_calls = count_calls(gradient_residual)
+    branch = continuation(nl_cubic, (0.1, 0.05, 0.02), ground_cubic)
+    assert len(branch.points) == 3
+    assert len(phi_calls) == len(residual_calls) + 1
+
+
+def test_continuation_ceilings_match_the_per_lambda_route(ground_cubic, nl_cubic):
+    # the lambda schedule of the branch benchmark
+    lams = np.geomspace(0.3, 1e-3, 24)
+    omega = ground_cubic.omega
+    branch = continuation(nl_cubic, lams, ground_cubic)
+    assert len(branch.points) == len(lams)
+    b_ref = energy(omega, nl_cubic, 0.0).I_value
+    assert abs(branch.b_ref - b_ref) <= 1e-14 * abs(b_ref)
+    t0 = find_t0(omega, nl_cubic)
+    for pt in branch.points:
+        terms = scaling_terms(omega, nl_cubic, pt.lam)
+        D = max(terms.gamma(min(terms.peak(), t0)), terms.gamma(t0))
+        assert abs(pt.D_lambda - D) <= 1e-14 * abs(D)
 
 
 def test_find_t0_energy_drop(ground_cubic, nl_cubic):
@@ -164,11 +222,12 @@ def test_dense_jacobian_step_is_a_newton_step(lam, nl_cubic, omega_cubic_400):
     # so the remainder falls 100x per decade of eps (measured 3.85e-8 -> 3.85e-10)
     u = omega_cubic_400
     grid = u.grid
-    res = gradient_residual(u, nl_cubic, lam).values
-    delta = _dense_jacobian_step(u.values, nl_cubic, lam, grid, res)
+    res, psol = gradient_residual(u, nl_cubic, lam)
+    res = res.values
+    delta = _dense_jacobian_step(u.values, psol.phi.values, nl_cubic, lam, grid, res)
     scale = dual_norm(grid, res)
     rem = []
     for eps in (1e-3, 1e-4):
-        moved = gradient_residual(RadialFunction(grid, u.values + eps * delta), nl_cubic, lam)
+        moved, _ = gradient_residual(RadialFunction(grid, u.values + eps * delta), nl_cubic, lam)
         rem.append(dual_norm(grid, moved.values - (1.0 - eps) * res) / scale)
     assert rem[1] * 50.0 <= rem[0]
