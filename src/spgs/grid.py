@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dgttrf, dgttrs
 
 
@@ -29,11 +29,11 @@ class RadialGrid:
     cell of node i (4 pi h r_i^2, the ball of radius h/2 at the centre, half a
     cell at R).  Then -Delta_h u = -diff(conductance * diff(u)) / mass, so
     mass * (-Delta_h) is symmetric and sum(conductance * diff(u)**2) is its
-    quadratic form.  bands holds -Delta_h for scipy.linalg.solve_banded, with
-    the last row replaced by the Dirichlet identity.  riesz_lu is the LAPACK
-    dgttrf factor (dl, d, du, du2, ipiv) of the Riesz operator -Delta_h + 1
-    with the same Dirichlet row, which solve_riesz back-solves.  All arrays
-    are read-only.
+    quadratic form.  bands holds the three diagonals of -Delta_h (upper,
+    main, lower, in the layout of scipy.linalg.solve_banded), with the last
+    row replaced by the Dirichlet identity.  riesz_lu is the helmholtz_lu
+    factor of the Riesz operator -Delta_h + 1, which solve_riesz back-solves.
+    All arrays are read-only.
     """
 
     R: float
@@ -136,10 +136,8 @@ def make_grid(R: float, n: int) -> RadialGrid:
     bands[1, 1:-1] = (conductance[:-1] + conductance[1:]) / mass[1:-1]
     bands[1, -1] = 1.0
     bands[2, :-2] = -conductance[:-1] / mass[1:-1]
-    # -Delta_h + 1 is strictly diagonally dominant, so dgttrf cannot fail
-    diag = bands[1].copy()
-    diag[:-1] += 1.0
-    riesz_lu = dgttrf(bands[2, :-1], diag, bands[0, 1:])[:5]
+    # -Delta_h + 1 is strictly diagonally dominant, so the factor cannot fail
+    riesz_lu = _shifted_lu(bands, 1.0)
     for a in (nodes, weights, conductance, mass, bands, *riesz_lu):
         a.setflags(write=False)
     return RadialGrid(R=R, n=n, nodes=nodes, weights=weights,
@@ -236,27 +234,48 @@ def laplacian_apply(u: RadialFunction) -> np.ndarray:
     return out
 
 
-def solve_riesz(grid: RadialGrid, rhs: np.ndarray) -> np.ndarray:
-    """Solve (-Delta + 1) w = rhs with w(R) = 0 through the factor of make_grid.
+def _shifted_lu(bands: np.ndarray, shift: np.ndarray | float) -> tuple[np.ndarray, ...]:
+    """LAPACK dgttrf factor (dl, d, du, du2, ipiv) of the tridiagonal bands
+    plus diag(shift) on every row but the last (Dirichlet) one."""
+    diag = bands[1].copy()
+    diag[:-1] += np.broadcast_to(np.asarray(shift, dtype=float), diag.shape)[:-1]
+    *lu, info = dgttrf(bands[2, :-1], diag, bands[0, 1:])
+    if info > 0:
+        raise LinAlgError("singular matrix")
+    return tuple(lu)
+
+
+def helmholtz_lu(grid: RadialGrid, shift: np.ndarray | float) -> tuple[np.ndarray, ...]:
+    """Factor -Delta + shift with w(R) = 0 once, in O(n), for solve_lu.
+
+    A shift that makes the operator singular raises LinAlgError.
+    """
+    return _shifted_lu(grid.bands, shift)
+
+
+def solve_lu(lu: tuple[np.ndarray, ...], rhs: np.ndarray) -> np.ndarray:
+    """Back-solve a helmholtz_lu factor; rhs is one field (n,) or k fields
+    as the columns of an (n, k) array, whose last row is taken as 0.
 
     A non-finite rhs raises ValueError, as scipy's check_finite does.
     """
     b = np.array(rhs, dtype=float)
     b[-1] = 0.0
-    return dgttrs(*grid.riesz_lu, np.asarray_chkfinite(b), overwrite_b=1)[0]
+    return dgttrs(*lu, np.asarray_chkfinite(b), overwrite_b=1)[0]
+
+
+def solve_riesz(grid: RadialGrid, rhs: np.ndarray) -> np.ndarray:
+    """Solve (-Delta + 1) w = rhs with w(R) = 0 through the factor of make_grid."""
+    return solve_lu(grid.riesz_lu, rhs)
 
 
 def solve_helmholtz(grid: RadialGrid, shift: np.ndarray | float, rhs: np.ndarray) -> np.ndarray:
     """Solve (-Delta + shift) w = rhs with w(R) = 0, tridiagonal in O(n).
 
-    Factors the shifted matrix on every call; solve_riesz serves shift 1.
+    Factors the shifted matrix on every call, once for all columns of an
+    (n, k) rhs; solve_riesz serves shift 1.
     """
-    ab = grid.bands.copy()
-    shift = np.broadcast_to(np.asarray(shift, dtype=float), (grid.n,))
-    ab[1, :-1] = ab[1, :-1] + shift[:-1]
-    b = np.asarray(rhs, dtype=float).copy()
-    b[-1] = 0.0
-    return solve_banded((1, 1), ab, b)
+    return solve_lu(helmholtz_lu(grid, shift), rhs)
 
 
 def dual_norm(grid: RadialGrid, residual: np.ndarray) -> float:

@@ -177,8 +177,7 @@ def _newton_polish(u: RadialFunction, theta: float, nl: Nonlinearity, tol: float
         g = _g_field(nl, vals)
         gp = np.asarray(nl.fprime(vals), dtype=float) - 1.0
         shift = -theta * gp
-        x = solve_helmholtz(grid, shift, -f1)
-        y = solve_helmholtz(grid, shift, g)
+        x, y = solve_helmholtz(grid, shift, np.column_stack((-f1, g))).T
         j21 = w * g
         denom = float(np.dot(j21, y))
         if denom == 0.0:

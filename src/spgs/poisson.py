@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import RadialFunction, dilate, grad_norm_sq, integrate_values
+from .grid import RadialFunction, RadialGrid, dilate, grad_norm_sq, integrate_values
 
 
 @dataclass(frozen=True)
@@ -29,27 +29,33 @@ class PoissonSolution:
     coupling: float
 
 
-def solve_phi(u: RadialFunction, lam: float) -> PoissonSolution:
-    """Newton potential of lam * u^2 by prefix sums in O(n).
+def newton_potential(grid: RadialGrid, rho: np.ndarray) -> np.ndarray:
+    """Newton potential of the radial density rho by prefix sums in O(n).
 
-    phi(r) = lam * [ (1/r) int_0^r u^2 s^2 ds + int_r^R u^2 s ds ], which is
-    the symmetric-kernel quadrature sum_j W_j u_j^2 / (4 pi max(r, s_j)) with
-    the grid weights W; at r = 0 the interior term is replaced by its limit.
+    sum_j W_j rho_j / (4 pi max(r_i, r_j)) with the grid weights W, that is
+    (1/r) int_0^r rho s^2 ds + int_r^R rho s ds; at r = 0 the interior term
+    is replaced by its limit.
     """
-    lam = float(lam)
-    if lam < 0:
-        raise ValueError(f"coupling parameter must be nonnegative, got {lam}")
-    grid = u.grid
     r = grid.nodes
-    u2 = u.values**2
-    a = grid.weights * u2 / (4.0 * np.pi)  # W_j u_j^2 / 4pi
+    a = grid.weights * rho / (4.0 * np.pi)  # W_j rho_j / 4pi
 
     interior = np.cumsum(a) - a  # sum over j < i
     over_r = a / np.where(r > 0, r, np.inf)
     exterior = (np.cumsum(over_r[::-1]))[::-1]  # sum over j >= i of a_j / r_j
-    phi_vals = np.empty_like(a)
-    phi_vals[1:] = lam * (interior[1:] / r[1:] + exterior[1:])
-    phi_vals[0] = lam * exterior[0]
+    pot = np.empty_like(a)
+    pot[1:] = interior[1:] / r[1:] + exterior[1:]
+    pot[0] = exterior[0]
+    return pot
+
+
+def solve_phi(u: RadialFunction, lam: float) -> PoissonSolution:
+    """Potential phi = lam * Newton[u^2] of u at the coupling lam, in O(n)."""
+    lam = float(lam)
+    if lam < 0:
+        raise ValueError(f"coupling parameter must be nonnegative, got {lam}")
+    grid = u.grid
+    u2 = u.values**2
+    phi_vals = lam * newton_potential(grid, u2)
 
     phi = RadialFunction(grid, phi_vals)
     coupling = integrate_values(grid, phi_vals * u2)

@@ -22,24 +22,29 @@ from spgs.limit_solver import (
 )
 
 
+def dense_newton_oracle(grid, rho: np.ndarray) -> np.ndarray:
+    """O(n^2) dense-kernel evaluation of the Newton potential of rho."""
+    r = grid.nodes
+    kernel = 1.0 / np.maximum(r[:, None], np.maximum(r[None, :], 1e-300))
+    return kernel @ (grid.weights * rho / (4.0 * np.pi))
+
+
 def dense_phi_oracle(u: RadialFunction, lam: float) -> np.ndarray:
     """O(n^2) dense-kernel evaluation of the Newton potential of lam u^2."""
-    grid = u.grid
-    r = grid.nodes
-    a = grid.weights * u.values**2 / (4.0 * np.pi)
-    kernel = 1.0 / np.maximum(r[:, None], np.maximum(r[None, :], 1e-300))
-    return lam * kernel @ a
+    return lam * dense_newton_oracle(u.grid, u.values**2)
 
 
-def banded_riesz_solve(grid, rhs: np.ndarray) -> np.ndarray:
-    """(-Delta_h + 1) w = rhs with w(R) = 0 by scipy's solve_banded on the
-    grid's bands plus 1 on the interior diagonal, the reference for
-    spgs.grid.solve_riesz."""
+def banded_helmholtz_solve(grid, shift, rhs: np.ndarray) -> np.ndarray:
+    """(-Delta_h + shift) w = rhs with w(R) = 0 by scipy's solve_banded on the
+    grid's bands plus shift on the interior diagonal, one column at a time:
+    the reference for spgs.grid.solve_riesz and solve_helmholtz."""
     ab = grid.bands.copy()
-    ab[1, :-1] += 1.0
+    ab[1, :-1] += np.broadcast_to(np.asarray(shift, dtype=float), (grid.n,))[:-1]
     b = np.array(rhs, dtype=float)
     b[-1] = 0.0
-    return solve_banded((1, 1), ab, b)
+    if b.ndim == 1:
+        return solve_banded((1, 1), ab, b)
+    return np.column_stack([solve_banded((1, 1), ab, col) for col in b.T])
 
 
 def resampled_gamma(u: RadialFunction, nl, lam: float, t: float) -> float:

@@ -190,10 +190,11 @@ def test_public_names_resolve():
 
 
 def test_import_footprint():
-    # the package and its command line load numpy and scipy.linalg only
+    # the package and its command line load numpy and scipy.linalg only;
+    # the Krylov solver of the coupled Newton step is numpy, not scipy.sparse
     code = ("import sys, spgs, spgs.cli; "
             "print([m for m in ('scipy.integrate', 'scipy.interpolate', "
-            "'scipy.optimize', 'scipy.special') if m in sys.modules])")
+            "'scipy.optimize', 'scipy.sparse', 'scipy.special') if m in sys.modules])")
     src = str(Path(__file__).resolve().parents[1] / "src")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, check=True, timeout=120)

@@ -4,13 +4,15 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import banded_riesz_solve, pchip_dilate
+from oracles import banded_helmholtz_solve, pchip_dilate
 from spgs import RadialFunction, dilate, grad_norm_sq, h1_norm_sq, make_grid, norm_lq
 from spgs.grid import (
     dual_norm,
+    helmholtz_lu,
     integrate_values,
     laplacian_apply,
     solve_helmholtz,
+    solve_lu,
     solve_riesz,
 )
 
@@ -219,7 +221,29 @@ def test_riesz_factor_solve_matches_solve_banded_bitwise(n):
     g = make_grid(30.0, n)
     rhs = np.random.default_rng(n).standard_normal(n)
     w = solve_riesz(g, rhs)
-    assert np.array_equal(w, banded_riesz_solve(g, rhs))
+    assert np.array_equal(w, banded_helmholtz_solve(g, 1.0, rhs))
+
+
+@pytest.mark.parametrize("n", [750, 3000, 12000])
+def test_helmholtz_factor_solve_matches_solve_banded_bitwise(n):
+    # variable shifts, indefinite ones included, and two right sides at once
+    g = make_grid(30.0, n)
+    rng = np.random.default_rng(n)
+    rhs = rng.standard_normal((n, 2))
+    for shift in (1.0 + rng.random(n), 1.0 - 3.0 * np.exp(-g.nodes**2)):
+        ref = banded_helmholtz_solve(g, shift, rhs)
+        assert np.array_equal(solve_helmholtz(g, shift, rhs), ref)
+        lu = helmholtz_lu(g, shift)
+        assert np.array_equal(solve_lu(lu, rhs[:, 0]), ref[:, 0])
+        assert np.array_equal(solve_lu(lu, rhs[:, 1]), ref[:, 1])
+
+
+def test_singular_helmholtz_factor_raises():
+    # a zero interior diagonal leaves an odd-sized tridiagonal block, which is
+    # singular
+    g = make_grid(30.0, 16)
+    with pytest.raises(np.linalg.LinAlgError):
+        helmholtz_lu(g, -g.bands[1])
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from oracles import dense_phi_oracle
+from oracles import dense_newton_oracle, dense_phi_oracle
 from spgs import solve_phi
 from spgs.checks import gaussian_poisson_errors
-from spgs.poisson import coupling_scaling_check
+from spgs.poisson import coupling_scaling_check, newton_potential
 
 
 def test_phi_matches_closed_form():
@@ -31,6 +31,14 @@ def test_dense_oracle_agrees_with_prefix_sums(grid12, gaussian12):
     sol = solve_phi(gaussian12, 0.7)
     dense = dense_phi_oracle(gaussian12, 0.7)
     assert np.max(np.abs(dense - sol.phi.values)) <= 1e-13
+
+
+def test_newton_potential_of_a_signed_density(grid12, gaussian12):
+    # the density u delta of the coupled Newton step changes sign
+    rho = gaussian12.values * np.cos(3.0 * grid12.nodes)
+    pot = newton_potential(grid12, rho)
+    dense = dense_newton_oracle(grid12, rho)
+    assert np.max(np.abs(dense - pot)) <= 1e-13 * np.max(np.abs(dense))
 
 
 def test_dirichlet_energy_identity(gaussian12):

@@ -17,18 +17,24 @@ from spgs import (
     solve_at_lambda,
 )
 from spgs.functionals import gradient_residual, scaling_terms
-from spgs.grid import dual_norm
+from spgs.grid import dual_norm, h1_norm_sq, integrate_values
 from spgs.poisson import solve_phi
 from spgs.sp_solver import (
+    _GMRES_TOL,
     NonConvergence,
+    PositivityLoss,
     RangeFailure,
     SolverOptions,
     _dense_jacobian_step,
+    _gmres,
     _loglog_slope,
+    _newton_step,
     path_max_D,
 )
 
 SCHEDULE = (0.2, 0.1, 0.05, 0.02, 0.01, 0.005)
+# the lambda schedule of the branch benchmark
+BRANCH_LAMBDAS = np.geomspace(0.3, 1e-3, 24)
 
 
 @pytest.fixture(scope="module")
@@ -58,6 +64,14 @@ def test_nonconvergence_carries_lambda(ground_cubic, nl_cubic):
     with pytest.raises(NonConvergence) as err:
         solve_at_lambda(ground_cubic.omega, nl_cubic, 0.1,
                         SolverOptions(tol=1e-16, max_iter=2))
+    assert err.value.lam == 0.1
+
+
+def test_failed_line_search_is_nonconvergence(ground_cubic, nl_cubic):
+    # no step lowers a residual at its rounding floor, far above 1e-16; the
+    # solve stops there instead of repeating the same step max_iter times
+    with pytest.raises(NonConvergence, match="line search") as err:
+        solve_at_lambda(ground_cubic.omega, nl_cubic, 0.1, SolverOptions(tol=1e-16))
     assert err.value.lam == 0.1
 
 
@@ -131,7 +145,7 @@ def test_continuation_adds_one_poisson_solve_per_branch(ground_cubic, nl_cubic, 
 
 def test_continuation_ceilings_match_the_per_lambda_route(ground_cubic, nl_cubic):
     # the lambda schedule of the branch benchmark
-    lams = np.geomspace(0.3, 1e-3, 24)
+    lams = BRANCH_LAMBDAS
     omega = ground_cubic.omega
     branch = continuation(nl_cubic, lams, ground_cubic)
     assert len(branch.points) == len(lams)
@@ -217,17 +231,92 @@ def omega_cubic_400(nl_cubic):
 
 
 @pytest.mark.parametrize("lam", [0.05, 0.3])
-def test_dense_jacobian_step_is_a_newton_step(lam, nl_cubic, omega_cubic_400):
+def test_newton_step_is_a_newton_step(lam, nl_cubic, omega_cubic_400):
     # along an exact Newton step delta, R(u + eps delta) = (1 - eps) R(u) + O(eps^2),
-    # so the remainder falls 100x per decade of eps (measured 3.85e-8 -> 3.85e-10)
+    # so the remainder falls 100x per decade of eps (measured 3.85e-8 -> 3.85e-10
+    # at lam = 0.05, 4.08e-8 -> 4.08e-10 at lam = 0.3)
     u = omega_cubic_400
     grid = u.grid
     res, psol = gradient_residual(u, nl_cubic, lam)
     res = res.values
-    delta = _dense_jacobian_step(u.values, psol.phi.values, nl_cubic, lam, grid, res)
+    delta = _newton_step(u.values, psol.phi.values, nl_cubic, lam, grid, res)
     scale = dual_norm(grid, res)
     rem = []
     for eps in (1e-3, 1e-4):
         moved, _ = gradient_residual(RadialFunction(grid, u.values + eps * delta), nl_cubic, lam)
         rem.append(dual_norm(grid, moved.values - (1.0 - eps) * res) / scale)
     assert rem[1] * 50.0 <= rem[0]
+
+
+@pytest.mark.parametrize("lam", [0.05, 0.3])
+def test_newton_step_matches_the_dense_jacobian_step(lam, nl_cubic, omega_cubic_400):
+    # GMRES stops at a preconditioned residual of _GMRES_TOL relative, and
+    # (I + T^-1 N)^-1 is bounded by 1 / (1 - rho(T^-1 N)) < 3 on this branch
+    u = omega_cubic_400
+    grid = u.grid
+    res, psol = gradient_residual(u, nl_cubic, lam)
+    args = (u.values, psol.phi.values, nl_cubic, lam, grid, res.values)
+    delta = _newton_step(*args)
+    dense = _dense_jacobian_step(*args)
+    assert np.linalg.norm(delta - dense) <= 3.0 * _GMRES_TOL * np.linalg.norm(dense)
+
+
+def test_gmres_solves_small_systems():
+    rng = np.random.default_rng(7)
+    b = rng.standard_normal(40)
+    # an invariant Krylov space ends the iteration with the exact solution
+    x = _gmres(lambda v: 2.0 * v, b)
+    assert np.max(np.abs(x - 0.5 * b)) <= 1e-15 * np.max(np.abs(b))
+    a = np.eye(40) + 0.3 * rng.standard_normal((40, 40)) / math.sqrt(40)
+    x = _gmres(lambda v: a @ v, b)
+    assert np.linalg.norm(a @ x - b) <= _GMRES_TOL * np.linalg.norm(b)
+
+
+def test_predictor_branch_matches_warm_started_solves():
+    # every point starts from the lam^2 extrapolation of the points before it;
+    # it converges to the point that the previous point warm-starts, in fewer
+    # Newton iterations
+    nl = canonical_family(1.0, 3.0, 0.0)
+    ground = minimize_on_M(nl, make_grid(30.0, 750))
+    branch = continuation(nl, BRANCH_LAMBDAS, ground)
+    u_warm = ground.omega
+    warm_iterations = 0
+    for pt in branch.points:
+        ref = solve_at_lambda(u_warm, nl, pt.lam)
+        assert math.sqrt(h1_norm_sq(pt.u - ref.u)) <= 1e-8 * math.sqrt(h1_norm_sq(ref.u))
+        warm_iterations += ref.iterations
+        u_warm = ref.u
+    assert sum(pt.iterations for pt in branch.points) < warm_iterations
+
+
+@pytest.fixture(scope="module")
+def ground_q3(grid30):
+    nl = canonical_family(1.0, 3.0, 0.0)
+    return nl, minimize_on_M(nl, grid30)
+
+
+def test_clip_over_budget_halves_the_step(ground_q3):
+    # the full Newton step from omega at lam = 0.3 clips more than clip_budget
+    # of the L^2 mass, but far less than half of it: the step is damped
+    nl, ground = ground_q3
+    omega = ground.omega
+    grid = omega.grid
+    lam = 0.3
+    budget = SolverOptions().clip_budget
+    res, psol = gradient_residual(omega, nl, lam)
+    full = omega.values + _newton_step(omega.values, psol.phi.values, nl, lam, grid, res.values)
+    clipped = integrate_values(grid, np.minimum(full, 0.0)**2) / integrate_values(grid, full**2)
+    assert budget < clipped < 1e-6
+    pt = solve_at_lambda(omega, nl, lam)
+    assert pt.grad_residual_norm <= SolverOptions().tol
+    assert np.all(pt.u.values >= 0.0)
+    assert pt.u.values[0] > omega.values[0]
+
+
+def test_lost_positive_branch_raises(grid30):
+    # q = 2.5 has no positive solution near omega at lam = 0.3: the full step
+    # clips all of the mass; halving alone would walk to the trivial u = 0
+    nl = canonical_family(1.0, 2.5, 0.0)
+    ground = minimize_on_M(nl, grid30)
+    with pytest.raises(PositivityLoss):
+        continuation(nl, BRANCH_LAMBDAS, ground)
