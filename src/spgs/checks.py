@@ -58,7 +58,7 @@ class RegimeFailure(Stagnation):
 
 
 def ground_state(cfg: RunConfig, nl, grid) -> LimitGroundState:
-    """Limit ground state of nl on grid with the configured flow options.
+    """Limit ground state of nl on grid at the polish tolerance cfg.flow_tol().
 
     A failed solve with a critical term and mu below mu*(q) raises a
     RegimeFailure chained from the solver's error; the threshold needs a

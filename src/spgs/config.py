@@ -3,6 +3,7 @@ defaults, environment overrides and a round-trip renderer."""
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, replace
 
@@ -31,9 +32,6 @@ class RunConfig:
     R: float = 30.0
     n: int = 3000
     tol: float = 1e-8
-    max_iter: int = 80
-    damping_floor: float = 1e-4
-    clip_budget: float = 1e-8
     lambdas: tuple[float, ...] = DEFAULT_SCHEDULE
     directory: str = "out"
     emit_profiles: bool = False
@@ -46,8 +44,7 @@ class RunConfig:
         return max(self.tol, 1e-10)
 
     def solver_options(self) -> SolverOptions:
-        return SolverOptions(tol=self.tol, max_iter=self.max_iter,
-                             damping_floor=self.damping_floor, clip_budget=self.clip_budget)
+        return SolverOptions(tol=self.tol)
 
 
 # (section, key) -> (attribute, parser)
@@ -60,20 +57,24 @@ def _parse_bool(s: str) -> bool:
     raise ValueError(f"not a boolean: {s!r}")
 
 
+def _parse_float(s: str) -> float:
+    x = float(s)
+    if not math.isfinite(x):
+        raise ValueError(f"{s.strip()!r} is not a finite number")
+    return x
+
+
 def _parse_lambdas(s: str) -> tuple[float, ...]:
-    return tuple(float(x) for x in s.replace(",", " ").split())
+    return tuple(_parse_float(x) for x in s.replace(",", " ").split())
 
 
 _SCHEMA: dict[tuple[str, str], tuple[str, object]] = {
-    ("nonlinearity", "mu"): ("mu", float),
-    ("nonlinearity", "q"): ("q", float),
-    ("nonlinearity", "critical_weight"): ("critical_weight", float),
-    ("grid", "R"): ("R", float),
+    ("nonlinearity", "mu"): ("mu", _parse_float),
+    ("nonlinearity", "q"): ("q", _parse_float),
+    ("nonlinearity", "critical_weight"): ("critical_weight", _parse_float),
+    ("grid", "R"): ("R", _parse_float),
     ("grid", "n"): ("n", int),
-    ("solver", "tol"): ("tol", float),
-    ("solver", "max_iter"): ("max_iter", int),
-    ("solver", "damping_floor"): ("damping_floor", float),
-    ("solver", "clip_budget"): ("clip_budget", float),
+    ("solver", "tol"): ("tol", _parse_float),
     ("schedule", "lambdas"): ("lambdas", _parse_lambdas),
     ("output", "directory"): ("directory", str),
     ("output", "emit_profiles"): ("emit_profiles", _parse_bool),
@@ -83,7 +84,7 @@ _SCHEMA: dict[tuple[str, str], tuple[str, object]] = {
 _SECTIONS = sorted({s for s, _ in _SCHEMA})
 
 # value formats of render_config by parser; the others print with str
-_RENDER = {float: repr, _parse_lambdas: lambda xs: ", ".join(repr(x) for x in xs)}
+_RENDER = {_parse_float: repr, _parse_lambdas: lambda xs: ", ".join(repr(x) for x in xs)}
 
 
 def validate(cfg: RunConfig) -> RunConfig:
@@ -106,14 +107,6 @@ def validate(cfg: RunConfig) -> RunConfig:
         raise ConfigError(f"grid n = {cfg.n} must be at least 16")
     if not cfg.tol > 0:
         raise ConfigError(f"solver tol = {cfg.tol} must be positive")
-    if cfg.max_iter < 1:
-        raise ConfigError(f"solver max_iter = {cfg.max_iter} must be at least 1")
-    if not 0.0 < cfg.damping_floor <= 1.0:
-        raise ConfigError(
-            f"solver damping_floor = {cfg.damping_floor} must lie in (0, 1]"
-        )
-    if cfg.clip_budget < 0:
-        raise ConfigError(f"solver clip_budget = {cfg.clip_budget} must be nonnegative")
     if not cfg.lambdas:
         raise ConfigError("schedule must contain at least one coupling value")
     if any(x < 0 for x in cfg.lambdas):

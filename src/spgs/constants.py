@@ -2,9 +2,12 @@
 
 S is the best constant of the gradient-to-L^6 embedding, computed
 variationally over the inverse-square-root bubble family and polished by
-quotient descent; the known closed form 3*pi*(sqrt(pi)/4)^(2/3) serves as an
-oracle in the tests only.  C_q comes from the ground-state identity for the
-pure-power limit problem, cross-checked by direct quotient descent.
+quotient descent.  The known closed form 3*pi*(sqrt(pi)/4)^(2/3) is
+SOBOLEV_S_CLOSED_FORM: the tests use it as the oracle for S, and the code
+reads it wherever S enters a bound (mu* in checks.ground_state, the
+poisson.T_bound_battery check, the distance budget of asymptotics_report).
+C_q comes from the ground-state identity for the pure-power limit problem,
+cross-checked by direct quotient descent.
 """
 
 from __future__ import annotations

@@ -72,9 +72,7 @@ class LimitGroundState:
     p_value: float
     b_value: float
     t0_dilation: float
-    method: str
     t_star: float = 1.0
-    theta: float = 0.0
     iterations: int = 0
     pg_norm: float = 0.0
     polish_steps: int = 0
@@ -155,7 +153,7 @@ def _projected_gradient(u: RadialFunction, nl: Nonlinearity):
 def _newton_polish(u: RadialFunction, theta: float, nl: Nonlinearity, tol: float):
     """Solve -Delta u = theta (f(u) - u), V(u) = 1 by a bordered Newton method.
 
-    Returns (u, theta, accepted Newton steps).
+    Returns (u, accepted Newton steps).
     """
     grid = u.grid
     w = grid.weights
@@ -200,7 +198,7 @@ def _newton_polish(u: RadialFunction, theta: float, nl: Nonlinearity, tol: float
         if not accepted:
             break
         steps += 1
-    return RadialFunction(grid, vals), theta, steps
+    return RadialFunction(grid, vals), steps
 
 
 def minimize_on_M(nl: Nonlinearity, grid: RadialGrid, tol: float = 1e-8) -> LimitGroundState:
@@ -261,9 +259,9 @@ def minimize_on_M(nl: Nonlinearity, grid: RadialGrid, tol: float = 1e-8) -> Limi
         )
 
     # every exit above leaves theta from the projected gradient at this u
-    u, theta, polish_steps = _newton_polish(u, theta, nl, tol=tol)
+    u, polish_steps = _newton_polish(u, theta, nl, tol=tol)
     u = project_to_M(u, nl)
-    pg, theta, _, _ = _projected_gradient(u, nl)
+    pg, _, _, _ = _projected_gradient(u, nl)
     pg_nrm = dual_norm(grid, pg)
     if pg_nrm > 100 * tol:
         raise Stagnation(
@@ -276,8 +274,8 @@ def minimize_on_M(nl: Nonlinearity, grid: RadialGrid, tol: float = 1e-8) -> Limi
     mp = mountain_pass_b(omega, nl)
     return LimitGroundState(
         u=u, omega=omega, M_value=m_val, p_value=p_val, b_value=mp.b,
-        t0_dilation=t0, method="constrained_flow", t_star=mp.t_star,
-        theta=theta, iterations=it + 1, pg_norm=pg_nrm, polish_steps=polish_steps,
+        t0_dilation=t0, t_star=mp.t_star, iterations=it + 1, pg_norm=pg_nrm,
+        polish_steps=polish_steps,
     )
 
 

@@ -55,9 +55,6 @@ class RangeFailure(RuntimeError):
 @dataclass
 class SolverOptions:
     tol: float = 1e-9
-    max_iter: int = 80
-    damping_floor: float = 1e-4
-    clip_budget: float = 1e-8
 
 
 @dataclass
@@ -79,7 +76,6 @@ class BranchPoint:
 @dataclass
 class SolutionBranch:
     points: list[BranchPoint] = field(default_factory=list)
-    omega_ref: RadialFunction | None = None
     b_ref: float = math.nan
 
 
@@ -121,8 +117,13 @@ def _dense_jacobian_step(u_vals, phi, nl, lam, grid, residual):
 _GMRES_TOL = 1e-8
 _GMRES_MAX_ITER = 30
 
-# a full step that would clip more than this fraction of the L^2 mass has
-# left the positive branch; a smaller clip over the budget halves the step
+# a safety stop: no point of the branch benchmark takes more than 5 steps
+_MAX_ITER = 80
+# the line search tries the step lengths 1, 1/2, ..., 2^-13, then gives up
+_DAMPING_FLOOR = 1e-4
+# the share of the L^2 mass a step may clip; a larger clip halves the step
+_CLIP_BUDGET = 1e-8
+# a full step that would clip more than this share has left the positive branch
 _CLIP_LOST = 0.5
 
 
@@ -188,7 +189,8 @@ def solve_at_lambda(u_init: RadialFunction, nl: Nonlinearity, lam: float,
     budget: a clip over the budget halves the step, and a full step that
     would clip more than half of the mass raises PositivityLoss.  A step
     that cannot lower the residual above the damping floor raises
-    NonConvergence.
+    NonConvergence, and so does a residual still above opts.tol after
+    _MAX_ITER steps.  The point's iterations are its accepted Newton steps.
     """
     opts = opts or SolverOptions()
     lam = float(lam)
@@ -205,18 +207,21 @@ def solve_at_lambda(u_init: RadialFunction, nl: Nonlinearity, lam: float,
     res, psol = residual_of(vals)
     nrm = dual_norm(grid, res)
     iterations = 0
-    for iterations in range(1, opts.max_iter + 1):
-        if nrm <= opts.tol:
-            break
+    while nrm > opts.tol:
+        if iterations == _MAX_ITER:
+            raise NonConvergence(
+                f"residual {nrm:.3e} above tolerance {opts.tol} after {iterations} Newton steps",
+                lam=lam,
+            )
         delta = _newton_step(vals, psol.phi.values, nl, lam, grid, res)
 
         theta = 1.0
-        while theta >= opts.damping_floor:
+        while theta >= _DAMPING_FLOOR:
             cand = vals + theta * delta
             neg = np.minimum(cand, 0.0)
             clipped = integrate_values(grid, neg**2)
             total = integrate_values(grid, cand**2)
-            if total > 0 and clipped > opts.clip_budget * total:
+            if total > 0 and clipped > _CLIP_BUDGET * total:
                 if theta == 1.0 and clipped > _CLIP_LOST * total:
                     raise PositivityLoss(
                         f"clipping would remove {clipped / total:.3e} of the L^2 mass at lam={lam}"
@@ -233,14 +238,10 @@ def solve_at_lambda(u_init: RadialFunction, nl: Nonlinearity, lam: float,
             theta *= 0.5
         else:
             raise NonConvergence(
-                f"line search failed at residual {nrm:.3e} after {iterations} iterations",
+                f"line search failed at residual {nrm:.3e} after {iterations} Newton steps",
                 lam=lam,
             )
-    else:
-        raise NonConvergence(
-            f"residual {nrm:.3e} above tolerance {opts.tol} after {opts.max_iter} iterations",
-            lam=lam,
-        )
+        iterations += 1
 
     u = RadialFunction(grid, vals)
     terms = replace(scaling_terms(u, nl), K=0.25 * lam * psol.coupling)
@@ -310,7 +311,7 @@ def continuation(nl: Nonlinearity, lambda_schedule, ground: LimitGroundState,
 
     omega = ground.omega
     terms = scaling_terms(omega, nl, 1.0)
-    branch = SolutionBranch(points=[], omega_ref=omega, b_ref=terms.I_value)
+    branch = SolutionBranch(points=[], b_ref=terms.I_value)
     t0 = find_t0(omega, nl)
 
     for lam in schedule:

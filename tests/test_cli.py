@@ -111,6 +111,20 @@ def test_bad_config_file(tmp_path, capsys):
     assert "at least 16" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text,key", [
+    ("[grid]\nR = inf\n", "grid.R"),
+    ("[schedule]\nlambdas = inf, 0.1\n", "schedule.lambdas"),
+    ("[nonlinearity]\nmu = inf\n", "nonlinearity.mu"),
+    ("[solver]\ntol = inf\n", "solver.tol"),
+])
+def test_non_finite_config_exits_2(tmp_path, capsys, text, key):
+    cfg = write_cfg(tmp_path, text)
+    code = main(["--config", str(cfg), "--output", str(tmp_path / "out"), "sweep-lambda"])
+    assert code == 2
+    assert f"{key}: 'inf' is not a finite number" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_grid_study_reports_orders(tmp_path):
     code = main(["--output", str(tmp_path / "out"), "--grid-study",
                  "poisson-test"])

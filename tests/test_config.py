@@ -1,6 +1,9 @@
+from dataclasses import fields
+
 import pytest
 
 from spgs.config import (
+    _SCHEMA,
     ConfigError,
     RunConfig,
     apply_env_overrides,
@@ -18,16 +21,20 @@ def test_render_default_config_text():
     assert render_config(RunConfig()) == (
         "[nonlinearity]\nmu = 1.0\nq = 4.0\ncritical_weight = 0.0\n\n"
         "[grid]\nR = 30.0\nn = 3000\n\n"
-        "[solver]\ntol = 1e-08\nmax_iter = 80\ndamping_floor = 0.0001\nclip_budget = 1e-08\n\n"
+        "[solver]\ntol = 1e-08\n\n"
         "[schedule]\nlambdas = 0.2, 0.1, 0.05, 0.02, 0.01, 0.005\n\n"
         "[output]\ndirectory = out\nemit_profiles = False\nseed = 12345\n")
 
 
 def test_full_round_trip():
     cfg = RunConfig(mu=2.5, q=3.2, critical_weight=0.4, R=25.0, n=2048,
-                    tol=1e-7, max_iter=120, lambdas=(0.3, 0.1, 0.02),
+                    tol=1e-7, lambdas=(0.3, 0.1, 0.02),
                     directory="results", emit_profiles=True, seed=7)
     assert parse_config(render_config(cfg)) == cfg
+
+
+def test_schema_covers_every_field():
+    assert {f.name for f in fields(RunConfig)} == {attr for attr, _ in _SCHEMA.values()}
 
 
 def test_parse_sections_and_comments():
@@ -60,6 +67,13 @@ def test_unknown_key_reports_line():
     assert err.value.line == 2
 
 
+@pytest.mark.parametrize("key", ["max_iter = 80", "damping_floor = 1e-4", "clip_budget = 1e-8"])
+def test_newton_loop_limits_are_not_settable(key):
+    with pytest.raises(ConfigError, match="unknown key") as err:
+        parse_config(f"[solver]\n{key}\n")
+    assert err.value.line == 2
+
+
 def test_key_outside_section():
     with pytest.raises(ConfigError):
         parse_config("mu = 1.0\n")
@@ -82,6 +96,26 @@ def test_validation_schedule_ordering():
         parse_config("[schedule]\nlambdas = 0.1, 0.2\n")
     with pytest.raises(ConfigError):
         parse_config("[schedule]\nlambdas = 0.1, -0.05\n")
+
+
+# every float key, and each entry of the schedule, must be finite
+NON_FINITE = [
+    ("grid", "R", "inf"),
+    ("schedule", "lambdas", "inf, 0.1"),
+    ("schedule", "lambdas", "0.2, nan"),
+    ("nonlinearity", "mu", "inf"),
+    ("solver", "tol", "inf"),
+]
+
+
+@pytest.mark.parametrize("section,key,value", NON_FINITE)
+def test_non_finite_value_is_rejected(section, key, value):
+    with pytest.raises(ConfigError, match=f"{section}.{key}.*not a finite number") as err:
+        parse_config(f"[{section}]\n{key} = {value}\n")
+    assert err.value.line == 2
+    name = f"SPGS_{section.upper()}_{key.upper()}"
+    with pytest.raises(ConfigError, match=f"{name}.*not a finite number"):
+        apply_env_overrides(RunConfig(), environ={name: value})
 
 
 def test_env_overrides():

@@ -53,7 +53,6 @@ def test_ground_state_levels(ground_cubic):
     gs = ground_cubic
     assert gs.b_value == pytest.approx(B_CUBIC_REF, rel=5e-4)
     assert gs.omega.values[0] == pytest.approx(OMEGA0_CUBIC_REF, rel=2e-3)
-    assert gs.method == "constrained_flow"
     assert gs.pg_norm <= 1e-6
 
 

@@ -15,6 +15,7 @@ from spgs import (
     make_grid,
     minimize_on_M,
     solve_at_lambda,
+    sp_solver,
 )
 from spgs.functionals import gradient_residual, scaling_terms
 from spgs.grid import dual_norm, h1_norm_sq, integrate_values
@@ -60,16 +61,24 @@ def test_solve_rejects_negative_lambda(ground_cubic, nl_cubic):
         solve_at_lambda(ground_cubic.omega, nl_cubic, -0.5)
 
 
-def test_nonconvergence_carries_lambda(ground_cubic, nl_cubic):
+def test_nonconvergence_carries_lambda(ground_cubic, nl_cubic, monkeypatch):
+    monkeypatch.setattr(sp_solver, "_MAX_ITER", 2)
     with pytest.raises(NonConvergence) as err:
-        solve_at_lambda(ground_cubic.omega, nl_cubic, 0.1,
-                        SolverOptions(tol=1e-16, max_iter=2))
+        solve_at_lambda(ground_cubic.omega, nl_cubic, 0.1, SolverOptions(tol=1e-16))
     assert err.value.lam == 0.1
+
+
+def test_converged_last_step_is_accepted(ground_cubic, nl_cubic, monkeypatch):
+    # omega at lam = 0.1 takes three Newton steps; the third one converges
+    monkeypatch.setattr(sp_solver, "_MAX_ITER", 3)
+    pt = solve_at_lambda(ground_cubic.omega, nl_cubic, 0.1)
+    assert pt.iterations == 3
+    assert pt.grad_residual_norm <= SolverOptions().tol
 
 
 def test_failed_line_search_is_nonconvergence(ground_cubic, nl_cubic):
     # no step lowers a residual at its rounding floor, far above 1e-16; the
-    # solve stops there instead of repeating the same step max_iter times
+    # solve stops there instead of repeating the same step _MAX_ITER times
     with pytest.raises(NonConvergence, match="line search") as err:
         solve_at_lambda(ground_cubic.omega, nl_cubic, 0.1, SolverOptions(tol=1e-16))
     assert err.value.lam == 0.1
@@ -132,6 +141,16 @@ def test_one_poisson_solve_per_residual_evaluation(ground_cubic, nl_cubic, count
     assert pt.iterations >= 3
     assert len(residual_calls) >= pt.iterations
     assert len(phi_calls) == len(residual_calls)
+
+
+def test_iterations_count_newton_steps(ground_cubic, nl_cubic, count_calls):
+    # a point the start already certifies takes no step
+    steps = count_calls(_newton_step)
+    pt = solve_at_lambda(ground_cubic.omega, nl_cubic, 0.1)
+    assert pt.iterations == len(steps) == 3
+    again = solve_at_lambda(pt.u, nl_cubic, 0.1)
+    assert again.iterations == 0
+    assert len(steps) == 3
 
 
 def test_continuation_adds_one_poisson_solve_per_branch(ground_cubic, nl_cubic, count_calls):
@@ -296,13 +315,13 @@ def ground_q3(grid30):
 
 
 def test_clip_over_budget_halves_the_step(ground_q3):
-    # the full Newton step from omega at lam = 0.3 clips more than clip_budget
+    # the full Newton step from omega at lam = 0.3 clips more than _CLIP_BUDGET
     # of the L^2 mass, but far less than half of it: the step is damped
     nl, ground = ground_q3
     omega = ground.omega
     grid = omega.grid
     lam = 0.3
-    budget = SolverOptions().clip_budget
+    budget = sp_solver._CLIP_BUDGET
     res, psol = gradient_residual(omega, nl, lam)
     full = omega.values + _newton_step(omega.values, psol.phi.values, nl, lam, grid, res.values)
     clipped = integrate_values(grid, np.minimum(full, 0.0)**2) / integrate_values(grid, full**2)
