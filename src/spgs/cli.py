@@ -1,8 +1,8 @@
 """Command-line front end: run orchestration, persistence and the `verify`
 run of the check registry in spgs.checks.
 
-Exit codes: 0 success, 2 configuration error, 3 solver nonconvergence,
-4 verification failure.
+Exit codes: 0 success, 2 configuration error, 3 solver failure (any
+SolverFailure), 4 verification failure.
 """
 
 from __future__ import annotations
@@ -18,20 +18,12 @@ import numpy as np
 
 from . import checks, functionals
 from . import constants as constants_mod
-# RegimeFailure stays importable from the module that maps it to exit code 3
-from .checks import RegimeFailure, ground_state  # noqa: F401
-from .config import ConfigError, RunConfig, apply_env_overrides, parse_config, render_config
+from .checks import ground_state
+from .config import ConfigError, RunConfig, apply_env_overrides, parse_config
 # dilate is unused here; bench/selftest.py expects this binding of it
-from .grid import dilate, h1_norm_sq, make_grid  # noqa: F401
-from .limit_solver import BracketFailure, InitializationFailure, Stagnation, StiffnessFailure
-from .sp_solver import (
-    NonConvergence,
-    PositivityLoss,
-    RangeFailure,
-    asymptotics_report,
-    continuation,
-    solve_at_lambda,
-)
+from .grid import dilate, make_grid  # noqa: F401
+from .limit_solver import SolverFailure
+from .sp_solver import asymptotics_report, continuation
 
 SWEEP_HEADER = (
     "lambda,gamma_energy,i_energy,h1_dist_to_omega,phi_d12_norm,"
@@ -91,8 +83,7 @@ def cmd_solve(cfg: RunConfig, outdir: Path, lam: float) -> dict:
     nl = cfg.nonlinearity()
     grid = make_grid(cfg.R, cfg.n)
     ground = ground_state(cfg, nl, grid)
-    point = solve_at_lambda(ground.omega, nl, lam, cfg.solver_options())
-    point.h1_dist_to_omega = math.sqrt(h1_norm_sq(point.u - ground.omega))
+    point = continuation(nl, [lam], ground, cfg.solver_options()).points[0]
     summary = {
         "lambda": _num(lam, "config"),
         "gamma_energy": _num(point.gamma_energy, "computed"),
@@ -217,13 +208,13 @@ def _scalar_leaves(obj, prefix=""):
     return out
 
 
-def _grid_study(cfg: RunConfig, outdir: Path, args, runner) -> dict:
-    """Rerun on n/2, n and 2n nodes and append observed convergence orders."""
-    summaries = {}
-    for factor, tag in ((0.5, "half"), (1.0, "base"), (2.0, "double")):
+def _grid_study(cfg: RunConfig, outdir: Path, args, runner, base: dict) -> dict:
+    """Rerun on n/2 and 2n nodes and append the observed convergence orders
+    against base, the summary of the run on n nodes."""
+    summaries = {"base": base}
+    for factor, tag in ((0.5, "half"), (2.0, "double")):
         n = max(int(round((cfg.n - 1) * factor)) + 1, 16)
-        sub = replace(cfg, n=n)
-        summaries[tag] = runner(sub, outdir / f"grid_{tag}", args)
+        summaries[tag] = runner(replace(cfg, n=n), outdir / f"grid_{tag}", args)
     leaves = {tag: _scalar_leaves(s) for tag, s in summaries.items()}
     orders = {}
     for key in leaves["base"]:
@@ -286,20 +277,21 @@ def main(argv=None) -> int:
         outdir = Path(cfg.directory)
 
         if args.command == "verify":
+            if args.grid_study:
+                raise ConfigError("--grid-study does not apply to verify")
             _, ok = cmd_verify(cfg, outdir)
             return 0 if ok else 4
 
         runner = _SCALAR_COMMANDS[args.command]
         summary = runner(cfg, outdir, args)
         if args.grid_study:
-            summary["grid_study"] = _grid_study(cfg, outdir, args, runner)
+            summary["grid_study"] = _grid_study(cfg, outdir, args, runner, summary)
         print(json.dumps(summary, indent=2, sort_keys=True, default=str))
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (NonConvergence, PositivityLoss, Stagnation, InitializationFailure,
-            BracketFailure, StiffnessFailure, RangeFailure) as exc:
+    except SolverFailure as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
 

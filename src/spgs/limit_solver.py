@@ -41,20 +41,46 @@ _FLOW_HANDOVER = 0.02
 # flow steps before Stagnation; mu=1, q=2.5, cw=0 takes 64 on R=30 at any n
 _FLOW_MAX_ITER = 3000
 
+# the flow's line search: at most _FLOW_HALVINGS halvings of the step eta per
+# flow step, acceptance on the Armijo decrease _ARMIJO eta slope, and growth
+# by _STEP_GROWTH after each accepted step up to _STEP_CAP.  Measured on the
+# `ground` (n=3000) and `cli` (verify at n=3000, constants at n=750)
+# benchmark workloads: an accepted step takes at most 2 and 3 halvings, its
+# decrease is at least 0.033 and 0.0017 of eta slope, and eta reaches at most
+# 5.06 and 3.38
+_FLOW_HALVINGS = 40
+_ARMIJO = 1e-4
+_STEP_GROWTH = 1.5
+_STEP_CAP = 1e3
 
-class InitializationFailure(RuntimeError):
+# the polish: at most _POLISH_MAX_STEPS Newton steps, each with at most
+# _POLISH_HALVINGS halvings, until the dual norm of the residual meets tol and
+# |V(u) - 1| meets _POLISH_CONSTRAINT_TOL.  On `ground` a polish takes at most
+# 5 steps and 1 halving, on `cli` 60 steps (q=5.5 at n=750 runs into the
+# cap) and 14 halvings; a converged polish leaves |V(u) - 1| <= 2.2e-16
+_POLISH_MAX_STEPS = 60
+_POLISH_HALVINGS = 30
+_POLISH_CONSTRAINT_TOL = 1e-12
+
+
+class SolverFailure(RuntimeError):
+    """A solve that did not reach a certified result; the command line maps
+    every subclass to exit code 3."""
+
+
+class InitializationFailure(SolverFailure):
     """No admissible starting bump with positive constraint value was found."""
 
 
-class Stagnation(RuntimeError):
+class Stagnation(SolverFailure):
     """The constrained flow exhausted its iteration budget."""
 
 
-class BracketFailure(RuntimeError):
+class BracketFailure(SolverFailure):
     """Shooting bracket endpoints classify identically."""
 
 
-class StiffnessFailure(RuntimeError):
+class StiffnessFailure(SolverFailure):
     """The shooting integrator failed to advance."""
 
 
@@ -168,9 +194,9 @@ def _newton_polish(u: RadialFunction, theta: float, nl: Nonlinearity, tol: float
     vals = u.values.copy()
     f1, f2 = residuals(vals, theta)
     steps = 0
-    for _ in range(60):
+    for _ in range(_POLISH_MAX_STEPS):
         nrm = dual_norm(grid, f1)
-        if nrm <= tol and abs(f2) <= 1e-12:
+        if nrm <= tol and abs(f2) <= _POLISH_CONSTRAINT_TOL:
             break
         g = _g_field(nl, vals)
         gp = np.asarray(nl.fprime(vals), dtype=float) - 1.0
@@ -186,7 +212,7 @@ def _newton_polish(u: RadialFunction, theta: float, nl: Nonlinearity, tol: float
         step = 1.0
         accepted = False
         base = nrm + abs(f2)
-        for _ in range(30):
+        for _ in range(_POLISH_HALVINGS):
             cand = vals + step * du
             cth = theta + step * dtheta
             c1, c2 = residuals(cand, cth)
@@ -209,19 +235,25 @@ def minimize_on_M(nl: Nonlinearity, grid: RadialGrid, tol: float = 1e-8) -> Limi
     stationarity system once the projected gradient is small relative to
     |grad u|_2 (_FLOW_HANDOVER).  tol is the polish tolerance on the dual
     norm of the residual; a projected gradient above 100 tol after the
-    polish raises Stagnation.
+    polish raises Stagnation, and so does a flow that has not reached the
+    handover after _FLOW_MAX_ITER steps.  The state's iterations are its
+    accepted flow steps.
     """
     u = project_to_M(_initial_bump(nl, grid), nl)
 
     eta = 1.0
-    pg_nrm = math.inf
-    it = 0
-    for it in range(_FLOW_MAX_ITER):
+    steps = 0
+    while True:
         pg, theta, t0g, vg = _projected_gradient(u, nl)
         pg_nrm = dual_norm(grid, pg)
         t0_here = T0_value(u)
         if pg_nrm <= _FLOW_HANDOVER * math.sqrt(2.0 * t0_here):
             break
+        if steps == _FLOW_MAX_ITER:
+            raise Stagnation(
+                f"constrained flow did not reach tolerance in {_FLOW_MAX_ITER} steps "
+                f"(projected gradient {pg_nrm:.3e})"
+            )
         # precondition first, then make the step tangent to the constraint in
         # the preconditioned metric; projecting before preconditioning loses
         # tangency and the dilation reprojection cancels the descent
@@ -237,26 +269,22 @@ def minimize_on_M(nl: Nonlinearity, grid: RadialGrid, tol: float = 1e-8) -> Limi
         if slope <= 0.0:
             break
         accepted = False
-        for _ in range(40):
+        for _ in range(_FLOW_HALVINGS):
             trial = RadialFunction(grid, u.values - eta * d)
             try:
                 trial = project_to_M(trial, nl)
             except InitializationFailure:
                 eta *= 0.5
                 continue
-            if T0_value(trial) < t0_here - 1e-4 * eta * slope:
+            if T0_value(trial) < t0_here - _ARMIJO * eta * slope:
                 u = trial
-                eta = min(eta * 1.5, 1e3)
+                eta = min(eta * _STEP_GROWTH, _STEP_CAP)
                 accepted = True
                 break
             eta *= 0.5
         if not accepted:
             break
-    else:
-        raise Stagnation(
-            f"constrained flow did not reach tolerance in {_FLOW_MAX_ITER} steps "
-            f"(projected gradient {pg_nrm:.3e})"
-        )
+        steps += 1
 
     # every exit above leaves theta from the projected gradient at this u
     u, polish_steps = _newton_polish(u, theta, nl, tol=tol)
@@ -274,7 +302,7 @@ def minimize_on_M(nl: Nonlinearity, grid: RadialGrid, tol: float = 1e-8) -> Limi
     mp = mountain_pass_b(omega, nl)
     return LimitGroundState(
         u=u, omega=omega, M_value=m_val, p_value=p_val, b_value=mp.b,
-        t0_dilation=t0, t_star=mp.t_star, iterations=it + 1, pg_norm=pg_nrm,
+        t0_dilation=t0, t_star=mp.t_star, iterations=steps, pg_norm=pg_nrm,
         polish_steps=polish_steps,
     )
 

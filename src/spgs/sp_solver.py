@@ -29,12 +29,12 @@ from .grid import (  # noqa: F401
     integrate_values,
     solve_lu,
 )
-from .limit_solver import LimitGroundState
+from .limit_solver import LimitGroundState, SolverFailure
 from .nonlinearity import Nonlinearity
 from .poisson import newton_potential
 
 
-class NonConvergence(RuntimeError):
+class NonConvergence(SolverFailure):
     """Newton iteration exhausted its budget or its line search; carries the
     failing lam."""
 
@@ -43,12 +43,12 @@ class NonConvergence(RuntimeError):
         self.lam = lam
 
 
-class PositivityLoss(RuntimeError):
+class PositivityLoss(SolverFailure):
     """A full Newton step would clip more than half of the L^2 mass: the
     iterate has left the positive branch."""
 
 
-class RangeFailure(RuntimeError):
+class RangeFailure(SolverFailure):
     """The dilation path never drops below the required energy level."""
 
 

@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from spgs import checks
+from spgs import checks, limit_solver, sp_solver
 from spgs.cli import SWEEP_HEADER, main
+from spgs.limit_solver import SolverFailure
 
 FAST_CFG = """
 [grid]
@@ -133,6 +134,58 @@ def test_grid_study_reports_orders(tmp_path):
     orders = study["observed_orders"]
     assert orders["phi_max_rel_error"]["value"] >= 1.8
     assert orders["coupling_rel_error"]["value"] >= 1.8
+
+
+def test_grid_study_reuses_the_base_solve(tmp_path, monkeypatch):
+    # the run on n nodes is the base of the study: two more solves, on n/2 and 2n
+    sizes = []
+    solve = checks.minimize_on_M
+
+    def counted(nl, grid, *args):
+        sizes.append(grid.n)
+        return solve(nl, grid, *args)
+
+    monkeypatch.setattr(checks, "minimize_on_M", counted)
+    code = main(["--output", str(tmp_path / "out"), "--grid-study", "solve-limit"])
+    assert code == 0
+    assert sizes == [3000, 1501, 5999]
+    out = tmp_path / "out"
+    assert sorted(p.name for p in out.iterdir()) == [
+        "grid_double", "grid_half", "grid_study.json", "omega.csv", "solve_limit.json"]
+    study = json.loads((out / "grid_study.json").read_text())
+    assert "b" in study["observed_orders"]
+
+
+def test_grid_study_does_not_apply_to_verify(tmp_path, capsys):
+    code = main(["--output", str(tmp_path / "out"), "--grid-study", "verify"])
+    assert code == 2
+    assert "--grid-study" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_solve_is_the_first_point_of_the_sweep(tmp_path):
+    # the default schedule starts at lambda = 0.2
+    cfg = write_cfg(tmp_path, "[grid]\nR = 20.0\nn = 1200\n")
+    for argv in (["sweep-lambda"], ["solve", "--lambda", "0.2"]):
+        code = main(["--config", str(cfg), "--output", str(tmp_path / "out"), *argv])
+        assert code == 0
+    header, first, *_ = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
+    row = dict(zip(header.split(","), map(float, first.split(","))))
+    solve = json.loads((tmp_path / "out" / "solve.json").read_text())
+    shared = set(row) & set(solve)
+    assert len(shared) == 8
+    assert {key: solve[key]["value"] for key in shared} == {key: row[key] for key in shared}
+
+
+@pytest.mark.parametrize("failure", [
+    limit_solver.InitializationFailure, limit_solver.Stagnation,
+    limit_solver.BracketFailure, limit_solver.StiffnessFailure,
+    sp_solver.NonConvergence, sp_solver.PositivityLoss, sp_solver.RangeFailure,
+    checks.RegimeFailure,
+])
+def test_every_solver_failure_exits_3(failure):
+    # main maps SolverFailure to exit code 3, so no failure type is listed there
+    assert issubclass(failure, SolverFailure)
 
 
 def test_emit_profiles(tmp_path):

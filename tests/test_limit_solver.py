@@ -289,6 +289,34 @@ def test_flow_handover_gives_the_tight_flow_ground_state(case, R, monkeypatch):
     assert np.max(np.abs(gs.omega.values - tight.omega.values)) <= 1e-10
 
 
+def test_iterations_count_flow_steps(grid30, nl_cubic, ground_cubic, monkeypatch):
+    # every pass of the flow and the certificate after the polish take one
+    # projected gradient, so a flow of k accepted steps takes k + 2
+    calls = []
+    projected_gradient = limit_solver._projected_gradient
+
+    def counted(u, nl):
+        calls.append(1)
+        return projected_gradient(u, nl)
+
+    monkeypatch.setattr(limit_solver, "_projected_gradient", counted)
+    assert minimize_on_M(nl_cubic, grid30).iterations == len(calls) - 2 == ground_cubic.iterations
+    assert ground_cubic.iterations > 0
+    # a start that already meets the handover takes no flow step
+    calls.clear()
+    monkeypatch.setattr(limit_solver, "_FLOW_HANDOVER", 1e9)
+    assert minimize_on_M(nl_cubic, grid30).iterations == 0
+    assert len(calls) == 2
+
+
+def test_handover_on_the_last_allowed_step_is_accepted(grid30, nl_cubic, ground_cubic,
+                                                        monkeypatch):
+    monkeypatch.setattr(limit_solver, "_FLOW_MAX_ITER", ground_cubic.iterations)
+    gs = minimize_on_M(nl_cubic, grid30)
+    assert gs.iterations == ground_cubic.iterations
+    assert gs.b_value == ground_cubic.b_value
+
+
 @pytest.mark.parametrize("case", GROUND_CASES)
 def test_polish_steps_recorded(case, grid30):
     gs = minimize_on_M(canonical_family(*case), grid30)
