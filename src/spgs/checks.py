@@ -146,7 +146,7 @@ def _coupling_scaling(t: float) -> Callable[[Context], float]:
 
 def _identity_accepted(ctx: Context) -> float:
     identity = user_nonlinearity(lambda s: np.asarray(s, dtype=float),
-                                 mu=1.0, q=4.0, kappa=1.0, label="identity")
+                                 mu=1.0, q=4.0, kappa=1.0)
     return float(check_hypotheses(identity)["vanishing_slope_at_zero"].passed)
 
 
@@ -174,18 +174,6 @@ def gradient_fd_gap(grid, nl, rng: np.random.Generator, trials: int = 20,
         fd = (ep - em) / (2 * eps)
         worst = max(worst, abs(fd - pairing) / max(abs(fd), 1e-12))
     return worst
-
-
-def _p_identity(ctx: Context) -> float:
-    # p = (2 sqrt(3)/9) M^(3/2) for the constrained minimum M
-    g = ctx.ground
-    return _rel(g.p_value, (2.0 * math.sqrt(3.0) / 9.0) * g.M_value**1.5)
-
-
-def _b_identity(ctx: Context) -> float:
-    # b = |grad omega|^2 / 3 on the Pohozaev manifold
-    g = ctx.ground
-    return _rel(g.b_value, 2.0 * T0_value(g.omega) / 3.0)
 
 
 def _interaction_bound(ctx: Context) -> float:
@@ -228,11 +216,8 @@ CHECKS: tuple[Check, ...] = (
           lambda c: gradient_fd_gap(c.grid, c.nl, c.rng())),
     Check("limit.constraint_on_M", 1e-8, "|V - 1|",
           lambda c: abs(V_value(c.ground.u, c.nl) - 1.0)),
-    Check("limit.p_identity", 1e-6, "rel err", _p_identity),
-    Check("limit.b_identity", 1e-4, "rel err", _b_identity),
     Check("limit.pohozaev_on_arrival", 1e-4, "|P| / |grad omega|^2",
           lambda c: abs(pohozaev_P(c.ground.omega, c.nl)) / (2.0 * T0_value(c.ground.omega))),
-    Check("limit.path_maximizer", 1e-3, "|t* - 1|", lambda c: abs(c.ground.t_star - 1.0)),
     Check("poisson.T_bound_battery", 1.0, "max coupling / bound over 20 samples",
           _interaction_bound),
     Check("sp.pohozaev_certificate", 1e-3, "rel residual",

@@ -67,8 +67,8 @@ def cmd_solve_limit(cfg: RunConfig, outdir: Path) -> dict:
         "p": _num(ground.p_value, "derived (dilation identity from M, V)"),
         "b": _num(ground.b_value, "computed (dilation-path maximum)"),
         "t0_dilation": _num(ground.t0_dilation, "computed"),
-        "t_star": _num(ground.t_star, "computed (path maximizer)"),
-        "pohozaev_residual": _num(poh, "computed"),
+        "t_star": _num(ground.t_star, "certificate (path maximizer)"),
+        "pohozaev_residual": _num(poh, "certificate"),
         "grid": {"R": _num(cfg.R, "config"), "n": _num(cfg.n, "config")},
     }
     _write_json(outdir / "solve_limit.json", summary)
@@ -90,10 +90,10 @@ def cmd_solve(cfg: RunConfig, outdir: Path, lam: float) -> dict:
         "i_energy": _num(point.i_energy, "computed"),
         "h1_dist_to_omega": _num(point.h1_dist_to_omega, "computed"),
         "phi_d12_norm": _num(point.phi_d12, "computed"),
-        "pohozaev_residual": _num(point.pohozaev_res, "computed"),
-        "pohozaev_residual_relative": _num(point.pohozaev_res_rel, "computed"),
-        "grad_residual_norm": _num(point.grad_residual_norm, "computed"),
-        "iterations": _num(point.iterations, "computed"),
+        "pohozaev_residual": _num(point.pohozaev_res, "certificate"),
+        "pohozaev_residual_relative": _num(point.pohozaev_res_rel, "certificate"),
+        "grad_residual_norm": _num(point.grad_residual_norm, "certificate"),
+        "iterations": _num(point.iterations, "certificate"),
     }
     _write_json(outdir / "solve.json", summary)
     if cfg.emit_profiles:
@@ -137,10 +137,10 @@ def cmd_constants(cfg: RunConfig, outdir: Path, q_list: list[float]) -> dict:
     grid = make_grid(cfg.R, cfg.n)
     report = constants_mod.constants_report(grid, q_list, cfg.flow_tol())
     summary = {
-        "S": _num(report.S, report.provenance["S"]),
-        "Cq": {str(q): _num(v, report.provenance[f"Cq[{q}]"])
+        "S": _num(report.S, "computed (quotient descent from a bubble)"),
+        "Cq": {str(q): _num(v, "computed (quotient of the ground state)")
                for q, v in report.Cq.items()},
-        "mu_threshold": {str(q): _num(v, report.provenance[f"mu_threshold[{q}]"])
+        "mu_threshold": {str(q): _num(v, "derived (plug-in from computed S, Cq)")
                          for q, v in report.mu_thresholds.items()},
     }
     _write_json(outdir / "constants.json", summary)
@@ -195,10 +195,13 @@ _SCALAR_COMMANDS = {
 
 
 def _scalar_leaves(obj, prefix=""):
+    """The numeric leaves whose change with n is a discretization error: not
+    config values, and not certificates (residuals, iteration counts and t*,
+    which the solver drives to a tolerance or to 1 at any n)."""
     out = {}
     if isinstance(obj, dict):
         if set(obj) == {"value", "method"}:
-            if obj["method"] == "config":
+            if obj["method"].startswith(("config", "certificate")):
                 return out
             if isinstance(obj["value"], (int, float)) and not isinstance(obj["value"], bool):
                 out[prefix] = float(obj["value"])

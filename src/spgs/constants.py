@@ -1,13 +1,12 @@
 """Best Sobolev embedding constants and the coupling threshold for mu.
 
-S is the best constant of the gradient-to-L^6 embedding, computed
-variationally over the inverse-square-root bubble family and polished by
-quotient descent.  The known closed form 3*pi*(sqrt(pi)/4)^(2/3) is
-SOBOLEV_S_CLOSED_FORM: the tests use it as the oracle for S, and the code
-reads it wherever S enters a bound (mu* in checks.ground_state, the
-poisson.T_bound_battery check, the distance budget of asymptotics_report).
-C_q comes from the ground-state identity for the pure-power limit problem,
-cross-checked by direct quotient descent.
+S is the best constant of the gradient-to-L^6 embedding, computed by
+quotient descent from a bubble of width 4h.  The known closed form
+3*pi*(sqrt(pi)/4)^(2/3) is SOBOLEV_S_CLOSED_FORM: the tests use it as the
+oracle for S, and the code reads it wherever S enters a bound (mu* in
+checks.ground_state, the poisson.T_bound_battery check, the distance budget
+of asymptotics_report).  C_q is the H^1-to-L^q Rayleigh quotient of the
+pure-power limit ground state.
 """
 
 from __future__ import annotations
@@ -17,7 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import (
+# dilate is unused here; bench/selftest.py expects this binding of it
+from .grid import (  # noqa: F401
     RadialFunction,
     RadialGrid,
     dilate,
@@ -39,7 +39,6 @@ class ConstantsReport:
     S: float
     Cq: dict[float, float] = field(default_factory=dict)
     mu_thresholds: dict[float, float] = field(default_factory=dict)
-    provenance: dict[str, str] = field(default_factory=dict)
 
 
 def _bubble(grid: RadialGrid, eps: float) -> RadialFunction:
@@ -56,20 +55,15 @@ def _l6_quotient(u: RadialFunction) -> float:
     return grad_norm_sq(u) / denom
 
 
-def sobolev_S(grid: RadialGrid):
+def sobolev_S(grid: RadialGrid) -> float:
     """Best constant of the gradient-to-L^6 embedding via Rayleigh quotients.
 
-    Samples the bubble family in its width parameter, then polishes the best
-    candidate with preconditioned quotient descent.  Returns (S, warning)
-    where warning flags a minimizing width within 10% of the grid resolution
-    limits (slow-decay truncation bias).
+    Preconditioned quotient descent from the bubble of width 4h: on a ball
+    the truncated bubble's quotient falls as its width shrinks, down to the
+    widths the grid resolves.
     """
-    h = grid.h
-    eps_grid = np.geomspace(4.0 * h, 0.5 * grid.R, 60)
-    quotients = [_l6_quotient(_bubble(grid, e)) for e in eps_grid]
-    k = int(np.argmin(quotients))
-    best = quotients[k]
-    u = _bubble(grid, float(eps_grid[k]))
+    u = _bubble(grid, 4.0 * grid.h)
+    best = _l6_quotient(u)
 
     # quotient descent polish; the quotient gradient is -Delta u - Q u^5/|u|_6^6
     for _ in range(80):
@@ -90,12 +84,7 @@ def sobolev_S(grid: RadialGrid):
             step *= 0.5
         if not improved:
             break
-
-    warn = bool(
-        eps_grid[k] < 1.1 * eps_grid[0]
-        or eps_grid[k] > 0.9 * eps_grid[-1]
-    )
-    return float(best), warn
+    return float(best)
 
 
 def _quotient_hq(u: RadialFunction, q: float) -> float:
@@ -108,38 +97,15 @@ def _quotient_hq(u: RadialFunction, q: float) -> float:
 def best_Cq(q: float, grid: RadialGrid, tol: float = 1e-8) -> float:
     """Best constant of the H^1 to L^q embedding, q in (2, 6).
 
-    Route one: the ground state w of -Delta w + w = w^(q-1) satisfies
-    |w|_H1^2 = |w|_q^q, so its Rayleigh quotient is |w|_q^(q-2); tol is the
-    flow tolerance of minimize_on_M.  Route two: inverse-power quotient
-    descent from a Gaussian, the quotient of an actual field and so an upper
-    estimate of the infimum.  Route one is not: the identity holds only up to
-    the discretization error, and its value can fall below the quotient of
-    the computed ground state itself.  The smaller of the two is returned.
+    The minimizer is the ground state w of -Delta w + w = w^(q-1), found by
+    minimize_on_M at flow tolerance tol; its Rayleigh quotient
+    |w|_H1^2 / |w|_q^2 is returned.  As the quotient of an actual field it is
+    an upper estimate of the discrete infimum.
     """
     if not 2.0 < q < 6.0:
         raise ValueError(f"q must lie in (2, 6), got {q}")
-    nl = canonical_family(1.0, q, 0.0)
-    ground = minimize_on_M(nl, grid, tol)
-    est_ground = norm_lq(ground.omega, q) ** (q - 2.0)
-
-    # inverse-power iteration on the quotient from a Gaussian start
-    vals = np.exp(-grid.nodes**2 / 2.0)
-    vals[-1] = 0.0
-    u = RadialFunction(grid, vals / norm_lq(RadialFunction(grid, vals), q))
-    last = math.inf
-    for _ in range(400):
-        rhs = np.abs(u.values) ** (q - 2.0) * u.values
-        w = solve_riesz(grid, rhs)
-        cand = RadialFunction(grid, w)
-        cand = RadialFunction(grid, cand.values / norm_lq(cand, q))
-        qc = _quotient_hq(cand, q)
-        u = cand
-        if abs(qc - last) < 1e-13 * max(abs(qc), 1.0):
-            last = qc
-            break
-        last = qc
-    est_direct = last
-    return float(min(est_ground, est_direct))
+    ground = minimize_on_M(canonical_family(1.0, q, 0.0), grid, tol)
+    return float(_quotient_hq(ground.omega, q))
 
 
 def mu_threshold(q: float, S: float, Cq: float) -> float:
@@ -153,15 +119,9 @@ def mu_threshold(q: float, S: float, Cq: float) -> float:
 
 
 def constants_report(grid: RadialGrid, q_values, tol: float = 1e-8) -> ConstantsReport:
-    S, warned = sobolev_S(grid)
-    report = ConstantsReport(S=S)
-    report.provenance["S"] = "computed (bubble family + quotient descent)" + (
-        "; warning: minimizing width near grid resolution limit" if warned else ""
-    )
+    report = ConstantsReport(S=sobolev_S(grid))
     for q in q_values:
         cq = best_Cq(float(q), grid, tol)
         report.Cq[float(q)] = cq
-        report.mu_thresholds[float(q)] = mu_threshold(float(q), S, cq)
-        report.provenance[f"Cq[{q}]"] = "computed (ground-state identity vs quotient descent, min)"
-        report.provenance[f"mu_threshold[{q}]"] = "derived (plug-in from computed S, Cq)"
+        report.mu_thresholds[float(q)] = mu_threshold(float(q), report.S, cq)
     return report

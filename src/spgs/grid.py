@@ -85,11 +85,6 @@ class RadialFunction:
         _check_same_grid(self, other)
         return RadialFunction(self.grid, self.values - other.values)
 
-    def __mul__(self, a: float) -> "RadialFunction":
-        return RadialFunction(self.grid, self.values * float(a))
-
-    __rmul__ = __mul__
-
 
 def _check_same_grid(u: RadialFunction, v: RadialFunction) -> None:
     if u.grid != v.grid:

@@ -193,9 +193,9 @@ def _newton_polish(u: RadialFunction, theta: float, nl: Nonlinearity, tol: float
 
     vals = u.values.copy()
     f1, f2 = residuals(vals, theta)
+    nrm = dual_norm(grid, f1)
     steps = 0
     for _ in range(_POLISH_MAX_STEPS):
-        nrm = dual_norm(grid, f1)
         if nrm <= tol and abs(f2) <= _POLISH_CONSTRAINT_TOL:
             break
         g = _g_field(nl, vals)
@@ -216,8 +216,9 @@ def _newton_polish(u: RadialFunction, theta: float, nl: Nonlinearity, tol: float
             cand = vals + step * du
             cth = theta + step * dtheta
             c1, c2 = residuals(cand, cth)
-            if dual_norm(grid, c1) + abs(c2) < base:
-                vals, theta, f1, f2 = cand, cth, c1, c2
+            cnrm = dual_norm(grid, c1)
+            if cnrm + abs(c2) < base:
+                vals, theta, f1, f2, nrm = cand, cth, c1, c2, cnrm
                 accepted = True
                 break
             step *= 0.5

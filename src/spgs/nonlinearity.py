@@ -30,7 +30,6 @@ class Nonlinearity:
     q: float
     critical_weight: float
     kappa: float
-    label: str = "custom"
 
     def G(self, s):
         """G(s) = F(s) - s^2/2, the shifted primitive driving the constraint set."""
@@ -112,15 +111,12 @@ def canonical_family(mu: float, q: float, critical_weight: float) -> Nonlinearit
         return sub + 5.0 * cw * sp**4 if cw else sub
 
     kappa = smallest_kappa(f)
-    return Nonlinearity(
-        f=f, F=F, fprime=fprime, mu=mu, q=q, critical_weight=cw, kappa=kappa,
-        label=f"canonical(mu={mu}, q={q}, cw={cw})",
-    )
+    return Nonlinearity(f=f, F=F, fprime=fprime, mu=mu, q=q, critical_weight=cw, kappa=kappa)
 
 
 def user_nonlinearity(f: Callable, mu: float, q: float, critical_weight: float = 0.0,
                       F: Callable | None = None, fprime: Callable | None = None,
-                      kappa: float | None = None, label: str = "custom") -> Nonlinearity:
+                      kappa: float | None = None) -> Nonlinearity:
     """Wrap a user-supplied f; missing pieces are filled numerically.
 
     A missing derivative falls back to centered finite differences with step
@@ -146,8 +142,7 @@ def user_nonlinearity(f: Callable, mu: float, q: float, critical_weight: float =
     if kappa is None:
         kappa = smallest_kappa(f)
     return Nonlinearity(f=f, F=F, fprime=fprime, mu=float(mu), q=float(q),
-                        critical_weight=float(critical_weight), kappa=float(kappa),
-                        label=label)
+                        critical_weight=float(critical_weight), kappa=float(kappa))
 
 
 @dataclass

@@ -94,7 +94,7 @@ def test_criterion_4_two_route_agreement(report, grid30):
 
 
 def test_criterion_5_constants_chain(report, grid30):
-    S, _ = sobolev_S(grid30)
+    S = sobolev_S(grid30)
     s_err = abs(S - SOBOLEV_S_CLOSED_FORM) / SOBOLEV_S_CLOSED_FORM
     q = 4.0
     c4 = best_Cq(q, grid30)

@@ -156,6 +156,24 @@ def test_grid_study_reuses_the_base_solve(tmp_path, monkeypatch):
     assert "b" in study["observed_orders"]
 
 
+@pytest.mark.parametrize("argv, certificates, fitted", [
+    (["solve", "--lambda", "0.1"],
+     {"grad_residual_norm", "pohozaev_residual", "pohozaev_residual_relative", "iterations"},
+     "gamma_energy"),
+    (["solve-limit"], {"pohozaev_residual", "t_star"}, "b"),
+], ids=["solve", "solve-limit"])
+def test_grid_study_fits_no_order_to_certificates(tmp_path, argv, certificates, fitted):
+    # residuals, iteration counts and t* are driven to a tolerance at every n,
+    # so a Richardson order of theirs measures nothing
+    cfg = write_cfg(tmp_path)
+    code = main(["--config", str(cfg), "--output", str(tmp_path / "out"), "--grid-study",
+                 *argv])
+    assert code == 0
+    orders = json.loads((tmp_path / "out" / "grid_study.json").read_text())["observed_orders"]
+    assert fitted in orders
+    assert certificates.isdisjoint(orders)
+
+
 def test_grid_study_does_not_apply_to_verify(tmp_path, capsys):
     code = main(["--output", str(tmp_path / "out"), "--grid-study", "verify"])
     assert code == 2

@@ -7,11 +7,13 @@ from spgs import (
     best_Cq,
     canonical_family,
     constants_report,
+    make_grid,
     minimize_on_M,
     mu_threshold,
     norm_lq,
     sobolev_S,
 )
+from spgs.constants import _quotient_hq
 
 
 def test_closed_form_value():
@@ -21,7 +23,7 @@ def test_closed_form_value():
 
 
 def test_sobolev_S_close_to_closed_form(grid30):
-    S, _ = sobolev_S(grid30)
+    S = sobolev_S(grid30)
     assert S == pytest.approx(SOBOLEV_S_CLOSED_FORM, rel=1e-2)
     # truncation can only push the variational value up
     assert S >= SOBOLEV_S_CLOSED_FORM - 1e-10
@@ -30,9 +32,21 @@ def test_sobolev_S_close_to_closed_form(grid30):
 def test_best_Cq_matches_ground_state_identity(grid30, ground_cubic):
     c4 = best_Cq(4.0, grid30)
     # the pure-power ground state attains the quotient: C_q = |w|_q^(q-2)
-    attained = norm_lq(ground_cubic.omega, 4.0) ** 2
-    assert c4 == pytest.approx(attained, rel=1e-4)
-    assert c4 <= attained + 1e-12
+    # up to the discretization error
+    identity = norm_lq(ground_cubic.omega, 4.0) ** 2
+    assert c4 == pytest.approx(identity, rel=1e-4)
+    # C_q is the quotient of that ground state itself
+    assert c4 == _quotient_hq(ground_cubic.omega, 4.0)
+
+
+@pytest.mark.parametrize("q", [2.5, 3.0, 4.0])
+def test_best_Cq_is_the_quotient_of_its_ground_state(q, grid30):
+    coarse_grid = make_grid(30.0, 750)
+    coarse = best_Cq(q, coarse_grid)
+    omega = minimize_on_M(canonical_family(1.0, q, 0.0), coarse_grid).omega
+    assert coarse == _quotient_hq(omega, q)
+    # |omega|_q^(q-2) in its place lies 1.5e-3 off at q=4
+    assert coarse == pytest.approx(best_Cq(q, grid30), rel=1e-5)
 
 
 def test_best_Cq_rejects_bad_exponent(grid30):
@@ -55,7 +69,7 @@ def test_mu_threshold_formula():
 def test_level_bound_above_threshold(grid30):
     # above the coupling threshold the least-energy level of the mixed
     # critical family stays strictly below the pure-power bound
-    S, _ = sobolev_S(grid30)
+    S = sobolev_S(grid30)
     q = 4.0
     c4 = best_Cq(q, grid30)
     mu = 2.0 * mu_threshold(q, S, c4)
@@ -72,4 +86,3 @@ def test_constants_report_structure(grid30):
     assert rep.S > 0
     assert all(v > 0 for v in rep.Cq.values())
     assert all(v > 0 for v in rep.mu_thresholds.values())
-    assert "S" in rep.provenance

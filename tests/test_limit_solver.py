@@ -105,7 +105,7 @@ def test_projection_overflow_is_initialization_failure():
 
 
 def test_mountain_pass_maximizer_at_one(ground_cubic, nl_cubic):
-    # |t* - 1| itself is the registry check limit.path_maximizer
+    # |1 - t*^-2| ~ 2 |t* - 1| is the registry check limit.pohozaev_on_arrival
     mp = mountain_pass_b(ground_cubic.omega, nl_cubic)
     assert mp.b == pytest.approx(energy(ground_cubic.omega, nl_cubic, 0.0).I_value,
                                  rel=1e-6)
@@ -321,6 +321,37 @@ def test_handover_on_the_last_allowed_step_is_accepted(grid30, nl_cubic, ground_
 def test_polish_steps_recorded(case, grid30):
     gs = minimize_on_M(canonical_family(*case), grid30)
     assert 1 <= gs.polish_steps <= 8
+
+
+def test_polish_pairs_each_residual_once(nl_cubic, monkeypatch):
+    # one dual norm per residual evaluation: the accepted candidate's norm is
+    # the next step's stopping test
+    counts = {"residuals": 0, "dual_norms": 0}
+    inside = []
+    polish, laplacian, dual = (limit_solver._newton_polish, limit_solver.laplacian_apply,
+                               limit_solver.dual_norm)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            if inside:
+                counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def traced_polish(*args, **kwargs):
+        inside.append(1)
+        try:
+            return polish(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    # the polish applies the Laplacian once per residual and nowhere else
+    monkeypatch.setattr(limit_solver, "laplacian_apply", counted("residuals", laplacian))
+    monkeypatch.setattr(limit_solver, "dual_norm", counted("dual_norms", dual))
+    monkeypatch.setattr(limit_solver, "_newton_polish", traced_polish)
+    gs = minimize_on_M(nl_cubic, make_grid(30.0, 750))
+    assert gs.polish_steps >= 1
+    assert counts["dual_norms"] == counts["residuals"] > gs.polish_steps
 
 
 @pytest.mark.xfail(strict=True, reason=(
