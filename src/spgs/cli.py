@@ -120,6 +120,7 @@ def cmd_sweep_lambda(cfg: RunConfig, outdir: Path) -> dict:
     report = asymptotics_report(branch, nl)
     summary = {
         "b_ref": _num(report.b_ref, "computed"),
+        "K1": _num(report.K1, "computed (lambda^2 coefficient of the energy at lambda = 0)"),
         "slope_phi_d12": _num(report.slope_phi_d12, "fitted (log-log)"),
         "slope_gamma_gap": _num(report.slope_gamma_gap, "fitted (log-log)"),
         "slope_D_gap": _num(report.slope_D_gap, "fitted (log-log)"),
@@ -140,7 +141,7 @@ def cmd_constants(cfg: RunConfig, outdir: Path, q_list: list[float]) -> dict:
         "S": _num(report.S, "computed (quotient descent from a bubble)"),
         "Cq": {str(q): _num(v, "computed (quotient of the ground state)")
                for q, v in report.Cq.items()},
-        "mu_threshold": {str(q): _num(v, "derived (plug-in from computed S, Cq)")
+        "mu_threshold": {str(q): _num(v, "derived (plug-in from closed-form S, computed Cq)")
                          for q, v in report.mu_thresholds.items()},
     }
     _write_json(outdir / "constants.json", summary)

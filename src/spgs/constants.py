@@ -4,9 +4,9 @@ S is the best constant of the gradient-to-L^6 embedding, computed by
 quotient descent from a bubble of width 4h.  The known closed form
 3*pi*(sqrt(pi)/4)^(2/3) is SOBOLEV_S_CLOSED_FORM: the tests use it as the
 oracle for S, and the code reads it wherever S enters a bound (mu* in
-checks.ground_state, the poisson.T_bound_battery check, the distance budget
-of asymptotics_report).  C_q is the H^1-to-L^q Rayleigh quotient of the
-pure-power limit ground state.
+constants_report and checks.ground_state, the poisson.T_bound_battery check,
+the distance budget of asymptotics_report).  C_q is the H^1-to-L^q Rayleigh
+quotient of the pure-power limit ground state.
 """
 
 from __future__ import annotations
@@ -119,9 +119,11 @@ def mu_threshold(q: float, S: float, Cq: float) -> float:
 
 
 def constants_report(grid: RadialGrid, q_values, tol: float = 1e-8) -> ConstantsReport:
+    """S computed on grid, and C_q and mu*(q) for each q; mu* plugs in the
+    closed-form S, as checks.ground_state does, so it has one value."""
     report = ConstantsReport(S=sobolev_S(grid))
     for q in q_values:
         cq = best_Cq(float(q), grid, tol)
         report.Cq[float(q)] = cq
-        report.mu_thresholds[float(q)] = mu_threshold(float(q), report.S, cq)
+        report.mu_thresholds[float(q)] = mu_threshold(float(q), SOBOLEV_S_CLOSED_FORM, cq)
     return report

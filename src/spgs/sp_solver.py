@@ -6,8 +6,10 @@ The branch is computed by damped exact Newton solves of
 recording residual-certified diagnostics at every accepted point.  Each
 Newton step costs O(n) per Krylov vector: GMRES on the Jacobian
 preconditioned by its local tridiagonal part, whose nonlocal remainder is
-one Newton-potential prefix sum.  Each point starts from the extrapolation
-in lam^2 of the points before it.
+one Newton-potential prefix sum.  The branch is anchored at lam = 0 by the
+discrete limit solution omega_0 and its first-order correction v_1
+(u_lam = omega_0 + lam^2 v_1 + O(lam^4)), and each point starts from the
+Hermite interpolant in lam^2 through that anchor and the points before it.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from numpy.linalg import LinAlgError
 
 from .constants import SOBOLEV_S_CLOSED_FORM
 from .functionals import ScalingTerms, gradient_residual, scaling_terms
@@ -77,6 +80,8 @@ class BranchPoint:
 class SolutionBranch:
     points: list[BranchPoint] = field(default_factory=list)
     b_ref: float = math.nan
+    # lam^2 coefficient of the branch energy, Gamma_lam = b + lam^2 K1 + O(lam^4)
+    K1: float = math.nan
 
 
 # _dense_jacobian_step is unused here; it is the O(n^2) reference for
@@ -210,7 +215,8 @@ def solve_at_lambda(u_init: RadialFunction, nl: Nonlinearity, lam: float,
     while nrm > opts.tol:
         if iterations == _MAX_ITER:
             raise NonConvergence(
-                f"residual {nrm:.3e} above tolerance {opts.tol} after {iterations} Newton steps",
+                f"residual {nrm:.3e} above tolerance {opts.tol} after {iterations} "
+                f"Newton steps at lam={lam}",
                 lam=lam,
             )
         delta = _newton_step(vals, psol.phi.values, nl, lam, grid, res)
@@ -238,7 +244,8 @@ def solve_at_lambda(u_init: RadialFunction, nl: Nonlinearity, lam: float,
             theta *= 0.5
         else:
             raise NonConvergence(
-                f"line search failed at residual {nrm:.3e} after {iterations} Newton steps",
+                f"line search failed at residual {nrm:.3e} after {iterations} "
+                f"Newton steps at lam={lam}",
                 lam=lam,
             )
         iterations += 1
@@ -291,11 +298,12 @@ def continuation(nl: Nonlinearity, lambda_schedule, ground: LimitGroundState,
                  opts: SolverOptions | None = None) -> SolutionBranch:
     """Branch following along a strictly decreasing lam schedule.
 
-    The first point starts from omega.  Every later point starts from the
-    Lagrange extrapolation in lam^2 through the last three accepted points
-    (one, then two, at the start), clipped at 0: the branch is smooth in
-    lam^2 (u_lam = omega + lam^2 v_1 + O(lam^4)), and the predictor costs no
-    solve.
+    The branch is anchored at lam = 0 first (_anchor): omega_0 is the
+    discrete solution at lam = 0 solved from omega, and v_1 its first-order
+    correction, u_lam = omega_0 + lam^2 v_1 + O(lam^4).  Every point starts
+    from the Hermite interpolant in lam^2 with a double node at 0 (value
+    omega_0, slope v_1) and the last three accepted points, clipped at 0: it
+    costs one weighted sum of at most five fields and no solve.
 
     The scaling terms of omega are computed once, at lam = 1: A, B and C do
     not depend on lam and K(lam) = lam^2 K(1), so b_ref and every D_lam come
@@ -311,12 +319,12 @@ def continuation(nl: Nonlinearity, lambda_schedule, ground: LimitGroundState,
 
     omega = ground.omega
     terms = scaling_terms(omega, nl, 1.0)
-    branch = SolutionBranch(points=[], b_ref=terms.I_value)
     t0 = find_t0(omega, nl)
+    omega0, v1, K1 = _anchor(omega, nl, opts)
+    branch = SolutionBranch(points=[], b_ref=terms.I_value, K1=K1)
 
     for lam in schedule:
-        u_warm = _predict(branch.points[-3:], lam) if branch.points else omega
-        point = solve_at_lambda(u_warm, nl, lam, opts)
+        point = solve_at_lambda(_predict(omega0, v1, branch.points[-3:], lam), nl, lam, opts)
         diff = point.u - omega
         point.h1_dist_to_omega = math.sqrt(h1_norm_sq(diff))
         point.D_lambda = _path_max(replace(terms, K=lam**2 * terms.K), t0)
@@ -324,14 +332,49 @@ def continuation(nl: Nonlinearity, lambda_schedule, ground: LimitGroundState,
     return branch
 
 
-def _predict(points: list[BranchPoint], lam: float) -> RadialFunction:
-    """Lagrange extrapolation in lam^2 of the points' fields to lam, clipped at 0."""
-    s = [p.lam**2 for p in points]
-    vals = np.zeros(points[0].u.grid.n)
-    for j, p in enumerate(points):
-        weight = math.prod((lam**2 - s[i]) / (s[j] - s[i]) for i in range(len(s)) if i != j)
-        vals += weight * p.u.values
-    return RadialFunction(points[0].u.grid, np.maximum(vals, 0.0))
+def _anchor(omega: RadialFunction, nl: Nonlinearity,
+            opts: SolverOptions | None) -> tuple[RadialFunction, np.ndarray, float]:
+    """The lam = 0 solution omega_0, the lam^2 derivative v_1 of the branch
+    there, and K_1 = (1/4) int phi_1[omega_0] omega_0^2.
+
+    With eps = lam^2 the equation reads -Delta u + u + eps phi_1[u] u = f(u),
+    phi_1[u] = Newton[u^2], so L v_1 = -phi_1[omega_0] omega_0 with
+    L = -Delta + 1 - f'(omega_0): one tridiagonal solve.  L is invertible on
+    radial fields when omega_0 is nondegenerate; a singular factor raises
+    NonConvergence at lam = 0.  The first variation of the energy vanishes
+    at omega_0, so Gamma_lam = b + lam^2 K_1 + O(lam^4) needs no v_1.
+    """
+    omega0 = solve_at_lambda(omega, nl, 0.0, opts).u
+    grid = omega0.grid
+    w = omega0.values
+    phi1 = newton_potential(grid, w**2)
+    try:
+        lu = helmholtz_lu(grid, 1.0 - np.asarray(nl.fprime(w), dtype=float))
+    except LinAlgError as exc:
+        raise NonConvergence("the linearization at the lam=0 solution is singular",
+                             lam=0.0) from exc
+    v1 = solve_lu(lu, -phi1 * w)
+    return omega0, v1, 0.25 * integrate_values(grid, phi1 * w**2)
+
+
+def _predict(omega0: RadialFunction, v1: np.ndarray, points: list[BranchPoint],
+             lam: float) -> RadialFunction:
+    """Hermite interpolant in s = lam^2 at lam, clipped at 0, through omega0
+    with slope v1 at s = 0 and the points' fields at s_j = lam_j^2 > 0.
+
+    It is omega0 + s v1 + s^2 sum_j l_j(s) (u_j - omega0 - s_j v1) / s_j^2
+    with the Lagrange basis l_j on the s_j, so it is one weighted sum of the
+    fields with scalar weights c_j = (s / s_j)^2 l_j(s) on the u_j.
+    """
+    s = lam**2
+    nodes = [p.lam**2 for p in points]
+    c = [(s / sj) ** 2 * math.prod((s - si) / (sj - si) for i, si in enumerate(nodes) if i != j)
+         for j, sj in enumerate(nodes)]
+    weights = [1.0 - sum(c), s - sum(cj * sj for cj, sj in zip(c, nodes)), *c]
+    fields = [omega0.values, v1, *(p.u.values for p in points)]
+    vals = np.maximum(sum(wt * f for wt, f in zip(weights, fields)), 0.0)
+    vals[-1] = 0.0
+    return RadialFunction(omega0.grid, vals)
 
 
 def _loglog_slope(x, y) -> float:
@@ -353,6 +396,7 @@ class AsymptoticsReport:
     d_budget: float
     lambda0_empirical: float
     b_ref: float
+    K1: float
 
 
 def asymptotics_report(branch: SolutionBranch, nl: Nonlinearity) -> AsymptoticsReport:
@@ -390,4 +434,5 @@ def asymptotics_report(branch: SolutionBranch, nl: Nonlinearity) -> AsymptoticsR
         d_budget=d_budget,
         lambda0_empirical=lambda0,
         b_ref=b,
+        K1=branch.K1,
     )

@@ -80,6 +80,10 @@ def test_sweep_csv_header_and_determinism(tmp_path):
     lines = csv_a.decode().splitlines()
     assert lines[0] == SWEEP_HEADER
     assert len(lines) == 3
+    # K1 = (1/4) int phi_1[omega_0] omega_0^2 goes to the JSON summary only
+    summary = json.loads((tmp_path / "a" / "sweep_summary.json").read_text())
+    assert summary["K1"]["method"].startswith("computed")
+    assert summary["K1"]["value"] > 0
 
 
 def test_poisson_test_subcommand(tmp_path):

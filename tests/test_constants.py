@@ -6,6 +6,7 @@ from spgs import (
     SOBOLEV_S_CLOSED_FORM,
     best_Cq,
     canonical_family,
+    checks,
     constants_report,
     make_grid,
     minimize_on_M,
@@ -13,7 +14,9 @@ from spgs import (
     norm_lq,
     sobolev_S,
 )
+from spgs.config import RunConfig
 from spgs.constants import _quotient_hq
+from spgs.limit_solver import Stagnation
 
 
 def test_closed_form_value():
@@ -86,3 +89,24 @@ def test_constants_report_structure(grid30):
     assert rep.S > 0
     assert all(v > 0 for v in rep.Cq.values())
     assert all(v > 0 for v in rep.mu_thresholds.values())
+
+
+def test_reported_mu_threshold_is_the_diagnosed_one(monkeypatch):
+    # constants reports the mu* that checks.ground_state diagnoses a failed
+    # solve against: both plug the closed-form S into mu_threshold
+    grid = make_grid(30.0, 750)
+    diagnosed = []
+
+    def stalled(nl, grid, tol):
+        raise Stagnation("stalled")
+
+    def recorded(*args):
+        diagnosed.append(mu_threshold(*args))
+        return diagnosed[-1]
+
+    monkeypatch.setattr(checks, "minimize_on_M", stalled)
+    monkeypatch.setattr(checks, "mu_threshold", recorded)
+    cfg = RunConfig(mu=100.0, q=4.0, critical_weight=1.0)
+    with pytest.raises(Stagnation):
+        checks.ground_state(cfg, cfg.nonlinearity(), grid)
+    assert constants_report(grid, [4]).mu_thresholds[4] == diagnosed[0]

@@ -1,8 +1,10 @@
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from numpy.linalg import LinAlgError
 
 from oracles import resampled_path_max, resampled_t0
 from spgs import (
@@ -26,6 +28,7 @@ from spgs.sp_solver import (
     PositivityLoss,
     RangeFailure,
     SolverOptions,
+    _anchor,
     _dense_jacobian_step,
     _gmres,
     _loglog_slope,
@@ -63,9 +66,32 @@ def test_solve_rejects_negative_lambda(ground_cubic, nl_cubic):
 
 def test_nonconvergence_carries_lambda(ground_cubic, nl_cubic, monkeypatch):
     monkeypatch.setattr(sp_solver, "_MAX_ITER", 2)
-    with pytest.raises(NonConvergence) as err:
+    with pytest.raises(NonConvergence, match=r"after 2 Newton steps at lam=0\.1$") as err:
         solve_at_lambda(ground_cubic.omega, nl_cubic, 0.1, SolverOptions(tol=1e-16))
     assert err.value.lam == 0.1
+
+
+def test_failed_anchor_names_lambda_zero(ground_cubic, nl_cubic, monkeypatch):
+    # the branch is anchored at lam = 0 before its first point: a failure
+    # there is a failure at lam = 0, not at the first schedule entry
+    monkeypatch.setattr(sp_solver, "_MAX_ITER", 0)
+    with pytest.raises(NonConvergence, match=r"at lam=0\.0$") as err:
+        continuation(nl_cubic, (0.1, 0.05), ground_cubic)
+    assert err.value.lam == 0.0
+
+
+def test_singular_anchor_linearization_is_nonconvergence(ground_cubic, nl_cubic, monkeypatch):
+    # start from the lam = 0 solution, so that only the v_1 solve factors L
+    at_zero = replace(ground_cubic, omega=solve_at_lambda(ground_cubic.omega, nl_cubic, 0.0).u)
+
+    def singular(grid, shift):
+        raise LinAlgError("singular matrix")
+
+    monkeypatch.setattr(sp_solver, "helmholtz_lu", singular)
+    with pytest.raises(NonConvergence, match="lam=0 solution is singular") as err:
+        continuation(nl_cubic, (0.1,), at_zero)
+    assert err.value.lam == 0.0
+    assert isinstance(err.value.__cause__, LinAlgError)
 
 
 def test_converged_last_step_is_accepted(ground_cubic, nl_cubic, monkeypatch):
@@ -79,7 +105,7 @@ def test_converged_last_step_is_accepted(ground_cubic, nl_cubic, monkeypatch):
 def test_failed_line_search_is_nonconvergence(ground_cubic, nl_cubic):
     # no step lowers a residual at its rounding floor, far above 1e-16; the
     # solve stops there instead of repeating the same step _MAX_ITER times
-    with pytest.raises(NonConvergence, match="line search") as err:
+    with pytest.raises(NonConvergence, match=r"line search failed .* at lam=0\.1$") as err:
         solve_at_lambda(ground_cubic.omega, nl_cubic, 0.1, SolverOptions(tol=1e-16))
     assert err.value.lam == 0.1
 
@@ -291,13 +317,23 @@ def test_gmres_solves_small_systems():
     assert np.linalg.norm(a @ x - b) <= _GMRES_TOL * np.linalg.norm(b)
 
 
-def test_predictor_branch_matches_warm_started_solves():
-    # every point starts from the lam^2 extrapolation of the points before it;
-    # it converges to the point that the previous point warm-starts, in fewer
-    # Newton iterations
+def test_predictor_branch_matches_warm_started_solves(monkeypatch):
+    # every point starts from the Hermite interpolant in lam^2 through the
+    # anchor at lam = 0 and the points before it; it converges to the point
+    # that the previous point warm-starts, in fewer Newton iterations, the
+    # anchor's own included
     nl = canonical_family(1.0, 3.0, 0.0)
     ground = minimize_on_M(nl, make_grid(30.0, 750))
+    solves = []
+
+    def counted(*args, **kwargs):
+        solves.append(solve_at_lambda(*args, **kwargs))
+        return solves[-1]
+
+    monkeypatch.setattr(sp_solver, "solve_at_lambda", counted)
     branch = continuation(nl, BRANCH_LAMBDAS, ground)
+    monkeypatch.undo()
+    assert [pt.lam for pt in solves] == [0.0, *(pt.lam for pt in branch.points)]
     u_warm = ground.omega
     warm_iterations = 0
     for pt in branch.points:
@@ -305,7 +341,38 @@ def test_predictor_branch_matches_warm_started_solves():
         assert math.sqrt(h1_norm_sq(pt.u - ref.u)) <= 1e-8 * math.sqrt(h1_norm_sq(ref.u))
         warm_iterations += ref.iterations
         u_warm = ref.u
-    assert sum(pt.iterations for pt in branch.points) < warm_iterations
+    total = sum(pt.iterations for pt in solves)
+    assert total < warm_iterations
+    # a start from omega with the extrapolation through the last three points
+    # alone, no anchor, takes 35 Newton steps here
+    assert total < 35
+
+
+@pytest.fixture(scope="module")
+def branch_q4(ground_cubic, nl_cubic):
+    branch = continuation(nl_cubic, (0.1, 0.03, 0.01), ground_cubic)
+    return branch, _anchor(ground_cubic.omega, nl_cubic, None)
+
+
+def test_anchor_slope_is_the_lambda_squared_derivative(branch_q4):
+    # u_lam = omega_0 + lam^2 v_1 + O(lam^4): the remainder over lam^4 levels
+    # off (measured 3.38, 3.39, 3.39 at mu=1, q=4, n=3000)
+    branch, (omega0, v1, _) = branch_q4
+    ratios = [math.sqrt(h1_norm_sq(RadialFunction(omega0.grid, pt.u.values - omega0.values
+                                                  - pt.lam**2 * v1))) / pt.lam**4
+              for pt in branch.points]
+    assert all(ratios[0] / 1.5 <= r <= 1.5 * ratios[0] for r in ratios)
+
+
+def test_K1_is_the_lambda_squared_coefficient_of_the_energy(branch_q4, nl_cubic):
+    # Gamma_lam = I(omega_0) + lam^2 K1 + O(lam^4): the gap of the difference
+    # quotient falls like lam^2, about 11x from lam = 0.1 to 0.03
+    branch, (omega0, _, K1) = branch_q4
+    assert branch.K1 == K1
+    assert asymptotics_report(branch, nl_cubic).K1 == K1
+    b0 = energy(omega0, nl_cubic, 0.0).I_value
+    gaps = [abs((pt.gamma_energy - b0) / pt.lam**2 - K1) for pt in branch.points[:2]]
+    assert gaps[1] * 5.0 <= gaps[0]
 
 
 @pytest.fixture(scope="module")
