@@ -239,10 +239,23 @@ def _parse_q_list(text: str) -> list[float]:
         raise ConfigError(f"bad --q list: {exc}")
     if not qs:
         raise ConfigError("--q list is empty")
+    bad = [q for q in qs if not 2.0 < q < 6.0]
+    if bad:
+        raise ConfigError(f"--q values must lie in (2, 6), got {', '.join(map(str, bad))}")
     return qs
 
 
 # -------------------------------------------------------------------- main
+
+
+def _read_config_text(path: Path | None) -> str:
+    if path is None:
+        return ""
+    try:
+        return path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ConfigError(f"cannot read config file {path}: {reason}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -271,10 +284,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.config is not None:
-            cfg = parse_config(Path(args.config).read_text())
-        else:
-            cfg = parse_config("")
+        cfg = parse_config(_read_config_text(args.config))
         cfg = apply_env_overrides(cfg)
         if args.output is not None:
             cfg = replace(cfg, directory=str(args.output))

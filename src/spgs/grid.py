@@ -9,11 +9,49 @@ of the radial extension.
 from __future__ import annotations
 
 import math
+import os
+import sys
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES
+from importlib.util import find_spec, module_from_spec, spec_from_file_location
 
 import numpy as np
-from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dgttrf, dgttrs
+from numpy.linalg import LinAlgError  # the class scipy.linalg re-exports
+
+
+def _load_flapack():
+    """scipy's compiled LAPACK extension scipy/linalg/_flapack, loaded from
+    its file without importing the scipy or scipy.linalg packages.
+
+    Their __init__ modules pull in scipy._lib and through it numpy.f2py,
+    numpy.testing and numpy.ma: most of the time and close to half the memory
+    of `import spgs`, for two routines.  dgttrf and dgttrs are the same f2py
+    routines that scipy.linalg.lapack exports, so every factor and solve is
+    unchanged.
+    """
+    spec = find_spec("scipy")
+    if spec is None:
+        raise ModuleNotFoundError("spgs needs scipy", name="scipy")
+    where = os.path.join(spec.submodule_search_locations[0], "linalg")
+    for suffix in EXTENSION_SUFFIXES:
+        path = os.path.join(where, "_flapack" + suffix)
+        if os.path.isfile(path):
+            break
+    else:
+        raise ImportError(f"scipy's LAPACK extension _flapack not found in {where}")
+    name = "scipy.linalg._flapack"
+    registered = name in sys.modules
+    flapack = module_from_spec(spec_from_file_location(name, path))
+    flapack.__spec__.loader.exec_module(flapack)
+    # loading registers the module; unregister it so that a later import of
+    # scipy.linalg binds it as its own attribute (from the same routines)
+    if not registered:
+        del sys.modules[name]
+    return flapack
+
+
+_flapack = _load_flapack()
+dgttrf, dgttrs = _flapack.dgttrf, _flapack.dgttrs
 
 
 @dataclass(frozen=True)

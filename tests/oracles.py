@@ -5,6 +5,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.interpolate import PchipInterpolator
 from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.optimize import brentq, minimize_scalar
 
 from spgs import RadialFunction, dilate, energy
@@ -45,6 +46,27 @@ def banded_helmholtz_solve(grid, shift, rhs: np.ndarray) -> np.ndarray:
     if b.ndim == 1:
         return solve_banded((1, 1), ab, b)
     return np.column_stack([solve_banded((1, 1), ab, col) for col in b.T])
+
+
+def lapack_helmholtz_lu(grid, shift) -> tuple[np.ndarray, ...]:
+    """dgttrf factor of -Delta_h + shift with w(R) = 0 through
+    scipy.linalg.lapack: the reference for spgs.grid.helmholtz_lu, which loads
+    the same routine without importing scipy.linalg."""
+    diag = grid.bands[1].copy()
+    diag[:-1] += np.broadcast_to(np.asarray(shift, dtype=float), (grid.n,))[:-1]
+    *lu, info = dgttrf(grid.bands[2, :-1], diag, grid.bands[0, 1:])
+    assert info == 0
+    return tuple(lu)
+
+
+def lapack_helmholtz_solve(grid, shift, rhs: np.ndarray) -> np.ndarray:
+    """(-Delta_h + shift) w = rhs with w(R) = 0 by scipy.linalg.lapack's dgttrs
+    on the factor of lapack_helmholtz_lu, all columns at once."""
+    b = np.array(rhs, dtype=float)
+    b[-1] = 0.0
+    w, info = dgttrs(*lapack_helmholtz_lu(grid, shift), b)
+    assert info == 0
+    return w
 
 
 def resampled_gamma(u: RadialFunction, nl, lam: float, t: float) -> float:

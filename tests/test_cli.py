@@ -105,8 +105,12 @@ def test_constants_subcommand(tmp_path):
 
 
 def test_constants_bad_q_list(tmp_path, capsys):
-    code = main(["--output", str(tmp_path / "out"), "constants", "--q", "x"])
-    assert code == 2
+    # unparseable, empty, and outside the open interval (2, 6)
+    for q in ("x", "", "7", "2", "3,6", "nan", "inf", "-inf"):
+        code = main(["--output", str(tmp_path / "out"), "constants", f"--q={q}"])
+        assert code == 2, q
+        assert "--q" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_bad_config_file(tmp_path, capsys):
@@ -114,6 +118,15 @@ def test_bad_config_file(tmp_path, capsys):
     code = main(["--config", str(cfg), "solve-limit"])
     assert code == 2
     assert "at least 16" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["missing.cfg", "."])
+def test_unreadable_config_file(tmp_path, capsys, name):
+    path = tmp_path / name
+    code = main(["--config", str(path), "--output", str(tmp_path / "out"), "solve-limit"])
+    assert code == 2
+    assert f"cannot read config file {path}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("text,key", [
@@ -279,11 +292,14 @@ def test_public_names_resolve():
 
 
 def test_import_footprint():
-    # the package and its command line load numpy and scipy.linalg only;
-    # the Krylov solver of the coupled Newton step is numpy, not scipy.sparse
+    # the package and its command line load numpy and scipy's LAPACK extension
+    # only, not the scipy.linalg package (nor scipy._lib, which its __init__
+    # loads); the Krylov solver of the coupled Newton step is numpy, not
+    # scipy.sparse
     code = ("import sys, spgs, spgs.cli; "
-            "print([m for m in ('scipy.integrate', 'scipy.interpolate', "
-            "'scipy.optimize', 'scipy.sparse', 'scipy.special') if m in sys.modules])")
+            "print([m for m in ('scipy._lib', 'scipy.linalg', 'scipy.integrate', "
+            "'scipy.interpolate', 'scipy.optimize', 'scipy.sparse', 'scipy.special') "
+            "if m in sys.modules])")
     src = str(Path(__file__).resolve().parents[1] / "src")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, check=True, timeout=120)

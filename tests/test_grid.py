@@ -1,12 +1,23 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from oracles import banded_helmholtz_solve, pchip_dilate
+from oracles import (
+    banded_helmholtz_solve,
+    lapack_helmholtz_lu,
+    lapack_helmholtz_solve,
+    pchip_dilate,
+)
 from spgs import RadialFunction, dilate, grad_norm_sq, h1_norm_sq, make_grid, norm_lq
 from spgs.grid import (
+    LinAlgError,
     dual_norm,
     helmholtz_lu,
     integrate_values,
@@ -222,11 +233,14 @@ def test_riesz_factor_solve_matches_solve_banded_bitwise(n):
     rhs = np.random.default_rng(n).standard_normal(n)
     w = solve_riesz(g, rhs)
     assert np.array_equal(w, banded_helmholtz_solve(g, 1.0, rhs))
+    assert all(np.array_equal(a, b) for a, b in zip(g.riesz_lu, lapack_helmholtz_lu(g, 1.0)))
+    assert np.array_equal(w, lapack_helmholtz_solve(g, 1.0, rhs))
 
 
 @pytest.mark.parametrize("n", [750, 3000, 12000])
 def test_helmholtz_factor_solve_matches_solve_banded_bitwise(n):
-    # variable shifts, indefinite ones included, and two right sides at once
+    # variable shifts, indefinite ones included, and one or two right sides;
+    # scipy.linalg.lapack's dgttrf and dgttrs are the second reference
     g = make_grid(30.0, n)
     rng = np.random.default_rng(n)
     rhs = rng.standard_normal((n, 2))
@@ -234,16 +248,51 @@ def test_helmholtz_factor_solve_matches_solve_banded_bitwise(n):
         ref = banded_helmholtz_solve(g, shift, rhs)
         assert np.array_equal(solve_helmholtz(g, shift, rhs), ref)
         lu = helmholtz_lu(g, shift)
+        assert all(np.array_equal(a, b) for a, b in zip(lu, lapack_helmholtz_lu(g, shift)))
         assert np.array_equal(solve_lu(lu, rhs[:, 0]), ref[:, 0])
         assert np.array_equal(solve_lu(lu, rhs[:, 1]), ref[:, 1])
+        for b in (rhs[:, 0], rhs):
+            assert np.array_equal(solve_lu(lu, b), lapack_helmholtz_solve(g, shift, b))
 
 
 def test_singular_helmholtz_factor_raises():
     # a zero interior diagonal leaves an odd-sized tridiagonal block, which is
     # singular
+    assert LinAlgError is scipy.linalg.LinAlgError
     g = make_grid(30.0, 16)
-    with pytest.raises(np.linalg.LinAlgError):
+    with pytest.raises(scipy.linalg.LinAlgError):
         helmholtz_lu(g, -g.bands[1])
+
+
+def _fresh_python(code: str, *path: Path) -> subprocess.CompletedProcess:
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(map(str, (*path, src)))}
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+
+
+def test_scipy_linalg_imports_after_spgs():
+    # spgs loads scipy's LAPACK extension from its file; scipy.linalg, imported
+    # afterwards, still binds it and exports the same routines
+    out = _fresh_python(
+        "import spgs.grid as g, numpy as np, scipy.linalg as sl; "
+        "from scipy.linalg import lapack; "
+        "assert g.dgttrf is lapack.dgttrf and g.dgttrs is lapack.dgttrs; "
+        "assert sl._flapack.dgttrs is g.dgttrs; "
+        "print(sl.solve_banded((1, 1), np.array([[0, 1.], [2, 2], [1, 0]]), np.ones(2)))")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["[0.33333333", "0.33333333]"]
+
+
+def test_missing_lapack_extension_names_the_directory(tmp_path):
+    # a scipy without linalg/_flapack fails the import of spgs, naming where
+    # it looked
+    (tmp_path / "scipy" / "linalg").mkdir(parents=True)
+    (tmp_path / "scipy" / "__init__.py").write_text("")
+    out = _fresh_python("import spgs", tmp_path)
+    assert out.returncode == 1
+    assert "ImportError" in out.stderr
+    assert str(tmp_path / "scipy" / "linalg") in out.stderr
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
