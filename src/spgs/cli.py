@@ -35,13 +35,19 @@ def _num(value, method: str) -> dict:
     return {"value": value, "method": method}
 
 
+def _make_dir(path: Path) -> None:
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        reason = exc.strerror or exc
+        raise ConfigError(f"cannot create output directory {path}: {reason}") from None
+
+
 def _write_json(path: Path, obj) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _write_csv(path: Path, header: str, rows) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     lines = [header]
     for row in rows:
         lines.append(",".join(_fmt(x) for x in row))
@@ -78,8 +84,6 @@ def cmd_solve_limit(cfg: RunConfig, outdir: Path) -> dict:
 
 
 def cmd_solve(cfg: RunConfig, outdir: Path, lam: float) -> dict:
-    if lam < 0:
-        raise ConfigError(f"lambda = {lam} violates the precondition lambda >= 0")
     nl = cfg.nonlinearity()
     grid = make_grid(cfg.R, cfg.n)
     ground = ground_state(cfg, nl, grid)
@@ -187,8 +191,7 @@ def cmd_verify(cfg: RunConfig, outdir: Path) -> tuple[dict, bool]:
 
 _SCALAR_COMMANDS = {
     "solve-limit": lambda cfg, outdir, args: cmd_solve_limit(cfg, outdir),
-    "constants": lambda cfg, outdir, args: cmd_constants(
-        cfg, outdir, _parse_q_list(args.q)),
+    "constants": lambda cfg, outdir, args: cmd_constants(cfg, outdir, args.q),
     "poisson-test": lambda cfg, outdir, args: cmd_poisson_test(cfg, outdir),
     "solve": lambda cfg, outdir, args: cmd_solve(cfg, outdir, args.lam),
     "sweep-lambda": lambda cfg, outdir, args: cmd_sweep_lambda(cfg, outdir),
@@ -218,7 +221,9 @@ def _grid_study(cfg: RunConfig, outdir: Path, args, runner, base: dict) -> dict:
     summaries = {"base": base}
     for factor, tag in ((0.5, "half"), (2.0, "double")):
         n = max(int(round((cfg.n - 1) * factor)) + 1, 16)
-        summaries[tag] = runner(replace(cfg, n=n), outdir / f"grid_{tag}", args)
+        sub = outdir / f"grid_{tag}"
+        _make_dir(sub)
+        summaries[tag] = runner(replace(cfg, n=n), sub, args)
     leaves = {tag: _scalar_leaves(s) for tag, s in summaries.items()}
     orders = {}
     for key in leaves["base"]:
@@ -289,10 +294,16 @@ def main(argv=None) -> int:
         if args.output is not None:
             cfg = replace(cfg, directory=str(args.output))
         outdir = Path(cfg.directory)
+        if args.command == "verify" and args.grid_study:
+            raise ConfigError("--grid-study does not apply to verify")
+        if args.command == "constants":
+            args.q = _parse_q_list(args.q)
+        if args.command == "solve" and not 0.0 <= args.lam < math.inf:
+            raise ConfigError(f"lambda = {args.lam} violates the precondition 0 <= lambda < inf")
+        # every argument is checked, so the directory is made only for a run
+        _make_dir(outdir)
 
         if args.command == "verify":
-            if args.grid_study:
-                raise ConfigError("--grid-study does not apply to verify")
             _, ok = cmd_verify(cfg, outdir)
             return 0 if ok else 4
 

@@ -75,14 +75,21 @@ class ScalingTerms:
         return res, (abs(res) / scale if scale != 0.0 else 0.0)
 
 
+def _local_terms(u: RadialFunction, nl: Nonlinearity) -> tuple[float, float]:
+    """B = |u|_2^2 and C = int F(u), the two terms of V."""
+    return (integrate_values(u.grid, u.values**2),
+            integrate_values(u.grid, nl.F(u.values)))
+
+
 def scaling_terms(u: RadialFunction, nl: Nonlinearity, lam: float = 0.0) -> ScalingTerms:
     """The four scaling terms of u; the Poisson solve runs only for lam > 0."""
     if lam < 0:
         raise ValueError(f"coupling parameter must be nonnegative, got {lam}")
+    B, C = _local_terms(u, nl)
     return ScalingTerms(
         A=grad_norm_sq(u),
-        B=integrate_values(u.grid, u.values**2),
-        C=integrate_values(u.grid, nl.F(u.values)),
+        B=B,
+        C=C,
         K=0.25 * lam * solve_phi(u, lam).coupling if lam > 0 else 0.0,
     )
 
@@ -118,8 +125,11 @@ def pohozaev_P(u: RadialFunction, nl: Nonlinearity) -> float:
 
 
 def V_value(u: RadialFunction, nl: Nonlinearity) -> float:
-    """Constraint functional V(u) = int G(u)."""
-    return scaling_terms(u, nl).V
+    """Constraint functional V(u) = int G(u) = C - B/2, without A.
+
+    The same B and C, and the same difference, as ScalingTerms.V."""
+    B, C = _local_terms(u, nl)
+    return C - 0.5 * B
 
 
 def T0_value(u: RadialFunction) -> float:

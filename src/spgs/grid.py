@@ -214,15 +214,33 @@ def _end_slope(m0: float, m1: float) -> float:
     return d
 
 
-def dilate(u: RadialFunction, t: float) -> RadialFunction:
+def monotone_slopes(u: RadialFunction) -> np.ndarray:
+    """Node slopes, per cell, of the monotone piecewise cubic through u.
+
+    Fritsch & Carlson (SIAM J. Numer. Anal. 17, 1980): the harmonic mean of
+    neighbouring secants of one sign, zero at a local extremum, and
+    one-sided three-point slopes at the ends (_end_slope).
+    """
+    y = u.values
+    m = np.diff(y)
+    prod = m[:-1] * m[1:]
+    same = prod > 0.0
+    d = np.zeros_like(y)
+    d[1:-1][same] = 2.0 * prod[same] / (m[:-1][same] + m[1:][same])
+    d[0] = _end_slope(m[0], m[1])
+    d[-1] = _end_slope(m[-1], m[-2])
+    return d
+
+
+def dilate(u: RadialFunction, t: float, slopes: np.ndarray | None = None) -> RadialFunction:
     """Return r -> u(r/t) resampled on the same grid.
 
-    Monotone piecewise cubic interpolation (Fritsch & Carlson, SIAM J. Numer.
-    Anal. 17, 1980) avoids overshoot that would create spurious negative
-    values in positive profiles: the node slopes are the harmonic mean of
-    neighbouring secants of one sign and zero at a local extremum.  Radii
-    beyond the original support map to zero, and the Dirichlet tail value is
-    preserved.
+    The monotone piecewise cubic of monotone_slopes avoids overshoot that
+    would create spurious negative values in positive profiles.  slopes are
+    those of u, passed by callers that dilate one field several times;
+    otherwise they are built here.  The nodes whose source radius r/t lies
+    within R form a prefix of the grid; radii beyond the original support map
+    to zero, and the Dirichlet tail value is preserved.
     """
     t = float(t)
     if not (t > 0.0) or not math.isfinite(t):
@@ -231,24 +249,18 @@ def dilate(u: RadialFunction, t: float) -> RadialFunction:
         return RadialFunction(u.grid, u.values.copy())
     grid = u.grid
     y = u.values
-    # secants and node slopes, both per cell
-    m = np.diff(y)
-    prod = m[:-1] * m[1:]
-    same = prod > 0.0
-    d = np.zeros_like(y)
-    d[1:-1][same] = 2.0 * prod[same] / (m[:-1][same] + m[1:][same])
-    d[0] = _end_slope(m[0], m[1])
-    d[-1] = _end_slope(m[-1], m[-2])
+    d = monotone_slopes(u) if slopes is None else slopes
 
     r_src = grid.nodes / t
-    inside = r_src <= grid.R
-    x = r_src[inside] / grid.h
+    # r_src increases with the nodes, so the radii within R are a prefix
+    k = int(np.searchsorted(r_src, grid.R, side="right"))
+    x = r_src[:k] / grid.h
     i = np.minimum(x.astype(np.intp), grid.n - 2)
     s = x - i
     c = 1.0 - s
     vals = np.zeros_like(y)
-    vals[inside] = (y[i] * (1.0 + 2.0 * s) * c * c + y[i + 1] * (1.0 + 2.0 * c) * s * s
-                    + s * c * (d[i] * c - d[i + 1] * s))
+    vals[:k] = (y[i] * (1.0 + 2.0 * s) * c * c + y[i + 1] * (1.0 + 2.0 * c) * s * s
+                + s * c * (d[i] * c - d[i + 1] * s))
     vals[-1] = 0.0 if abs(y[-1]) == 0.0 else vals[-1]
     return RadialFunction(grid, vals)
 
@@ -262,8 +274,12 @@ def laplacian_apply(u: RadialFunction) -> np.ndarray:
     rows handle it).
     """
     grid = u.grid
-    out = np.zeros_like(u.values)
-    out[:-1] = np.diff(grid.conductance * np.diff(u.values), prepend=0.0) / grid.mass[:-1]
+    flux = grid.conductance * np.diff(u.values)
+    out = np.empty_like(u.values)
+    out[0] = flux[0] / grid.mass[0]
+    np.subtract(flux[1:], flux[:-1], out=out[1:-1])
+    out[1:-1] /= grid.mass[1:-1]
+    out[-1] = 0.0
     return out
 
 

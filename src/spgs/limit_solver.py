@@ -23,6 +23,7 @@ from .grid import (
     dual_norm,
     grad_norm_sq,
     laplacian_apply,
+    monotone_slopes,
     solve_helmholtz,
     solve_riesz,
 )
@@ -116,8 +117,11 @@ def project_to_M(u: RadialFunction, nl: Nonlinearity) -> RadialFunction:
     error, with p = 3 in the first step and then the exponent of V measured
     between the last two dilations: on coarse grids, resampling a narrow
     profile moves it well away from 3.  Each step checks V on the grid.
+    Every trial dilates u itself, so the slopes of its monotone cubic are
+    built once and shared by all trials.
     """
     t, v, p = 1.0, V_value(u, nl), 3.0
+    slopes = monotone_slopes(u)
     for _ in range(_PROJECTION_STEPS):
         if not v > 0:
             raise InitializationFailure(f"constraint value must be positive, got {v}")
@@ -128,7 +132,7 @@ def project_to_M(u: RadialFunction, nl: Nonlinearity) -> RadialFunction:
         if not math.isfinite(t_next):
             raise InitializationFailure(
                 f"constraint projection diverged: V = {v:.3e} after dilation by {t:.3e}")
-        w = dilate(u, t_next)
+        w = dilate(u, t_next, slopes)
         v_next = V_value(w, nl)
         if abs(v_next - 1.0) <= 1e-13:
             return w
@@ -244,10 +248,10 @@ def minimize_on_M(nl: Nonlinearity, grid: RadialGrid, tol: float = 1e-8) -> Limi
 
     eta = 1.0
     steps = 0
+    t0_here = T0_value(u)
     while True:
         pg, theta, t0g, vg = _projected_gradient(u, nl)
         pg_nrm = dual_norm(grid, pg)
-        t0_here = T0_value(u)
         if pg_nrm <= _FLOW_HANDOVER * math.sqrt(2.0 * t0_here):
             break
         if steps == _FLOW_MAX_ITER:
@@ -277,8 +281,9 @@ def minimize_on_M(nl: Nonlinearity, grid: RadialGrid, tol: float = 1e-8) -> Limi
             except InitializationFailure:
                 eta *= 0.5
                 continue
-            if T0_value(trial) < t0_here - _ARMIJO * eta * slope:
-                u = trial
+            t0_trial = T0_value(trial)
+            if t0_trial < t0_here - _ARMIJO * eta * slope:
+                u, t0_here = trial, t0_trial
                 eta = min(eta * _STEP_GROWTH, _STEP_CAP)
                 accepted = True
                 break

@@ -1,6 +1,8 @@
 """Test-only oracles: independent routes to quantities the package computes
 by cheaper or closed-form means."""
 
+import math
+
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.interpolate import PchipInterpolator
@@ -9,11 +11,15 @@ from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.optimize import brentq, minimize_scalar
 
 from spgs import RadialFunction, dilate, energy
+from spgs.functionals import scaling_terms
+from spgs.grid import _end_slope
 from spgs.limit_solver import (
     _ATOL,
+    _PROJECTION_STEPS,
     _R_START,
     _RTOL,
     _SHOOT_TOL,
+    InitializationFailure,
     StiffnessFailure,
     _classify_shot,
     _dense_coefficients,
@@ -103,6 +109,72 @@ def pchip_dilate(u: RadialFunction, t: float) -> RadialFunction:
     vals = np.where(np.isnan(vals), 0.0, vals)
     vals[-1] = 0.0 if abs(u.values[-1]) == 0.0 else vals[-1]
     return RadialFunction(u.grid, vals)
+
+
+def reference_dilate(u: RadialFunction, t: float) -> RadialFunction:
+    """r -> u(r/t) as spgs.dilate computed it with its slopes built inline,
+    a boolean mask for the radii within R and a scatter into the result: the
+    bitwise reference for dilate with and without precomputed slopes."""
+    t = float(t)
+    if t == 1.0:
+        return RadialFunction(u.grid, u.values.copy())
+    grid = u.grid
+    y = u.values
+    m = np.diff(y)
+    prod = m[:-1] * m[1:]
+    same = prod > 0.0
+    d = np.zeros_like(y)
+    d[1:-1][same] = 2.0 * prod[same] / (m[:-1][same] + m[1:][same])
+    d[0] = _end_slope(m[0], m[1])
+    d[-1] = _end_slope(m[-1], m[-2])
+
+    r_src = grid.nodes / t
+    inside = r_src <= grid.R
+    x = r_src[inside] / grid.h
+    i = np.minimum(x.astype(np.intp), grid.n - 2)
+    s = x - i
+    c = 1.0 - s
+    vals = np.zeros_like(y)
+    vals[inside] = (y[i] * (1.0 + 2.0 * s) * c * c + y[i + 1] * (1.0 + 2.0 * c) * s * s
+                    + s * c * (d[i] * c - d[i + 1] * s))
+    vals[-1] = 0.0 if abs(y[-1]) == 0.0 else vals[-1]
+    return RadialFunction(grid, vals)
+
+
+def reference_laplacian(u: RadialFunction) -> np.ndarray:
+    """The conservative Laplacian as one difference of the face fluxes with a
+    zero flux prepended at r = 0: the bitwise reference for
+    spgs.grid.laplacian_apply."""
+    grid = u.grid
+    out = np.zeros_like(u.values)
+    out[:-1] = np.diff(grid.conductance * np.diff(u.values), prepend=0.0) / grid.mass[:-1]
+    return out
+
+
+def reference_project_to_M(u: RadialFunction, nl) -> RadialFunction:
+    """spgs.project_to_M with every trial dilation made by reference_dilate,
+    which rebuilds the slopes each time, and V read from the four scaling
+    terms: the bitwise reference for the projection that shares one set of
+    slopes."""
+    t, v, p = 1.0, scaling_terms(u, nl).V, 3.0
+    for _ in range(_PROJECTION_STEPS):
+        if not v > 0:
+            raise InitializationFailure(f"constraint value must be positive, got {v}")
+        try:
+            t_next = t * v ** (-1.0 / p)
+        except OverflowError:
+            t_next = math.inf
+        if not math.isfinite(t_next):
+            raise InitializationFailure("constraint projection diverged")
+        w = reference_dilate(u, t_next)
+        v_next = scaling_terms(w, nl).V
+        if abs(v_next - 1.0) <= 1e-13:
+            return w
+        if v_next > 0 and t_next != t:
+            p = math.log(v_next / v) / math.log(t_next / t)
+        p = p if p > 0 else 3.0
+        t, v = t_next, v_next
+    raise InitializationFailure("constraint projection stalled")
 
 
 def bounded_kappa(f) -> float:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from spgs import checks, limit_solver, sp_solver
+from spgs import checks, cli, limit_solver, sp_solver
 from spgs.cli import SWEEP_HEADER, main
 from spgs.limit_solver import SolverFailure
 
@@ -45,6 +45,15 @@ def test_solve_negative_lambda_is_config_error(tmp_path, capsys):
                  "solve", "--lambda=-0.1"])
     assert code == 2
     assert "precondition" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_solve_non_finite_lambda_is_config_error(tmp_path, capsys):
+    for lam in ("nan", "inf"):
+        code = main(["--output", str(tmp_path / "out"), "solve", "--lambda", lam])
+        assert code == 2, lam
+        assert "precondition" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_solve_single_lambda(tmp_path):
@@ -127,6 +136,21 @@ def test_unreadable_config_file(tmp_path, capsys, name):
     assert code == 2
     assert f"cannot read config file {path}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_output_path_that_is_a_file_is_config_error(tmp_path, capsys, monkeypatch):
+    # the directory is made before any command runs, so nothing is solved
+    target = tmp_path / "taken"
+    target.write_text("")
+
+    def never(*args):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setattr(cli, "cmd_poisson_test", never)
+    code = main(["--output", str(target), "poisson-test"])
+    assert code == 2
+    assert f"cannot create output directory {target}" in capsys.readouterr().err
+    assert target.read_text() == ""
 
 
 @pytest.mark.parametrize("text,key", [

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spgs import RadialFunction, energy, gradient_residual
+from spgs import RadialFunction, canonical_family, energy, gradient_residual
 from spgs.checks import gradient_fd_gap
 from spgs.functionals import T0_value, V_value, scaling_terms
 from spgs.grid import dual_norm, grad_norm_sq, integrate_values
@@ -79,3 +79,12 @@ def test_V_and_T0(grid30, nl_cubic):
     assert V_value(u, nl_cubic) == pytest.approx(
         integrate_values(grid30, nl_cubic.G(u.values)), rel=1e-14
     )
+
+
+def test_V_value_is_bitwise_the_scaling_terms_V(grid30, nl_cubic, ground_cubic):
+    r = grid30.nodes
+    nl55 = canonical_family(1.0, 5.5, 0.0)
+    for u in (ground_cubic.u, ground_cubic.omega, RadialFunction(grid30, np.exp(-r**2 / 2.0)),
+              RadialFunction(grid30, np.sin(r) * np.exp(-r / 5.0))):
+        for nl in (nl_cubic, nl55):
+            assert V_value(u, nl) == scaling_terms(u, nl).V

@@ -14,6 +14,8 @@ from oracles import (
     lapack_helmholtz_lu,
     lapack_helmholtz_solve,
     pchip_dilate,
+    reference_dilate,
+    reference_laplacian,
 )
 from spgs import RadialFunction, dilate, grad_norm_sq, h1_norm_sq, make_grid, norm_lq
 from spgs.grid import (
@@ -22,6 +24,7 @@ from spgs.grid import (
     helmholtz_lu,
     integrate_values,
     laplacian_apply,
+    monotone_slopes,
     solve_helmholtz,
     solve_lu,
     solve_riesz,
@@ -190,6 +193,41 @@ def test_dilate_subnormal_tail_is_quiet():
         warnings.simplefilter("error")
         for t in (0.5, 0.9, 1.1, 2.0):
             assert np.all(dilate(u, t).values >= 0.0)
+
+
+def _flat_and_sign_changing(g):
+    """A profile with flat stretches and sign changes, whose end slopes are
+    capped at r = 0 and zeroed at R, with a nonzero tail value."""
+    vals = np.clip(np.sin(g.nodes) * np.exp(-g.nodes / 20.0), -0.3, 0.3)
+    vals[:3] = (0.0, 1.0, -5.0)
+    vals[-3:] = (0.2, 5.2, 6.2)
+    return RadialFunction(g, vals)
+
+
+@pytest.mark.parametrize("n", [750, 3000])
+def test_dilate_is_bitwise_the_reference_on_flat_and_sign_changing_profile(n):
+    u = _flat_and_sign_changing(make_grid(30.0, n))
+    m = np.diff(u.values)
+    slopes = monotone_slopes(u)
+    # the branches this profile exercises: capped and zeroed end slopes,
+    # zero slopes on flat stretches and at extrema, sign changes
+    assert slopes[0] == 3.0 * m[0] and slopes[-1] == 0.0
+    assert np.sum(slopes[1:-1] == 0.0) > n // 4
+    assert np.any(u.values[:-1] * u.values[1:] < 0.0)
+    for t in (0.5, 0.97, 1.03, 2.0):
+        want = reference_dilate(u, t).values
+        assert np.array_equal(dilate(u, t).values, want)
+        assert np.array_equal(dilate(u, t, slopes).values, want)
+
+
+@pytest.mark.parametrize("n", [750, 3000])
+def test_laplacian_apply_is_bitwise_the_reference(n):
+    g = make_grid(30.0, n)
+    r = g.nodes
+    fields = [_flat_and_sign_changing(g), RadialFunction(g, 4.0 * np.exp(-r**2 / 4.0)),
+              RadialFunction(g, np.where(r < 1.0, -0.0, np.cos(r)))]
+    for u in fields:
+        assert np.array_equal(laplacian_apply(u), reference_laplacian(u))
 
 
 def test_solve_helmholtz_manufactured():

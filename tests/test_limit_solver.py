@@ -6,6 +6,8 @@ import pytest
 
 from oracles import (
     bisect_amplitude,
+    reference_dilate,
+    reference_project_to_M,
     resampled_path_max,
     series_start_amplitude,
     shot_dense,
@@ -26,6 +28,7 @@ from spgs import (
 )
 from spgs import limit_solver
 from spgs.functionals import T0_value, V_value
+from spgs.grid import monotone_slopes
 from spgs.limit_solver import (
     BracketFailure,
     _R_START,
@@ -96,6 +99,48 @@ def test_project_to_M_rejects_nonpositive_constraint(grid30, nl_cubic):
     tiny = RadialFunction(grid30, 1e-3 * np.exp(-grid30.nodes**2))
     with pytest.raises(InitializationFailure):
         project_to_M(tiny, nl_cubic)
+
+
+@pytest.fixture(scope="module", params=[750, 3000])
+def flow_inputs(request):
+    """The fields that the q=5.5 flow hands to project_to_M at n nodes: its
+    start, its trial steps and its polished state."""
+    nl = canonical_family(1.0, 5.5, 0.0)
+    seen = []
+    project = limit_solver.project_to_M
+
+    def recording(u, nl):
+        seen.append(u)
+        return project(u, nl)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(limit_solver, "project_to_M", recording)
+        minimize_on_M(nl, make_grid(30.0, request.param))
+    return nl, seen
+
+
+def test_project_to_M_is_bitwise_the_reference_loop(flow_inputs):
+    # the q=5.5 flow at n=750 reaches its handover only along exactly this
+    # sequence of iterates, so the shared slopes must not move a bit
+    nl, seen = flow_inputs
+    assert len(seen) > 30
+    for u in seen:
+        try:
+            want = reference_project_to_M(u, nl).values
+        except InitializationFailure:
+            with pytest.raises(InitializationFailure):
+                project_to_M(u, nl)
+            continue
+        assert np.array_equal(project_to_M(u, nl).values, want)
+
+
+@pytest.mark.parametrize("t", [0.5, 0.97, 1.03, 2.0])
+def test_dilate_on_flow_states_is_bitwise_the_reference(flow_inputs, t):
+    _, seen = flow_inputs
+    for u in seen[::5]:
+        want = reference_dilate(u, t).values
+        assert np.array_equal(dilate(u, t).values, want)
+        assert np.array_equal(dilate(u, t, monotone_slopes(u)).values, want)
 
 
 def test_projection_overflow_is_initialization_failure():
