@@ -337,8 +337,9 @@ def mountain_pass_b(omega: RadialFunction, nl: Nonlinearity) -> MountainPassResu
 
 
 # the k-section stops once the bracket is at most _SHOOT_TOL times the
-# amplitude; the shots leave their series start at _R_START, and DOP853 keeps
-# the error of each step within _RTOL |y| + _ATOL
+# amplitude; the shots leave their series start at _R_START at the latest
+# (_shot_start), and DOP853 keeps the error of each step within
+# _RTOL |y| + _ATOL
 _SHOOT_TOL = 1e-12
 _R_START = 1e-3
 _RTOL = 1e-10
@@ -349,10 +350,11 @@ _SECTION_POINTS = 63
 
 # a restarted sweep may move the transition by at most this fraction of
 # _SHOOT_TOL times the amplitude (_restart).  On the four `ground`
-# nonlinearities and on mu=20, q=2.2, cw=1 at R=40, the amplitude differs from
-# that of sweeps that all start at r_start by at most 4.7e-14 relative (about
-# one lane spacing of the last sweep) for 0.001 to 0.03, and not at all at
-# 0.01; by 9.3e-14 at 0.1 and by 3.3e-13 at 0.3, against the 1e-13 of the tests
+# nonlinearities, on mu=1, cw=0 with q = 2.5 and 5.5, and on mu=20, q=2.2,
+# cw=1 at R=40, the amplitude equals that of sweeps that all start from the
+# series start for 0.001 to 0.1, except on R=40: there it differs by 2.3e-14
+# relative at 0.001 and 0.01 and by 9.3e-14 at 0.003, and by 5.4e-13 to
+# 5.8e-13 from 0.03 to 0.3, against the 1e-13 of the tests
 _RESTART_SHIFT = 0.01
 
 # the 5th- and 3rd-order error estimators of DOP853, as rows over stages 0..12
@@ -371,12 +373,17 @@ def _shot_derivative(nl: Nonlinearity, r, y: np.ndarray) -> np.ndarray:
 
 
 def _shot_start(nl: Nonlinearity, amps: np.ndarray):
-    """Series start at r_start of the shots from centre amplitudes amps:
-    u = a + (a - f(a)) r^2/6, u' = (a - f(a)) r/3.  Returns (r, y, y')."""
-    r0 = _R_START
+    """Series start of the shots from centre amplitudes amps:
+    u = a + c r^2/6 + b r^4 and u' = c r/3 + 4 b r^3, with c = a - f(a) and
+    b = (1 - f'(a)) c / 120.  A lane starts at r = _R_START, or within 0.02 of
+    its core width 1/sqrt|1 - f'(a)| where that is narrower: beyond the core
+    the series diverges.  Returns (r, y, y')."""
     c = amps - nl.f(amps)
-    y = np.array([amps + c * r0**2 / 6.0, c * r0 / 3.0])
-    r = np.full(amps.shape, r0)
+    k = 1.0 - nl.fprime(amps)
+    r = np.minimum(_R_START, 0.02 / np.sqrt(np.abs(k)))
+    b = k * c / 120.0
+    r2 = r * r
+    y = np.array([amps + r2 * (c / 6.0 + b * r2), r * (c / 3.0 + 4.0 * b * r2)])
     return r, y, _shot_derivative(nl, r, y)
 
 
@@ -396,20 +403,28 @@ def _first_step(nl: Nonlinearity, r, y, dy, r_end: float):
 
 def _fill_stages(nl: Nonlinearity, K: np.ndarray, first: int, last: int,
                  r, h, y_flat: np.ndarray) -> np.ndarray:
-    """Stage derivatives K[first:last] of a DOP853 step of length h from (r, y).
+    """Stages first..last-1 of a DOP853 step of length h from (r, y).
 
-    The rows of K are [u' of every lane | u'' of every lane], and y_flat is y
-    in the same layout.  Returns the state of the last stage filled.
+    Row s of K is [u | u' | u''] over every lane: its first two thirds are
+    the state of stage s and its last two its derivative, so the u' of the
+    state is the u' of the derivative, and y_flat is y as [u | u'].  Returns
+    the state of the last stage filled.
     """
     n = r.size
     hh = np.concatenate((h, h))
     coef = -2.0 / (r + dop853.C[first:last, None] * h)
+    dK = K[:, n:]
     for s, c in zip(range(first, last), coef):
-        ys = y_flat + hh * (dop853.A[s, :s] @ K[:s])
-        u, du = ys[:n], ys[n:]
+        ys = K[s, :2 * n]
+        np.matmul(dop853.A[s, :s], dK[:s], out=ys)
+        ys *= hh
+        ys += y_flat
         # _shot_derivative, written into the stage row in place
-        K[s, :n] = du
-        K[s, n:] = c * du + u - nl.f(u)
+        u = ys[:n]
+        d2u = K[s, 2 * n:]
+        np.multiply(c, ys[n:], out=d2u)
+        d2u += u
+        d2u -= nl.f(u)
     return ys
 
 
@@ -422,19 +437,20 @@ def _dop853_attempt(nl: Nonlinearity, r, y, dy, h, retry, r_end: float):
     3rd-order estimates e5 and e3, and 0 when both vanish.  A step is accepted
     below 1, and the next step is h 0.9 norm^(-1/8) kept in [0.2 h, 10 h],
     with no growth on an attempt that follows a rejection (retry).  Returns
-    (accepted, r_new, y_new, K, h_next), where K holds the stage derivatives,
-    K[12] the one at (r_new, y_new), and room for the dense-output stages.
+    (accepted, r_new, y_new, K, h_next), where K holds the stages in the
+    layout of _fill_stages, K[12] the one at (r_new, y_new), and room for the
+    dense-output stages.
     """
     # a rejected lane never holds a step below this, so only new steps move
     min_step = 10.0 * np.spacing(r)
     r_new = np.minimum(r + np.maximum(h, min_step), r_end)
     h = r_new - r
     n = r.size
-    K = np.empty((16, 2 * n))
-    K[0] = dy.reshape(2 * n)
+    K = np.empty((16, 3 * n))
+    K[0, n:] = dy.reshape(2 * n)
     y_flat = y.reshape(2 * n)
     y_new = _fill_stages(nl, K, 1, 13, r, h, y_flat)
-    e = (_ERR @ K[:13]) / (_ATOL + np.maximum(np.abs(y_flat), np.abs(y_new)) * _RTOL)
+    e = (_ERR @ K[:13, n:]) / (_ATOL + np.maximum(np.abs(y_flat), np.abs(y_new)) * _RTOL)
     e *= e
     e5, e3 = e[:, :n] + e[:, n:]
     denom = e5 + 0.01 * e3
@@ -466,7 +482,7 @@ def _classify_shot(nl: Nonlinearity, amps, r_end: float,
     series start settles two cases: a centre that is a minimum (u''(0) > 0)
     undershoots, and a start value u(r_start) <= 0 overshoots.
 
-    The lanes leave from their series start at _R_START, or from start =
+    The lanes leave from their series start (_shot_start), or from start =
     (r, y, h), a radius, state and next step per lane (_restart).  A list
     passed as steps receives, after every attempt, (lanes, live, r, y, dy, h):
     the indices of the lanes integrated in it, which of them accepted it and
@@ -490,7 +506,7 @@ def _classify_shot(nl: Nonlinearity, amps, r_end: float,
             y_old = y
             r = np.where(acc, r_new, r)
             y = np.where(acc, y_new, y)
-            dy = np.where(acc, K[12].reshape(2, -1), dy)
+            dy = np.where(acc, K[12, lanes.size:].reshape(2, -1), dy)
             # a live lane has u > 0 and u' <= 0, so a sign change shows in y alone
             cross = y[0] <= 0.0
             turn = y[1] >= 0.0
@@ -517,28 +533,39 @@ def _restart(nl: Nonlinearity, steps: list, lo: int, amps: np.ndarray,
     and lo + 1 of the sweep over amps that recorded steps (_classify_shot),
     or None when they must leave from the series start.
 
-    The lanes start at an accepted step of lane lo, from the linear
+    The lanes start at an accepted step of lane lo, from the cubic
     interpolation in the amplitude of the states and the next steps of the
-    pair, so they keep the steps they would have taken from r_start.  The
-    radii of neighbouring lanes differ, mostly through the rounding of their
-    error estimates (by up to 1e-3 of a step on the `ground` nonlinearities),
-    so every state is first carried to the radius of lane lo by its Taylor
-    polynomial of degree 2.  The checkpoint is
-    the latest accepted step up to which the pair and a third adjacent lane
-    took the same attempts, accepted and rejected alike, and where at every
-    accepted step the interpolation error |D2 y| / 8 moves the transition by
-    at most _RESTART_SHIFT _SHOOT_TOL a through the slope |D y| / w: D y and
-    D2 y are the first and second differences of the three lanes, each taken
-    over its larger component, and w is the spacing of amps.
+    four lanes nearest the pair (lo - 1 .. lo + 2 away from the ends of the
+    sweep), so they keep the steps they would have taken from the series
+    start.  The radii of neighbouring lanes differ, through the rounding of
+    their error estimates (by up to 1e-3 of a step on the `ground`
+    nonlinearities) and, in wide sweeps, smoothly with the amplitude, so
+    every state is first carried to the radius of lane lo by its Taylor
+    polynomial of degree 2, with an error of about |dr|^3 |u'''| / 6.
+
+    The five lanes around the four, which took the same attempts, accepted
+    and rejected alike, up to the checkpoint, bound the interpolation error
+    by c |D4 y|: D4 y is their fourth difference, taken over its larger
+    component, and c = 3/128 (1/24 for the four lanes at an end of the
+    sweep) is the maximum of |prod (t - x)| / 24 over t in [0, 1] for the
+    offsets x of the four lanes from lane lo.  Through the slope |D y| / w
+    of the pair, with D y its difference taken over its larger component and
+    w the spacing of amps, the checkpoint is the latest accepted step where
+    that bound has moved the transition by at most _RESTART_SHIFT _SHOOT_TOL a
+    at every accepted step so far, and where it does so together with the
+    carry errors of the four lanes.  Only the checkpoint's own states are
+    carried, so the carry enters at that step alone.
     """
-    first = lo if lo + 2 < amps.size else lo - 1
-    if first < 0 or lo + 1 >= amps.size or not steps:
+    if not steps or lo < 0 or lo + 1 >= amps.size or amps.size < 5:
         return None
-    i = lo - first  # column of lane lo among the three
+    first = min(max(lo - 1, 0), amps.size - 4)  # the four interpolated lanes
+    five = min(first, amps.size - 5)
+    i = lo - five  # column of lane lo among the five
+    four = slice(first - five, first - five + 4)
     lanes, live, r, y, dy, h = (np.concatenate(c, axis=-1) for c in zip(*steps))
     # a lane takes part in every attempt until the one that decides it, so
     # its k-th record is that of attempt k
-    at = [np.flatnonzero(lanes == lane) for lane in range(first, first + 3)]
+    at = [np.flatnonzero(lanes == lane) for lane in range(five, five + 5)]
     at = np.stack([k[:min(k.size for k in at)] for k in at], axis=1)
     acc = live[at]
     same = np.logical_and.accumulate(acc.all(axis=1) | ~acc.any(axis=1))
@@ -547,22 +574,28 @@ def _restart(nl: Nonlinearity, steps: list, lo: int, amps: np.ndarray,
     d3u = 2.0 * du / r**2 - 2.0 * d2u / r + du - nl.fprime(u) * du
     dr = r[:, i:i + 1] - r
     y = np.stack((u + dr * (du + 0.5 * dr * d2u), du + dr * (d2u + 0.5 * dr * d3u)))
+    carry = (np.abs(dr) ** 3 * np.abs(d3u))[:, four].sum(axis=1) / 6.0
     w = amps[lo + 1] - amps[lo]
     slope = np.abs(y[:, :, i + 1] - y[:, :, i]).max(axis=0)
-    curve = np.abs(y[:, :, 2] - 2.0 * y[:, :, 1] + y[:, :, 0]).max(axis=0)
-    ok = w * curve <= 8.0 * _RESTART_SHIFT * _SHOOT_TOL * abs(amps[lo + 1]) * slope
-    k = int(np.logical_and.accumulate(ok).sum()) - 1
-    if k < 0:
+    quartic = np.abs(y[:, :, 0] - 4.0 * (y[:, :, 1] + y[:, :, 3]) + 6.0 * y[:, :, 2]
+                     + y[:, :, 4]).max(axis=0)
+    interp = (3.0 / 128.0 if first == lo - 1 else 1.0 / 24.0) * quartic
+    bound = _RESTART_SHIFT * _SHOOT_TOL * abs(amps[lo + 1]) * slope / w
+    ok = np.logical_and.accumulate(interp <= bound) & (interp + carry <= bound)
+    if not ok.any():
         return None
+    k = int(np.flatnonzero(ok)[-1])
     t = (new_amps - amps[lo]) / w
-    y_lo, y_hi = y[:, k, i:i + 1], y[:, k, i + 1:i + 2]
-    return (np.full(t.size, r[k, i]), y_lo + t * (y_hi - y_lo),
-            h[k, i] + t * (h[k, i + 1] - h[k, i]))
+    # the Lagrange weights of the four lanes at t
+    x = np.arange(first - lo, first - lo + 4.0)
+    weights = np.stack([np.prod([(t - x[m]) / (x[j] - x[m]) for m in range(4) if m != j],
+                                axis=0) for j in range(4)])
+    return np.full(t.size, r[k, i]), y[:, k, four] @ weights, h[k, four] @ weights
 
 
 def _auto_bracket(nl: Nonlinearity, r_end: float) -> tuple[float, float]:
-    """First undershoot/overshoot transition on a log scan of 40 amplitudes."""
-    amps = np.logspace(-1, 2, 40)
+    """First undershoot/overshoot transition on a log scan of 255 amplitudes."""
+    amps = np.logspace(-1, 2, 255)
     over = _classify_shot(nl, amps, r_end)
     up = np.flatnonzero(~over[:-1] & over[1:])
     if up.size == 0:
@@ -579,11 +612,12 @@ def _dense_coefficients(nl: Nonlinearity, r, y, y_new, K: np.ndarray, h) -> np.n
     _fill_stages(nl, K, 13, 16, r, h, y_flat)
     hh = np.concatenate((h, h))
     dy = y_new.reshape(2 * n) - y_flat
+    k0, k12 = K[0, n:], K[12, n:]
     F = np.empty((7, 2 * n))
     F[0] = dy
-    F[1] = hh * K[0] - dy
-    F[2] = 2.0 * dy - hh * (K[12] + K[0])
-    F[3:] = hh * (dop853.D @ K)
+    F[1] = hh * k0 - dy
+    F[2] = 2.0 * dy - hh * (k12 + k0)
+    F[3:] = hh * (dop853.D @ K[:, n:])
     return F
 
 
@@ -608,8 +642,8 @@ def _traced_shot(nl: Nonlinearity, a: float, r_end: float):
         rs, y, dy = r[acc], y[:, acc], dy[:, acc]
         r, h, m = rs[:-1], np.diff(rs), rs.size - 1
         y0 = y[:, :-1]
-        K = np.empty((16, 2 * m))
-        K[0] = dy[:, :-1].reshape(2 * m)
+        K = np.empty((16, 3 * m))
+        K[0, m:] = dy[:, :-1].reshape(2 * m)
         _fill_stages(nl, K, 1, 13, r, h, y0.reshape(2 * m))
         F = _dense_coefficients(nl, r, y0, y[:, 1:], K, h)
     return rs, y0, F.reshape(7, 2, m)
@@ -636,13 +670,15 @@ def shoot_ground_state(nl: Nonlinearity, grid: RadialGrid,
     Narrows the center amplitude between undershoot and overshoot by
     k-section: each sweep classifies _SECTION_POINTS interior amplitudes
     together.  Once the bracket is narrow, a sweep restarts its lanes from the
-    bracketing pair of the previous sweep at the latest of their accepted
-    steps that passes the admissibility rule of _restart, instead of from
-    the series start: on the four nonlinearities of the `ground` benchmark
-    the last three sweeps start at r = 9.5 to 15.5 and take 3 to 9 attempts
-    each.  The final shot runs through the same driver and stops where it is
-    decided (r = 17.7 to 19.1 on those four), and the four ground states take
-    1 712 DOP853 attempts instead of 2 721.  The grid samples that shot
+    lanes around the bracketing pair of the previous sweep at the latest of
+    their accepted steps that passes the admissibility rule of _restart,
+    instead of from the series start: on the four nonlinearities of the
+    `ground` benchmark the sweeps from the third on start at r = 5.3 to 13.7
+    and take 4 to 12 attempts each.  The final shot runs through the same
+    driver and stops where it is decided (r = 15.7 to 17.6 on those four),
+    and the four ground states take 1 205 DOP853 attempts, 879 of them to
+    classify; sweeps that all leave from the series start and final shots
+    run out to R take 2 473.  The grid samples that shot
     through the 7th-order dense output of its accepted steps (_traced_shot),
     with an exponential far-field graft c exp(-r)/r beyond the last
     trustworthy radius.
@@ -673,10 +709,9 @@ def shoot_ground_state(nl: Nonlinearity, grid: RadialGrid,
     a = 0.5 * (a_lo + a_hi)
 
     traj = _traced_shot(nl, a, r_end)
-    r0 = _R_START
     r_nodes = grid.nodes
     vals = np.empty_like(r_nodes)
-    r_reach = traj[0][-1]
+    r0, r_reach = traj[0][0], traj[0][-1]
 
     # last radius where the trajectory is still a clean decaying profile
     r_dense = np.linspace(r0, r_reach, 4000)

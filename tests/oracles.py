@@ -16,7 +16,6 @@ from spgs.grid import _end_slope
 from spgs.limit_solver import (
     _ATOL,
     _PROJECTION_STEPS,
-    _R_START,
     _RTOL,
     _SHOOT_TOL,
     InitializationFailure,
@@ -192,33 +191,42 @@ def bounded_kappa(f) -> float:
     return max(-min(res.fun, vals[k]), 0.0)
 
 
+def _series_start(nl, a: float, r0: float | None = None):
+    """(r0, y0) of the shot from centre amplitude a: the start of spgs
+    (limit_solver._shot_start), or with r0 given the two-term series
+    u = a + c r0^2/6, u' = c r0/3 with c = a - f(a)."""
+    if r0 is None:
+        with np.errstate(divide="ignore"):
+            r, y, _ = _shot_start(nl, np.array([a]))
+        return float(r[0]), y[:, 0].tolist()
+    c = a - float(nl.f(np.asarray(a)))
+    return r0, [a + c * r0**2 / 6.0, c * r0 / 3.0]
+
+
 def _shot_ivp(nl, a: float, r_end: float, rtol: float = _RTOL, atol: float = _ATOL,
-              **kwargs):
+              r0: float | None = None, **kwargs):
     """solve_ivp (DOP853, the pair of spgs) on u'' + (2/r) u' = u - f(u) from
-    the series start."""
+    the series start (_series_start)."""
 
     def rhs(r, y):
         u, du = y
         return [du, -2.0 / r * du + u - float(nl.f(np.asarray(u)))]
 
-    r0 = _R_START
-    c = a - float(nl.f(np.asarray(a)))
-    y0 = [a + c * r0**2 / 6.0, c * r0 / 3.0]
+    r0, y0 = _series_start(nl, a, r0)
     sol = solve_ivp(rhs, (r0, r_end), y0, rtol=rtol, atol=atol, method="DOP853", **kwargs)
     if sol.status == -1:
         raise StiffnessFailure(f"integrator failed at a = {a}: {sol.message}")
     return sol
 
 
-def shot_label(nl, a: float, r_end: float, rtol: float = _RTOL, atol: float = _ATOL) -> str:
+def shot_label(nl, a: float, r_end: float, rtol: float = _RTOL, atol: float = _ATOL,
+               r0: float | None = None) -> str:
     """One shot at a time: 'overshoot' if u crosses zero, 'undershoot' if u
     turns around positive, as solve_ivp terminal events."""
     a = float(a)
-    r0 = _R_START
-    c = a - float(nl.f(np.asarray(a)))
-    if c > 0:
+    if a - float(nl.f(np.asarray(a))) > 0:
         return "undershoot"
-    if a + c * r0**2 / 6.0 <= 0:
+    if _series_start(nl, a, r0)[1][0] <= 0:
         return "overshoot"
 
     def cross(r, y):
@@ -229,14 +237,25 @@ def shot_label(nl, a: float, r_end: float, rtol: float = _RTOL, atol: float = _A
 
     cross.terminal, cross.direction = True, -1.0
     turn.terminal, turn.direction = True, 1.0
-    sol = _shot_ivp(nl, a, r_end, rtol, atol, events=(cross, turn))
+    sol = _shot_ivp(nl, a, r_end, rtol, atol, r0, events=(cross, turn))
     return "overshoot" if sol.t_events[0].size > 0 else "undershoot"
 
 
 def tight_shot_label(nl, a: float, r_end: float) -> str:
-    """shot_label at rtol 1e-13 and atol 1e-16: where the undershoot/overshoot
-    transition lies, nearly free of integration error."""
-    return shot_label(nl, a, r_end, rtol=1e-13, atol=1e-16)
+    """shot_label at rtol 1e-13 and atol 1e-16 from the two-term series at
+    r = 1e-5, independent of the start of spgs: for cores much wider than
+    1e-5 (those of the `ground` transitions are 0.04 to 0.4 wide), where the
+    undershoot/overshoot transition lies, nearly free of integration and
+    truncation error."""
+    return shot_label(nl, a, r_end, rtol=1e-13, atol=1e-16, r0=1e-5)
+
+
+def tight_start(nl, a: float, r: float) -> np.ndarray:
+    """(u, u') at r of the shot from centre amplitude a, integrated at rtol
+    1e-13 from the two-term series at r/100, whose dropped terms are 1e-8 of
+    those at r: the reference for the series start of spgs."""
+    sol = _shot_ivp(nl, a, r, rtol=1e-13, atol=1e-300, r0=r / 100.0)
+    return sol.y[:, -1]
 
 
 def bisect_amplitude(nl, a_lo: float, a_hi: float, r_end: float) -> float:
@@ -283,6 +302,6 @@ def stepwise_trajectory(nl, a: float, r_end: float):
             if acc[0]:
                 F.append(_dense_coefficients(nl, r, y, y_new, K, r_new - r))
                 y0.append(y[:, 0])
-                r, y, dy = r_new, y_new, K[12].reshape(2, 1)
+                r, y, dy = r_new, y_new, K[12, 1:].reshape(2, 1)
                 rs.append(r)
     return np.concatenate(rs), np.stack(y0, axis=1), np.stack(F, axis=2)

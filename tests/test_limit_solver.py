@@ -14,6 +14,7 @@ from oracles import (
     shot_label,
     stepwise_trajectory,
     tight_shot_label,
+    tight_start,
 )
 from spgs import (
     RadialFunction,
@@ -38,6 +39,7 @@ from spgs.limit_solver import (
     _auto_bracket,
     _classify_shot,
     _dense_output,
+    _shot_start,
     _traced_shot,
     cgm_rescale,
     project_to_M,
@@ -210,6 +212,20 @@ def test_shooting_bad_bracket_raises(grid30, nl_cubic):
         shoot_ground_state(nl_cubic, grid30, bracket=(0.1, 0.5))
 
 
+@pytest.mark.parametrize("case, a", [((1.0, 3.0, 0.0), 4.19), ((1.0, 4.0, 0.0), 4.34),
+                                     ((1.0, 5.0, 0.0), 5.22), ((20.0, 3.0, 1.0), 0.21),
+                                     ((20.0, 3.0, 1.0), 50.0), ((1.0, 5.5, 0.0), 6.76)])
+def test_series_start_matches_tight_integration(case, a):
+    # near the transitions of the ground cases and at a = 50, where the core
+    # is 1.8e-4 wide; the two-term series at r = 1e-3 missed u by up to 6.7e-10
+    # of a there (q = 5) and by 0.61 a at a = 50
+    nl = canonical_family(*case)
+    r, y, _ = _shot_start(nl, np.array([a]))
+    want = tight_start(nl, a, r[0])
+    assert abs(y[0, 0] - want[0]) <= 1e-13 * a
+    assert abs(y[1, 0] - want[1]) <= 1e-8 * abs(want[1])
+
+
 @pytest.mark.parametrize("case", GROUND_CASES)
 def test_batched_labels_match_one_shot_oracle(case, grid30):
     nl = canonical_family(*case)
@@ -229,7 +245,7 @@ def test_k_section_matches_bisection_oracle(case, grid30, ground_shots):
     nl = canonical_family(*case)
     a_ref = bisect_amplitude(nl, *_auto_bracket(nl, grid30.R), grid30.R)
     w = ground_shots[0][case]
-    assert w.values[0] == pytest.approx(a_ref, rel=_SHOOT_TOL)
+    assert w.values[0] == pytest.approx(a_ref, rel=_SHOOT_TOL, abs=0)
     # the grid profile read from the dense output of the accepted steps
     r = grid30.nodes
     inner = (r > 0.0) & (r <= 10.0)
@@ -238,11 +254,13 @@ def test_k_section_matches_bisection_oracle(case, grid30, ground_shots):
     assert err <= 1e-8 * w.values[0]
 
 
-@pytest.mark.parametrize("case", GROUND_CASES)
+@pytest.mark.parametrize("case", GROUND_CASES + [(1.0, 2.5, 0.0), (1.0, 5.5, 0.0)])
 def test_restarted_sweeps_match_series_start_k_section(case, grid30, ground_shots):
     nl = canonical_family(*case)
+    shots = ground_shots[0]
+    a = (shots[case] if case in shots else shoot_ground_state(nl, grid30)).values[0]
     a_ref = series_start_amplitude(nl, *_auto_bracket(nl, grid30.R), grid30.R)
-    assert ground_shots[0][case].values[0] == pytest.approx(a_ref, rel=1e-13)
+    assert a == pytest.approx(a_ref, rel=1e-13, abs=0)
 
 
 def test_restarted_sweeps_match_series_start_k_section_small_amplitude():
@@ -250,15 +268,15 @@ def test_restarted_sweeps_match_series_start_k_section_small_amplitude():
     # the amplitude scan of _auto_bracket, so both routes start from a bracket
     nl = canonical_family(20.0, 2.2, 1.0)
     a = shoot_ground_state(nl, make_grid(40.0, 750), bracket=(1e-6, 1e-5)).values[0]
-    assert a == pytest.approx(series_start_amplitude(nl, 1e-6, 1e-5, 40.0), rel=1e-13)
+    assert a == pytest.approx(series_start_amplitude(nl, 1e-6, 1e-5, 40.0), rel=1e-13, abs=0)
 
 
 def test_restarted_sweeps_save_attempts(ground_shots):
-    # 1 712 DOP853 attempts for the four ground states at n=3000: 1 377 that
-    # classify and 335 for the final shots, which stop at their decision
-    # (sweeps that all start from r_start and final shots integrated out to R
-    # take 2 721)
-    assert ground_shots[1] <= 2000
+    # 1 205 DOP853 attempts for the four ground states at n=3000: 879 that
+    # classify and 326 for the final shots, which stop at their decision
+    # (sweeps that all start from the series start and final shots integrated
+    # out to R take 2 473)
+    assert ground_shots[1] <= 1350
 
 
 @pytest.mark.parametrize("case", GROUND_CASES)
@@ -298,13 +316,14 @@ def test_dop853_tableau_is_the_published_one():
 
 
 def test_shooting_bracket_with_negative_series_start(grid30, ground_shots):
-    # at a = 50 the series start a + (a - f(a)) r0^2/6 is already negative,
-    # which makes the shot an overshoot
+    # at a = 50 the core 1/sqrt|1 - f'(a)| is 1.8e-4 wide, and the two-term
+    # series a + (a - f(a)) r^2/6 is already negative at r = 1e-3; the shot
+    # starts inside the core instead, at r = 3.6e-6, and still overshoots
     nl = canonical_family(20.0, 3.0, 1.0)
     assert shot_label(nl, 50.0, grid30.R) == "overshoot"
     w = shoot_ground_state(nl, grid30, bracket=(0.1, 50.0))
     auto = ground_shots[0][(20.0, 3.0, 1.0)]
-    assert w.values[0] == pytest.approx(auto.values[0], rel=1e-11)
+    assert w.values[0] == pytest.approx(auto.values[0], rel=1e-11, abs=0)
 
 
 def test_shooting_profile_positive_decreasing(shot_cubic):
