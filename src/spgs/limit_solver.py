@@ -352,9 +352,9 @@ _SECTION_POINTS = 63
 # _SHOOT_TOL times the amplitude (_restart).  On the four `ground`
 # nonlinearities, on mu=1, cw=0 with q = 2.5 and 5.5, and on mu=20, q=2.2,
 # cw=1 at R=40, the amplitude equals that of sweeps that all start from the
-# series start for 0.001 to 0.1, except on R=40: there it differs by 2.3e-14
-# relative at 0.001 and 0.01 and by 9.3e-14 at 0.003, and by 5.4e-13 to
-# 5.8e-13 from 0.03 to 0.3, against the 1e-13 of the tests
+# series start for 0.001 to 0.3, except on R=40: there it differs by 2.3e-14
+# relative at 0.001, 4.7e-14 at 0.003 and 0.01, 1.4e-13 at 0.03 and 4.7e-13
+# to 5.8e-13 from 0.1 to 0.3, against the 1e-13 of the tests
 _RESTART_SHIFT = 0.01
 
 # the 5th- and 3rd-order error estimators of DOP853, as rows over stages 0..12
@@ -472,8 +472,22 @@ def _dop853_attempt(nl: Nonlinearity, r, y, dy, h, retry, r_end: float):
 _QUIET = dict(over="ignore", invalid="ignore", divide="ignore")
 
 
-def _classify_shot(nl: Nonlinearity, amps, r_end: float,
-                   start: tuple | None = None, steps: list | None = None) -> np.ndarray:
+def _transition_cut(over: np.ndarray, live: np.ndarray) -> int:
+    """The last lane that can hold the first undershoot/overshoot transition
+    of the lanes flagged over, while the lanes live are undecided: below the
+    lowest overshoot above a decided undershoot lies a transition."""
+    under = ~over
+    under[live] = False
+    if under.any():
+        u = int(np.argmax(under))
+        above = np.flatnonzero(over[u:])
+        if above.size:
+            return u + int(above[0])
+    return over.size
+
+
+def _classify_shot(nl: Nonlinearity, amps, r_end: float, start: tuple | None = None,
+                   steps: list | None = None, first: bool = False) -> np.ndarray:
     """Overshoot flags of the shots from the centre amplitudes amps, all
     integrated together, one DOP853 lane each.
 
@@ -483,10 +497,13 @@ def _classify_shot(nl: Nonlinearity, amps, r_end: float,
     undershoots, and a start value u(r_start) <= 0 overshoots.
 
     The lanes leave from their series start (_shot_start), or from start =
-    (r, y, h), a radius, state and next step per lane (_restart).  A list
+    (r, y, h), a radius, state and next step per lane (_Track.start).  A list
     passed as steps receives, after every attempt, (lanes, live, r, y, dy, h):
     the indices of the lanes integrated in it, which of them accepted it and
     are still undecided, and their radius, state, derivative and next step.
+    With first, only the first undershoot/overshoot transition ~over[i] &
+    over[i + 1] is wanted: the lanes past _transition_cut stop as the
+    decisions come in, and their flags mean nothing.
     """
     amps = np.asarray(amps, dtype=float)
     with np.errstate(**_QUIET):
@@ -497,6 +514,8 @@ def _classify_shot(nl: Nonlinearity, amps, r_end: float,
             dy = _shot_derivative(nl, r, y)
         over = y[0] <= 0.0
         lanes = np.flatnonzero(~over & (y[1] <= 0.0))
+        if first:
+            lanes = lanes[lanes <= _transition_cut(over, lanes)]
         r, y, dy = r[lanes], y[:, lanes], dy[:, lanes]
         h = _first_step(nl, r, y, dy, r_end) if start is None else h[lanes]
         retry = np.zeros(lanes.size, dtype=bool)
@@ -522,26 +541,64 @@ def _classify_shot(nl: Nonlinearity, amps, r_end: float,
                     cross[both] = u0 * (du1 - du0) < -du0 * (u0 - u1)
                 over[lanes[cross]] = True
                 keep = ~done
+                if first:
+                    keep &= lanes <= _transition_cut(over, lanes[keep])
                 lanes, r, y, dy = lanes[keep], r[keep], y[:, keep], dy[:, keep]
                 h, retry = h[keep], retry[keep]
     return over
 
 
-def _restart(nl: Nonlinearity, steps: list, lo: int, amps: np.ndarray,
-             new_amps: np.ndarray):
-    """Start (r, y, h) of the lanes new_amps, which lie between the lanes lo
-    and lo + 1 of the sweep over amps that recorded steps (_classify_shot),
-    or None when they must leave from the series start.
+@dataclass(frozen=True)
+class _Track:
+    """The accepted steps of a k-section sweep near its bracketing lanes lo
+    and lo + 1, up to the checkpoint from which the next sweep restarts
+    (_restart).
 
-    The lanes start at an accepted step of lane lo, from the cubic
-    interpolation in the amplitude of the states and the next steps of the
-    four lanes nearest the pair (lo - 1 .. lo + 2 away from the ends of the
-    sweep), so they keep the steps they would have taken from the series
-    start.  The radii of neighbouring lanes differ, through the rounding of
-    their error estimates (by up to 1e-3 of a step on the `ground`
-    nonlinearities) and, in wide sweeps, smoothly with the amplitude, so
-    every state is first carried to the radius of lane lo by its Taylor
-    polynomial of degree 2, with an error of about |dr|^3 |u'''| / 6.
+    r holds the radii of lane lo at those steps, y (2, m, 4) the states of
+    the four interpolated lanes carried to them and h the next steps of the
+    four at the checkpoint.  An amplitude a lies t = (a - a_lo) / w lane
+    spacings above lane lo, and the four lanes at the offsets x.
+    """
+
+    r: np.ndarray
+    y: np.ndarray
+    h: np.ndarray
+    a_lo: float
+    w: float
+    x: np.ndarray
+
+    def weights(self, amps: np.ndarray) -> np.ndarray:
+        """Lagrange weights (4, amps.size) of the four lanes at amps."""
+        t = (amps - self.a_lo) / self.w
+        x = self.x
+        return np.stack([np.prod([(t - x[m]) / (x[j] - x[m]) for m in range(4) if m != j],
+                                 axis=0) for j in range(4)])
+
+    def start(self, amps: np.ndarray):
+        """Start (r, y, h) at the checkpoint of the lanes from amps."""
+        weights = self.weights(amps)
+        return np.full(amps.size, self.r[-1]), self.y[:, -1] @ weights, self.h @ weights
+
+    def states(self, a: float) -> np.ndarray:
+        """States (2, m) at the radii r of the lane from amplitude a."""
+        return (self.y @ self.weights(np.array([a])))[..., 0]
+
+
+def _restart(nl: Nonlinearity, steps: list, lo: int, amps: np.ndarray) -> _Track | None:
+    """The track of the lanes between the lanes lo and lo + 1 of the sweep
+    over amps that recorded steps (_classify_shot), or None when the next
+    sweep must leave from the series start.
+
+    The track follows the accepted steps of lane lo up to a checkpoint, with
+    the cubic interpolation in the amplitude of the states and the next steps
+    of the four lanes nearest the pair (lo - 1 .. lo + 2 away from the ends
+    of the sweep), so lanes started from it keep the steps they would have
+    taken from the series start.  The radii of neighbouring lanes differ,
+    through the rounding of their error estimates (by up to 1e-3 of a step
+    on the `ground` nonlinearities) and, in wide sweeps, smoothly with the
+    amplitude, so every state is first carried to the radius of lane lo by
+    its Taylor polynomial of degree 2, with an error of about
+    |dr|^3 |u'''| / 6 in u and |dr|^3 |u''''| / 6 in u'.
 
     The five lanes around the four, which took the same attempts, accepted
     and rejected alike, up to the checkpoint, bound the interpolation error
@@ -553,8 +610,10 @@ def _restart(nl: Nonlinearity, steps: list, lo: int, amps: np.ndarray,
     w the spacing of amps, the checkpoint is the latest accepted step where
     that bound has moved the transition by at most _RESTART_SHIFT _SHOOT_TOL a
     at every accepted step so far, and where it does so together with the
-    carry errors of the four lanes.  Only the checkpoint's own states are
-    carried, so the carry enters at that step alone.
+    carry errors of the four lanes, summed over them and taken over the
+    larger component.  Only the states at the checkpoint start lanes, so the
+    carry enters the test at that step alone; the earlier states of the
+    track serve only the profile of the final shot (_traced_shot).
     """
     if not steps or lo < 0 or lo + 1 >= amps.size or amps.size < 5:
         return None
@@ -571,10 +630,17 @@ def _restart(nl: Nonlinearity, steps: list, lo: int, amps: np.ndarray,
     same = np.logical_and.accumulate(acc.all(axis=1) | ~acc.any(axis=1))
     at = at[same & acc[:, 0]]
     r, u, du, d2u, h = r[at], y[0, at], y[1, at], dy[1, at], h[at]
-    d3u = 2.0 * du / r**2 - 2.0 * d2u / r + du - nl.fprime(u) * du
+    fp = nl.fprime(u)
+    d3u = 2.0 * du / r**2 - 2.0 * d2u / r + du - fp * du
+    # u'''' differentiates u''' along the equation, with f'' from a central
+    # difference of f' (a live lane has u > 0)
+    e = 1e-3 * u
+    fpp = (nl.fprime(u + e) - nl.fprime(u - e)) / (2.0 * e)
+    d4u = 4.0 * d2u / r**2 - 4.0 * du / r**3 - 2.0 * d3u / r + d2u - fpp * du * du - fp * d2u
     dr = r[:, i:i + 1] - r
     y = np.stack((u + dr * (du + 0.5 * dr * d2u), du + dr * (d2u + 0.5 * dr * d3u)))
-    carry = (np.abs(dr) ** 3 * np.abs(d3u))[:, four].sum(axis=1) / 6.0
+    carry = (np.abs(dr) ** 3 * np.abs(np.stack((d3u, d4u))))[:, :, four].sum(axis=2)
+    carry = carry.max(axis=0) / 6.0
     w = amps[lo + 1] - amps[lo]
     slope = np.abs(y[:, :, i + 1] - y[:, :, i]).max(axis=0)
     quartic = np.abs(y[:, :, 0] - 4.0 * (y[:, :, 1] + y[:, :, 3]) + 6.0 * y[:, :, 2]
@@ -585,18 +651,20 @@ def _restart(nl: Nonlinearity, steps: list, lo: int, amps: np.ndarray,
     if not ok.any():
         return None
     k = int(np.flatnonzero(ok)[-1])
-    t = (new_amps - amps[lo]) / w
-    # the Lagrange weights of the four lanes at t
-    x = np.arange(first - lo, first - lo + 4.0)
-    weights = np.stack([np.prod([(t - x[m]) / (x[j] - x[m]) for m in range(4) if m != j],
-                                axis=0) for j in range(4)])
-    return np.full(t.size, r[k, i]), y[:, k, four] @ weights, h[k, four] @ weights
+    return _Track(r=r[:k + 1, i], y=y[:, :k + 1, four], h=h[k, four], a_lo=amps[lo], w=w,
+                  x=np.arange(first - lo, first - lo + 4.0))
 
 
 def _auto_bracket(nl: Nonlinearity, r_end: float) -> tuple[float, float]:
-    """First undershoot/overshoot transition on a log scan of 255 amplitudes."""
+    """First undershoot/overshoot transition on a log scan of 255 amplitudes.
+
+    The lanes above the lowest overshoot past a decided undershoot stop
+    (_transition_cut): for mu=20, q=3, cw=1 the scan then takes 48 DOP853
+    attempts instead of 125, since its lanes at a = 30..100 start inside
+    cores of 1e-4 and less, although the transition lies at a = 0.21.
+    """
     amps = np.logspace(-1, 2, 255)
-    over = _classify_shot(nl, amps, r_end)
+    over = _classify_shot(nl, amps, r_end, first=True)
     up = np.flatnonzero(~over[:-1] & over[1:])
     if up.size == 0:
         raise BracketFailure("no undershoot/overshoot transition on the amplitude scan")
@@ -621,21 +689,31 @@ def _dense_coefficients(nl: Nonlinearity, r, y, y_new, K: np.ndarray, h) -> np.n
     return F
 
 
-def _traced_shot(nl: Nonlinearity, a: float, r_end: float):
+def _traced_shot(nl: Nonlinearity, a: float, r_end: float, tracks: list | tuple = ()):
     """The shot from centre amplitude a up to the radius that decides it, with
     the 7th-order continuous extension of its accepted steps.
 
-    _classify_shot integrates it as one lane and records its steps; the start
-    states of the accepted steps then become the lanes of one pass that fills
-    the stages of every step again and the three that only the extension
-    needs.  Returns the radii rs of the accepted steps, the state y0 (2, m) at
-    the start of each step and the coefficients F (7, 2, m) of its extension.
+    The shot follows tracks, those of consecutive sweeps from a sweep that
+    left the series start (_restart): each supplies the states at a,
+    interpolated between the lanes of its sweep, at the accepted steps of its
+    lane lo up to the checkpoint where the next sweep restarted.  From the
+    checkpoint of the last track, or from the series start without tracks,
+    _classify_shot integrates the tail as one lane and records its steps.
+    The start states of the accepted steps then become the lanes of one pass
+    that fills the stages of every step again and the three that only the
+    extension needs.  Returns the radii rs of the accepted steps, the state
+    y0 (2, m) at the start of each step and the coefficients F (7, 2, m) of
+    its extension.
     """
     amps = np.array([a])
     steps: list = []
-    _classify_shot(nl, amps, r_end, steps=steps)
+    _classify_shot(nl, amps, r_end, tracks[-1].start(amps) if tracks else None, steps)
     with np.errstate(**_QUIET):
-        records = [_shot_start(nl, amps)] + [s[2:5] for s in steps]
+        records = [_shot_start(nl, amps)]
+        for track in tracks:
+            y = track.states(a)
+            records.append((track.r, y, _shot_derivative(nl, track.r, y)))
+        records += [s[2:5] for s in steps]
         r, y, dy = (np.concatenate(c, axis=-1) for c in zip(*records))
         # a rejected attempt leaves the radius where it was
         acc = np.concatenate(([True], r[1:] > r[:-1]))
@@ -663,6 +741,18 @@ def _dense_output(rs: np.ndarray, y0: np.ndarray, F: np.ndarray, x) -> np.ndarra
     return out + y0[:, i]
 
 
+def _switch_radius(traj: tuple, a: float) -> float:
+    """The last radius where the shot traj (_traced_shot) from amplitude a is
+    still a clean decaying profile, u > 1e-9 a and u' < 0, on 4000 radii of
+    its dense output."""
+    rs = traj[0]
+    r_dense = np.linspace(rs[0], rs[-1], 4000)
+    u_dense, du_dense = _dense_output(*traj, r_dense)
+    ok = (u_dense > 1e-9 * a) & (du_dense < 0.0)
+    bad = np.nonzero(~ok)[0]
+    return r_dense[bad[0] - 1] if bad.size > 0 and bad[0] > 0 else rs[-1]
+
+
 def shoot_ground_state(nl: Nonlinearity, grid: RadialGrid,
                        bracket: tuple[float, float] | None = None) -> RadialFunction:
     """Radial shooting for the limit problem, independent of the flow route.
@@ -670,18 +760,21 @@ def shoot_ground_state(nl: Nonlinearity, grid: RadialGrid,
     Narrows the center amplitude between undershoot and overshoot by
     k-section: each sweep classifies _SECTION_POINTS interior amplitudes
     together.  Once the bracket is narrow, a sweep restarts its lanes from the
-    lanes around the bracketing pair of the previous sweep at the latest of
-    their accepted steps that passes the admissibility rule of _restart,
+    track of the previous sweep (_restart), at the latest accepted step of
+    the lanes around the bracketing pair that passes its admissibility rule,
     instead of from the series start: on the four nonlinearities of the
-    `ground` benchmark the sweeps from the third on start at r = 5.3 to 13.7
-    and take 4 to 12 attempts each.  The final shot runs through the same
-    driver and stops where it is decided (r = 15.7 to 17.6 on those four),
-    and the four ground states take 1 205 DOP853 attempts, 879 of them to
-    classify; sweeps that all leave from the series start and final shots
-    run out to R take 2 473.  The grid samples that shot
-    through the 7th-order dense output of its accepted steps (_traced_shot),
-    with an exponential far-field graft c exp(-r)/r beyond the last
-    trustworthy radius.
+    `ground` benchmark the sweeps from the third on start at r = 5.1 to 13.7
+    and take 4 to 13 attempts each.  The final shot is not integrated again
+    from the centre: it follows, interpolated at its amplitude, the tracks of
+    the sweeps since the last one that left the series start, up to the
+    checkpoint of the last sweep (r = 13.9 to 15.7 on those four), and only
+    its tail is integrated, up to the radius that decides it (r = 15.6 to
+    17.6, 9 attempts for the four).  The four ground states take 829 DOP853
+    attempts, 206 of them in the amplitude scans; sweeps that all leave from
+    the series start and final shots run out to R take 2 473.  The grid
+    samples that shot through the 7th-order dense output of its stitched
+    steps (_traced_shot) up to the last trustworthy radius (_switch_radius),
+    with an exponential far-field graft c exp(-r)/r beyond it.
     """
     r_end = grid.R
     if bracket is None:
@@ -696,29 +789,25 @@ def shoot_ground_state(nl: Nonlinearity, grid: RadialGrid,
             a_lo, a_hi = a_hi, a_lo
 
     amps = np.linspace(a_lo, a_hi, _SECTION_POINTS + 2)
-    start = None
+    tracks: list = []
     while abs(a_hi - a_lo) > _SHOOT_TOL * abs(a_hi):
         steps: list = []
-        over = np.concatenate(([False], _classify_shot(nl, amps[1:-1], r_end, start, steps),
-                               [True]))
+        swept = amps[1:-1]
+        start = tracks[-1].start(swept) if tracks else None
+        over = np.concatenate(([False], _classify_shot(nl, swept, r_end, start, steps), [True]))
         j = int(np.argmax(over))
         a_lo, a_hi = float(amps[j - 1]), float(amps[j])
         # lane k of the sweep shot amps[k + 1]
-        swept, amps = amps[1:-1], np.linspace(a_lo, a_hi, _SECTION_POINTS + 2)
-        start = _restart(nl, steps, j - 2, swept, amps[1:-1])
+        track = _restart(nl, steps, j - 2, swept)
+        tracks = tracks + [track] if track is not None else []
+        amps = np.linspace(a_lo, a_hi, _SECTION_POINTS + 2)
     a = 0.5 * (a_lo + a_hi)
 
-    traj = _traced_shot(nl, a, r_end)
+    traj = _traced_shot(nl, a, r_end, tracks)
     r_nodes = grid.nodes
     vals = np.empty_like(r_nodes)
     r0, r_reach = traj[0][0], traj[0][-1]
-
-    # last radius where the trajectory is still a clean decaying profile
-    r_dense = np.linspace(r0, r_reach, 4000)
-    u_dense, du_dense = _dense_output(*traj, r_dense)
-    ok = (u_dense > 1e-9 * a) & (du_dense < 0.0)
-    bad = np.nonzero(~ok)[0]
-    r_switch = r_dense[bad[0] - 1] if bad.size > 0 and bad[0] > 0 else r_reach
+    r_switch = _switch_radius(traj, a)
 
     inner = r_nodes <= r_switch
     vals[0] = a

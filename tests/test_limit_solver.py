@@ -40,6 +40,7 @@ from spgs.limit_solver import (
     _classify_shot,
     _dense_output,
     _shot_start,
+    _switch_radius,
     _traced_shot,
     cgm_rescale,
     project_to_M,
@@ -173,21 +174,30 @@ def test_path_energy_below_peak(ground_cubic, nl_cubic):
 
 @pytest.fixture(scope="module")
 def ground_shots(grid30):
-    """The shot of each GROUND_CASES nonlinearity on grid30, and the DOP853
-    step attempts that the four took together."""
+    """The shot of each GROUND_CASES nonlinearity on grid30, the DOP853 step
+    attempts that the four took together, and the tracks and trajectory of
+    each final shot (_traced_shot)."""
     attempts = 0
     attempt = limit_solver._dop853_attempt
+    traced = limit_solver._traced_shot
+    finals = []
 
     def counted(*args):
         nonlocal attempts
         attempts += 1
         return attempt(*args)
 
+    def recorded(nl, a, r_end, tracks=()):
+        traj = traced(nl, a, r_end, tracks)
+        finals.append((tracks, traj))
+        return traj
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(limit_solver, "_dop853_attempt", counted)
+        mp.setattr(limit_solver, "_traced_shot", recorded)
         shots = {case: shoot_ground_state(canonical_family(*case), grid30)
                  for case in GROUND_CASES}
-    return shots, attempts
+    return shots, attempts, dict(zip(GROUND_CASES, finals))
 
 
 @pytest.fixture(scope="module")
@@ -239,6 +249,34 @@ def test_batched_labels_match_one_shot_oracle(case, grid30):
     assert over.tolist() == want
 
 
+def _first_transition(over):
+    return int(np.flatnonzero(~over[:-1] & over[1:])[0])
+
+
+@pytest.mark.parametrize("case", GROUND_CASES + [(1.0, 2.5, 0.0), (1.0, 5.5, 0.0)])
+def test_pruned_scan_gives_the_unpruned_bracket(case, grid30):
+    nl = canonical_family(*case)
+    amps = np.logspace(-1, 2, 255)
+    i = _first_transition(_classify_shot(nl, amps, grid30.R))
+    assert _auto_bracket(nl, grid30.R) == (amps[i], amps[i + 1])
+
+
+def test_pruned_scan_whose_lowest_lanes_overshoot(grid30, nl_cubic):
+    # the two lowest lanes overshoot and nothing lies below them, so the
+    # first transition is the one of the log scan above them (a = 4.34)
+    amps = np.concatenate(([50.0, 20.0], np.logspace(-1, 2, 62)))
+    over = _classify_shot(nl_cubic, amps, grid30.R)
+    assert over[:2].all() and not over[2]
+    i = _first_transition(over)
+    assert 4.0 < amps[i] < 4.34 < amps[i + 1]
+    steps, pruned_steps = [], []
+    _classify_shot(nl_cubic, amps, grid30.R, steps=steps)
+    pruned = _classify_shot(nl_cubic, amps, grid30.R, steps=pruned_steps, first=True)
+    assert _first_transition(pruned) == i
+    # lanes above the first decided overshoot stop early
+    assert sum(s[0].size for s in pruned_steps) < sum(s[0].size for s in steps)
+
+
 @pytest.mark.parametrize("case", GROUND_CASES)
 def test_k_section_matches_bisection_oracle(case, grid30, ground_shots):
     # the restarted sweeps must not change the integration error of the labels
@@ -272,17 +310,39 @@ def test_restarted_sweeps_match_series_start_k_section_small_amplitude():
 
 
 def test_restarted_sweeps_save_attempts(ground_shots):
-    # 1 205 DOP853 attempts for the four ground states at n=3000: 879 that
-    # classify and 326 for the final shots, which stop at their decision
+    # 829 DOP853 attempts for the four ground states at n=3000: 206 for the
+    # pruned amplitude scans, 614 for the k-section sweeps and 9 for the
+    # tails of the final shots, which follow the tracks of the last sweeps
     # (sweeps that all start from the series start and final shots integrated
     # out to R take 2 473)
-    assert ground_shots[1] <= 1350
+    assert ground_shots[1] <= 850
+
+
+@pytest.mark.parametrize("case", GROUND_CASES)
+def test_stitched_shot_matches_stepwise_dense_output(case, grid30, ground_shots):
+    # the final shot read from the tracks of the last sweeps and its tail
+    # against the shot integrated from the series start one step at a time,
+    # over the radii that the grid profile reads from it; measured: at most
+    # 9.2e-11 a, reached at r_switch, and 2.9e-12 a up to r = 10
+    nl = canonical_family(*case)
+    a = ground_shots[0][case].values[0]
+    tracks, traj = ground_shots[2][case]
+    assert tracks
+    rs = traj[0]
+    x = np.linspace(rs[0], _switch_radius(traj, a), 20001)
+    err = np.abs(_dense_output(*traj, x) - _dense_output(*stepwise_trajectory(nl, a, grid30.R), x))
+    assert np.max(err) <= 2e-10 * a
+    assert np.max(err[:, x <= 10.0]) <= 1e-11 * a
+    # the tail runs from the checkpoint of the last track to the decision
+    assert rs[0] < tracks[0].r[0] and tracks[-1].r[-1] in rs
+    assert rs[-1] > tracks[-1].r[-1]
 
 
 @pytest.mark.parametrize("case", GROUND_CASES)
 def test_final_shot_matches_stepwise_dense_output(case, grid30, ground_shots):
-    # the one batched pass over the accepted steps of the final shot gives the
-    # dense output of the loop that extends each step right after taking it
+    # without tracks the final shot runs from the series start, and the one
+    # batched pass over its accepted steps gives the dense output of the loop
+    # that extends each step right after taking it
     nl = canonical_family(*case)
     a = ground_shots[0][case].values[0]
     rs, y0, F = _traced_shot(nl, a, grid30.R)
