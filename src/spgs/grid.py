@@ -19,38 +19,40 @@ import numpy as np
 from numpy.linalg import LinAlgError  # the class scipy.linalg re-exports
 
 
-def _load_flapack():
-    """scipy's compiled LAPACK extension scipy/linalg/_flapack, loaded from
-    its file without importing the scipy or scipy.linalg packages.
+def load_scipy(path: str):
+    """The module of scipy's file scipy/<path> (an extension module or a
+    .py file, path without suffix, "/"-separated), loaded from that file
+    without importing the scipy package or the packages on the path.
 
     Their __init__ modules pull in scipy._lib and through it numpy.f2py,
     numpy.testing and numpy.ma: most of the time and close to half the memory
-    of `import spgs`, for two routines.  dgttrf and dgttrs are the same f2py
-    routines that scipy.linalg.lapack exports, so every factor and solve is
-    unchanged.
+    of `import spgs`, for two LAPACK routines and a table of coefficients.
+    The module is left out of sys.modules, so a later import of its package
+    binds it as its own attribute (for an extension, from the same routines).
+    A missing file fails with an ImportError that names it.
     """
     spec = find_spec("scipy")
     if spec is None:
         raise ModuleNotFoundError("spgs needs scipy", name="scipy")
-    where = os.path.join(spec.submodule_search_locations[0], "linalg")
-    for suffix in EXTENSION_SUFFIXES:
-        path = os.path.join(where, "_flapack" + suffix)
-        if os.path.isfile(path):
+    where, stem = os.path.split(os.path.join(spec.submodule_search_locations[0], path))
+    for suffix in (*EXTENSION_SUFFIXES, ".py"):
+        file = os.path.join(where, stem + suffix)
+        if os.path.isfile(file):
             break
     else:
-        raise ImportError(f"scipy's LAPACK extension _flapack not found in {where}")
-    name = "scipy.linalg._flapack"
+        raise ImportError(f"scipy's {stem} not found in {where}")
+    name = "scipy." + path.replace("/", ".")
     registered = name in sys.modules
-    flapack = module_from_spec(spec_from_file_location(name, path))
-    flapack.__spec__.loader.exec_module(flapack)
-    # loading registers the module; unregister it so that a later import of
-    # scipy.linalg binds it as its own attribute (from the same routines)
+    module = module_from_spec(spec_from_file_location(name, file))
+    module.__spec__.loader.exec_module(module)
     if not registered:
-        del sys.modules[name]
-    return flapack
+        sys.modules.pop(name, None)
+    return module
 
 
-_flapack = _load_flapack()
+# dgttrf and dgttrs are the f2py routines that scipy.linalg.lapack exports, so
+# every factor and solve is unchanged
+_flapack = load_scipy("linalg/_flapack")
 dgttrf, dgttrs = _flapack.dgttrf, _flapack.dgttrs
 
 

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dop853
 from .functionals import T0_value, V_value, scaling_terms
 from .grid import (
     RadialFunction,
@@ -23,6 +22,7 @@ from .grid import (
     dual_norm,
     grad_norm_sq,
     laplacian_apply,
+    load_scipy,
     monotone_slopes,
     solve_helmholtz,
     solve_riesz,
@@ -78,7 +78,7 @@ class Stagnation(SolverFailure):
 
 
 class BracketFailure(SolverFailure):
-    """Shooting bracket endpoints classify identically."""
+    """The amplitude scan of shooting found no undershoot/overshoot transition."""
 
 
 class StiffnessFailure(SolverFailure):
@@ -302,12 +302,11 @@ def minimize_on_M(nl: Nonlinearity, grid: RadialGrid, tol: float = 1e-8) -> Limi
             f"Newton polish stalled at projected gradient {pg_nrm:.3e}"
         )
 
-    m_val = T0_value(u)
+    terms = scaling_terms(u, nl)
     omega, t0 = cgm_rescale(u, nl)
-    p_val = scaling_terms(u, nl).gamma(t0)
     mp = mountain_pass_b(omega, nl)
     return LimitGroundState(
-        u=u, omega=omega, M_value=m_val, p_value=p_val, b_value=mp.b,
+        u=u, omega=omega, M_value=0.5 * terms.A, p_value=terms.gamma(t0), b_value=mp.b,
         t0_dilation=t0, t_star=mp.t_star, iterations=steps, pg_norm=pg_nrm,
         polish_steps=polish_steps,
     )
@@ -357,8 +356,19 @@ _SECTION_POINTS = 63
 # to 5.8e-13 from 0.1 to 0.3, against the 1e-13 of the tests
 _RESTART_SHIFT = 0.01
 
-# the 5th- and 3rd-order error estimators of DOP853, as rows over stages 0..12
-_ERR = np.stack((dop853.E5, dop853.E3))
+# the Dormand-Prince 8(5,3) pair DOP853 and its 7th-order continuous extension
+# (Hairer's DOP853 code; Hairer, Norsett & Wanner, Solving Ordinary
+# Differential Equations I, 2nd ed., Sec. II.5 and II.10), from scipy's copy.
+# Stage s evaluates the right-hand side at r + C[s] h and y + h A[s] . K, with
+# the weights of stages 0..s-1 in row s of A.  Stages 0..11 make a step; row 12
+# holds the weights B of the 8th-order solution, so stage 12 is the derivative
+# at the new point, reused as stage 0 of the next step.  E5 and E3 give the
+# 5th- and 3rd-order error estimates over stages 0..12.  Stages 13..15 serve
+# only the dense output, whose coefficients 3..6 are h D . K over all 16 stages.
+_DOP853 = load_scipy("integrate/_ivp/dop853_coefficients")
+
+# the two error estimators, as rows over stages 0..12
+_ERR = np.stack((_DOP853.E5, _DOP853.E3))
 
 
 def _rms(x: np.ndarray) -> np.ndarray:
@@ -412,11 +422,11 @@ def _fill_stages(nl: Nonlinearity, K: np.ndarray, first: int, last: int,
     """
     n = r.size
     hh = np.concatenate((h, h))
-    coef = -2.0 / (r + dop853.C[first:last, None] * h)
+    coef = -2.0 / (r + _DOP853.C[first:last, None] * h)
     dK = K[:, n:]
     for s, c in zip(range(first, last), coef):
         ys = K[s, :2 * n]
-        np.matmul(dop853.A[s, :s], dK[:s], out=ys)
+        np.matmul(_DOP853.A[s, :s], dK[:s], out=ys)
         ys *= hh
         ys += y_flat
         # _shot_derivative, written into the stage row in place
@@ -656,19 +666,46 @@ def _restart(nl: Nonlinearity, steps: list, lo: int, amps: np.ndarray) -> _Track
 
 
 def _auto_bracket(nl: Nonlinearity, r_end: float) -> tuple[float, float]:
-    """First undershoot/overshoot transition on a log scan of 255 amplitudes.
+    """First undershoot/overshoot transition on a log scan of 255 amplitudes
+    up to 100.
 
+    A shot whose centre is not a maximum, f(a) <= a, undershoots at its
+    start, so the scan starts at the last amplitude before the first f(a) > a
+    on a log ladder of 1401 over [1e-12, 100]: for mu=1 at a = 1, and for
+    mu=20, q=2.2, cw=1 at 3.1e-7, below its transition at 1.37e-6 (R=40).
     The lanes above the lowest overshoot past a decided undershoot stop
-    (_transition_cut): for mu=20, q=3, cw=1 the scan then takes 48 DOP853
-    attempts instead of 125, since its lanes at a = 30..100 start inside
-    cores of 1e-4 and less, although the transition lies at a = 0.21.
+    (_transition_cut): for mu=20, q=3, cw=1, whose lanes at a = 30..100 start
+    inside cores of 1e-4 and less, the scan takes 52 attempts instead of 125.
     """
-    amps = np.logspace(-1, 2, 255)
+    ladder = np.logspace(-12, 2, 1401)
+    peak = np.flatnonzero(nl.f(ladder) > ladder)
+    if peak.size == 0:
+        raise BracketFailure("the centre is a minimum at every amplitude up to 100")
+    amps = np.geomspace(ladder[max(peak[0] - 1, 0)], 100.0, 255)
     over = _classify_shot(nl, amps, r_end, first=True)
     up = np.flatnonzero(~over[:-1] & over[1:])
     if up.size == 0:
         raise BracketFailure("no undershoot/overshoot transition on the amplitude scan")
     return float(amps[up[0]]), float(amps[up[0] + 1])
+
+
+def _k_section(nl: Nonlinearity, a_lo: float, a_hi: float, r_end: float):
+    """The transition amplitude between the undershoot a_lo and the overshoot
+    a_hi, narrowed to _SHOOT_TOL relative by sweeps of _SECTION_POINTS lanes,
+    and the tracks of the sweeps since the last one that left the series
+    start (_restart)."""
+    tracks: list = []
+    while abs(a_hi - a_lo) > _SHOOT_TOL * abs(a_hi):
+        amps = np.linspace(a_lo, a_hi, _SECTION_POINTS + 2)
+        swept, steps = amps[1:-1], []
+        start = tracks[-1].start(swept) if tracks else None
+        over = np.concatenate(([False], _classify_shot(nl, swept, r_end, start, steps), [True]))
+        j = int(np.argmax(over))
+        a_lo, a_hi = float(amps[j - 1]), float(amps[j])
+        # lane k of the sweep shot amps[k + 1]
+        track = _restart(nl, steps, j - 2, swept)
+        tracks = tracks + [track] if track is not None else []
+    return 0.5 * (a_lo + a_hi), tracks
 
 
 def _dense_coefficients(nl: Nonlinearity, r, y, y_new, K: np.ndarray, h) -> np.ndarray:
@@ -685,7 +722,7 @@ def _dense_coefficients(nl: Nonlinearity, r, y, y_new, K: np.ndarray, h) -> np.n
     F[0] = dy
     F[1] = hh * k0 - dy
     F[2] = 2.0 * dy - hh * (k12 + k0)
-    F[3:] = hh * (dop853.D @ K[:, n:])
+    F[3:] = hh * (_DOP853.D @ K[:, n:])
     return F
 
 
@@ -753,56 +790,30 @@ def _switch_radius(traj: tuple, a: float) -> float:
     return r_dense[bad[0] - 1] if bad.size > 0 and bad[0] > 0 else rs[-1]
 
 
-def shoot_ground_state(nl: Nonlinearity, grid: RadialGrid,
-                       bracket: tuple[float, float] | None = None) -> RadialFunction:
+def shoot_ground_state(nl: Nonlinearity, grid: RadialGrid) -> RadialFunction:
     """Radial shooting for the limit problem, independent of the flow route.
 
-    Narrows the center amplitude between undershoot and overshoot by
-    k-section: each sweep classifies _SECTION_POINTS interior amplitudes
-    together.  Once the bracket is narrow, a sweep restarts its lanes from the
-    track of the previous sweep (_restart), at the latest accepted step of
-    the lanes around the bracketing pair that passes its admissibility rule,
-    instead of from the series start: on the four nonlinearities of the
-    `ground` benchmark the sweeps from the third on start at r = 5.1 to 13.7
-    and take 4 to 13 attempts each.  The final shot is not integrated again
-    from the centre: it follows, interpolated at its amplitude, the tracks of
-    the sweeps since the last one that left the series start, up to the
-    checkpoint of the last sweep (r = 13.9 to 15.7 on those four), and only
-    its tail is integrated, up to the radius that decides it (r = 15.6 to
-    17.6, 9 attempts for the four).  The four ground states take 829 DOP853
-    attempts, 206 of them in the amplitude scans; sweeps that all leave from
-    the series start and final shots run out to R take 2 473.  The grid
-    samples that shot through the 7th-order dense output of its stitched
-    steps (_traced_shot) up to the last trustworthy radius (_switch_radius),
-    with an exponential far-field graft c exp(-r)/r beyond it.
+    The amplitude scan (_auto_bracket) brackets the centre amplitude between
+    undershoot and overshoot, and the k-section (_k_section) narrows it.  Once
+    the bracket is narrow, a sweep restarts its lanes from the track of the
+    previous sweep (_restart), at the latest accepted step of the lanes around
+    the bracketing pair that passes its admissibility rule, instead of from
+    the series start: on the four nonlinearities of the `ground` benchmark the
+    sweeps from the third on start at r = 6.1 to 13.7 and take 5 to 12
+    attempts each.  The final shot is not integrated again from the centre: it
+    follows, interpolated at its amplitude, the tracks of the sweeps since the
+    last one that left the series start, up to the checkpoint of the last
+    sweep (r = 13.9 to 15.7 on those four), and only its tail is integrated,
+    up to the radius that decides it (r = 16.0 to 19.2, 11 attempts for the
+    four).  The four ground states take 828 DOP853 attempts, 222 of them in
+    the amplitude scans; sweeps that all leave from the series start and final
+    shots run out to R take 2 400 after the same scans.  The grid samples that
+    shot through the 7th-order dense output of its stitched steps
+    (_traced_shot) up to the last trustworthy radius (_switch_radius), with an
+    exponential far-field graft c exp(-r)/r beyond it.
     """
     r_end = grid.R
-    if bracket is None:
-        a_lo, a_hi = _auto_bracket(nl, r_end)
-    else:
-        a_lo, a_hi = float(bracket[0]), float(bracket[1])
-        lo_over, hi_over = _classify_shot(nl, np.array([a_lo, a_hi]), r_end)
-        if lo_over == hi_over:
-            label = "overshoot" if lo_over else "undershoot"
-            raise BracketFailure(f"both endpoints classify as {label}")
-        if lo_over:
-            a_lo, a_hi = a_hi, a_lo
-
-    amps = np.linspace(a_lo, a_hi, _SECTION_POINTS + 2)
-    tracks: list = []
-    while abs(a_hi - a_lo) > _SHOOT_TOL * abs(a_hi):
-        steps: list = []
-        swept = amps[1:-1]
-        start = tracks[-1].start(swept) if tracks else None
-        over = np.concatenate(([False], _classify_shot(nl, swept, r_end, start, steps), [True]))
-        j = int(np.argmax(over))
-        a_lo, a_hi = float(amps[j - 1]), float(amps[j])
-        # lane k of the sweep shot amps[k + 1]
-        track = _restart(nl, steps, j - 2, swept)
-        tracks = tracks + [track] if track is not None else []
-        amps = np.linspace(a_lo, a_hi, _SECTION_POINTS + 2)
-    a = 0.5 * (a_lo + a_hi)
-
+    a, tracks = _k_section(nl, *_auto_bracket(nl, r_end), r_end)
     traj = _traced_shot(nl, a, r_end, tracks)
     r_nodes = grid.nodes
     vals = np.empty_like(r_nodes)

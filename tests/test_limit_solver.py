@@ -39,6 +39,7 @@ from spgs.limit_solver import (
     _auto_bracket,
     _classify_shot,
     _dense_output,
+    _k_section,
     _shot_start,
     _switch_radius,
     _traced_shot,
@@ -212,16 +213,6 @@ def test_shooting_matches_flow_cubic(nl_cubic, ground_cubic, shot_cubic):
     assert w.values[0] == pytest.approx(OMEGA0_CUBIC_REF, rel=1e-3)
 
 
-def test_shooting_explicit_bracket(grid30, nl_cubic):
-    w = shoot_ground_state(nl_cubic, grid30, bracket=(2.0, 6.0))
-    assert w.values[0] == pytest.approx(OMEGA0_CUBIC_REF, rel=1e-3)
-
-
-def test_shooting_bad_bracket_raises(grid30, nl_cubic):
-    with pytest.raises(BracketFailure):
-        shoot_ground_state(nl_cubic, grid30, bracket=(0.1, 0.5))
-
-
 @pytest.mark.parametrize("case, a", [((1.0, 3.0, 0.0), 4.19), ((1.0, 4.0, 0.0), 4.34),
                                      ((1.0, 5.0, 0.0), 5.22), ((20.0, 3.0, 1.0), 0.21),
                                      ((20.0, 3.0, 1.0), 50.0), ((1.0, 5.5, 0.0), 6.76)])
@@ -253,12 +244,33 @@ def _first_transition(over):
     return int(np.flatnonzero(~over[:-1] & over[1:])[0])
 
 
+def _scan_amplitudes(nl):
+    """The 255 amplitudes of the scan of _auto_bracket: log spaced up to 100
+    from the last amplitude whose centre is not a maximum, f(a) <= a, below
+    the first one on a ladder of 100 a decade from 1e-12."""
+    ladder = np.logspace(-12, 2, 1401)
+    first = int(np.argmax(nl.f(ladder) > ladder))
+    assert first > 0 and nl.f(ladder[first - 1]) <= ladder[first - 1]
+    return np.geomspace(ladder[first - 1], 100.0, 255)
+
+
 @pytest.mark.parametrize("case", GROUND_CASES + [(1.0, 2.5, 0.0), (1.0, 5.5, 0.0)])
 def test_pruned_scan_gives_the_unpruned_bracket(case, grid30):
     nl = canonical_family(*case)
-    amps = np.logspace(-1, 2, 255)
-    i = _first_transition(_classify_shot(nl, amps, grid30.R))
+    amps = _scan_amplitudes(nl)
+    over = _classify_shot(nl, amps, grid30.R)
+    # the lowest lane's centre is not a maximum, so it undershoots
+    assert not over[0]
+    i = _first_transition(over)
     assert _auto_bracket(nl, grid30.R) == (amps[i], amps[i + 1])
+
+
+def test_scan_without_transition_raises(grid30):
+    # mu=1, cw=0.5, q=2.3: every lane of the scan undershoots
+    nl = canonical_family(1.0, 2.3, 0.5)
+    assert not _classify_shot(nl, _scan_amplitudes(nl), grid30.R).any()
+    with pytest.raises(BracketFailure):
+        shoot_ground_state(nl, grid30)
 
 
 def test_pruned_scan_whose_lowest_lanes_overshoot(grid30, nl_cubic):
@@ -302,19 +314,31 @@ def test_restarted_sweeps_match_series_start_k_section(case, grid30, ground_shot
 
 
 def test_restarted_sweeps_match_series_start_k_section_small_amplitude():
-    # mu=20, q=2.2, cw=1 on R=40: the transition lies at a = 1.37e-6, below
-    # the amplitude scan of _auto_bracket, so both routes start from a bracket
+    # mu=20, q=2.2, cw=1 on R=40: the transition lies at a = 1.37e-6; both
+    # routes narrow the same bracket
     nl = canonical_family(20.0, 2.2, 1.0)
-    a = shoot_ground_state(nl, make_grid(40.0, 750), bracket=(1e-6, 1e-5)).values[0]
+    a, _ = _k_section(nl, 1e-6, 1e-5, 40.0)
     assert a == pytest.approx(series_start_amplitude(nl, 1e-6, 1e-5, 40.0), rel=1e-13, abs=0)
 
 
+def test_small_amplitude_shoots_from_the_scan():
+    # the scan starts where the centre of mu=20, q=2.2, cw=1 may first be a
+    # maximum, at a = 3.1e-7, so it brackets the transition at 1.37e-6 that
+    # the scan over [0.1, 100] missed; measured: 2.1e-13 from the k-section
+    # of the bracket (1e-6, 1e-5)
+    nl = canonical_family(20.0, 2.2, 1.0)
+    a_lo, a_hi = _auto_bracket(nl, 40.0)
+    assert 1e-6 < a_lo < 1.37e-6 < a_hi < 1e-5
+    a = shoot_ground_state(nl, make_grid(40.0, 750)).values[0]
+    assert a == pytest.approx(_k_section(nl, 1e-6, 1e-5, 40.0)[0], rel=_SHOOT_TOL, abs=0)
+
+
 def test_restarted_sweeps_save_attempts(ground_shots):
-    # 829 DOP853 attempts for the four ground states at n=3000: 206 for the
-    # pruned amplitude scans, 614 for the k-section sweeps and 9 for the
+    # 828 DOP853 attempts for the four ground states at n=3000: 222 for the
+    # pruned amplitude scans, 595 for the k-section sweeps and 11 for the
     # tails of the final shots, which follow the tracks of the last sweeps
     # (sweeps that all start from the series start and final shots integrated
-    # out to R take 2 473)
+    # out to R take 2 400 after the same scans)
     assert ground_shots[1] <= 850
 
 
@@ -366,24 +390,18 @@ def test_shooting_amplitude_within_1e11_of_tight_transition(case, grid30, ground
     assert tight_shot_label(nl, a * (1.0 + 1e-11), grid30.R) == "overshoot"
 
 
-def test_dop853_tableau_is_the_published_one():
-    from scipy.integrate._ivp import dop853_coefficients as ref
-
-    from spgs import dop853
-
-    for name in ("A", "B", "C", "E3", "E5", "D"):
-        assert np.array_equal(getattr(dop853, name), getattr(ref, name)), name
-
-
-def test_shooting_bracket_with_negative_series_start(grid30, ground_shots):
+def test_shooting_bracket_with_negative_series_start(grid30):
     # at a = 50 the core 1/sqrt|1 - f'(a)| is 1.8e-4 wide, and the two-term
     # series a + (a - f(a)) r^2/6 is already negative at r = 1e-3; the shot
-    # starts inside the core instead, at r = 3.6e-6, and still overshoots
+    # starts inside the core instead, at r = 3.6e-6, and its lane gets the
+    # label of the one-shot oracle
     nl = canonical_family(20.0, 3.0, 1.0)
+    a = np.array([50.0])
+    assert a[0] + (a[0] - nl.f(a[0])) * 1e-6 / 6.0 < 0.0
+    r, y, _ = _shot_start(nl, a)
+    assert r[0] == pytest.approx(3.6e-6, rel=0.01) and y[0, 0] > 0.0
     assert shot_label(nl, 50.0, grid30.R) == "overshoot"
-    w = shoot_ground_state(nl, grid30, bracket=(0.1, 50.0))
-    auto = ground_shots[0][(20.0, 3.0, 1.0)]
-    assert w.values[0] == pytest.approx(auto.values[0], rel=1e-11, abs=0)
+    assert _classify_shot(nl, a, grid30.R).tolist() == [True]
 
 
 def test_shooting_profile_positive_decreasing(shot_cubic):
