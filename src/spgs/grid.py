@@ -234,37 +234,41 @@ def monotone_slopes(u: RadialFunction) -> np.ndarray:
     return d
 
 
-def dilate(u: RadialFunction, t: float, slopes: np.ndarray | None = None) -> RadialFunction:
-    """Return r -> u(r/t) resampled on the same grid.
+def dilate(u: RadialFunction, t: float, slopes: np.ndarray | None = None,
+           onto: RadialGrid | None = None) -> RadialFunction:
+    """Return r -> u(r/t) resampled on the grid onto, by default u's own.
 
     The monotone piecewise cubic of monotone_slopes avoids overshoot that
     would create spurious negative values in positive profiles.  slopes are
     those of u, passed by callers that dilate one field several times;
-    otherwise they are built here.  The nodes whose source radius r/t lies
-    within R form a prefix of the grid; radii beyond the original support map
-    to zero, and the Dirichlet tail value is preserved.
+    otherwise they are built here.  With t = 1 and a finer grid onto over the
+    same R, this prolongs u from a coarse grid.  The nodes of onto whose
+    source radius r/t lies within the R of u form a prefix of that grid;
+    radii beyond the original support map to zero, and the Dirichlet tail
+    value is preserved.
     """
     t = float(t)
     if not (t > 0.0) or not math.isfinite(t):
         raise ValueError(f"dilation scale must be positive and finite, got {t}")
-    if t == 1.0:
-        return RadialFunction(u.grid, u.values.copy())
     grid = u.grid
+    onto = grid if onto is None else onto
+    if t == 1.0 and onto == grid:
+        return RadialFunction(grid, u.values.copy())
     y = u.values
     d = monotone_slopes(u) if slopes is None else slopes
 
-    r_src = grid.nodes / t
+    r_src = onto.nodes / t
     # r_src increases with the nodes, so the radii within R are a prefix
     k = int(np.searchsorted(r_src, grid.R, side="right"))
     x = r_src[:k] / grid.h
     i = np.minimum(x.astype(np.intp), grid.n - 2)
     s = x - i
     c = 1.0 - s
-    vals = np.zeros_like(y)
+    vals = np.zeros(onto.n)
     vals[:k] = (y[i] * (1.0 + 2.0 * s) * c * c + y[i + 1] * (1.0 + 2.0 * c) * s * s
                 + s * c * (d[i] * c - d[i + 1] * s))
     vals[-1] = 0.0 if abs(y[-1]) == 0.0 else vals[-1]
-    return RadialFunction(grid, vals)
+    return RadialFunction(onto, vals)
 
 
 def laplacian_apply(u: RadialFunction) -> np.ndarray:

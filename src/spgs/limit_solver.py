@@ -23,6 +23,7 @@ from .grid import (
     grad_norm_sq,
     laplacian_apply,
     load_scipy,
+    make_grid,
     monotone_slopes,
     solve_helmholtz,
     solve_riesz,
@@ -39,7 +40,8 @@ _PROJECTION_STEPS = 8
 # polish first fails from 0.1, and never from 0.05
 _FLOW_HANDOVER = 0.02
 
-# flow steps before Stagnation; mu=1, q=2.5, cw=0 takes 64 on R=30 at any n
+# flow steps per level before Stagnation; mu=1, q=2.5, cw=0 takes 64 on R=30
+# at any n from the initial bump
 _FLOW_MAX_ITER = 3000
 
 # the flow's line search: at most _FLOW_HALVINGS halvings of the step eta per
@@ -62,6 +64,13 @@ _STEP_CAP = 1e3
 _POLISH_MAX_STEPS = 60
 _POLISH_HALVINGS = 30
 _POLISH_CONSTRAINT_TOL = 1e-12
+
+# nested iteration (Brandt, Math. Comp. 31, 1977): a grid of n nodes first
+# solves on the grid of (n - 1)//4 + 1 nodes over the same R while that grid
+# has at least _LADDER_FLOOR nodes, so 12000 runs 750 -> 3000 -> 12000 and
+# n < 2997 runs one level.  At n=750 the core of q=5 spans 0.77 h; a level at
+# n=187 would resolve no core of q >= 4
+_LADDER_FLOOR = 750
 
 
 class SolverFailure(RuntimeError):
@@ -93,6 +102,13 @@ class MountainPassResult:
 
 @dataclass
 class LimitGroundState:
+    """The constrained minimizer u on {V = 1}, its Pohozaev rescaling omega
+    and their levels, with the cost of the solve: iterations counts the
+    accepted flow steps summed over the levels of the ladder, levels holds
+    the n of every grid whose flow ran, coarsest first ((n,) for one level,
+    also after a failed ladder), and polish_steps the Newton steps on the
+    finest grid."""
+
     u: RadialFunction
     omega: RadialFunction
     M_value: float
@@ -103,6 +119,7 @@ class LimitGroundState:
     iterations: int = 0
     pg_norm: float = 0.0
     polish_steps: int = 0
+    levels: tuple[int, ...] = ()
 
 
 def _g_field(nl: Nonlinearity, values: np.ndarray) -> np.ndarray:
@@ -232,19 +249,18 @@ def _newton_polish(u: RadialFunction, theta: float, nl: Nonlinearity, tol: float
     return RadialFunction(grid, vals), steps
 
 
-def minimize_on_M(nl: Nonlinearity, grid: RadialGrid, tol: float = 1e-8) -> LimitGroundState:
-    """Constrained minimization of T0 over {V = 1}.
+def _flow(u: RadialFunction, nl: Nonlinearity):
+    """Preconditioned projected-gradient descent on {V = 1} from the
+    projection of u, with backtracking and dilation reprojection per step,
+    until the projected gradient is small relative to |grad u|_2
+    (_FLOW_HANDOVER).  A flow that has not reached the handover after
+    _FLOW_MAX_ITER steps raises Stagnation.
 
-    Preconditioned projected-gradient descent with backtracking and dilation
-    reprojection per step, followed by a bordered Newton polish of the
-    stationarity system once the projected gradient is small relative to
-    |grad u|_2 (_FLOW_HANDOVER).  tol is the polish tolerance on the dual
-    norm of the residual; a projected gradient above 100 tol after the
-    polish raises Stagnation, and so does a flow that has not reached the
-    handover after _FLOW_MAX_ITER steps.  The state's iterations are its
-    accepted flow steps.
+    Returns (u, theta, accepted steps), with theta from the projected
+    gradient at the returned u.
     """
-    u = project_to_M(_initial_bump(nl, grid), nl)
+    grid = u.grid
+    u = project_to_M(u, nl)
 
     eta = 1.0
     steps = 0
@@ -291,12 +307,40 @@ def minimize_on_M(nl: Nonlinearity, grid: RadialGrid, tol: float = 1e-8) -> Limi
         if not accepted:
             break
         steps += 1
+    return u, theta, steps
 
-    # every exit above leaves theta from the projected gradient at this u
+
+def _coarse_n(grid: RadialGrid) -> int:
+    """Node count of the next coarser level of the ladder below grid."""
+    return (grid.n - 1) // 4 + 1
+
+
+def _ladder(nl: Nonlinearity, grid: RadialGrid):
+    """The flow on grid, started from the handover state of the next coarser
+    level prolonged onto grid by the monotone cubic of dilate, or from
+    _initial_bump on the coarsest level.
+
+    Returns (u, theta, accepted steps over all levels, n of every level).
+    """
+    n_c = _coarse_n(grid)
+    if n_c < _LADDER_FLOOR:
+        start, steps, levels = _initial_bump(nl, grid), 0, ()
+    else:
+        coarse, _, steps, levels = _ladder(nl, make_grid(grid.R, n_c))
+        start = dilate(coarse, 1.0, onto=grid)
+    u, theta, k = _flow(start, nl)
+    return u, theta, steps + k, levels + (grid.n,)
+
+
+def _finish(u: RadialFunction, theta: float, steps: int, levels: tuple[int, ...],
+            nl: Nonlinearity, tol: float) -> LimitGroundState:
+    """Polish the handover state u of the finest level, project it onto
+    {V = 1} and certify it: a projected gradient above 100 tol raises
+    Stagnation."""
     u, polish_steps = _newton_polish(u, theta, nl, tol=tol)
     u = project_to_M(u, nl)
     pg, _, _, _ = _projected_gradient(u, nl)
-    pg_nrm = dual_norm(grid, pg)
+    pg_nrm = dual_norm(u.grid, pg)
     if pg_nrm > 100 * tol:
         raise Stagnation(
             f"Newton polish stalled at projected gradient {pg_nrm:.3e}"
@@ -308,8 +352,31 @@ def minimize_on_M(nl: Nonlinearity, grid: RadialGrid, tol: float = 1e-8) -> Limi
     return LimitGroundState(
         u=u, omega=omega, M_value=0.5 * terms.A, p_value=terms.gamma(t0), b_value=mp.b,
         t0_dilation=t0, t_star=mp.t_star, iterations=steps, pg_norm=pg_nrm,
-        polish_steps=polish_steps,
+        polish_steps=polish_steps, levels=levels,
     )
+
+
+def minimize_on_M(nl: Nonlinearity, grid: RadialGrid, tol: float = 1e-8) -> LimitGroundState:
+    """Constrained minimization of T0 over {V = 1}.
+
+    The constrained flow (_flow) runs to its handover on a ladder of grids
+    (_ladder): while the grid of (n - 1)//4 + 1 nodes has at least
+    _LADDER_FLOOR nodes, the flow first solves there and hands its state on,
+    prolonged, to the finer grid.  Only the finest level is polished: a
+    bordered Newton polish of the stationarity system with tol on the dual
+    norm of its residual, and a projected gradient above 100 tol after it
+    raises Stagnation.  Any SolverFailure on the ladder reruns the flow on
+    grid alone from _initial_bump, whose state or exception is the outcome,
+    so a coarse level changes the cost but not the result.  The state's
+    iterations are its accepted flow steps summed over its levels, the n of
+    every grid whose flow ran.
+    """
+    if _coarse_n(grid) >= _LADDER_FLOOR:
+        try:
+            return _finish(*_ladder(nl, grid), nl, tol)
+        except SolverFailure:
+            pass
+    return _finish(*_flow(_initial_bump(nl, grid), nl), (grid.n,), nl, tol)
 
 
 def cgm_rescale(u0: RadialFunction, nl: Nonlinearity) -> tuple[RadialFunction, float]:

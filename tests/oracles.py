@@ -11,20 +11,34 @@ from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.optimize import brentq, minimize_scalar
 
 from spgs import RadialFunction, dilate, energy
-from spgs.functionals import scaling_terms
-from spgs.grid import _end_slope
+from spgs.functionals import T0_value, scaling_terms
+from spgs.grid import _end_slope, dual_norm, solve_riesz
 from spgs.limit_solver import (
+    _ARMIJO,
     _ATOL,
+    _FLOW_HALVINGS,
+    _FLOW_HANDOVER,
+    _FLOW_MAX_ITER,
     _PROJECTION_STEPS,
     _RTOL,
     _SHOOT_TOL,
+    _STEP_CAP,
+    _STEP_GROWTH,
     InitializationFailure,
+    LimitGroundState,
+    Stagnation,
     StiffnessFailure,
     _classify_shot,
     _dense_coefficients,
     _dop853_attempt,
     _first_step,
+    _initial_bump,
+    _newton_polish,
+    _projected_gradient,
     _shot_start,
+    cgm_rescale,
+    mountain_pass_b,
+    project_to_M,
 )
 
 
@@ -99,15 +113,17 @@ def resampled_t0(u: RadialFunction, nl, t_hi: float) -> float:
     return 1.05 * t
 
 
-def pchip_dilate(u: RadialFunction, t: float) -> RadialFunction:
-    """r -> u(r/t) by scipy's PCHIP, the reference for spgs.dilate."""
-    if t == 1.0:
+def pchip_dilate(u: RadialFunction, t: float, onto=None) -> RadialFunction:
+    """r -> u(r/t) on the grid onto (by default u's own) by scipy's PCHIP,
+    the reference for spgs.dilate."""
+    onto = u.grid if onto is None else onto
+    if t == 1.0 and onto == u.grid:
         return RadialFunction(u.grid, u.values.copy())
     interp = PchipInterpolator(u.grid.nodes, u.values, extrapolate=False)
-    vals = interp(u.grid.nodes / t)
+    vals = interp(onto.nodes / t)
     vals = np.where(np.isnan(vals), 0.0, vals)
     vals[-1] = 0.0 if abs(u.values[-1]) == 0.0 else vals[-1]
-    return RadialFunction(u.grid, vals)
+    return RadialFunction(onto, vals)
 
 
 def reference_dilate(u: RadialFunction, t: float) -> RadialFunction:
@@ -174,6 +190,63 @@ def reference_project_to_M(u: RadialFunction, nl) -> RadialFunction:
         p = p if p > 0 else 3.0
         t, v = t_next, v_next
     raise InitializationFailure("constraint projection stalled")
+
+
+def reference_minimize_on_M(nl, grid, tol: float = 1e-8) -> LimitGroundState:
+    """spgs.minimize_on_M as one flow on grid from the initial bump, without
+    the ladder of coarser grids, followed by the polish and its certificate:
+    the bitwise reference for grids below the ladder floor and for the
+    direct path that a failed ladder falls back to."""
+    u = project_to_M(_initial_bump(nl, grid), nl)
+    eta, steps, t0_here = 1.0, 0, T0_value(u)
+    while True:
+        pg, theta, t0g, vg = _projected_gradient(u, nl)
+        pg_nrm = dual_norm(grid, pg)
+        if pg_nrm <= _FLOW_HANDOVER * math.sqrt(2.0 * t0_here):
+            break
+        if steps == _FLOW_MAX_ITER:
+            raise Stagnation(
+                f"constrained flow did not reach tolerance in {_FLOW_MAX_ITER} steps "
+                f"(projected gradient {pg_nrm:.3e})"
+            )
+        t0g[-1] = 0.0
+        vg[-1] = 0.0
+        d1, d2 = solve_riesz(grid, t0g), solve_riesz(grid, vg)
+        wv = grid.weights * vg
+        denom = float(np.dot(wv, d2))
+        th = float(np.dot(wv, d1)) / denom if denom != 0.0 else 0.0
+        d = d1 - th * d2
+        slope = float(np.dot(grid.weights, t0g * d))
+        if slope <= 0.0:
+            break
+        for _ in range(_FLOW_HALVINGS):
+            try:
+                trial = project_to_M(RadialFunction(grid, u.values - eta * d), nl)
+            except InitializationFailure:
+                eta *= 0.5
+                continue
+            t0_trial = T0_value(trial)
+            if t0_trial < t0_here - _ARMIJO * eta * slope:
+                u, t0_here = trial, t0_trial
+                eta = min(eta * _STEP_GROWTH, _STEP_CAP)
+                break
+            eta *= 0.5
+        else:
+            break
+        steps += 1
+    u, polish_steps = _newton_polish(u, theta, nl, tol=tol)
+    u = project_to_M(u, nl)
+    pg_nrm = dual_norm(grid, _projected_gradient(u, nl)[0])
+    if pg_nrm > 100 * tol:
+        raise Stagnation(f"Newton polish stalled at projected gradient {pg_nrm:.3e}")
+    terms = scaling_terms(u, nl)
+    omega, t0 = cgm_rescale(u, nl)
+    mp = mountain_pass_b(omega, nl)
+    return LimitGroundState(
+        u=u, omega=omega, M_value=0.5 * terms.A, p_value=terms.gamma(t0), b_value=mp.b,
+        t0_dilation=t0, t_star=mp.t_star, iterations=steps, pg_norm=pg_nrm,
+        polish_steps=polish_steps, levels=(grid.n,),
+    )
 
 
 def bounded_kappa(f) -> float:

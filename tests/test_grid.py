@@ -184,6 +184,31 @@ def test_dilate_matches_pchip_oracle(n, t):
         assert err <= 1e-14 * np.max(np.abs(vals))
 
 
+def test_prolongation_matches_pchip_oracle():
+    # the monotone cubic through a 750-node profile, sampled on the 3000
+    # nodes over the same R: the prolongation of the flow's ladder
+    coarse, fine = make_grid(30.0, 750), make_grid(30.0, 3000)
+    r = coarse.nodes
+    for vals in (4.0 * np.exp(-r**2 / 4.0), np.sin(r) * np.exp(-r / 5.0),
+                 3.0 * np.maximum(0.0, 1.0 - (r / 5.0) ** 2) ** 2):
+        u = RadialFunction(coarse, vals)
+        got = dilate(u, 1.0, onto=fine)
+        assert got.grid == fine
+        err = np.max(np.abs(got.values - pchip_dilate(u, 1.0, fine).values))
+        assert err <= 1e-14 * np.max(np.abs(vals))
+
+
+def test_prolongation_keeps_the_dirichlet_node_zero():
+    # R / h of the 3000-node grid rounds to 2999.0000000000005, so the last
+    # fine node falls just past the last coarse cell
+    coarse, fine = make_grid(30.0, 3000), make_grid(30.0, 12000)
+    vals = np.exp(-coarse.nodes / 3.0)
+    vals[-1] = 0.0
+    got = dilate(RadialFunction(coarse, vals), 1.0, onto=fine).values
+    assert got[-1] == 0.0
+    assert np.all(got[:-1] > 0.0)
+
+
 def test_dilate_subnormal_tail_is_quiet():
     # the tail of this bump underflows to subnormals and zeros, where the
     # harmonic-mean slope of scipy's PCHIP overflows
@@ -218,6 +243,7 @@ def test_dilate_is_bitwise_the_reference_on_flat_and_sign_changing_profile(n):
         want = reference_dilate(u, t).values
         assert np.array_equal(dilate(u, t).values, want)
         assert np.array_equal(dilate(u, t, slopes).values, want)
+        assert np.array_equal(dilate(u, t, onto=make_grid(30.0, n)).values, want)
 
 
 @pytest.mark.parametrize("n", [750, 3000])

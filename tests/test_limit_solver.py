@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from oracles import (
     bisect_amplitude,
     reference_dilate,
+    reference_minimize_on_M,
     reference_project_to_M,
     resampled_path_max,
     series_start_amplitude,
@@ -22,6 +24,7 @@ from spgs import (
     dilate,
     energy,
     grad_norm_sq,
+    h1_norm_sq,
     make_grid,
     minimize_on_M,
     mountain_pass_b,
@@ -431,9 +434,7 @@ def test_flow_handover_gives_the_tight_flow_ground_state(case, R, monkeypatch):
     assert np.max(np.abs(gs.omega.values - tight.omega.values)) <= 1e-10
 
 
-def test_iterations_count_flow_steps(grid30, nl_cubic, ground_cubic, monkeypatch):
-    # every pass of the flow and the certificate after the polish take one
-    # projected gradient, so a flow of k accepted steps takes k + 2
+def _count_projected_gradients(monkeypatch) -> list:
     calls = []
     projected_gradient = limit_solver._projected_gradient
 
@@ -442,13 +443,97 @@ def test_iterations_count_flow_steps(grid30, nl_cubic, ground_cubic, monkeypatch
         return projected_gradient(u, nl)
 
     monkeypatch.setattr(limit_solver, "_projected_gradient", counted)
-    assert minimize_on_M(nl_cubic, grid30).iterations == len(calls) - 2 == ground_cubic.iterations
+    return calls
+
+
+def test_iterations_count_flow_steps(grid30, nl_cubic, ground_cubic, monkeypatch):
+    # every pass of the flow on each of the L levels and the certificate
+    # after the polish take one projected gradient, so k accepted steps over
+    # L levels take k + L + 1; grid30 runs the ladder 750 -> 3000
+    calls = _count_projected_gradients(monkeypatch)
+    gs = minimize_on_M(nl_cubic, grid30)
+    assert gs.levels == (750, 3000)
+    assert gs.iterations == len(calls) - 3 == ground_cubic.iterations
     assert ground_cubic.iterations > 0
-    # a start that already meets the handover takes no flow step
+    # a start that already meets the handover takes no flow step on any level
     calls.clear()
     monkeypatch.setattr(limit_solver, "_FLOW_HANDOVER", 1e9)
     assert minimize_on_M(nl_cubic, grid30).iterations == 0
+    assert len(calls) == 3
+
+
+def test_iterations_count_flow_steps_on_one_level(nl_cubic, monkeypatch):
+    # below the ladder floor one level runs: k accepted steps take k + 2
+    grid = make_grid(30.0, 750)
+    calls = _count_projected_gradients(monkeypatch)
+    gs = minimize_on_M(nl_cubic, grid)
+    assert gs.levels == (750,)
+    assert gs.iterations == len(calls) - 2 > 0
+    calls.clear()
+    monkeypatch.setattr(limit_solver, "_FLOW_HANDOVER", 1e9)
+    assert minimize_on_M(nl_cubic, grid).iterations == 0
     assert len(calls) == 2
+
+
+def _h1_gap(a, b) -> float:
+    """|a - b|_H1 / |b|_H1 of two fields on one grid."""
+    return math.sqrt(h1_norm_sq(a - b) / h1_norm_sq(b))
+
+
+@pytest.mark.parametrize("case, n", [(c, 3000) for c in GROUND_CASES]
+                         + [((1.0, 2.5, 0.0), 3000), ((1.0, 5.5, 0.0), 3000),
+                            ((1.0, 4.0, 0.0), 12000)])
+def test_ladder_matches_the_direct_solve(case, n, monkeypatch):
+    nl = canonical_family(*case)
+    grid = make_grid(30.0, n)
+    laddered = minimize_on_M(nl, grid)
+    monkeypatch.setattr(limit_solver, "_LADDER_FLOOR", n + 1)
+    direct = minimize_on_M(nl, grid)
+    assert laddered.levels == {3000: (750, 3000), 12000: (750, 3000, 12000)}[n]
+    assert direct.levels == (n,)
+    assert abs(laddered.b_value - direct.b_value) <= 1e-12 * direct.b_value
+    assert _h1_gap(laddered.omega, direct.omega) <= 1e-10
+
+
+@pytest.mark.parametrize("case", GROUND_CASES + [(1.0, 5.5, 0.0), (0.5, 4.0, 1.0)])
+def test_below_the_ladder_floor_the_state_is_the_one_level_solve(case):
+    # n=750 runs no ladder: every field and figure equals the flow of one level
+    grid = make_grid(30.0, 750)
+    nl = canonical_family(*case)
+    try:
+        want = reference_minimize_on_M(nl, grid)
+    except Stagnation as failure:
+        with pytest.raises(Stagnation, match=f"^{re.escape(str(failure))}$"):
+            minimize_on_M(nl, grid)
+        return
+    _assert_same_state(minimize_on_M(nl, grid), want)
+
+
+def _assert_same_state(got, want):
+    assert np.array_equal(got.u.values, want.u.values)
+    assert np.array_equal(got.omega.values, want.omega.values)
+    for field in ("M_value", "p_value", "b_value", "t0_dilation", "t_star", "iterations",
+                  "pg_norm", "polish_steps", "levels"):
+        assert getattr(got, field) == getattr(want, field), field
+
+
+def test_failed_ladder_returns_the_direct_state():
+    # at n=3000, mu=0.5, q=4, cw=1 the ladder's polish stalls, and the flow
+    # on the fine grid alone from the initial bump certifies a state
+    nl, grid = canonical_family(0.5, 4.0, 1.0), make_grid(30.0, 3000)
+    with pytest.raises(Stagnation):
+        limit_solver._finish(*limit_solver._ladder(nl, grid), nl, 1e-8)
+    gs = minimize_on_M(nl, grid)
+    assert gs.levels == (3000,)
+    _assert_same_state(gs, reference_minimize_on_M(nl, grid))
+
+
+def test_failed_ladder_raises_the_direct_failure():
+    nl, grid = canonical_family(2.0, 4.0, 1.0), make_grid(30.0, 3000)
+    with pytest.raises(Stagnation) as direct:
+        reference_minimize_on_M(nl, grid)
+    with pytest.raises(Stagnation, match=f"^{re.escape(str(direct.value))}$"):
+        minimize_on_M(nl, grid)
 
 
 def test_handover_on_the_last_allowed_step_is_accepted(grid30, nl_cubic, ground_cubic,
