@@ -20,22 +20,22 @@ from numpy.linalg import LinAlgError  # the class scipy.linalg re-exports
 
 
 def load_scipy(path: str):
-    """The module of scipy's file scipy/<path> (an extension module or a
-    .py file, path without suffix, "/"-separated), loaded from that file
-    without importing the scipy package or the packages on the path.
+    """The extension module of scipy's file scipy/<path> (path without
+    suffix, "/"-separated), loaded from that file without importing the
+    scipy package or the packages on the path.
 
     Their __init__ modules pull in scipy._lib and through it numpy.f2py,
     numpy.testing and numpy.ma: most of the time and close to half the memory
-    of `import spgs`, for two LAPACK routines and a table of coefficients.
-    The module is left out of sys.modules, so a later import of its package
-    binds it as its own attribute (for an extension, from the same routines).
-    A missing file fails with an ImportError that names it.
+    of `import spgs`, for two LAPACK routines.  The module is left out of
+    sys.modules, so a later import of its package binds it as its own
+    attribute, from the same routines.  A missing file fails with an
+    ImportError that names it.
     """
     spec = find_spec("scipy")
     if spec is None:
         raise ModuleNotFoundError("spgs needs scipy", name="scipy")
     where, stem = os.path.split(os.path.join(spec.submodule_search_locations[0], path))
-    for suffix in (*EXTENSION_SUFFIXES, ".py"):
+    for suffix in EXTENSION_SUFFIXES:
         file = os.path.join(where, stem + suffix)
         if os.path.isfile(file):
             break

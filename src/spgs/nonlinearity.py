@@ -94,7 +94,7 @@ def canonical_family(mu: float, q: float, critical_weight: float) -> Nonlinearit
 
     # without a critical term its zero terms are skipped: adding 0 s^k changes
     # no value (short of s^k overflowing, where it gave NaN), yet it doubles
-    # the cost of f in shooting
+    # the cost of f on every field of the flow and on every node of a shot
     def f(s):
         sp = np.maximum(np.asarray(s, dtype=float), 0.0)
         sub = mu * sp ** (q - 1.0)

@@ -15,31 +15,32 @@ from spgs.functionals import T0_value, scaling_terms
 from spgs.grid import _end_slope, dual_norm, solve_riesz
 from spgs.limit_solver import (
     _ARMIJO,
-    _ATOL,
+    _FIRST_DROP,
     _FLOW_HALVINGS,
     _FLOW_HANDOVER,
     _FLOW_MAX_ITER,
     _PROJECTION_STEPS,
-    _RTOL,
-    _SHOOT_TOL,
     _STEP_CAP,
     _STEP_GROWTH,
     InitializationFailure,
     LimitGroundState,
     Stagnation,
-    StiffnessFailure,
-    _classify_shot,
-    _dense_coefficients,
-    _dop853_attempt,
-    _first_step,
     _initial_bump,
     _newton_polish,
     _projected_gradient,
-    _shot_start,
     cgm_rescale,
     mountain_pass_b,
     project_to_M,
 )
+
+# the continuum shots of solve_ivp keep the error of each step within
+# _RTOL |y| + _ATOL
+_RTOL = 1e-10
+_ATOL = 1e-13
+
+
+class IntegrationFailure(RuntimeError):
+    """solve_ivp failed to integrate a continuum shot."""
 
 
 def dense_newton_oracle(grid, rho: np.ndarray) -> np.ndarray:
@@ -264,42 +265,68 @@ def bounded_kappa(f) -> float:
     return max(-min(res.fun, vals[k]), 0.0)
 
 
-def _series_start(nl, a: float, r0: float | None = None):
-    """(r0, y0) of the shot from centre amplitude a: the start of spgs
-    (limit_solver._shot_start), or with r0 given the two-term series
-    u = a + c r0^2/6, u' = c r0/3 with c = a - f(a)."""
-    if r0 is None:
-        with np.errstate(divide="ignore"):
-            r, y, _ = _shot_start(nl, np.array([a]))
-        return float(r[0]), y[:, 0].tolist()
+def march_overshoots(nl, grid, a: float) -> bool:
+    """Whether the shot of the grid equation -Delta_h u + u = f(u) from centre
+    amplitude a overshoots, marched one node at a time in Python floats by
+    row i of the equation, u_{i+1} = u_i + [c_{i-1} (u_i - u_{i-1})
+    + m_i (u_i - f(u_i))] / c_i with c_{-1} = 0, from a centre that is a
+    maximum and falls by less than _FIRST_DROP of a in the first step: the
+    reference for the lanes of limit_solver._classify_shot."""
+    c, m = grid.conductance.tolist(), grid.mass.tolist()
+
+    def f(s):
+        return float(nl.f(np.asarray(s)))
+
+    u_prev = u = float(a)
+    drop = m[0] / c[0] * (f(u) - u)
+    if not 0.0 < drop < _FIRST_DROP * u:
+        return False
+    for i in range(grid.n - 1):
+        flux = c[i - 1] * (u - u_prev) if i > 0 else 0.0
+        u_next = u + (flux + m[i] * (u - f(u))) / c[i]
+        if u_next <= 0.0:
+            return True
+        if u_next > u:
+            return False
+        u_prev, u = u, u_next
+    return False
+
+
+def _series_start(nl, a: float):
+    """(r0, (u, u')) of the continuum shot from centre amplitude a on the
+    series u = a + c r^2/6 + b r^4, u' = c r/3 + 4 b r^3 with c = a - f(a) and
+    b = (1 - f'(a)) c / 120, at r0 = 1e-3, or at 0.02 core widths
+    1/sqrt|1 - f'(a)| where that is narrower: beyond the core the series
+    diverges."""
     c = a - float(nl.f(np.asarray(a)))
-    return r0, [a + c * r0**2 / 6.0, c * r0 / 3.0]
+    k = 1.0 - float(nl.fprime(np.asarray(a)))
+    r0 = min(1e-3, 0.02 / math.sqrt(abs(k))) if k != 0.0 else 1e-3
+    b = k * c / 120.0
+    return r0, [a + r0**2 * (c / 6.0 + b * r0**2), r0 * (c / 3.0 + 4.0 * b * r0**2)]
 
 
-def _shot_ivp(nl, a: float, r_end: float, rtol: float = _RTOL, atol: float = _ATOL,
-              r0: float | None = None, **kwargs):
-    """solve_ivp (DOP853, the pair of spgs) on u'' + (2/r) u' = u - f(u) from
-    the series start (_series_start)."""
+def _shot_ivp(nl, a: float, r_end: float, **kwargs):
+    """solve_ivp (DOP853) on u'' + (2/r) u' = u - f(u) from the series start
+    (_series_start)."""
 
     def rhs(r, y):
         u, du = y
         return [du, -2.0 / r * du + u - float(nl.f(np.asarray(u)))]
 
-    r0, y0 = _series_start(nl, a, r0)
-    sol = solve_ivp(rhs, (r0, r_end), y0, rtol=rtol, atol=atol, method="DOP853", **kwargs)
+    r0, y0 = _series_start(nl, a)
+    sol = solve_ivp(rhs, (r0, r_end), y0, rtol=_RTOL, atol=_ATOL, method="DOP853", **kwargs)
     if sol.status == -1:
-        raise StiffnessFailure(f"integrator failed at a = {a}: {sol.message}")
+        raise IntegrationFailure(f"integrator failed at a = {a}: {sol.message}")
     return sol
 
 
-def shot_label(nl, a: float, r_end: float, rtol: float = _RTOL, atol: float = _ATOL,
-               r0: float | None = None) -> str:
-    """One shot at a time: 'overshoot' if u crosses zero, 'undershoot' if u
+def shot_label(nl, a: float, r_end: float) -> str:
+    """One continuum shot: 'overshoot' if u crosses zero, 'undershoot' if u
     turns around positive, as solve_ivp terminal events."""
     a = float(a)
     if a - float(nl.f(np.asarray(a))) > 0:
         return "undershoot"
-    if _series_start(nl, a, r0)[1][0] <= 0:
+    if _series_start(nl, a)[1][0] <= 0:
         return "overshoot"
 
     def cross(r, y):
@@ -310,31 +337,15 @@ def shot_label(nl, a: float, r_end: float, rtol: float = _RTOL, atol: float = _A
 
     cross.terminal, cross.direction = True, -1.0
     turn.terminal, turn.direction = True, 1.0
-    sol = _shot_ivp(nl, a, r_end, rtol, atol, r0, events=(cross, turn))
+    sol = _shot_ivp(nl, a, r_end, events=(cross, turn))
     return "overshoot" if sol.t_events[0].size > 0 else "undershoot"
 
 
-def tight_shot_label(nl, a: float, r_end: float) -> str:
-    """shot_label at rtol 1e-13 and atol 1e-16 from the two-term series at
-    r = 1e-5, independent of the start of spgs: for cores much wider than
-    1e-5 (those of the `ground` transitions are 0.04 to 0.4 wide), where the
-    undershoot/overshoot transition lies, nearly free of integration and
-    truncation error."""
-    return shot_label(nl, a, r_end, rtol=1e-13, atol=1e-16, r0=1e-5)
-
-
-def tight_start(nl, a: float, r: float) -> np.ndarray:
-    """(u, u') at r of the shot from centre amplitude a, integrated at rtol
-    1e-13 from the two-term series at r/100, whose dropped terms are 1e-8 of
-    those at r: the reference for the series start of spgs."""
-    sol = _shot_ivp(nl, a, r, rtol=1e-13, atol=1e-300, r0=r / 100.0)
-    return sol.y[:, -1]
-
-
 def bisect_amplitude(nl, a_lo: float, a_hi: float, r_end: float) -> float:
-    """Centre amplitude by one-shot-at-a-time bisection of an undershoot
-    (a_lo) / overshoot (a_hi) bracket."""
-    while abs(a_hi - a_lo) > _SHOOT_TOL * abs(a_hi):
+    """Transition amplitude of the continuum shots by one-shot-at-a-time
+    bisection of an undershoot (a_lo) / overshoot (a_hi) bracket, down to
+    1e-7 of a_hi."""
+    while abs(a_hi - a_lo) > 1e-7 * abs(a_hi):
         mid = 0.5 * (a_lo + a_hi)
         if shot_label(nl, mid, r_end) == "undershoot":
             a_lo = mid
@@ -344,37 +355,5 @@ def bisect_amplitude(nl, a_lo: float, a_hi: float, r_end: float) -> float:
 
 
 def shot_dense(nl, a: float, r_end: float):
-    """Dense output (u, u') of the shot from centre amplitude a."""
+    """Dense output (u, u') of the continuum shot from centre amplitude a."""
     return _shot_ivp(nl, a, r_end, dense_output=True).sol
-
-
-def series_start_amplitude(nl, a_lo: float, a_hi: float, r_end: float) -> float:
-    """Centre amplitude by the k-section of shoot_ground_state from an
-    undershoot (a_lo) / overshoot (a_hi) bracket, with every sweep of 63
-    amplitudes integrated from the series start at r_start."""
-    while abs(a_hi - a_lo) > _SHOOT_TOL * abs(a_hi):
-        amps = np.linspace(a_lo, a_hi, 65)
-        over = np.concatenate(([False], _classify_shot(nl, amps[1:-1], r_end), [True]))
-        j = int(np.argmax(over))
-        a_lo, a_hi = float(amps[j - 1]), float(amps[j])
-    return 0.5 * (a_lo + a_hi)
-
-
-def stepwise_trajectory(nl, a: float, r_end: float):
-    """The shot from centre amplitude a to r_end, one DOP853 attempt at a
-    time, with the continuous extension of each accepted step computed right
-    after it: (rs, y0, F) in the layout of limit_solver._traced_shot."""
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        r, y, dy = _shot_start(nl, np.array([a]))
-        h = _first_step(nl, r, y, dy, r_end)
-        retry = np.zeros(1, dtype=bool)
-        rs, y0, F = [r], [], []
-        while r[0] < r_end:
-            acc, r_new, y_new, K, h = _dop853_attempt(nl, r, y, dy, h, retry, r_end)
-            retry = ~acc
-            if acc[0]:
-                F.append(_dense_coefficients(nl, r, y, y_new, K, r_new - r))
-                y0.append(y[:, 0])
-                r, y, dy = r_new, y_new, K[12, 1:].reshape(2, 1)
-                rs.append(r)
-    return np.concatenate(rs), np.stack(y0, axis=1), np.stack(F, axis=2)

@@ -238,7 +238,7 @@ def test_solve_is_the_first_point_of_the_sweep(tmp_path):
 
 @pytest.mark.parametrize("failure", [
     limit_solver.InitializationFailure, limit_solver.Stagnation,
-    limit_solver.BracketFailure, limit_solver.StiffnessFailure,
+    limit_solver.BracketFailure,
     sp_solver.NonConvergence, sp_solver.PositivityLoss, sp_solver.RangeFailure,
     checks.RegimeFailure,
 ])
@@ -316,10 +316,10 @@ def test_public_names_resolve():
 
 
 def test_import_footprint():
-    # the package and its command line load numpy and two files of scipy, its
-    # LAPACK extension and its DOP853 tableau, from their files, so no scipy
-    # module stays registered: not scipy itself, whose __init__ loads
-    # scipy._lib, nor scipy.linalg, scipy.integrate or any module inside them;
+    # the package and its command line load numpy and one file of scipy, its
+    # LAPACK extension, from that file, so no scipy module stays registered:
+    # not scipy itself, whose __init__ loads scipy._lib, nor scipy.linalg,
+    # scipy.integrate or any module inside them;
     # the Krylov solver of the coupled Newton step is numpy, not scipy.sparse
     code = ("import sys, spgs, spgs.cli; "
             "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")

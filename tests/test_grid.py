@@ -359,21 +359,6 @@ def test_missing_lapack_extension_names_the_directory(tmp_path):
     assert str(tmp_path / "scipy" / "linalg") in out.stderr
 
 
-def test_missing_tableau_file_names_the_directory(tmp_path):
-    # a scipy with its LAPACK extension but without
-    # integrate/_ivp/dop853_coefficients.py fails the import of spgs, naming
-    # where it looked
-    (tmp_path / "scipy").mkdir()
-    (tmp_path / "scipy" / "__init__.py").write_text("")
-    linalg = Path(scipy.linalg.__file__).parent
-    (tmp_path / "scipy" / "linalg").symlink_to(linalg, target_is_directory=True)
-    out = _fresh_python("import spgs", tmp_path)
-    assert out.returncode == 1
-    assert "ImportError" in out.stderr
-    assert str(tmp_path / "scipy" / "integrate" / "_ivp") in out.stderr
-    assert "dop853_coefficients" in out.stderr
-
-
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_riesz_solve_rejects_non_finite_rhs(bad):
     g = make_grid(15.0, 800)

@@ -7,16 +7,13 @@ import pytest
 
 from oracles import (
     bisect_amplitude,
+    march_overshoots,
     reference_dilate,
     reference_minimize_on_M,
     reference_project_to_M,
     resampled_path_max,
-    series_start_amplitude,
     shot_dense,
     shot_label,
-    stepwise_trajectory,
-    tight_shot_label,
-    tight_start,
 )
 from spgs import (
     RadialFunction,
@@ -29,23 +26,17 @@ from spgs import (
     minimize_on_M,
     mountain_pass_b,
     shoot_ground_state,
+    solve_at_lambda,
 )
 from spgs import limit_solver
 from spgs.functionals import T0_value, V_value
 from spgs.grid import monotone_slopes
 from spgs.limit_solver import (
     BracketFailure,
-    _R_START,
-    _SHOOT_TOL,
     InitializationFailure,
     Stagnation,
     _auto_bracket,
     _classify_shot,
-    _dense_output,
-    _k_section,
-    _shot_start,
-    _switch_radius,
-    _traced_shot,
     cgm_rescale,
     project_to_M,
 )
@@ -178,35 +169,13 @@ def test_path_energy_below_peak(ground_cubic, nl_cubic):
 
 @pytest.fixture(scope="module")
 def ground_shots(grid30):
-    """The shot of each GROUND_CASES nonlinearity on grid30, the DOP853 step
-    attempts that the four took together, and the tracks and trajectory of
-    each final shot (_traced_shot)."""
-    attempts = 0
-    attempt = limit_solver._dop853_attempt
-    traced = limit_solver._traced_shot
-    finals = []
-
-    def counted(*args):
-        nonlocal attempts
-        attempts += 1
-        return attempt(*args)
-
-    def recorded(nl, a, r_end, tracks=()):
-        traj = traced(nl, a, r_end, tracks)
-        finals.append((tracks, traj))
-        return traj
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(limit_solver, "_dop853_attempt", counted)
-        mp.setattr(limit_solver, "_traced_shot", recorded)
-        shots = {case: shoot_ground_state(canonical_family(*case), grid30)
-                 for case in GROUND_CASES}
-    return shots, attempts, dict(zip(GROUND_CASES, finals))
+    """The shot of each GROUND_CASES nonlinearity on grid30."""
+    return {case: shoot_ground_state(canonical_family(*case), grid30) for case in GROUND_CASES}
 
 
 @pytest.fixture(scope="module")
 def shot_cubic(ground_shots):
-    return ground_shots[0][(1.0, 4.0, 0.0)]
+    return ground_shots[(1.0, 4.0, 0.0)]
 
 
 def test_shooting_matches_flow_cubic(nl_cubic, ground_cubic, shot_cubic):
@@ -216,35 +185,16 @@ def test_shooting_matches_flow_cubic(nl_cubic, ground_cubic, shot_cubic):
     assert w.values[0] == pytest.approx(OMEGA0_CUBIC_REF, rel=1e-3)
 
 
-@pytest.mark.parametrize("case, a", [((1.0, 3.0, 0.0), 4.19), ((1.0, 4.0, 0.0), 4.34),
-                                     ((1.0, 5.0, 0.0), 5.22), ((20.0, 3.0, 1.0), 0.21),
-                                     ((20.0, 3.0, 1.0), 50.0), ((1.0, 5.5, 0.0), 6.76)])
-def test_series_start_matches_tight_integration(case, a):
-    # near the transitions of the ground cases and at a = 50, where the core
-    # is 1.8e-4 wide; the two-term series at r = 1e-3 missed u by up to 6.7e-10
-    # of a there (q = 5) and by 0.61 a at a = 50
-    nl = canonical_family(*case)
-    r, y, _ = _shot_start(nl, np.array([a]))
-    want = tight_start(nl, a, r[0])
-    assert abs(y[0, 0] - want[0]) <= 1e-13 * a
-    assert abs(y[1, 0] - want[1]) <= 1e-8 * abs(want[1])
-
-
 @pytest.mark.parametrize("case", GROUND_CASES)
 def test_batched_labels_match_one_shot_oracle(case, grid30):
+    # 40 lanes over [0.1, 100], with the fixed point a = 1 of f for mu = 1,
+    # and 9 lanes across the bracket of the scan, which march furthest
     nl = canonical_family(*case)
-    amps = np.logspace(-1, 2, 40)
-    # the scan holds degenerate lanes (a = 1 is a fixed point of f for mu = 1,
-    # with error norm 0); they must not warn
+    amps = np.concatenate((np.logspace(-1, 2, 40), np.linspace(*_auto_bracket(nl, grid30), 9)))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        over = _classify_shot(nl, amps, grid30.R)
-    want = [shot_label(nl, a, grid30.R) == "overshoot" for a in amps]
-    assert over.tolist() == want
-
-
-def _first_transition(over):
-    return int(np.flatnonzero(~over[:-1] & over[1:])[0])
+        over = _classify_shot(nl, grid30, amps)
+    assert over.tolist() == [march_overshoots(nl, grid30, a) for a in amps]
 
 
 def _scan_amplitudes(nl):
@@ -257,154 +207,79 @@ def _scan_amplitudes(nl):
     return np.geomspace(ladder[first - 1], 100.0, 255)
 
 
-@pytest.mark.parametrize("case", GROUND_CASES + [(1.0, 2.5, 0.0), (1.0, 5.5, 0.0)])
-def test_pruned_scan_gives_the_unpruned_bracket(case, grid30):
-    nl = canonical_family(*case)
-    amps = _scan_amplitudes(nl)
-    over = _classify_shot(nl, amps, grid30.R)
-    # the lowest lane's centre is not a maximum, so it undershoots
-    assert not over[0]
-    i = _first_transition(over)
-    assert _auto_bracket(nl, grid30.R) == (amps[i], amps[i + 1])
-
-
 def test_scan_without_transition_raises(grid30):
     # mu=1, cw=0.5, q=2.3: every lane of the scan undershoots
     nl = canonical_family(1.0, 2.3, 0.5)
-    assert not _classify_shot(nl, _scan_amplitudes(nl), grid30.R).any()
+    assert not _classify_shot(nl, grid30, _scan_amplitudes(nl)).any()
     with pytest.raises(BracketFailure):
         shoot_ground_state(nl, grid30)
 
 
-def test_pruned_scan_whose_lowest_lanes_overshoot(grid30, nl_cubic):
-    # the two lowest lanes overshoot and nothing lies below them, so the
-    # first transition is the one of the log scan above them (a = 4.34)
-    amps = np.concatenate(([50.0, 20.0], np.logspace(-1, 2, 62)))
-    over = _classify_shot(nl_cubic, amps, grid30.R)
-    assert over[:2].all() and not over[2]
-    i = _first_transition(over)
-    assert 4.0 < amps[i] < 4.34 < amps[i + 1]
-    steps, pruned_steps = [], []
-    _classify_shot(nl_cubic, amps, grid30.R, steps=steps)
-    pruned = _classify_shot(nl_cubic, amps, grid30.R, steps=pruned_steps, first=True)
-    assert _first_transition(pruned) == i
-    # lanes above the first decided overshoot stop early
-    assert sum(s[0].size for s in pruned_steps) < sum(s[0].size for s in steps)
+@pytest.mark.parametrize("case, n", [(c, n) for n in (750, 3000) for c in GROUND_CASES]
+                         + [((1.0, 2.5, 0.0), 3000), ((1.0, 5.5, 0.0), 3000)])
+def test_shot_is_the_newton_solved_flow_state(case, n, grid30, ground_shots):
+    # both routes solve the grid equation, so the shot equals the flow's omega
+    # Newton-solved at lam = 0; measured: at most 2.5e-12 relative H1 but
+    # 3.5e-10 for mu=20, q=3, cw=1 at n=3000, where each solve stops at a
+    # residual just below its 1e-9 tolerance
+    nl = canonical_family(*case)
+    grid = grid30 if n == 3000 else make_grid(30.0, n)
+    on_grid30 = n == 3000 and case in ground_shots
+    shot = ground_shots[case] if on_grid30 else shoot_ground_state(nl, grid)
+    flow = solve_at_lambda(minimize_on_M(nl, grid).omega, nl, 0.0).u
+    assert _h1_gap(shot, flow) <= 1e-9
 
 
 @pytest.mark.parametrize("case", GROUND_CASES)
-def test_k_section_matches_bisection_oracle(case, grid30, ground_shots):
-    # the restarted sweeps must not change the integration error of the labels
+def test_shot_amplitude_converges_to_the_continuum_transition(case, grid30, ground_shots):
+    # the amplitude of the grid equation's ground state against the transition
+    # of the continuum shots of solve_ivp; measured relative gaps at n=750 and
+    # 3000: q=3 8.3e-4 and 8.9e-5, q=4 2.2e-3 and 3.6e-4, q=5 1.5e-2 and
+    # 1.4e-3, mu=20, q=3, cw=1 8.3e-4 and 8.9e-5.  The bounds are twice the
+    # largest gap on each grid, and each gap falls by at least 4 (measured:
+    # 6.1 to 10.7).  Up to r = 5 the profiles lie as close to the continuum
+    # shot, relative to a (measured: at most 1.1e-2 and 1.4e-3)
     nl = canonical_family(*case)
-    a_ref = bisect_amplitude(nl, *_auto_bracket(nl, grid30.R), grid30.R)
-    w = ground_shots[0][case]
-    assert w.values[0] == pytest.approx(a_ref, rel=_SHOOT_TOL, abs=0)
-    # the grid profile read from the dense output of the accepted steps
-    r = grid30.nodes
-    inner = (r > 0.0) & (r <= 10.0)
-    sol = shot_dense(nl, w.values[0], grid30.R)
-    err = np.max(np.abs(w.values[inner] - sol(r[inner])[0]))
-    assert err <= 1e-8 * w.values[0]
-
-
-@pytest.mark.parametrize("case", GROUND_CASES + [(1.0, 2.5, 0.0), (1.0, 5.5, 0.0)])
-def test_restarted_sweeps_match_series_start_k_section(case, grid30, ground_shots):
-    nl = canonical_family(*case)
-    shots = ground_shots[0]
-    a = (shots[case] if case in shots else shoot_ground_state(nl, grid30)).values[0]
-    a_ref = series_start_amplitude(nl, *_auto_bracket(nl, grid30.R), grid30.R)
-    assert a == pytest.approx(a_ref, rel=1e-13, abs=0)
-
-
-def test_restarted_sweeps_match_series_start_k_section_small_amplitude():
-    # mu=20, q=2.2, cw=1 on R=40: the transition lies at a = 1.37e-6; both
-    # routes narrow the same bracket
-    nl = canonical_family(20.0, 2.2, 1.0)
-    a, _ = _k_section(nl, 1e-6, 1e-5, 40.0)
-    assert a == pytest.approx(series_start_amplitude(nl, 1e-6, 1e-5, 40.0), rel=1e-13, abs=0)
-
-
-def test_small_amplitude_shoots_from_the_scan():
-    # the scan starts where the centre of mu=20, q=2.2, cw=1 may first be a
-    # maximum, at a = 3.1e-7, so it brackets the transition at 1.37e-6 that
-    # the scan over [0.1, 100] missed; measured: 2.1e-13 from the k-section
-    # of the bracket (1e-6, 1e-5)
-    nl = canonical_family(20.0, 2.2, 1.0)
-    a_lo, a_hi = _auto_bracket(nl, 40.0)
-    assert 1e-6 < a_lo < 1.37e-6 < a_hi < 1e-5
-    a = shoot_ground_state(nl, make_grid(40.0, 750)).values[0]
-    assert a == pytest.approx(_k_section(nl, 1e-6, 1e-5, 40.0)[0], rel=_SHOOT_TOL, abs=0)
-
-
-def test_restarted_sweeps_save_attempts(ground_shots):
-    # 828 DOP853 attempts for the four ground states at n=3000: 222 for the
-    # pruned amplitude scans, 595 for the k-section sweeps and 11 for the
-    # tails of the final shots, which follow the tracks of the last sweeps
-    # (sweeps that all start from the series start and final shots integrated
-    # out to R take 2 400 after the same scans)
-    assert ground_shots[1] <= 850
-
-
-@pytest.mark.parametrize("case", GROUND_CASES)
-def test_stitched_shot_matches_stepwise_dense_output(case, grid30, ground_shots):
-    # the final shot read from the tracks of the last sweeps and its tail
-    # against the shot integrated from the series start one step at a time,
-    # over the radii that the grid profile reads from it; measured: at most
-    # 9.2e-11 a, reached at r_switch, and 2.9e-12 a up to r = 10
-    nl = canonical_family(*case)
-    a = ground_shots[0][case].values[0]
-    tracks, traj = ground_shots[2][case]
-    assert tracks
-    rs = traj[0]
-    x = np.linspace(rs[0], _switch_radius(traj, a), 20001)
-    err = np.abs(_dense_output(*traj, x) - _dense_output(*stepwise_trajectory(nl, a, grid30.R), x))
-    assert np.max(err) <= 2e-10 * a
-    assert np.max(err[:, x <= 10.0]) <= 1e-11 * a
-    # the tail runs from the checkpoint of the last track to the decision
-    assert rs[0] < tracks[0].r[0] and tracks[-1].r[-1] in rs
-    assert rs[-1] > tracks[-1].r[-1]
-
-
-@pytest.mark.parametrize("case", GROUND_CASES)
-def test_final_shot_matches_stepwise_dense_output(case, grid30, ground_shots):
-    # without tracks the final shot runs from the series start, and the one
-    # batched pass over its accepted steps gives the dense output of the loop
-    # that extends each step right after taking it
-    nl = canonical_family(*case)
-    a = ground_shots[0][case].values[0]
-    rs, y0, F = _traced_shot(nl, a, grid30.R)
-    ref = stepwise_trajectory(nl, a, grid30.R)
-    # the shot stops where it is decided, well before R
-    assert rs[-1] < grid30.R - 5.0
-    assert np.array_equal(rs, ref[0][:rs.size])
-    x = np.linspace(_R_START, rs[-1], 20001)
-    err = np.max(np.abs(_dense_output(rs, y0, F, x) - _dense_output(*ref, x)))
-    assert err <= 1e-14 * a
+    shots = {750: shoot_ground_state(nl, make_grid(30.0, 750)), 3000: ground_shots[case]}
+    a_fine = shots[3000].values[0]
+    a_lo, a_hi = 0.99 * a_fine, 1.01 * a_fine
+    assert shot_label(nl, a_lo, grid30.R) == "undershoot"
+    assert shot_label(nl, a_hi, grid30.R) == "overshoot"
+    a = bisect_amplitude(nl, a_lo, a_hi, grid30.R)
+    continuum = shot_dense(nl, a, grid30.R)
+    gaps = {}
+    for n, w in shots.items():
+        r = w.grid.nodes
+        inner = (r > 0.0) & (r <= 5.0)
+        assert np.max(np.abs(w.values[inner] - continuum(r[inner])[0])) <= {750: 3e-2, 3000: 3e-3}[n] * a
+        gaps[n] = abs(w.values[0] - a) / a
+    assert gaps[750] <= 3e-2 and gaps[3000] <= 3e-3
+    assert gaps[3000] <= gaps[750] / 4.0
 
 
 @pytest.mark.parametrize("case", GROUND_CASES)
 def test_shooting_amplitude_within_1e11_of_tight_transition(case, grid30, ground_shots):
-    # the k-section stops at 1e-12, so the integration error of the labels
-    # decides how close the amplitude lies to the transition that a much
-    # tighter integration finds
+    # the march has no integration error, so its undershoot/overshoot
+    # transition is the grid equation's own; the Newton solve, not the 1e-3
+    # bracket, sets the amplitude, and it lies within 1e-11 of that
+    # transition (measured: within 1e-13 at n=750 and 3000)
     nl = canonical_family(*case)
-    a = ground_shots[0][case].values[0]
-    assert tight_shot_label(nl, a * (1.0 - 1e-11), grid30.R) == "undershoot"
-    assert tight_shot_label(nl, a * (1.0 + 1e-11), grid30.R) == "overshoot"
+    a = ground_shots[case].values[0]
+    assert _classify_shot(nl, grid30, [a * (1.0 - 1e-11), a * (1.0 + 1e-11)]).tolist() == [
+        False, True]
 
 
-def test_shooting_bracket_with_negative_series_start(grid30):
-    # at a = 50 the core 1/sqrt|1 - f'(a)| is 1.8e-4 wide, and the two-term
-    # series a + (a - f(a)) r^2/6 is already negative at r = 1e-3; the shot
-    # starts inside the core instead, at r = 3.6e-6, and its lane gets the
-    # label of the one-shot oracle
-    nl = canonical_family(20.0, 3.0, 1.0)
-    a = np.array([50.0])
-    assert a[0] + (a[0] - nl.f(a[0])) * 1e-6 / 6.0 < 0.0
-    r, y, _ = _shot_start(nl, a)
-    assert r[0] == pytest.approx(3.6e-6, rel=0.01) and y[0, 0] > 0.0
-    assert shot_label(nl, 50.0, grid30.R) == "overshoot"
-    assert _classify_shot(nl, a, grid30.R).tolist() == [True]
+def test_small_amplitude_shoots_from_the_scan():
+    # the scan starts where the centre of mu=20, q=2.2, cw=1 may first be a
+    # maximum, at a = 3.1e-7, so it brackets the transition near 1.37e-6 that
+    # a scan over [0.1, 100] missed; the level is the continuum one, measured
+    # 1.51214e-11 at n=750 and 1.51217e-11 at n=3000
+    nl = canonical_family(20.0, 2.2, 1.0)
+    grid = make_grid(40.0, 750)
+    a_lo, a_hi = _auto_bracket(nl, grid)
+    assert 1e-6 < a_lo < 1.37e-6 < a_hi < 1e-5
+    w = shoot_ground_state(nl, grid)
+    assert energy(w, nl, 0.0).I_value == pytest.approx(1.5121e-11, rel=1e-3)
 
 
 def test_shooting_profile_positive_decreasing(shot_cubic):
