@@ -292,6 +292,21 @@ def march_overshoots(nl, grid, a: float) -> bool:
     return False
 
 
+def march_transition(nl, grid, a_lo: float, a_hi: float) -> float:
+    """Transition amplitude of the grid equation's shots (march_overshoots)
+    by one-shot-at-a-time bisection of an undershoot (a_lo) / overshoot
+    (a_hi) bracket, down to 1e-14 of a_hi or to adjacent floats."""
+    while a_hi - a_lo > 1e-14 * a_hi:
+        mid = 0.5 * (a_lo + a_hi)
+        if mid in (a_lo, a_hi):
+            break
+        if march_overshoots(nl, grid, mid):
+            a_hi = mid
+        else:
+            a_lo = mid
+    return 0.5 * (a_lo + a_hi)
+
+
 def _series_start(nl, a: float):
     """(r0, (u, u')) of the continuum shot from centre amplitude a on the
     series u = a + c r^2/6 + b r^4, u' = c r/3 + 4 b r^3 with c = a - f(a) and

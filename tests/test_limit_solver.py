@@ -8,6 +8,7 @@ import pytest
 from oracles import (
     bisect_amplitude,
     march_overshoots,
+    march_transition,
     reference_dilate,
     reference_minimize_on_M,
     reference_project_to_M,
@@ -207,6 +208,21 @@ def _scan_amplitudes(nl):
     return np.geomspace(ladder[first - 1], 100.0, 255)
 
 
+@pytest.mark.parametrize("case", GROUND_CASES + [(1.0, 2.5, 0.0), (1.0, 5.5, 0.0)])
+def test_pruned_scan_gives_the_unpruned_bracket(case, grid30):
+    # the scan marches its 255 lanes together and drops each lane once it is
+    # decided; marched alone to its own decision, every lane gets the same
+    # label, and the first transition is the bracket of _auto_bracket
+    nl = canonical_family(*case)
+    amps = _scan_amplitudes(nl)
+    over = np.array([march_overshoots(nl, grid30, a) for a in amps])
+    assert _classify_shot(nl, grid30, amps).tolist() == over.tolist()
+    # the lowest lane's centre is not a maximum, so it undershoots
+    assert not over[0]
+    i = int(np.flatnonzero(~over[:-1] & over[1:])[0])
+    assert _auto_bracket(nl, grid30) == (amps[i], amps[i + 1])
+
+
 def test_scan_without_transition_raises(grid30):
     # mu=1, cw=0.5, q=2.3: every lane of the scan undershoots
     nl = canonical_family(1.0, 2.3, 0.5)
@@ -255,6 +271,17 @@ def test_shot_amplitude_converges_to_the_continuum_transition(case, grid30, grou
         gaps[n] = abs(w.values[0] - a) / a
     assert gaps[750] <= 3e-2 and gaps[3000] <= 3e-3
     assert gaps[3000] <= gaps[750] / 4.0
+
+
+@pytest.mark.parametrize("case", GROUND_CASES)
+def test_k_section_matches_bisection_oracle(case, grid30, ground_shots):
+    # the k-section sweeps stop at a 1e-3 bracket and the Newton solve takes
+    # the shot the rest of the way, onto the transition that one-lane
+    # bisection of the reference march finds from the scan's bracket;
+    # measured: at most 4.0e-14 relative
+    nl = canonical_family(*case)
+    a_ref = march_transition(nl, grid30, *_auto_bracket(nl, grid30))
+    assert ground_shots[case].values[0] == pytest.approx(a_ref, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("case", GROUND_CASES)
