@@ -16,10 +16,11 @@ from typing import Callable
 import numpy as np
 
 from .config import RunConfig
-from .constants import SOBOLEV_S_CLOSED_FORM, best_Cq, mu_threshold
+from .constants import SOBOLEV_S_CLOSED_FORM, best_Cq, compactness_threshold, mu_threshold
 from .functionals import V_value, energy, gradient_residual, scaling_terms
 from .grid import RadialFunction, integrate_values, make_grid, norm_lq
-from .limit_solver import InitializationFailure, LimitGroundState, Stagnation, minimize_on_M
+from .limit_solver import (InitializationFailure, LimitGroundState, SolverFailure, Stagnation,
+                           minimize_on_M)
 from .nonlinearity import check_hypotheses, user_nonlinearity
 from .poisson import coupling_scaling_check, dirichlet_energy_direct, solve_phi
 from .sp_solver import solve_at_lambda
@@ -57,15 +58,21 @@ class RegimeFailure(Stagnation):
     a critical term with mu below the sufficient threshold mu*(q)."""
 
 
+class CompactnessFailure(SolverFailure):
+    """A limit solve returned a level b at or above the compactness threshold
+    c* of the critical term, so its state is no ground state."""
+
+
 def ground_state(cfg: RunConfig, nl, grid) -> LimitGroundState:
     """Limit ground state of nl on grid at the polish tolerance cfg.flow_tol().
 
     A failed solve with a critical term and mu below mu*(q) raises a
     RegimeFailure chained from the solver's error; the threshold needs a
-    best_Cq solve, so only the failure path computes it.
+    best_Cq solve, so only the failure path computes it.  A state with
+    b >= c* raises CompactnessFailure.
     """
     try:
-        return minimize_on_M(nl, grid, cfg.flow_tol())
+        ground = minimize_on_M(nl, grid, cfg.flow_tol())
     except (Stagnation, InitializationFailure) as exc:
         if cfg.critical_weight > 0:
             mu_star = mu_threshold(cfg.q, SOBOLEV_S_CLOSED_FORM, best_Cq(cfg.q, grid))
@@ -74,6 +81,14 @@ def ground_state(cfg: RunConfig, nl, grid) -> LimitGroundState:
                     f"mu = {cfg.mu:g} lies below the sufficient threshold mu* = {mu_star:.4g} "
                     f"for q = {cfg.q:g} with a critical term ({exc})") from exc
         raise
+    c_star = compactness_threshold(cfg.critical_weight)
+    if ground.b_value >= c_star:
+        a = float(ground.omega.values[0])
+        raise CompactnessFailure(
+            f"b = {ground.b_value:.6g} is at or above the compactness threshold "
+            f"c* = {c_star:.6g}; omega(0) = {a:.4g} with core width 1/sqrt(f'(omega(0))) = "
+            f"{1.0 / math.sqrt(float(nl.fprime(a))) / grid.h:.3g} h")
+    return ground
 
 
 class Context:

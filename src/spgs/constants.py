@@ -4,9 +4,9 @@ S is the best constant of the gradient-to-L^6 embedding, computed by
 quotient descent from a bubble of width 4h.  The known closed form
 3*pi*(sqrt(pi)/4)^(2/3) is SOBOLEV_S_CLOSED_FORM: the tests use it as the
 oracle for S, and the code reads it wherever S enters a bound (mu* in
-constants_report and checks.ground_state, the poisson.T_bound_battery check,
-the distance budget of asymptotics_report).  C_q is the H^1-to-L^q Rayleigh
-quotient of the pure-power limit ground state.
+constants_report and checks.ground_state, the compactness threshold c*, the
+poisson.T_bound_battery check, the distance budget of asymptotics_report).
+C_q is the H^1-to-L^q Rayleigh quotient of the pure-power limit ground state.
 """
 
 from __future__ import annotations
@@ -116,6 +116,13 @@ def mu_threshold(q: float, S: float, Cq: float) -> float:
         raise ValueError("embedding constants must be positive")
     bracket = (3.0 * q - 6.0) / (2.0 * q * S**1.5)
     return bracket ** ((q - 2.0) / 2.0) * Cq ** (q / 2.0)
+
+
+def compactness_threshold(cw: float) -> float:
+    """Compactness threshold c* = S^(3/2) / (3 sqrt(cw)) of the critical term
+    cw s^5 (Brezis & Nirenberg, CPAM 36, 1983) with the closed-form S, inf
+    for cw = 0: a mountain-pass level at or above c* is no ground state's."""
+    return SOBOLEV_S_CLOSED_FORM**1.5 / (3.0 * math.sqrt(cw)) if cw > 0 else math.inf
 
 
 def constants_report(grid: RadialGrid, q_values, tol: float = 1e-8) -> ConstantsReport:

@@ -103,9 +103,8 @@ class LimitGroundState:
     """The constrained minimizer u on {V = 1}, its Pohozaev rescaling omega
     and their levels, with the cost of the solve: iterations counts the
     accepted flow steps summed over the levels of the ladder, levels holds
-    the n of every grid whose flow ran, coarsest first ((n,) for one level,
-    also after a failed ladder), and polish_steps the Newton steps on the
-    finest grid."""
+    the n of every grid whose flow ran, coarsest first ((n,) for one level),
+    and polish_steps the Newton steps on the finest grid."""
 
     u: RadialFunction
     omega: RadialFunction
@@ -308,19 +307,14 @@ def _flow(u: RadialFunction, nl: Nonlinearity):
     return u, theta, steps
 
 
-def _coarse_n(grid: RadialGrid) -> int:
-    """Node count of the next coarser level of the ladder below grid."""
-    return (grid.n - 1) // 4 + 1
-
-
 def _ladder(nl: Nonlinearity, grid: RadialGrid):
-    """The flow on grid, started from the handover state of the next coarser
-    level prolonged onto grid by the monotone cubic of dilate, or from
-    _initial_bump on the coarsest level.
+    """The flow on grid, started from the handover state of the flow on the
+    grid of (n - 1)//4 + 1 nodes over the same R, prolonged by the monotone
+    cubic of dilate, or from _initial_bump if that grid is below _LADDER_FLOOR.
 
     Returns (u, theta, accepted steps over all levels, n of every level).
     """
-    n_c = _coarse_n(grid)
+    n_c = (grid.n - 1) // 4 + 1
     if n_c < _LADDER_FLOOR:
         start, steps, levels = _initial_bump(nl, grid), 0, ()
     else:
@@ -328,30 +322,6 @@ def _ladder(nl: Nonlinearity, grid: RadialGrid):
         start = dilate(coarse, 1.0, onto=grid)
     u, theta, k = _flow(start, nl)
     return u, theta, steps + k, levels + (grid.n,)
-
-
-def _finish(u: RadialFunction, theta: float, steps: int, levels: tuple[int, ...],
-            nl: Nonlinearity, tol: float) -> LimitGroundState:
-    """Polish the handover state u of the finest level, project it onto
-    {V = 1} and certify it: a projected gradient above 100 tol raises
-    Stagnation."""
-    u, polish_steps = _newton_polish(u, theta, nl, tol=tol)
-    u = project_to_M(u, nl)
-    pg, _, _, _ = _projected_gradient(u, nl)
-    pg_nrm = dual_norm(u.grid, pg)
-    if pg_nrm > 100 * tol:
-        raise Stagnation(
-            f"Newton polish stalled at projected gradient {pg_nrm:.3e}"
-        )
-
-    terms = scaling_terms(u, nl)
-    omega, t0 = cgm_rescale(u, nl)
-    mp = mountain_pass_b(omega, nl)
-    return LimitGroundState(
-        u=u, omega=omega, M_value=0.5 * terms.A, p_value=terms.gamma(t0), b_value=mp.b,
-        t0_dilation=t0, t_star=mp.t_star, iterations=steps, pg_norm=pg_nrm,
-        polish_steps=polish_steps, levels=levels,
-    )
 
 
 def minimize_on_M(nl: Nonlinearity, grid: RadialGrid, tol: float = 1e-8) -> LimitGroundState:
@@ -362,19 +332,25 @@ def minimize_on_M(nl: Nonlinearity, grid: RadialGrid, tol: float = 1e-8) -> Limi
     _LADDER_FLOOR nodes, the flow first solves there and hands its state on,
     prolonged, to the finer grid.  Only the finest level is polished: a
     bordered Newton polish of the stationarity system with tol on the dual
-    norm of its residual, and a projected gradient above 100 tol after it
-    raises Stagnation.  Any SolverFailure on the ladder reruns the flow on
-    grid alone from _initial_bump, whose state or exception is the outcome,
-    so a coarse level changes the cost but not the result.  The state's
-    iterations are its accepted flow steps summed over its levels, the n of
-    every grid whose flow ran.
+    norm of its residual, then a projection onto {V = 1}, and a projected
+    gradient above 100 tol after it raises Stagnation.  A SolverFailure on
+    any level is the outcome.  The state's iterations are its accepted flow
+    steps summed over its levels, the n of every grid whose flow ran.
     """
-    if _coarse_n(grid) >= _LADDER_FLOOR:
-        try:
-            return _finish(*_ladder(nl, grid), nl, tol)
-        except SolverFailure:
-            pass
-    return _finish(*_flow(_initial_bump(nl, grid), nl), (grid.n,), nl, tol)
+    u, theta, steps, levels = _ladder(nl, grid)
+    u, polish_steps = _newton_polish(u, theta, nl, tol=tol)
+    u = project_to_M(u, nl)
+    pg_nrm = dual_norm(grid, _projected_gradient(u, nl)[0])
+    if pg_nrm > 100 * tol:
+        raise Stagnation(f"Newton polish stalled at projected gradient {pg_nrm:.3e}")
+    terms = scaling_terms(u, nl)
+    omega, t0 = cgm_rescale(u, nl)
+    mp = mountain_pass_b(omega, nl)
+    return LimitGroundState(
+        u=u, omega=omega, M_value=0.5 * terms.A, p_value=terms.gamma(t0), b_value=mp.b,
+        t0_dilation=t0, t_star=mp.t_star, iterations=steps, pg_norm=pg_nrm,
+        polish_steps=polish_steps, levels=levels,
+    )
 
 
 def cgm_rescale(u0: RadialFunction, nl: Nonlinearity) -> tuple[RadialFunction, float]:

@@ -196,8 +196,8 @@ def reference_project_to_M(u: RadialFunction, nl) -> RadialFunction:
 def reference_minimize_on_M(nl, grid, tol: float = 1e-8) -> LimitGroundState:
     """spgs.minimize_on_M as one flow on grid from the initial bump, without
     the ladder of coarser grids, followed by the polish and its certificate:
-    the bitwise reference for grids below the ladder floor and for the
-    direct path that a failed ladder falls back to."""
+    the bitwise reference for grids below the ladder floor, and the solve
+    that the ladder is compared with above it."""
     u = project_to_M(_initial_bump(nl, grid), nl)
     eta, steps, t0_here = 1.0, 0, T0_value(u)
     while True:

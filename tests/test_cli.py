@@ -240,7 +240,7 @@ def test_solve_is_the_first_point_of_the_sweep(tmp_path):
     limit_solver.InitializationFailure, limit_solver.Stagnation,
     limit_solver.BracketFailure,
     sp_solver.NonConvergence, sp_solver.PositivityLoss, sp_solver.RangeFailure,
-    checks.RegimeFailure,
+    checks.RegimeFailure, checks.CompactnessFailure,
 ])
 def test_every_solver_failure_exits_3(failure):
     # main maps SolverFailure to exit code 3, so no failure type is listed there
@@ -299,6 +299,17 @@ def test_failure_below_mu_threshold_is_regime_failure(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "mu = 1 lies below the sufficient threshold mu* = 4.42" in err
     assert "Newton polish stalled" in err
+
+
+def test_level_at_or_above_the_compactness_threshold_exits_3(tmp_path, capsys):
+    # on the default grid the ladder certifies b = 4.6438 at mu=0.5, q=3,
+    # cw=1, above c* = S^(3/2)/3 = 4.2737
+    cfg = write_cfg(tmp_path, "[nonlinearity]\nmu = 0.5\nq = 3.0\ncritical_weight = 1.0\n")
+    code = main(["--config", str(cfg), "--output", str(tmp_path / "out"), "solve-limit"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "b = 4.64376" in err and "c* = 4.27366" in err
+    assert not (tmp_path / "out" / "solve_limit.json").exists()
 
 
 def test_verify_below_mu_threshold_is_regime_failure(tmp_path, capsys):

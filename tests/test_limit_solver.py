@@ -419,23 +419,37 @@ def _assert_same_state(got, want):
         assert getattr(got, field) == getattr(want, field), field
 
 
-def test_failed_ladder_returns_the_direct_state():
-    # at n=3000, mu=0.5, q=4, cw=1 the ladder's polish stalls, and the flow
-    # on the fine grid alone from the initial bump certifies a state
-    nl, grid = canonical_family(0.5, 4.0, 1.0), make_grid(30.0, 3000)
-    with pytest.raises(Stagnation):
-        limit_solver._finish(*limit_solver._ladder(nl, grid), nl, 1e-8)
-    gs = minimize_on_M(nl, grid)
-    assert gs.levels == (3000,)
-    _assert_same_state(gs, reference_minimize_on_M(nl, grid))
+def _count_initial_bumps(monkeypatch) -> list[int]:
+    """The n of every grid that _initial_bump starts a flow on."""
+    calls = []
+    bump = limit_solver._initial_bump
+
+    def counted(nl, grid):
+        calls.append(grid.n)
+        return bump(nl, grid)
+
+    monkeypatch.setattr(limit_solver, "_initial_bump", counted)
+    return calls
 
 
-def test_failed_ladder_raises_the_direct_failure():
+def test_failed_ladder_raises_the_direct_failure(monkeypatch):
+    # the flow on the fine grid alone stagnates too, with its own message
     nl, grid = canonical_family(2.0, 4.0, 1.0), make_grid(30.0, 3000)
-    with pytest.raises(Stagnation) as direct:
+    with pytest.raises(Stagnation):
         reference_minimize_on_M(nl, grid)
-    with pytest.raises(Stagnation, match=f"^{re.escape(str(direct.value))}$"):
+    calls = _count_initial_bumps(monkeypatch)
+    with pytest.raises(Stagnation):
         minimize_on_M(nl, grid)
+    assert calls == [750]
+
+
+def test_failed_ladder_is_the_outcome(monkeypatch):
+    # the ladder's polish stalls at mu=0.5, q=4, cw=1; the flow on the fine
+    # grid alone from the initial bump is not run again
+    calls = _count_initial_bumps(monkeypatch)
+    with pytest.raises(Stagnation, match="Newton polish stalled"):
+        minimize_on_M(canonical_family(0.5, 4.0, 1.0), make_grid(30.0, 3000))
+    assert calls == [750]
 
 
 def test_handover_on_the_last_allowed_step_is_accepted(grid30, nl_cubic, ground_cubic,
