@@ -189,7 +189,7 @@ def gradient_fd_gap(grid, nl, rng: np.random.Generator, trials: int = 20,
         v_vals = av * np.exp(-grid.nodes**2 / (2 * wv**2)) * (1 + 0.3 * np.sin(grid.nodes))
         u_vals[-1] = v_vals[-1] = 0.0
         res, _ = gradient_residual(RadialFunction(grid, u_vals), nl, lam)
-        pairing = float(np.dot(grid.weights, res.values * v_vals))
+        pairing = integrate_values(grid, res.values * v_vals)
         ep = energy(RadialFunction(grid, u_vals + eps * v_vals), nl, lam).Gamma_value
         em = energy(RadialFunction(grid, u_vals - eps * v_vals), nl, lam).Gamma_value
         fd = (ep - em) / (2 * eps)

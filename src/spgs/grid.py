@@ -19,29 +19,28 @@ import numpy as np
 from numpy.linalg import LinAlgError  # the class scipy.linalg re-exports
 
 
-def load_scipy(path: str):
-    """The extension module of scipy's file scipy/<path> (path without
-    suffix, "/"-separated), loaded from that file without importing the
-    scipy package or the packages on the path.
+def load_scipy():
+    """scipy's LAPACK extension, the file scipy/linalg/_flapack, loaded from
+    that file without importing the scipy package or scipy.linalg.
 
     Their __init__ modules pull in scipy._lib and through it numpy.f2py,
     numpy.testing and numpy.ma: most of the time and close to half the memory
     of `import spgs`, for two LAPACK routines.  The module is left out of
-    sys.modules, so a later import of its package binds it as its own
+    sys.modules, so a later import of scipy.linalg binds it as its own
     attribute, from the same routines.  A missing file fails with an
-    ImportError that names it.
+    ImportError that names the directory it looked in.
     """
     spec = find_spec("scipy")
     if spec is None:
         raise ModuleNotFoundError("spgs needs scipy", name="scipy")
-    where, stem = os.path.split(os.path.join(spec.submodule_search_locations[0], path))
+    where = os.path.join(spec.submodule_search_locations[0], "linalg")
     for suffix in EXTENSION_SUFFIXES:
-        file = os.path.join(where, stem + suffix)
+        file = os.path.join(where, "_flapack" + suffix)
         if os.path.isfile(file):
             break
     else:
-        raise ImportError(f"scipy's {stem} not found in {where}")
-    name = "scipy." + path.replace("/", ".")
+        raise ImportError(f"scipy's _flapack not found in {where}")
+    name = "scipy.linalg._flapack"
     registered = name in sys.modules
     module = module_from_spec(spec_from_file_location(name, file))
     module.__spec__.loader.exec_module(module)
@@ -52,7 +51,7 @@ def load_scipy(path: str):
 
 # dgttrf and dgttrs are the f2py routines that scipy.linalg.lapack exports, so
 # every factor and solve is unchanged
-_flapack = load_scipy("linalg/_flapack")
+_flapack = load_scipy()
 dgttrf, dgttrs = _flapack.dgttrf, _flapack.dgttrs
 
 
@@ -180,8 +179,20 @@ def make_grid(R: float, n: int) -> RadialGrid:
                       riesz_lu=riesz_lu)
 
 
+def pair(a: np.ndarray, b: np.ndarray) -> float:
+    """sum(a * b), the one reduction of two arrays in spgs.
+
+    numpy's own summation loop (einsum), not BLAS ddot, which splits sums of
+    more than 10 000 terms over threads: the bits of the result, and of every
+    output, do not depend on the BLAS thread count.
+    """
+    return float(np.einsum("i,i", a, b))
+
+
 def integrate_values(grid: RadialGrid, values: np.ndarray) -> float:
-    return float(np.dot(grid.weights, values))
+    """Integral over R^3 of the radial field with these node values; the
+    pairing of two fields u, v is integrate_values(grid, u * v)."""
+    return pair(grid.weights, values)
 
 
 def grad_norm_sq(u: RadialFunction) -> float:
@@ -190,7 +201,7 @@ def grad_norm_sq(u: RadialFunction) -> float:
     Face differences weighted by the conductances: the exact quadratic form
     of the discrete Laplacian (summation by parts holds at the discrete level).
     """
-    return float(np.dot(u.grid.conductance, np.diff(u.values) ** 2))
+    return pair(u.grid.conductance, np.diff(u.values) ** 2)
 
 
 def norm_lq(u: RadialFunction, q: float) -> float:
@@ -341,6 +352,6 @@ def dual_norm(grid: RadialGrid, residual: np.ndarray) -> float:
     norm is sqrt(<residual, w>) in the discrete pairing.
     """
     w = solve_riesz(grid, residual)
-    val = float(np.dot(grid.weights, residual * w))
+    val = integrate_values(grid, residual * w)
     return math.sqrt(max(val, 0.0))
 

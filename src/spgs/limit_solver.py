@@ -24,6 +24,7 @@ from .grid import (
     dilate,
     dual_norm,
     grad_norm_sq,
+    integrate_values,
     laplacian_apply,
     make_grid,
     monotone_slopes,
@@ -186,9 +187,8 @@ def _projected_gradient(u: RadialFunction, nl: Nonlinearity):
     grid = u.grid
     t0g = -laplacian_apply(u)
     vg = _g_field(nl, u.values)
-    w = grid.weights
-    denom = float(np.dot(w, vg * vg))
-    theta = float(np.dot(w, t0g * vg)) / denom if denom > 0 else 0.0
+    denom = integrate_values(grid, vg * vg)
+    theta = integrate_values(grid, t0g * vg) / denom if denom > 0 else 0.0
     pg = t0g - theta * vg
     pg[-1] = 0.0
     return pg, theta, t0g, vg
@@ -200,13 +200,12 @@ def _newton_polish(u: RadialFunction, theta: float, nl: Nonlinearity, tol: float
     Returns (u, accepted Newton steps).
     """
     grid = u.grid
-    w = grid.weights
 
     def residuals(vals, th):
         g = _g_field(nl, vals)
         f1 = -laplacian_apply(RadialFunction(grid, vals)) - th * g
         f1[-1] = 0.0
-        f2 = float(np.dot(w, nl.G(vals))) - 1.0
+        f2 = integrate_values(grid, nl.G(vals)) - 1.0
         return f1, f2
 
     vals = u.values.copy()
@@ -220,11 +219,10 @@ def _newton_polish(u: RadialFunction, theta: float, nl: Nonlinearity, tol: float
         gp = np.asarray(nl.fprime(vals), dtype=float) - 1.0
         shift = -theta * gp
         x, y = solve_helmholtz(grid, shift, np.column_stack((-f1, g))).T
-        j21 = w * g
-        denom = float(np.dot(j21, y))
+        denom = integrate_values(grid, g * y)
         if denom == 0.0:
             break
-        dtheta = -(float(np.dot(j21, x)) + f2) / denom
+        dtheta = -(integrate_values(grid, g * x) + f2) / denom
         du = x + dtheta * y
         # damped update on the combined residual
         step = 1.0
@@ -279,11 +277,10 @@ def _flow(u: RadialFunction, nl: Nonlinearity):
         vg[-1] = 0.0
         d1 = solve_riesz(grid, t0g)
         d2 = solve_riesz(grid, vg)
-        wv = grid.weights * vg
-        denom = float(np.dot(wv, d2))
-        th = float(np.dot(wv, d1)) / denom if denom != 0.0 else 0.0
+        denom = integrate_values(grid, vg * d2)
+        th = integrate_values(grid, vg * d1) / denom if denom != 0.0 else 0.0
         d = d1 - th * d2
-        slope = float(np.dot(grid.weights, t0g * d))
+        slope = integrate_values(grid, t0g * d)
         if slope <= 0.0:
             break
         accepted = False

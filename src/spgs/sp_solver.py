@@ -30,6 +30,7 @@ from .grid import (  # noqa: F401
     h1_norm_sq,
     helmholtz_lu,
     integrate_values,
+    pair,
     solve_lu,
 )
 from .limit_solver import LimitGroundState, SolverFailure
@@ -136,7 +137,7 @@ def _gmres(apply, b: np.ndarray) -> np.ndarray:
     """Solve apply(x) = b by GMRES from x = 0 (Saad & Schultz, SIAM J. Sci.
     Stat. Comput. 7, 1986): modified Gram-Schmidt Arnoldi, with Givens
     rotations that keep the least-squares residual at hand."""
-    beta = float(np.linalg.norm(b))
+    beta = math.sqrt(pair(b, b))
     m = _GMRES_MAX_ITER
     hess = np.zeros((m + 1, m))
     cs, sn = np.zeros(m), np.zeros(m)
@@ -146,9 +147,9 @@ def _gmres(apply, b: np.ndarray) -> np.ndarray:
     for k in range(m):
         w = apply(basis[k])
         for i in range(k + 1):
-            hess[i, k] = np.dot(basis[i], w)
+            hess[i, k] = pair(basis[i], w)
             w -= hess[i, k] * basis[i]
-        h_next = float(np.linalg.norm(w))
+        h_next = math.sqrt(pair(w, w))
         for i in range(k):
             hess[i, k], hess[i + 1, k] = (cs[i] * hess[i, k] + sn[i] * hess[i + 1, k],
                                           cs[i] * hess[i + 1, k] - sn[i] * hess[i, k])

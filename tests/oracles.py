@@ -12,7 +12,7 @@ from scipy.optimize import brentq, minimize_scalar
 
 from spgs import RadialFunction, dilate, energy
 from spgs.functionals import T0_value, scaling_terms
-from spgs.grid import _end_slope, dual_norm, solve_riesz
+from spgs.grid import _end_slope, dual_norm, integrate_values, solve_riesz
 from spgs.limit_solver import (
     _ARMIJO,
     _FIRST_DROP,
@@ -213,11 +213,10 @@ def reference_minimize_on_M(nl, grid, tol: float = 1e-8) -> LimitGroundState:
         t0g[-1] = 0.0
         vg[-1] = 0.0
         d1, d2 = solve_riesz(grid, t0g), solve_riesz(grid, vg)
-        wv = grid.weights * vg
-        denom = float(np.dot(wv, d2))
-        th = float(np.dot(wv, d1)) / denom if denom != 0.0 else 0.0
+        denom = integrate_values(grid, vg * d2)
+        th = integrate_values(grid, vg * d1) / denom if denom != 0.0 else 0.0
         d = d1 - th * d2
-        slope = float(np.dot(grid.weights, t0g * d))
+        slope = integrate_values(grid, t0g * d)
         if slope <= 0.0:
             break
         for _ in range(_FLOW_HALVINGS):

@@ -93,6 +93,17 @@ def test_criterion_4_two_route_agreement(report, grid30):
            ", ".join(details) + " (tol 1e-3)")
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 17: the polish certifies a ball-filling state of the "
+    "constraint problem, b = 1.0849e-3, whose lambda = 0 residual is 0.38 of "
+    "its H1 norm; the shot of the grid equation gives I = 5.0914e-4"))
+def test_criterion_4_flow_matches_shot_at_mu20_q2_5(grid30):
+    nl = canonical_family(20.0, 2.5, 0.0)
+    b = minimize_on_M(nl, grid30).b_value
+    i_shoot = energy(shoot_ground_state(nl, grid30), nl, 0.0).I_value
+    assert abs(i_shoot - b) / b <= 1e-3
+
+
 def test_criterion_5_constants_chain(report, grid30):
     S = sobolev_S(grid30)
     s_err = abs(S - SOBOLEV_S_CLOSED_FORM) / SOBOLEV_S_CLOSED_FORM

@@ -338,3 +338,30 @@ def test_import_footprint():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, check=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """sweep-lambda and constants --q 4 at n = 12000 write the same bytes
+    with one BLAS thread and with two.
+
+    Above 10 000 terms OpenBLAS ddot splits a sum over threads, which moves
+    its last bits; every reduction of spgs goes through grid.pair, which does
+    not call BLAS.  Each setting runs in a fresh interpreter, with the thread
+    count set only for it.  OpenBLAS caps its threads at the CPU count, so on
+    one core both runs take one thread and this test cannot fail there.
+    """
+    code = ("import sys; from spgs.cli import main; "
+            "sys.exit(main(['--output', sys.argv[1], 'sweep-lambda']) "
+            "or main(['--output', sys.argv[1], 'constants', '--q', '4']))")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    written = {}
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src, "SPGS_GRID_N": "12000",
+               "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        out = tmp_path / threads
+        run = subprocess.run([sys.executable, "-c", code, str(out)], capture_output=True,
+                             text=True, env=env, timeout=300)
+        assert run.returncode == 0, run.stderr
+        written[threads] = {name: (out / name).read_bytes()
+                            for name in ("sweep.csv", "sweep_summary.json", "constants.json")}
+    assert written["1"] == written["2"]

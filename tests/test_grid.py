@@ -1,3 +1,4 @@
+import ast
 import math
 import os
 import subprocess
@@ -418,3 +419,42 @@ def test_dual_norm_nonnegative_and_scales():
     a = dual_norm(g, res)
     assert a > 0
     assert abs(dual_norm(g, 2.0 * res) - 2.0 * a) <= 1e-12 * a
+
+
+# numpy products that reach BLAS, whose sums split over threads
+_BLAS_PRODUCTS = {"dot", "vdot", "inner", "matmul", "tensordot", "vecdot"}
+
+
+def _blas_reductions(source: str) -> list[tuple[int, str]]:
+    """(line, what) of every call of a BLAS product or of linalg.norm, every
+    import of one from numpy, and every @ operator in the source."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append((node.lineno, "@"))
+        elif isinstance(node, ast.Call):
+            name = ast.unparse(node.func)
+            if name.split(".")[-1] in _BLAS_PRODUCTS or name.endswith("linalg.norm"):
+                found.append((node.lineno, name))
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
+            found += [(node.lineno, a.name) for a in node.names
+                      if a.name in _BLAS_PRODUCTS | {"norm"}]
+    return found
+
+
+def test_scan_finds_every_blas_reduction():
+    source = ("import numpy as np\nfrom numpy.linalg import norm\n"
+              "a = np.dot(x, y) + x.dot(y) + np.linalg.norm(x) + np.vecdot(x, y)\n"
+              "b = x @ y\nb @= y\n")
+    assert sorted(_blas_reductions(source)) == [
+        (2, "norm"), (3, "np.dot"), (3, "np.linalg.norm"), (3, "np.vecdot"), (3, "x.dot"),
+        (4, "@"), (5, "@")]
+
+
+def test_pair_is_the_only_reduction_of_two_arrays():
+    # every sum of products in spgs goes through grid.pair, whose einsum loop
+    # gives the same bits at any BLAS thread count
+    src = Path(__file__).resolve().parents[1] / "src" / "spgs"
+    found = {p.name: _blas_reductions(p.read_text()) for p in sorted(src.glob("*.py"))}
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
