@@ -3,11 +3,11 @@
 Two independent routes to the ground state of the grid equation
 -Delta_h u + u = f(u): a dilation-projected constrained flow on the set
 {int G(u) = 1} (the method of record), and shooting on the recurrence of the
-grid equation itself, finished by a Newton solve, used as a cross-check
-oracle.  Both reach the same discrete omega_0, so the flow is checked to
-Newton tolerance.  The flow output is rescaled onto the Pohozaev manifold by
-the Coleman-Glazer-Martin dilation, which also yields the least-energy and
-mountain-pass levels with their algebraic interrelations.
+grid equation itself (scan, pair, graft, then a Newton solve that sets the
+amplitude), a cross-check oracle.  Both reach the same discrete omega_0, so
+the flow is checked to Newton tolerance.  The flow output is rescaled onto
+the Pohozaev manifold by the Coleman-Glazer-Martin dilation, which also
+yields the least-energy and mountain-pass levels and their interrelations.
 """
 
 from __future__ import annotations
@@ -373,15 +373,6 @@ def mountain_pass_b(omega: RadialFunction, nl: Nonlinearity) -> MountainPassResu
     return MountainPassResult(b=terms.gamma(t_star), t_star=t_star)
 
 
-# the k-section stops once the bracket is at most _BRACKET_WIDTH times its
-# upper amplitude: the Newton solve, not the bracket, sets the answer.  At
-# this width the four `ground` shots at n=3000 take one sweep and two Newton
-# steps each; at 1e-6 they take one step but twice the time
-_BRACKET_WIDTH = 1e-3
-
-# interior amplitudes classified per k-section sweep: 6 bits of the bracket
-_SECTION_POINTS = 63
-
 # a lane whose first step falls by at least this fraction of its amplitude
 # starts in a core that the grid does not resolve, and undershoots at its
 # start.  The grid equation has positive solutions of its own, grid bubbles
@@ -393,8 +384,21 @@ _SECTION_POINTS = 63
 _FIRST_DROP = 0.25
 
 # the graft starts at the last node of the leading run where both bracketing
-# lanes are positive and differ by at most this fraction of the smaller
-_GRAFT_GAP = 0.01
+# lanes are positive and differ by at most this fraction of the smaller; the
+# scan's lanes are at most (100/1e-12)^(1/254) - 1 = 13.5 % apart, so the
+# run always holds the centre
+_GRAFT_GAP = 0.2
+
+# the shot's Newton solve stops at this dual-norm residual: the floor is at
+# most 6.3e-13 up to n=12000, and at 1e-9 amplitudes end up to 1.2e-10 off
+_SHOT_TOL = 1e-11
+
+
+def _first_step(nl: Nonlinearity, grid: RadialGrid, amps: np.ndarray):
+    """The fall u_0 - u_1 of the march's first step from each amplitude, and
+    whether it cuts the lane: a fall of at least _FIRST_DROP of a."""
+    drop = grid.mass[0] / grid.conductance[0] * (nl.f(amps) - amps)
+    return drop, drop >= _FIRST_DROP * amps
 
 
 def _classify_shot(nl: Nonlinearity, grid: RadialGrid, amps, out: np.ndarray | None = None
@@ -408,9 +412,9 @@ def _classify_shot(nl: Nonlinearity, grid: RadialGrid, amps, out: np.ndarray | N
     overshoots when u_{i+1} <= 0, and undershoots when u_{i+1} > u_i while
     still positive, or when it reaches R with neither.  A centre that is not
     a maximum, f(a) <= a, undershoots at the start, and so does one whose
-    first step falls by at least _FIRST_DROP of a.  Decided lanes drop out
-    of the march.  An array out of shape (n, amps.size) receives the values
-    of each lane up to the node that decides it.
+    first step cuts it (_first_step).  Decided lanes drop out of the march.
+    An array out of shape (n, amps.size) receives the values of each lane
+    up to the node that decides it.
     """
     amps = np.asarray(amps, dtype=float)
     c = grid.conductance
@@ -418,8 +422,8 @@ def _classify_shot(nl: Nonlinearity, grid: RadialGrid, amps, out: np.ndarray | N
     alpha = np.concatenate(([0.0], c[:-1] / c[1:])).tolist()
     beta = (grid.mass[:-1] / c).tolist()
     over = np.zeros(amps.size, dtype=bool)
-    drop = beta[0] * (nl.f(amps) - amps)
-    lanes = np.flatnonzero((drop > 0.0) & (drop < _FIRST_DROP * amps))
+    drop, cut = _first_step(nl, grid, amps)
+    lanes = np.flatnonzero((drop > 0.0) & ~cut)
     u = prev = amps[lanes]
     if out is not None:
         out[0] = amps
@@ -454,7 +458,7 @@ def _auto_bracket(nl: Nonlinearity, grid: RadialGrid) -> tuple[float, float]:
     on a log ladder of 1401 over [1e-12, 100]: for mu=1 at a = 1, and for
     mu=20, q=2.2, cw=1 at 3.1e-7, below its transition at 1.37e-6 (R=40).
     Shots whose core the grid does not resolve undershoot at their start too
-    (_FIRST_DROP), so the grid's bubbles make no transition on the scan.
+    (_first_step), so the grid's bubbles make no transition on the scan.
     """
     ladder = np.logspace(-12, 2, 1401)
     peak = np.flatnonzero(nl.f(ladder) > ladder)
@@ -464,7 +468,11 @@ def _auto_bracket(nl: Nonlinearity, grid: RadialGrid) -> tuple[float, float]:
     over = _classify_shot(nl, grid, amps)
     up = np.flatnonzero(~over[:-1] & over[1:])
     if up.size == 0:
-        raise BracketFailure("no undershoot/overshoot transition on the amplitude scan")
+        cut = amps[_first_step(nl, grid, amps)[1]]
+        why = "" if cut.size == 0 else (
+            f"; lanes are cut from a = {cut[0]:.4g}, where the core 1/sqrt(f'(a)) is "
+            f"{1.0 / math.sqrt(nl.fprime(cut[0])) / grid.h:.3g} h at h = {grid.h:.4g}")
+        raise BracketFailure(f"no undershoot/overshoot transition on the amplitude scan{why}")
     return float(amps[up[0]]), float(amps[up[0] + 1])
 
 
@@ -473,34 +481,25 @@ def shoot_ground_state(nl: Nonlinearity, grid: RadialGrid) -> RadialFunction:
     by shooting (Berestycki, Lions & Peletier, Indiana Univ. Math. J. 30,
     1981), independent of the flow route.
 
-    The amplitude scan (_auto_bracket) brackets the centre amplitude between
-    an undershoot and an overshoot of the march of _classify_shot, and
-    k-section sweeps of _SECTION_POINTS lanes narrow the bracket to
-    _BRACKET_WIDTH relative.  The two bracketing lanes are marched once more,
-    and their mean up to the last node of the leading run where both are
-    positive and agree to _GRAFT_GAP, grafted onto c exp(-r)/r beyond it,
-    starts the damped Newton solve of sp_solver.solve_at_lambda at lam = 0,
-    whose solution is returned.  A failed Newton solve raises its
-    NonConvergence or PositivityLoss.
+    Four steps: the amplitude scan (_auto_bracket) brackets the centre
+    amplitude between an undershoot and an overshoot of _classify_shot; the
+    two bracketing lanes are marched once more; their mean, up to the last
+    node of the leading run where both are positive and agree to _GRAFT_GAP,
+    is grafted onto c exp(-r)/r; and the damped Newton solve at lam = 0
+    (sp_solver.solve_at_lambda, to _SHOT_TOL) sets the amplitude, raising
+    NonConvergence or PositivityLoss if it fails.
     """
     # sp_solver imports this module, so the import waits for the call
-    from .sp_solver import solve_at_lambda
+    from .sp_solver import SolverOptions, solve_at_lambda
 
-    a_lo, a_hi = _auto_bracket(nl, grid)
-    while a_hi - a_lo > _BRACKET_WIDTH * a_hi:
-        amps = np.linspace(a_lo, a_hi, _SECTION_POINTS + 2)
-        over = np.concatenate(([False], _classify_shot(nl, grid, amps[1:-1]), [True]))
-        j = int(np.argmax(over))
-        a_lo, a_hi = float(amps[j - 1]), float(amps[j])
     pair = np.full((grid.n, 2), np.nan)
-    _classify_shot(nl, grid, np.array([a_lo, a_hi]), out=pair)
+    _classify_shot(nl, grid, np.array(_auto_bracket(nl, grid)), out=pair)
     lo, hi = pair.T
     agree = (lo > 0.0) & (hi > 0.0) & (np.abs(hi - lo) <= _GRAFT_GAP * np.minimum(lo, hi))
-    # the lanes agree at the centre, where they differ by at most _BRACKET_WIDTH
     k = grid.n - 1 if agree.all() else int(np.argmin(agree)) - 1
     r = grid.nodes
     vals = np.empty(grid.n)
     vals[:k + 1] = 0.5 * (lo[:k + 1] + hi[:k + 1])
     vals[k + 1:] = vals[k] * r[k] / r[k + 1:] * np.exp(r[k] - r[k + 1:])
     vals[-1] = 0.0
-    return solve_at_lambda(RadialFunction(grid, vals), nl, 0.0).u
+    return solve_at_lambda(RadialFunction(grid, vals), nl, 0.0, SolverOptions(tol=_SHOT_TOL)).u

@@ -304,7 +304,9 @@ def continuation(nl: Nonlinearity, lambda_schedule, ground: LimitGroundState,
     correction, u_lam = omega_0 + lam^2 v_1 + O(lam^4).  Every point starts
     from the Hermite interpolant in lam^2 with a double node at 0 (value
     omega_0, slope v_1) and the last three accepted points, clipped at 0: it
-    costs one weighted sum of at most five fields and no solve.
+    costs one weighted sum of at most five fields and no solve.  Each
+    point's h1_dist_to_omega is its H^1 distance to omega_0, which falls
+    like lam^2 |v_1|_H1.
 
     The scaling terms of omega are computed once, at lam = 1: A, B and C do
     not depend on lam and K(lam) = lam^2 K(1), so b_ref and every D_lam come
@@ -326,8 +328,7 @@ def continuation(nl: Nonlinearity, lambda_schedule, ground: LimitGroundState,
 
     for lam in schedule:
         point = solve_at_lambda(_predict(omega0, v1, branch.points[-3:], lam), nl, lam, opts)
-        diff = point.u - omega
-        point.h1_dist_to_omega = math.sqrt(h1_norm_sq(diff))
+        point.h1_dist_to_omega = math.sqrt(h1_norm_sq(point.u - omega0))
         point.D_lambda = _path_max(replace(terms, K=lam**2 * terms.K), t0)
         branch.points.append(point)
     return branch

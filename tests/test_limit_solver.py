@@ -18,6 +18,7 @@ from oracles import (
 )
 from spgs import (
     RadialFunction,
+    SolverOptions,
     canonical_family,
     dilate,
     energy,
@@ -224,11 +225,27 @@ def test_pruned_scan_gives_the_unpruned_bracket(case, grid30):
 
 
 def test_scan_without_transition_raises(grid30):
-    # mu=1, cw=0.5, q=2.3: every lane of the scan undershoots
-    nl = canonical_family(1.0, 2.3, 0.5)
-    assert not _classify_shot(nl, grid30, _scan_amplitudes(nl)).any()
-    with pytest.raises(BracketFailure):
-        shoot_ground_state(nl, grid30)
+    # every lane of the scan undershoots, and those from the named amplitude
+    # up are cut at their start: the grid does not resolve their core
+    for case, grid, cut in [
+        ((1.0, 2.3, 0.5), grid30, r"a = 13\.18, where .* is 0\.364 h at h = 0\.01$"),
+        ((1.0, 5.5, 0.0), make_grid(30.0, 750), r"a = 7\.086, .* is 0\.382 h at h = 0\.04005$"),
+    ]:
+        nl = canonical_family(*case)
+        assert not _classify_shot(nl, grid, _scan_amplitudes(nl)).any()
+        with pytest.raises(BracketFailure, match="no undershoot/overshoot transition .* " + cut):
+            shoot_ground_state(nl, grid)
+
+
+def test_graft_gap_exceeds_the_widest_scan_spacing():
+    # the scan spaces its lanes log-evenly from at least 1e-12 up to 100, so
+    # the two bracketing lanes agree to _GRAFT_GAP at the centre and the
+    # graft's leading run always holds it
+    widest = (100.0 / 1e-12) ** (1.0 / 254) - 1.0
+    assert widest < limit_solver._GRAFT_GAP
+    for case in GROUND_CASES + [(20.0, 2.2, 1.0)]:
+        amps = _scan_amplitudes(canonical_family(*case))
+        assert np.max(amps[1:] / amps[:-1]) - 1.0 <= widest
 
 
 @pytest.mark.parametrize("case, n", [(c, n) for n in (750, 3000) for c in GROUND_CASES]
@@ -236,8 +253,8 @@ def test_scan_without_transition_raises(grid30):
 def test_shot_is_the_newton_solved_flow_state(case, n, grid30, ground_shots):
     # both routes solve the grid equation, so the shot equals the flow's omega
     # Newton-solved at lam = 0; measured: at most 2.5e-12 relative H1 but
-    # 3.5e-10 for mu=20, q=3, cw=1 at n=3000, where each solve stops at a
-    # residual just below its 1e-9 tolerance
+    # 3.5e-10 for mu=20, q=3, cw=1 at n=3000, where the flow's solve stops at
+    # residual 2.8e-10, just below its 1e-9 tolerance, and the shot's at 3.7e-15
     nl = canonical_family(*case)
     grid = grid30 if n == 3000 else make_grid(30.0, n)
     on_grid30 = n == 3000 and case in ground_shots
@@ -274,11 +291,11 @@ def test_shot_amplitude_converges_to_the_continuum_transition(case, grid30, grou
 
 
 @pytest.mark.parametrize("case", GROUND_CASES)
-def test_k_section_matches_bisection_oracle(case, grid30, ground_shots):
-    # the k-section sweeps stop at a 1e-3 bracket and the Newton solve takes
-    # the shot the rest of the way, onto the transition that one-lane
+def test_shot_amplitude_matches_bisection_oracle(case, grid30, ground_shots):
+    # the Newton solve takes the shot from the graft of the scan's bracketing
+    # lanes, 0.2 to 0.8 % off in amplitude, onto the transition that one-lane
     # bisection of the reference march finds from the scan's bracket;
-    # measured: at most 4.0e-14 relative
+    # measured: at most 4.7e-14 relative
     nl = canonical_family(*case)
     a_ref = march_transition(nl, grid30, *_auto_bracket(nl, grid30))
     assert ground_shots[case].values[0] == pytest.approx(a_ref, rel=1e-12, abs=0)
@@ -287,9 +304,9 @@ def test_k_section_matches_bisection_oracle(case, grid30, ground_shots):
 @pytest.mark.parametrize("case", GROUND_CASES)
 def test_shooting_amplitude_within_1e11_of_tight_transition(case, grid30, ground_shots):
     # the march has no integration error, so its undershoot/overshoot
-    # transition is the grid equation's own; the Newton solve, not the 1e-3
-    # bracket, sets the amplitude, and it lies within 1e-11 of that
-    # transition (measured: within 1e-13 at n=750 and 3000)
+    # transition is the grid equation's own; the Newton solve, not the
+    # scan's bracket, sets the amplitude, and it lies within 1e-11 of that
+    # transition (measured: within 4.7e-14 at n=750 and 3000)
     nl = canonical_family(*case)
     a = ground_shots[case].values[0]
     assert _classify_shot(nl, grid30, [a * (1.0 - 1e-11), a * (1.0 + 1e-11)]).tolist() == [
@@ -307,6 +324,15 @@ def test_small_amplitude_shoots_from_the_scan():
     assert 1e-6 < a_lo < 1.37e-6 < a_hi < 1e-5
     w = shoot_ground_state(nl, grid)
     assert energy(w, nl, 0.0).I_value == pytest.approx(1.5121e-11, rel=1e-3)
+
+
+def test_small_state_shot_is_the_tight_solve():
+    # |omega_0|_H1 = 1.8e-5, so an absolute stop at the coupled solver's 1e-9
+    # left the shot 7.6e-6 relative H1 from the solve run on to 1e-16; the
+    # shot's own stop, _SHOT_TOL, leaves it 4.7e-8 away (measured)
+    nl = canonical_family(20.0, 2.2, 1.0)
+    shot = shoot_ground_state(nl, make_grid(40.0, 750))
+    assert _h1_gap(shot, solve_at_lambda(shot, nl, 0.0, SolverOptions(tol=1e-16)).u) <= 1e-6
 
 
 def test_shooting_profile_positive_decreasing(shot_cubic):

@@ -123,6 +123,13 @@ def test_branch_distance_decreases(branch):
     assert all(a > b for a, b in zip(d, d[1:]))
 
 
+def test_branch_distance_falls_like_lambda_squared(branch):
+    # the distance is to omega_0, so it is lam^2 |v_1|_H1 + O(lam^4);
+    # measured: d / lam^2 from 5.4855 at lam = 0.05 to 5.4904 at 0.005
+    ratios = [pt.h1_dist_to_omega / pt.lam**2 for pt in branch.points if pt.lam <= 0.05]
+    assert max(ratios) <= 1.02 * min(ratios)
+
+
 def test_branch_pohozaev_certified(branch):
     for pt in branch.points:
         assert pt.pohozaev_res_rel <= 1e-3
