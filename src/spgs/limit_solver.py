@@ -3,7 +3,7 @@
 Two independent routes to the ground state of the grid equation
 -Delta_h u + u = f(u): a dilation-projected constrained flow on the set
 {int G(u) = 1} (the method of record), and shooting on the recurrence of the
-grid equation itself (scan, pair, graft, then a Newton solve that sets the
+grid equation itself (scan, graft, and a Newton solve that sets the
 amplitude), a cross-check oracle.  Both reach the same discrete omega_0, so
 the flow is checked to Newton tolerance.  The flow output is rescaled onto
 the Pohozaev manifold by the Coleman-Glazer-Martin dilation, which also
@@ -401,7 +401,7 @@ def _first_step(nl: Nonlinearity, grid: RadialGrid, amps: np.ndarray):
     return drop, drop >= _FIRST_DROP * amps
 
 
-def _classify_shot(nl: Nonlinearity, grid: RadialGrid, amps, out: np.ndarray | None = None
+def _classify_shot(nl: Nonlinearity, grid: RadialGrid, amps, record: dict | None = None
                    ) -> np.ndarray:
     """Overshoot flags of the shots of the grid equation from the centre
     amplitudes amps, all marched together, one lane each.
@@ -413,8 +413,9 @@ def _classify_shot(nl: Nonlinearity, grid: RadialGrid, amps, out: np.ndarray | N
     still positive, or when it reaches R with neither.  A centre that is not
     a maximum, f(a) <= a, undershoots at the start, and so does one whose
     first step cuts it (_first_step).  Decided lanes drop out of the march.
-    An array out of shape (n, amps.size) receives the values of each lane
-    up to the node that decides it.
+    A dict record receives the march's own arrays, not copies: "amps";
+    "values", whose entry i holds the live lanes' values at node i + 1 in
+    lane order; and "last", each lane's last step (-1 if never marched).
     """
     amps = np.asarray(amps, dtype=float)
     c = grid.conductance
@@ -423,10 +424,11 @@ def _classify_shot(nl: Nonlinearity, grid: RadialGrid, amps, out: np.ndarray | N
     beta = (grid.mass[:-1] / c).tolist()
     over = np.zeros(amps.size, dtype=bool)
     drop, cut = _first_step(nl, grid, amps)
-    lanes = np.flatnonzero((drop > 0.0) & ~cut)
+    values, last = [], np.where((drop > 0.0) & ~cut, grid.n - 2, -1)
+    lanes = np.flatnonzero(last >= 0)
     u = prev = amps[lanes]
-    if out is not None:
-        out[0] = amps
+    if record is not None:
+        record.update(amps=amps, values=values, last=last)
     for i in range(grid.n - 1):
         if not lanes.size:
             break
@@ -436,22 +438,22 @@ def _classify_shot(nl: Nonlinearity, grid: RadialGrid, amps, out: np.ndarray | N
         nxt *= alpha[i]
         nxt += u
         nxt += g
-        if out is not None:
-            out[i + 1, lanes] = nxt
+        values.append(nxt)
         cross = nxt <= 0.0
         done = nxt > u
         done |= cross
         if np.count_nonzero(done):
             over[lanes[cross]] = True
+            last[lanes[done]] = i
             keep = ~done
             lanes, u, nxt = lanes[keep], u[keep], nxt[keep]
         prev, u = u, nxt
     return over
 
 
-def _auto_bracket(nl: Nonlinearity, grid: RadialGrid) -> tuple[float, float]:
+def _auto_bracket(nl: Nonlinearity, grid: RadialGrid, record=None) -> tuple[float, float]:
     """First undershoot/overshoot transition on a log scan of 255 amplitudes
-    up to 100.
+    up to 100; a dict record receives the scan's march (_classify_shot).
 
     A shot whose centre is not a maximum, f(a) <= a, undershoots at its
     start, so the scan starts at the last amplitude before the first f(a) > a
@@ -465,7 +467,7 @@ def _auto_bracket(nl: Nonlinearity, grid: RadialGrid) -> tuple[float, float]:
     if peak.size == 0:
         raise BracketFailure("the centre is a minimum at every amplitude up to 100")
     amps = np.geomspace(ladder[max(peak[0] - 1, 0)], 100.0, 255)
-    over = _classify_shot(nl, grid, amps)
+    over = _classify_shot(nl, grid, amps, record)
     up = np.flatnonzero(~over[:-1] & over[1:])
     if up.size == 0:
         cut = amps[_first_step(nl, grid, amps)[1]]
@@ -476,25 +478,40 @@ def _auto_bracket(nl: Nonlinearity, grid: RadialGrid) -> tuple[float, float]:
     return float(amps[up[0]]), float(amps[up[0] + 1])
 
 
+def _bracketing_pair(nl: Nonlinearity, grid: RadialGrid) -> np.ndarray:
+    """The two bracketing lanes of the scan (_auto_bracket) at every node,
+    read from the record of its march, NaN after the step that decides each:
+    step i holds the lanes whose last step is i or later, in lane order, so
+    lane j sits there at j less the lanes below it decided before step i."""
+    record = {}
+    a_lo = _auto_bracket(nl, grid, record)[0]
+    amps, values, last = record["amps"], record["values"], record["last"]
+    lanes = np.searchsorted(amps, a_lo) + np.arange(2)
+    pair = np.vstack((amps[lanes], np.full((grid.n - 1, 2), np.nan)))
+    for col, j in enumerate(lanes):
+        # gone[i]: the lanes below j whose last step comes before step i
+        gone = np.cumsum(np.bincount(last[:j] + 1, minlength=last[j] + 1))[:last[j] + 1]
+        pair[1:last[j] + 2, col] = [v[k] for v, k in zip(values, (j - gone).tolist())]
+    return pair
+
+
 def shoot_ground_state(nl: Nonlinearity, grid: RadialGrid) -> RadialFunction:
     """The ground state omega_0 of the grid equation -Delta_h u + u = f(u)
     by shooting (Berestycki, Lions & Peletier, Indiana Univ. Math. J. 30,
     1981), independent of the flow route.
 
-    Four steps: the amplitude scan (_auto_bracket) brackets the centre
-    amplitude between an undershoot and an overshoot of _classify_shot; the
-    two bracketing lanes are marched once more; their mean, up to the last
-    node of the leading run where both are positive and agree to _GRAFT_GAP,
-    is grafted onto c exp(-r)/r; and the damped Newton solve at lam = 0
-    (sp_solver.solve_at_lambda, to _SHOT_TOL) sets the amplitude, raising
-    NonConvergence or PositivityLoss if it fails.
+    Three steps, one march: the amplitude scan (_auto_bracket) brackets the
+    centre amplitude between an undershoot and an overshoot of
+    _classify_shot; the mean of its two bracketing lanes (_bracketing_pair,
+    which drops the scan's record), up to the last node of the leading run
+    where both are positive and agree to _GRAFT_GAP, is grafted onto
+    c exp(-r)/r; and the damped Newton solve at lam = 0 (to _SHOT_TOL) sets
+    the amplitude, raising NonConvergence or PositivityLoss if it fails.
     """
     # sp_solver imports this module, so the import waits for the call
     from .sp_solver import SolverOptions, solve_at_lambda
 
-    pair = np.full((grid.n, 2), np.nan)
-    _classify_shot(nl, grid, np.array(_auto_bracket(nl, grid)), out=pair)
-    lo, hi = pair.T
+    lo, hi = _bracketing_pair(nl, grid).T
     agree = (lo > 0.0) & (hi > 0.0) & (np.abs(hi - lo) <= _GRAFT_GAP * np.minimum(lo, hi))
     k = grid.n - 1 if agree.all() else int(np.argmin(agree)) - 1
     r = grid.nodes

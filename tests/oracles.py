@@ -19,12 +19,16 @@ from spgs.limit_solver import (
     _FLOW_HALVINGS,
     _FLOW_HANDOVER,
     _FLOW_MAX_ITER,
+    _GRAFT_GAP,
     _PROJECTION_STEPS,
+    _SHOT_TOL,
     _STEP_CAP,
     _STEP_GROWTH,
     InitializationFailure,
     LimitGroundState,
     Stagnation,
+    _auto_bracket,
+    _first_step,
     _initial_bump,
     _newton_polish,
     _projected_gradient,
@@ -32,6 +36,7 @@ from spgs.limit_solver import (
     mountain_pass_b,
     project_to_M,
 )
+from spgs.sp_solver import SolverOptions, solve_at_lambda
 
 # the continuum shots of solve_ivp keep the error of each step within
 # _RTOL |y| + _ATOL
@@ -304,6 +309,66 @@ def march_transition(nl, grid, a_lo: float, a_hi: float) -> float:
         else:
             a_lo = mid
     return 0.5 * (a_lo + a_hi)
+
+
+def reference_march(nl, grid, amps, out: np.ndarray) -> np.ndarray:
+    """limit_solver._classify_shot as it was before it kept a record: the
+    lanes marched together, with each lane's values written into the dense
+    array out of shape (n, amps.size) up to the node that decides it."""
+    amps = np.asarray(amps, dtype=float)
+    c = grid.conductance
+    alpha = np.concatenate(([0.0], c[:-1] / c[1:])).tolist()
+    beta = (grid.mass[:-1] / c).tolist()
+    over = np.zeros(amps.size, dtype=bool)
+    drop, cut = _first_step(nl, grid, amps)
+    lanes = np.flatnonzero((drop > 0.0) & ~cut)
+    u = prev = amps[lanes]
+    out[0] = amps
+    for i in range(grid.n - 1):
+        if not lanes.size:
+            break
+        g = u - nl.f(u)
+        g *= beta[i]
+        nxt = u - prev
+        nxt *= alpha[i]
+        nxt += u
+        nxt += g
+        out[i + 1, lanes] = nxt
+        cross = nxt <= 0.0
+        done = nxt > u
+        done |= cross
+        if np.count_nonzero(done):
+            over[lanes[cross]] = True
+            keep = ~done
+            lanes, u, nxt = lanes[keep], u[keep], nxt[keep]
+        prev, u = u, nxt
+    return over
+
+
+def reference_pair(nl, grid) -> np.ndarray:
+    """The scan's two bracketing lanes (_auto_bracket) marched once more by
+    reference_march into a dense (n, 2) array, NaN after each lane's
+    deciding node."""
+    pair = np.full((grid.n, 2), np.nan)
+    reference_march(nl, grid, np.array(_auto_bracket(nl, grid)), out=pair)
+    return pair
+
+
+def reference_shoot_ground_state(nl, grid) -> RadialFunction:
+    """spgs.shoot_ground_state in four steps and two marches: the scan, a
+    second march of its two bracketing lanes (reference_pair), the graft of
+    their mean onto c exp(-r)/r, and the Newton solve at lam = 0: the
+    bitwise reference for the shot that reads the pair from the scan's
+    record."""
+    lo, hi = reference_pair(nl, grid).T
+    agree = (lo > 0.0) & (hi > 0.0) & (np.abs(hi - lo) <= _GRAFT_GAP * np.minimum(lo, hi))
+    k = grid.n - 1 if agree.all() else int(np.argmin(agree)) - 1
+    r = grid.nodes
+    vals = np.empty(grid.n)
+    vals[:k + 1] = 0.5 * (lo[:k + 1] + hi[:k + 1])
+    vals[k + 1:] = vals[k] * r[k] / r[k + 1:] * np.exp(r[k] - r[k + 1:])
+    vals[-1] = 0.0
+    return solve_at_lambda(RadialFunction(grid, vals), nl, 0.0, SolverOptions(tol=_SHOT_TOL)).u
 
 
 def _series_start(nl, a: float):

@@ -11,7 +11,9 @@ from oracles import (
     march_transition,
     reference_dilate,
     reference_minimize_on_M,
+    reference_pair,
     reference_project_to_M,
+    reference_shoot_ground_state,
     resampled_path_max,
     shot_dense,
     shot_label,
@@ -246,6 +248,47 @@ def test_graft_gap_exceeds_the_widest_scan_spacing():
     for case in GROUND_CASES + [(20.0, 2.2, 1.0)]:
         amps = _scan_amplitudes(canonical_family(*case))
         assert np.max(amps[1:] / amps[:-1]) - 1.0 <= widest
+
+
+@pytest.mark.parametrize("case, R, n", [(c, 30.0, n) for n in (750, 3000) for c in GROUND_CASES]
+                         + [((1.0, 2.5, 0.0), 30.0, 3000), ((1.0, 5.5, 0.0), 30.0, 3000),
+                            ((20.0, 2.2, 1.0), 40.0, 750)])
+def test_one_march_shot_is_bitwise_the_two_march_reference(case, R, n, grid30, ground_shots):
+    # the pair read from the scan's record is the second march of the two
+    # bracketing lanes, NaN after each lane's deciding node included, so the
+    # graft and the Newton solve, and with them omega_0, are unchanged
+    nl = canonical_family(*case)
+    grid = grid30 if n == 3000 else make_grid(R, n)
+    assert np.array_equal(limit_solver._bracketing_pair(nl, grid), reference_pair(nl, grid),
+                          equal_nan=True)
+    on_grid30 = n == 3000 and case in ground_shots
+    shot = ground_shots[case] if on_grid30 else shoot_ground_state(nl, grid)
+    assert np.array_equal(shot.values, reference_shoot_ground_state(nl, grid).values)
+
+
+def test_one_march_per_shot(monkeypatch):
+    # the scan's march records the bracketing lanes, so a shot marches once
+    calls = 0
+    march = limit_solver._classify_shot
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return march(*args, **kwargs)
+
+    monkeypatch.setattr(limit_solver, "_classify_shot", counted)
+    shoot_ground_state(canonical_family(1.0, 3.0, 0.0), make_grid(30.0, 750))
+    assert calls == 1
+
+
+def test_march_record_is_linear_in_n(grid30):
+    # the record holds one value per live lane per marched node, not a dense
+    # (n, 255) array; mu=1, q=2.5, cw=0 keeps the most lanes live longest of
+    # the cases measured: 29.5 n values at n=3000 (the ground cases: 8.0 n to
+    # 18.2 n)
+    record = {}
+    _auto_bracket(canonical_family(1.0, 2.5, 0.0), grid30, record)
+    assert sum(v.size for v in record["values"]) <= 40 * grid30.n
 
 
 @pytest.mark.parametrize("case, n", [(c, n) for n in (750, 3000) for c in GROUND_CASES]
