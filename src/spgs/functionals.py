@@ -106,8 +106,8 @@ def gradient_residual(u: RadialFunction, nl: Nonlinearity,
     with the Poisson solution of u at lam that it used.
 
     Its pairing against test fields through the quadrature weights is the
-    directional derivative of the coupled energy.  The potential is solved
-    at lam = 0 too (it vanishes there), so every call makes one solve.
+    directional derivative of the coupled energy.  Every call makes one
+    solve_phi call, which at lam = 0 returns the zero potential unsolved.
     """
     if lam < 0:
         raise ValueError(f"coupling parameter must be nonnegative, got {lam}")

@@ -112,7 +112,7 @@ class RadialFunction:
             raise ValueError(
                 f"values shape {values.shape} does not match grid size {self.grid.n}"
             )
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise ValueError("non-finite values in RadialFunction")
         object.__setattr__(self, "values", values)
 
@@ -201,7 +201,7 @@ def grad_norm_sq(u: RadialFunction) -> float:
     Face differences weighted by the conductances: the exact quadratic form
     of the discrete Laplacian (summation by parts holds at the discrete level).
     """
-    return pair(u.grid.conductance, np.diff(u.values) ** 2)
+    return pair(u.grid.conductance, (u.values[1:] - u.values[:-1]) ** 2)
 
 
 def norm_lq(u: RadialFunction, q: float) -> float:
@@ -235,11 +235,10 @@ def monotone_slopes(u: RadialFunction) -> np.ndarray:
     one-sided three-point slopes at the ends (_end_slope).
     """
     y = u.values
-    m = np.diff(y)
+    m = y[1:] - y[:-1]
     prod = m[:-1] * m[1:]
-    same = prod > 0.0
     d = np.zeros_like(y)
-    d[1:-1][same] = 2.0 * prod[same] / (m[:-1][same] + m[1:][same])
+    np.divide(2.0 * prod, m[:-1] + m[1:], out=d[1:-1], where=prod > 0.0)
     d[0] = _end_slope(m[0], m[1])
     d[-1] = _end_slope(m[-1], m[-2])
     return d
@@ -271,13 +270,35 @@ def dilate(u: RadialFunction, t: float, slopes: np.ndarray | None = None,
     r_src = onto.nodes / t
     # r_src increases with the nodes, so the radii within R are a prefix
     k = int(np.searchsorted(r_src, grid.R, side="right"))
-    x = r_src[:k] / grid.h
-    i = np.minimum(x.astype(np.intp), grid.n - 2)
-    s = x - i
+    s = r_src[:k]
+    s /= grid.h
+    i = s.astype(np.intp)
+    np.minimum(i, grid.n - 2, out=i)
+    s -= i
     c = 1.0 - s
+    # y_i (1 + 2s) c c + y_{i+1} (1 + 2c) s s + s c (d_i c - d_{i+1} s) in
+    # place, in this order of operations, so every bit is the expression's;
+    # y[1:].take(i) is y[i + 1], and i in [0, n - 2] makes mode="clip" exact
     vals = np.zeros(onto.n)
-    vals[:k] = (y[i] * (1.0 + 2.0 * s) * c * c + y[i + 1] * (1.0 + 2.0 * c) * s * s
-                + s * c * (d[i] * c - d[i + 1] * s))
+    lo, hi, w = y.take(i, mode="clip"), y[1:].take(i, mode="clip"), 2.0 * s
+    w += 1.0
+    lo *= w
+    lo *= c
+    lo *= c
+    np.multiply(c, 2.0, out=w)
+    w += 1.0
+    hi *= w
+    hi *= s
+    hi *= s
+    np.add(lo, hi, out=vals[:k])
+    np.multiply(s, c, out=w)
+    d.take(i, out=lo, mode="clip")
+    lo *= c
+    d[1:].take(i, out=hi, mode="clip")
+    hi *= s
+    lo -= hi
+    lo *= w
+    vals[:k] += lo
     vals[-1] = 0.0 if abs(y[-1]) == 0.0 else vals[-1]
     return RadialFunction(onto, vals)
 
@@ -291,7 +312,7 @@ def laplacian_apply(u: RadialFunction) -> np.ndarray:
     rows handle it).
     """
     grid = u.grid
-    flux = grid.conductance * np.diff(u.values)
+    flux = grid.conductance * (u.values[1:] - u.values[:-1])
     out = np.empty_like(u.values)
     out[0] = flux[0] / grid.mass[0]
     np.subtract(flux[1:], flux[:-1], out=out[1:-1])
@@ -327,7 +348,9 @@ def solve_lu(lu: tuple[np.ndarray, ...], rhs: np.ndarray) -> np.ndarray:
     """
     b = np.array(rhs, dtype=float)
     b[-1] = 0.0
-    return dgttrs(*lu, np.asarray_chkfinite(b), overwrite_b=1)[0]
+    if not np.isfinite(b).all():
+        raise ValueError("array must not contain infs or NaNs")
+    return dgttrs(*lu, b, overwrite_b=1)[0]
 
 
 def solve_riesz(grid: RadialGrid, rhs: np.ndarray) -> np.ndarray:

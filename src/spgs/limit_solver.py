@@ -206,16 +206,15 @@ def _newton_polish(u: RadialFunction, theta: float, nl: Nonlinearity, tol: float
         f1 = -laplacian_apply(RadialFunction(grid, vals)) - th * g
         f1[-1] = 0.0
         f2 = integrate_values(grid, nl.G(vals)) - 1.0
-        return f1, f2
+        return f1, f2, g
 
     vals = u.values.copy()
-    f1, f2 = residuals(vals, theta)
+    f1, f2, g = residuals(vals, theta)
     nrm = dual_norm(grid, f1)
     steps = 0
     for _ in range(_POLISH_MAX_STEPS):
         if nrm <= tol and abs(f2) <= _POLISH_CONSTRAINT_TOL:
             break
-        g = _g_field(nl, vals)
         gp = np.asarray(nl.fprime(vals), dtype=float) - 1.0
         shift = -theta * gp
         x, y = solve_helmholtz(grid, shift, np.column_stack((-f1, g))).T
@@ -231,10 +230,10 @@ def _newton_polish(u: RadialFunction, theta: float, nl: Nonlinearity, tol: float
         for _ in range(_POLISH_HALVINGS):
             cand = vals + step * du
             cth = theta + step * dtheta
-            c1, c2 = residuals(cand, cth)
+            c1, c2, cg = residuals(cand, cth)
             cnrm = dual_norm(grid, c1)
             if cnrm + abs(c2) < base:
-                vals, theta, f1, f2, nrm = cand, cth, c1, c2, cnrm
+                vals, theta, f1, f2, g, nrm = cand, cth, c1, c2, cg, cnrm
                 accepted = True
                 break
             step *= 0.5
@@ -505,8 +504,9 @@ def shoot_ground_state(nl: Nonlinearity, grid: RadialGrid) -> RadialFunction:
     _classify_shot; the mean of its two bracketing lanes (_bracketing_pair,
     which drops the scan's record), up to the last node of the leading run
     where both are positive and agree to _GRAFT_GAP, is grafted onto
-    c exp(-r)/r; and the damped Newton solve at lam = 0 (to _SHOT_TOL) sets
-    the amplitude, raising NonConvergence or PositivityLoss if it fails.
+    c exp(-r)/r; and the damped Newton solve at lam = 0 (to _SHOT_TOL, one
+    tridiagonal solve per step) sets the amplitude, raising NonConvergence
+    or PositivityLoss if it fails.
     """
     # sp_solver imports this module, so the import waits for the call
     from .sp_solver import SolverOptions, solve_at_lambda

@@ -49,13 +49,14 @@ def newton_potential(grid: RadialGrid, rho: np.ndarray) -> np.ndarray:
 
 
 def solve_phi(u: RadialFunction, lam: float) -> PoissonSolution:
-    """Potential phi = lam * Newton[u^2] of u at the coupling lam, in O(n)."""
+    """Potential phi = lam * Newton[u^2] of u at the coupling lam, in O(n).  At
+    lam = 0 it is the zero field, equal bit for bit to 0 * Newton[u^2] >= 0."""
     lam = float(lam)
     if lam < 0:
         raise ValueError(f"coupling parameter must be nonnegative, got {lam}")
     grid = u.grid
     u2 = u.values**2
-    phi_vals = lam * newton_potential(grid, u2)
+    phi_vals = np.zeros(grid.n) if lam == 0.0 else lam * newton_potential(grid, u2)
 
     phi = RadialFunction(grid, phi_vals)
     coupling = integrate_values(grid, phi_vals * u2)

@@ -172,16 +172,20 @@ def _newton_step(u_vals, phi, nl, lam, grid, residual):
     J = T + N splits into the frozen-phi operator T = -Delta + 1 + lam phi
     - f'(u), tridiagonal and factored once, and the nonlocal part
     N delta = 2 lam^2 u Newton[u delta].  GMRES solves the left-preconditioned
-    system (I + T^-1 N) delta = -T^-1 residual.
+    system (I + T^-1 N) delta = -T^-1 residual.  At lam = 0, N vanishes and
+    the step is the one tridiagonal solve T^-1 (-residual).
     """
     fp = np.asarray(nl.fprime(u_vals), dtype=float)
     lu = helmholtz_lu(grid, 1.0 + lam * phi - fp)
+    local = solve_lu(lu, -residual)
+    if lam == 0.0:
+        return local
     coef = 2.0 * lam**2 * u_vals
 
     def apply(v):
         return v + solve_lu(lu, coef * newton_potential(grid, u_vals * v))
 
-    return _gmres(apply, solve_lu(lu, -residual))
+    return _gmres(apply, local)
 
 
 def solve_at_lambda(u_init: RadialFunction, nl: Nonlinearity, lam: float,
@@ -189,14 +193,15 @@ def solve_at_lambda(u_init: RadialFunction, nl: Nonlinearity, lam: float,
     """Damped exact Newton solve of the coupled equation at fixed lam.
 
     Each step is _newton_step from the accepted iterate, whose residual
-    comes with its potential, so each residual evaluation is one Poisson
-    solve.  The step length halves until the dual norm of the residual
-    falls.  Negative parts are clipped (positive branch) against an L^2 mass
-    budget: a clip over the budget halves the step, and a full step that
-    would clip more than half of the mass raises PositivityLoss.  A step
-    that cannot lower the residual above the damping floor raises
-    NonConvergence, and so does a residual still above opts.tol after
-    _MAX_ITER steps.  The point's iterations are its accepted Newton steps.
+    comes with its potential, so each residual evaluation is at most one
+    Poisson solve (none at lam = 0).  The step length halves until the dual
+    norm of the residual falls.  Negative parts are clipped (positive branch)
+    against an L^2 mass budget: a clip over the budget halves the step, and
+    a full step that would clip more than half of the mass raises
+    PositivityLoss.  A step that cannot lower the residual above the damping
+    floor raises NonConvergence, and so does a residual still above opts.tol
+    after _MAX_ITER steps.  The point's iterations are its accepted Newton
+    steps.
     """
     opts = opts or SolverOptions()
     lam = float(lam)

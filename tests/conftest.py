@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -29,3 +31,24 @@ def ground_cubic(nl_cubic, grid30):
 @pytest.fixture(scope="session")
 def gaussian12(grid12):
     return RadialFunction(grid12, np.exp(-grid12.nodes**2 / 2.0))
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """Count the calls of a function through every spgs module that binds it."""
+
+    def install(fn):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+
+        for name, mod in list(sys.modules.items()):
+            if mod is not None and (name == "spgs" or name.startswith("spgs.")):
+                for attr, obj in list(vars(mod).items()):
+                    if obj is fn:
+                        monkeypatch.setattr(mod, attr, counted)
+        return calls
+
+    return install

@@ -132,14 +132,10 @@ def pchip_dilate(u: RadialFunction, t: float, onto=None) -> RadialFunction:
     return RadialFunction(onto, vals)
 
 
-def reference_dilate(u: RadialFunction, t: float) -> RadialFunction:
-    """r -> u(r/t) as spgs.dilate computed it with its slopes built inline,
-    a boolean mask for the radii within R and a scatter into the result: the
-    bitwise reference for dilate with and without precomputed slopes."""
-    t = float(t)
-    if t == 1.0:
-        return RadialFunction(u.grid, u.values.copy())
-    grid = u.grid
+def reference_monotone_slopes(u: RadialFunction) -> np.ndarray:
+    """The Fritsch-Carlson slopes as spgs.grid.monotone_slopes computed them,
+    with np.diff and boolean gathers of the cells whose secants share a sign:
+    the bitwise reference for monotone_slopes."""
     y = u.values
     m = np.diff(y)
     prod = m[:-1] * m[1:]
@@ -148,6 +144,20 @@ def reference_dilate(u: RadialFunction, t: float) -> RadialFunction:
     d[1:-1][same] = 2.0 * prod[same] / (m[:-1][same] + m[1:][same])
     d[0] = _end_slope(m[0], m[1])
     d[-1] = _end_slope(m[-1], m[-2])
+    return d
+
+
+def reference_dilate(u: RadialFunction, t: float) -> RadialFunction:
+    """r -> u(r/t) as spgs.dilate computed it with reference_monotone_slopes,
+    a boolean mask for the radii within R, fancy-index gathers and a scatter
+    into the result: the bitwise reference for dilate with and without
+    precomputed slopes."""
+    t = float(t)
+    if t == 1.0:
+        return RadialFunction(u.grid, u.values.copy())
+    grid = u.grid
+    y = u.values
+    d = reference_monotone_slopes(u)
 
     r_src = grid.nodes / t
     inside = r_src <= grid.R

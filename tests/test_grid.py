@@ -17,6 +17,7 @@ from oracles import (
     pchip_dilate,
     reference_dilate,
     reference_laplacian,
+    reference_monotone_slopes,
 )
 from spgs import RadialFunction, dilate, grad_norm_sq, h1_norm_sq, make_grid, norm_lq
 from spgs.grid import (
@@ -65,6 +66,25 @@ def test_radial_function_validation():
     vals[3] = math.nan
     with pytest.raises(ValueError):
         RadialFunction(g, vals)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_radial_function_rejects_non_finite_values(bad):
+    g = make_grid(15.0, 800)
+    for node in (0, g.n // 2, g.n - 2):
+        vals = np.exp(-g.nodes)
+        vals[node] = bad
+        with pytest.raises(ValueError, match="^non-finite values in RadialFunction$"):
+            RadialFunction(g, vals)
+
+
+def test_largest_floats_are_finite_values():
+    # a finiteness test that sums the values would overflow here, and
+    # RuntimeWarning is an error in this suite
+    g = make_grid(15.0, 800)
+    huge = np.full(g.n, 1e308)
+    assert np.array_equal(RadialFunction(g, huge).values, huge)
+    assert solve_riesz(g, huge).shape == (g.n,)
 
 
 def test_equal_grids_hash_equal():
@@ -240,6 +260,7 @@ def test_dilate_is_bitwise_the_reference_on_flat_and_sign_changing_profile(n):
     assert slopes[0] == 3.0 * m[0] and slopes[-1] == 0.0
     assert np.sum(slopes[1:-1] == 0.0) > n // 4
     assert np.any(u.values[:-1] * u.values[1:] < 0.0)
+    assert np.array_equal(slopes, reference_monotone_slopes(u))
     for t in (0.5, 0.97, 1.03, 2.0):
         want = reference_dilate(u, t).values
         assert np.array_equal(dilate(u, t).values, want)
@@ -363,10 +384,11 @@ def test_missing_lapack_extension_names_the_directory(tmp_path):
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_riesz_solve_rejects_non_finite_rhs(bad):
     g = make_grid(15.0, 800)
-    rhs = np.exp(-g.nodes)
-    rhs[g.n // 2] = bad
-    with pytest.raises(ValueError):
-        solve_riesz(g, rhs)
+    for node in (0, g.n // 2, g.n - 2):
+        rhs = np.exp(-g.nodes)
+        rhs[node] = bad
+        with pytest.raises(ValueError, match="^array must not contain infs or NaNs$"):
+            solve_riesz(g, rhs)
     # the Dirichlet row ignores the last entry of rhs, as solve_helmholtz does
     rhs = np.exp(-g.nodes)
     rhs[-1] = bad

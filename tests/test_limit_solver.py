@@ -11,6 +11,7 @@ from oracles import (
     march_transition,
     reference_dilate,
     reference_minimize_on_M,
+    reference_monotone_slopes,
     reference_pair,
     reference_project_to_M,
     reference_shoot_ground_state,
@@ -134,6 +135,12 @@ def test_project_to_M_is_bitwise_the_reference_loop(flow_inputs):
                 project_to_M(u, nl)
             continue
         assert np.array_equal(project_to_M(u, nl).values, want)
+
+
+def test_monotone_slopes_on_flow_states_are_bitwise_the_reference(flow_inputs):
+    _, seen = flow_inputs
+    for u in seen:
+        assert np.array_equal(monotone_slopes(u), reference_monotone_slopes(u))
 
 
 @pytest.mark.parametrize("t", [0.5, 0.97, 1.03, 2.0])

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from oracles import dense_newton_oracle, dense_phi_oracle
-from spgs import solve_phi
+from spgs import RadialFunction, solve_phi
 from spgs.checks import gaussian_poisson_errors
+from spgs.grid import integrate_values
 from spgs.poisson import coupling_scaling_check, newton_potential
 
 
@@ -20,6 +21,22 @@ def test_phi_linear_in_lam(grid12, gaussian12):
     b = solve_phi(gaussian12, 0.3)
     assert np.allclose(b.phi.values, 0.3 * a.phi.values, rtol=1e-13, atol=1e-300)
     assert b.coupling == pytest.approx(0.3 * a.coupling, rel=1e-13)
+
+
+def test_phi_at_zero_coupling_is_the_zero_potential(grid12, gaussian12, count_calls):
+    # 0 * Newton[u^2] is +0.0 at every node, since Newton[u^2] >= 0; the
+    # zero field is that potential, bit for bit, without the prefix sums
+    signed = RadialFunction(grid12, gaussian12.values * np.cos(3.0 * grid12.nodes))
+    calls = count_calls(newton_potential)
+    for u in (gaussian12, signed):
+        u2 = u.values**2
+        phi = 0.0 * newton_potential(grid12, u2)
+        coupling = integrate_values(grid12, phi * u2)
+        sol = solve_phi(u, 0.0)
+        assert sol.phi.values.tobytes() == phi.tobytes()
+        assert sol.coupling.hex() == coupling.hex() == (0.0).hex()
+        assert sol.dirichlet_energy.hex() == (0.0 * coupling).hex()
+    assert calls == []
 
 
 def test_phi_rejects_negative_lam(gaussian12):

@@ -1,5 +1,4 @@
 import math
-import sys
 from dataclasses import replace
 
 import numpy as np
@@ -20,8 +19,8 @@ from spgs import (
     sp_solver,
 )
 from spgs.functionals import gradient_residual, scaling_terms
-from spgs.grid import dual_norm, h1_norm_sq, integrate_values
-from spgs.poisson import solve_phi
+from spgs.grid import dual_norm, h1_norm_sq, helmholtz_lu, integrate_values, solve_lu
+from spgs.poisson import newton_potential, solve_phi
 from spgs.sp_solver import (
     _GMRES_TOL,
     NonConvergence,
@@ -144,27 +143,6 @@ def test_continuation_schedule_validation(nl_cubic, ground_cubic):
         continuation(nl_cubic, (0.1, -0.05), ground_cubic)
 
 
-@pytest.fixture
-def count_calls(monkeypatch):
-    """Count the calls of a function through every spgs module that binds it."""
-
-    def install(fn):
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(fn.__name__)
-            return fn(*args, **kwargs)
-
-        for name, mod in list(sys.modules.items()):
-            if mod is not None and (name == "spgs" or name.startswith("spgs.")):
-                for attr, obj in list(vars(mod).items()):
-                    if obj is fn:
-                        monkeypatch.setattr(mod, attr, counted)
-        return calls
-
-    return install
-
-
 def test_one_poisson_solve_per_residual_evaluation(ground_cubic, nl_cubic, count_calls):
     # the frozen-phi step and the final point reuse the potential that the
     # residual of the accepted iterate solved
@@ -282,7 +260,7 @@ def omega_cubic_400(nl_cubic):
     return minimize_on_M(nl_cubic, make_grid(30.0, 400)).omega
 
 
-@pytest.mark.parametrize("lam", [0.05, 0.3])
+@pytest.mark.parametrize("lam", [0.0, 0.05, 0.3])
 def test_newton_step_is_a_newton_step(lam, nl_cubic, omega_cubic_400):
     # along an exact Newton step delta, R(u + eps delta) = (1 - eps) R(u) + O(eps^2),
     # so the remainder falls 100x per decade of eps (measured 3.85e-8 -> 3.85e-10
@@ -300,7 +278,7 @@ def test_newton_step_is_a_newton_step(lam, nl_cubic, omega_cubic_400):
     assert rem[1] * 50.0 <= rem[0]
 
 
-@pytest.mark.parametrize("lam", [0.05, 0.3])
+@pytest.mark.parametrize("lam", [0.0, 0.05, 0.3])
 def test_newton_step_matches_the_dense_jacobian_step(lam, nl_cubic, omega_cubic_400):
     # GMRES stops at a preconditioned residual of _GMRES_TOL relative, and
     # (I + T^-1 N)^-1 is bounded by 1 / (1 - rho(T^-1 N)) < 3 on this branch
@@ -311,6 +289,23 @@ def test_newton_step_matches_the_dense_jacobian_step(lam, nl_cubic, omega_cubic_
     delta = _newton_step(*args)
     dense = _dense_jacobian_step(*args)
     assert np.linalg.norm(delta - dense) <= 3.0 * _GMRES_TOL * np.linalg.norm(dense)
+
+
+def test_newton_step_at_zero_coupling_is_the_gmres_step(nl_cubic, omega_cubic_400, count_calls):
+    # at lam = 0 the nonlocal block 2 lam^2 u Newton[u .] vanishes: the step
+    # is the tridiagonal solve alone, which GMRES on I + T^-1 N = I returns
+    # up to its rounding
+    u = omega_cubic_400
+    grid = u.grid
+    res, psol = gradient_residual(u, nl_cubic, 0.0)
+    gmres_calls = count_calls(_gmres)
+    delta = _newton_step(u.values, psol.phi.values, nl_cubic, 0.0, grid, res.values)
+    assert gmres_calls == []
+    lu = helmholtz_lu(grid, 1.0 + 0.0 * psol.phi.values - nl_cubic.fprime(u.values))
+    coef = 2.0 * 0.0**2 * u.values
+    via_gmres = _gmres(lambda v: v + solve_lu(lu, coef * newton_potential(grid, u.values * v)),
+                       solve_lu(lu, -res.values))
+    assert np.linalg.norm(delta - via_gmres) <= 1e-14 * np.linalg.norm(via_gmres)
 
 
 def test_gmres_solves_small_systems():
