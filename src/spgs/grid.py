@@ -216,13 +216,19 @@ def h1_norm_sq(u: RadialFunction) -> float:
     return grad_norm_sq(u) + integrate_values(u.grid, u.values**2)
 
 
+def _sign(x: float) -> float:
+    """np.sign of a Python float: -1.0 or 1.0, and x itself for a zero or NaN."""
+    return 1.0 if x > 0.0 else -1.0 if x < 0.0 else x
+
+
 def _end_slope(m0: float, m1: float) -> float:
     """One-sided three-point end slope from the end secant m0 and its
-    neighbour m1, zeroed or capped where it would break monotonicity."""
+    neighbour m1, zeroed or capped where it would break monotonicity, in
+    Python floats."""
     d = 0.5 * (3.0 * m0 - m1)
-    if np.sign(d) != np.sign(m0):
+    if _sign(d) != _sign(m0):
         return 0.0
-    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+    if _sign(m0) != _sign(m1) and abs(d) > 3.0 * abs(m0):
         return 3.0 * m0
     return d
 
@@ -239,8 +245,8 @@ def monotone_slopes(u: RadialFunction) -> np.ndarray:
     prod = m[:-1] * m[1:]
     d = np.zeros_like(y)
     np.divide(2.0 * prod, m[:-1] + m[1:], out=d[1:-1], where=prod > 0.0)
-    d[0] = _end_slope(m[0], m[1])
-    d[-1] = _end_slope(m[-1], m[-2])
+    d[0] = _end_slope(m.item(0), m.item(1))
+    d[-1] = _end_slope(m.item(-1), m.item(-2))
     return d
 
 

@@ -5,9 +5,12 @@ Two independent routes to the ground state of the grid equation
 {int G(u) = 1} (the method of record), and shooting on the recurrence of the
 grid equation itself (scan, graft, and a Newton solve that sets the
 amplitude), a cross-check oracle.  Both reach the same discrete omega_0, so
-the flow is checked to Newton tolerance.  The flow output is rescaled onto
-the Pohozaev manifold by the Coleman-Glazer-Martin dilation, which also
-yields the least-energy and mountain-pass levels and their interrelations.
+the flow is checked to Newton tolerance.  Both run on a ladder of 4x coarser
+grids (nested iteration): the flow hands its state on from the coarsest
+level, and the shot scans only there and Newton-solves once per finer level.
+The flow output is rescaled onto the Pohozaev manifold by the
+Coleman-Glazer-Martin dilation, which also yields the least-energy and
+mountain-pass levels and their interrelations.
 """
 
 from __future__ import annotations
@@ -68,9 +71,10 @@ _POLISH_MAX_STEPS = 60
 _POLISH_HALVINGS = 30
 _POLISH_CONSTRAINT_TOL = 1e-12
 
-# nested iteration (Brandt, Math. Comp. 31, 1977): a grid of n nodes first
-# solves on the grid of (n - 1)//4 + 1 nodes over the same R while that grid
-# has at least _LADDER_FLOOR nodes, so 12000 runs 750 -> 3000 -> 12000 and
+# nested iteration (Brandt, Math. Comp. 31, 1977), for the flow (_ladder)
+# and the shot (_shoot) alike: a grid of n nodes first solves on the grid of
+# (n - 1)//4 + 1 nodes over the same R while that grid has at least
+# _LADDER_FLOOR nodes (_coarse_grid), so 12000 runs 750 -> 3000 -> 12000 and
 # n < 2997 runs one level.  At n=750 the core of q=5 spans 0.77 h; a level at
 # n=187 would resolve no core of q >= 4
 _LADDER_FLOOR = 750
@@ -201,15 +205,18 @@ def _newton_polish(u: RadialFunction, theta: float, nl: Nonlinearity, tol: float
     """
     grid = u.grid
 
-    def residuals(vals, th):
+    def constraint(vals):
+        return integrate_values(grid, nl.G(vals)) - 1.0
+
+    def field(vals, th):
         g = _g_field(nl, vals)
         f1 = -laplacian_apply(RadialFunction(grid, vals)) - th * g
         f1[-1] = 0.0
-        f2 = integrate_values(grid, nl.G(vals)) - 1.0
-        return f1, f2, g
+        return f1, g
 
     vals = u.values.copy()
-    f1, f2, g = residuals(vals, theta)
+    f1, g = field(vals, theta)
+    f2 = constraint(vals)
     nrm = dual_norm(grid, f1)
     steps = 0
     for _ in range(_POLISH_MAX_STEPS):
@@ -230,12 +237,16 @@ def _newton_polish(u: RadialFunction, theta: float, nl: Nonlinearity, tol: float
         for _ in range(_POLISH_HALVINGS):
             cand = vals + step * du
             cth = theta + step * dtheta
-            c1, c2, cg = residuals(cand, cth)
-            cnrm = dual_norm(grid, c1)
-            if cnrm + abs(c2) < base:
-                vals, theta, f1, f2, g, nrm = cand, cth, c1, c2, cg, cnrm
-                accepted = True
-                break
+            # the rounded sum of |c2| and a dual norm >= 0 is never below |c2|,
+            # so a trial with |c2| >= base fails without its field residual
+            c2 = constraint(cand)
+            if abs(c2) < base:
+                c1, cg = field(cand, cth)
+                cnrm = dual_norm(grid, c1)
+                if cnrm + abs(c2) < base:
+                    vals, theta, f1, f2, g, nrm = cand, cth, c1, c2, cg, cnrm
+                    accepted = True
+                    break
             step *= 0.5
         if not accepted:
             break
@@ -303,18 +314,25 @@ def _flow(u: RadialFunction, nl: Nonlinearity):
     return u, theta, steps
 
 
+def _coarse_grid(grid: RadialGrid) -> RadialGrid | None:
+    """The next level down of nested iteration: the grid of (n - 1)//4 + 1
+    nodes over the same R, or None if it has fewer than _LADDER_FLOOR."""
+    n_c = (grid.n - 1) // 4 + 1
+    return make_grid(grid.R, n_c) if n_c >= _LADDER_FLOOR else None
+
+
 def _ladder(nl: Nonlinearity, grid: RadialGrid):
     """The flow on grid, started from the handover state of the flow on the
-    grid of (n - 1)//4 + 1 nodes over the same R, prolonged by the monotone
-    cubic of dilate, or from _initial_bump if that grid is below _LADDER_FLOOR.
+    coarser grid of _coarse_grid, prolonged by the monotone cubic of dilate,
+    or from _initial_bump if there is none.
 
     Returns (u, theta, accepted steps over all levels, n of every level).
     """
-    n_c = (grid.n - 1) // 4 + 1
-    if n_c < _LADDER_FLOOR:
+    coarse_grid = _coarse_grid(grid)
+    if coarse_grid is None:
         start, steps, levels = _initial_bump(nl, grid), 0, ()
     else:
-        coarse, _, steps, levels = _ladder(nl, make_grid(grid.R, n_c))
+        coarse, _, steps, levels = _ladder(nl, coarse_grid)
         start = dilate(coarse, 1.0, onto=grid)
     u, theta, k = _flow(start, nl)
     return u, theta, steps + k, levels + (grid.n,)
@@ -494,23 +512,24 @@ def _bracketing_pair(nl: Nonlinearity, grid: RadialGrid) -> np.ndarray:
     return pair
 
 
-def shoot_ground_state(nl: Nonlinearity, grid: RadialGrid) -> RadialFunction:
-    """The ground state omega_0 of the grid equation -Delta_h u + u = f(u)
-    by shooting (Berestycki, Lions & Peletier, Indiana Univ. Math. J. 30,
-    1981), independent of the flow route.
-
-    Three steps, one march: the amplitude scan (_auto_bracket) brackets the
-    centre amplitude between an undershoot and an overshoot of
-    _classify_shot; the mean of its two bracketing lanes (_bracketing_pair,
-    which drops the scan's record), up to the last node of the leading run
-    where both are positive and agree to _GRAFT_GAP, is grafted onto
-    c exp(-r)/r; and the damped Newton solve at lam = 0 (to _SHOT_TOL, one
-    tridiagonal solve per step) sets the amplitude, raising NonConvergence
-    or PositivityLoss if it fails.
-    """
+def _shot_newton(u: RadialFunction, nl: Nonlinearity) -> RadialFunction:
+    """The damped Newton solve at lam = 0 from u, to _SHOT_TOL: one
+    tridiagonal solve per step.  It raises NonConvergence or PositivityLoss
+    if it fails."""
     # sp_solver imports this module, so the import waits for the call
     from .sp_solver import SolverOptions, solve_at_lambda
 
+    return solve_at_lambda(u, nl, 0.0, SolverOptions(tol=_SHOT_TOL)).u
+
+
+def _scan_shot(nl: Nonlinearity, grid: RadialGrid) -> RadialFunction:
+    """The shot from grid's own scan, in three steps and one march: the
+    amplitude scan (_auto_bracket) brackets the centre amplitude between an
+    undershoot and an overshoot of _classify_shot; the mean of its two
+    bracketing lanes (_bracketing_pair, which drops the scan's record), up to
+    the last node of the leading run where both are positive and agree to
+    _GRAFT_GAP, is grafted onto c exp(-r)/r; and the Newton solve
+    (_shot_newton) sets the amplitude."""
     lo, hi = _bracketing_pair(nl, grid).T
     agree = (lo > 0.0) & (hi > 0.0) & (np.abs(hi - lo) <= _GRAFT_GAP * np.minimum(lo, hi))
     k = grid.n - 1 if agree.all() else int(np.argmin(agree)) - 1
@@ -519,4 +538,37 @@ def shoot_ground_state(nl: Nonlinearity, grid: RadialGrid) -> RadialFunction:
     vals[:k + 1] = 0.5 * (lo[:k + 1] + hi[:k + 1])
     vals[k + 1:] = vals[k] * r[k] / r[k + 1:] * np.exp(r[k] - r[k + 1:])
     vals[-1] = 0.0
-    return solve_at_lambda(RadialFunction(grid, vals), nl, 0.0, SolverOptions(tol=_SHOT_TOL)).u
+    return _shot_newton(RadialFunction(grid, vals), nl)
+
+
+def _shoot(nl: Nonlinearity, grid: RadialGrid) -> RadialFunction:
+    """The shot on grid by nested iteration: the shot on the coarser grid of
+    _coarse_grid, prolonged by dilate and Newton-solved on grid, or grid's
+    own scan (_scan_shot) if there is no coarser grid or that route raises a
+    SolverFailure."""
+    coarse_grid = _coarse_grid(grid)
+    if coarse_grid is not None:
+        try:
+            return _shot_newton(dilate(_shoot(nl, coarse_grid), 1.0, onto=grid), nl)
+        except SolverFailure:
+            pass
+    return _scan_shot(nl, grid)
+
+
+def shoot_ground_state(nl: Nonlinearity, grid: RadialGrid) -> RadialFunction:
+    """The ground state omega_0 of the grid equation -Delta_h u + u = f(u)
+    by shooting (Berestycki, Lions & Peletier, Indiana Univ. Math. J. 30,
+    1981), independent of the flow route.
+
+    On the coarsest level of the flow's ladder (_coarse_grid), the shot
+    scans the amplitudes of its grid's own recurrence, grafts the mean of the
+    two bracketing lanes onto c exp(-r)/r and Newton-solves at lam = 0 to
+    _SHOT_TOL (_scan_shot); every finer level prolongs the shot of the level
+    below and Newton-solves it once more, so 3000 scans 750 nodes and 12000
+    runs 750 -> 3000 -> 12000.  A level whose coarse route raises a
+    SolverFailure (a scan without a transition there, or a failed Newton
+    solve) falls back to its own scan, so a shot that fails raises the
+    failure of the scan on grid: BracketFailure, NonConvergence or
+    PositivityLoss.
+    """
+    return _shoot(nl, grid)

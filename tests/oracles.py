@@ -12,7 +12,13 @@ from scipy.optimize import brentq, minimize_scalar
 
 from spgs import RadialFunction, dilate, energy
 from spgs.functionals import T0_value, scaling_terms
-from spgs.grid import _end_slope, dual_norm, integrate_values, solve_riesz
+from spgs.grid import (
+    dual_norm,
+    integrate_values,
+    laplacian_apply,
+    solve_helmholtz,
+    solve_riesz,
+)
 from spgs.limit_solver import (
     _ARMIJO,
     _FIRST_DROP,
@@ -20,6 +26,9 @@ from spgs.limit_solver import (
     _FLOW_HANDOVER,
     _FLOW_MAX_ITER,
     _GRAFT_GAP,
+    _POLISH_CONSTRAINT_TOL,
+    _POLISH_HALVINGS,
+    _POLISH_MAX_STEPS,
     _PROJECTION_STEPS,
     _SHOT_TOL,
     _STEP_CAP,
@@ -29,8 +38,8 @@ from spgs.limit_solver import (
     Stagnation,
     _auto_bracket,
     _first_step,
+    _g_field,
     _initial_bump,
-    _newton_polish,
     _projected_gradient,
     cgm_rescale,
     mountain_pass_b,
@@ -132,18 +141,29 @@ def pchip_dilate(u: RadialFunction, t: float, onto=None) -> RadialFunction:
     return RadialFunction(onto, vals)
 
 
+def reference_end_slope(m0, m1):
+    """spgs.grid._end_slope as it computed with np.sign on numpy scalars: the
+    bitwise reference for the Python-float end slope."""
+    d = 0.5 * (3.0 * m0 - m1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
 def reference_monotone_slopes(u: RadialFunction) -> np.ndarray:
     """The Fritsch-Carlson slopes as spgs.grid.monotone_slopes computed them,
-    with np.diff and boolean gathers of the cells whose secants share a sign:
-    the bitwise reference for monotone_slopes."""
+    with np.diff, boolean gathers of the cells whose secants share a sign and
+    reference_end_slope: the bitwise reference for monotone_slopes."""
     y = u.values
     m = np.diff(y)
     prod = m[:-1] * m[1:]
     same = prod > 0.0
     d = np.zeros_like(y)
     d[1:-1][same] = 2.0 * prod[same] / (m[:-1][same] + m[1:][same])
-    d[0] = _end_slope(m[0], m[1])
-    d[-1] = _end_slope(m[-1], m[-2])
+    d[0] = reference_end_slope(m[0], m[1])
+    d[-1] = reference_end_slope(m[-1], m[-2])
     return d
 
 
@@ -208,11 +228,56 @@ def reference_project_to_M(u: RadialFunction, nl) -> RadialFunction:
     raise InitializationFailure("constraint projection stalled")
 
 
+def reference_newton_polish(u: RadialFunction, theta: float, nl, tol: float):
+    """limit_solver._newton_polish as it was before its line search tested the
+    constraint residual first: every trial evaluates both residuals and the
+    dual norm.  The bitwise reference for the polish."""
+    grid = u.grid
+
+    def residuals(vals, th):
+        g = _g_field(nl, vals)
+        f1 = -laplacian_apply(RadialFunction(grid, vals)) - th * g
+        f1[-1] = 0.0
+        f2 = integrate_values(grid, nl.G(vals)) - 1.0
+        return f1, f2, g
+
+    vals = u.values.copy()
+    f1, f2, g = residuals(vals, theta)
+    nrm = dual_norm(grid, f1)
+    steps = 0
+    for _ in range(_POLISH_MAX_STEPS):
+        if nrm <= tol and abs(f2) <= _POLISH_CONSTRAINT_TOL:
+            break
+        gp = np.asarray(nl.fprime(vals), dtype=float) - 1.0
+        x, y = solve_helmholtz(grid, -theta * gp, np.column_stack((-f1, g))).T
+        denom = integrate_values(grid, g * y)
+        if denom == 0.0:
+            break
+        dtheta = -(integrate_values(grid, g * x) + f2) / denom
+        du = x + dtheta * y
+        step = 1.0
+        base = nrm + abs(f2)
+        for _ in range(_POLISH_HALVINGS):
+            cand = vals + step * du
+            cth = theta + step * dtheta
+            c1, c2, cg = residuals(cand, cth)
+            cnrm = dual_norm(grid, c1)
+            if cnrm + abs(c2) < base:
+                vals, theta, f1, f2, g, nrm = cand, cth, c1, c2, cg, cnrm
+                break
+            step *= 0.5
+        else:
+            break
+        steps += 1
+    return RadialFunction(grid, vals), steps
+
+
 def reference_minimize_on_M(nl, grid, tol: float = 1e-8) -> LimitGroundState:
     """spgs.minimize_on_M as one flow on grid from the initial bump, without
-    the ladder of coarser grids, followed by the polish and its certificate:
-    the bitwise reference for grids below the ladder floor, and the solve
-    that the ladder is compared with above it."""
+    the ladder of coarser grids, followed by the reference polish
+    (reference_newton_polish) and its certificate: the bitwise reference for
+    grids below the ladder floor, and the solve that the ladder is compared
+    with above it."""
     u = project_to_M(_initial_bump(nl, grid), nl)
     eta, steps, t0_here = 1.0, 0, T0_value(u)
     while True:
@@ -249,7 +314,7 @@ def reference_minimize_on_M(nl, grid, tol: float = 1e-8) -> LimitGroundState:
         else:
             break
         steps += 1
-    u, polish_steps = _newton_polish(u, theta, nl, tol=tol)
+    u, polish_steps = reference_newton_polish(u, theta, nl, tol=tol)
     u = project_to_M(u, nl)
     pg_nrm = dual_norm(grid, _projected_gradient(u, nl)[0])
     if pg_nrm > 100 * tol:
@@ -365,11 +430,11 @@ def reference_pair(nl, grid) -> np.ndarray:
 
 
 def reference_shoot_ground_state(nl, grid) -> RadialFunction:
-    """spgs.shoot_ground_state in four steps and two marches: the scan, a
-    second march of its two bracketing lanes (reference_pair), the graft of
-    their mean onto c exp(-r)/r, and the Newton solve at lam = 0: the
-    bitwise reference for the shot that reads the pair from the scan's
-    record."""
+    """The single-level shot (limit_solver._scan_shot) in four steps and two
+    marches: the scan, a second march of its two bracketing lanes
+    (reference_pair), the graft of their mean onto c exp(-r)/r, and the
+    Newton solve at lam = 0: the bitwise reference for the shot that reads
+    the pair from the scan's record."""
     lo, hi = reference_pair(nl, grid).T
     agree = (lo > 0.0) & (hi > 0.0) & (np.abs(hi - lo) <= _GRAFT_GAP * np.minimum(lo, hi))
     k = grid.n - 1 if agree.all() else int(np.argmin(agree)) - 1

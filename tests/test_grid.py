@@ -16,12 +16,14 @@ from oracles import (
     lapack_helmholtz_solve,
     pchip_dilate,
     reference_dilate,
+    reference_end_slope,
     reference_laplacian,
     reference_monotone_slopes,
 )
 from spgs import RadialFunction, dilate, grad_norm_sq, h1_norm_sq, make_grid, norm_lq
 from spgs.grid import (
     LinAlgError,
+    _end_slope,
     dual_norm,
     helmholtz_lu,
     integrate_values,
@@ -248,6 +250,32 @@ def _flat_and_sign_changing(g):
     vals[:3] = (0.0, 1.0, -5.0)
     vals[-3:] = (0.2, 5.2, 6.2)
     return RadialFunction(g, vals)
+
+
+# end secants of every sign, signed zeros, subnormals and secants whose
+# three-point slope overflows, is capped (m1 of the other sign and large) or
+# is zeroed (m1 of the same sign and larger than 3 m0)
+_SECANTS = [0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 2.5, -2.5, 3.0, -3.0, 7.0, -7.0,
+            1e308, -1e308, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("m0", _SECANTS)
+def test_end_slope_is_bitwise_the_reference(m0):
+    # the Python-float end slope against the np.sign rule on numpy scalars,
+    # for every pair of signs, zeros included, and the four outcomes
+    for m1 in _SECANTS:
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = float(reference_end_slope(np.float64(m0), np.float64(m1)))
+        got = _end_slope(m0, m1)
+        assert type(got) is float
+        assert got.hex() == want.hex() or (math.isnan(got) and math.isnan(want)), (m0, m1)
+
+
+def test_end_slope_takes_each_branch():
+    assert _end_slope(1.0, -1.0) == 2.0  # three-point slope
+    assert _end_slope(1.0, 7.0) == 0.0  # wrong sign: zeroed
+    assert _end_slope(1.0, -7.0) == 3.0  # secants of two signs: capped at 3 m0
+    assert _end_slope(0.0, 1.0) == 0.0
 
 
 @pytest.mark.parametrize("n", [750, 3000])

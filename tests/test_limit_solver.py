@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+import oracles
 from oracles import (
     bisect_amplitude,
     march_overshoots,
@@ -12,6 +13,7 @@ from oracles import (
     reference_dilate,
     reference_minimize_on_M,
     reference_monotone_slopes,
+    reference_newton_polish,
     reference_pair,
     reference_project_to_M,
     reference_shoot_ground_state,
@@ -35,7 +37,7 @@ from spgs import (
 )
 from spgs import limit_solver
 from spgs.functionals import T0_value, V_value
-from spgs.grid import monotone_slopes
+from spgs.grid import laplacian_apply, monotone_slopes
 from spgs.limit_solver import (
     BracketFailure,
     InitializationFailure,
@@ -260,32 +262,60 @@ def test_graft_gap_exceeds_the_widest_scan_spacing():
 @pytest.mark.parametrize("case, R, n", [(c, 30.0, n) for n in (750, 3000) for c in GROUND_CASES]
                          + [((1.0, 2.5, 0.0), 30.0, 3000), ((1.0, 5.5, 0.0), 30.0, 3000),
                             ((20.0, 2.2, 1.0), 40.0, 750)])
-def test_one_march_shot_is_bitwise_the_two_march_reference(case, R, n, grid30, ground_shots):
+def test_one_march_shot_is_bitwise_the_two_march_reference(case, R, n, grid30):
     # the pair read from the scan's record is the second march of the two
     # bracketing lanes, NaN after each lane's deciding node included, so the
-    # graft and the Newton solve, and with them omega_0, are unchanged
+    # graft and the Newton solve, and with them the single-level shot, are
+    # unchanged
     nl = canonical_family(*case)
     grid = grid30 if n == 3000 else make_grid(R, n)
     assert np.array_equal(limit_solver._bracketing_pair(nl, grid), reference_pair(nl, grid),
                           equal_nan=True)
-    on_grid30 = n == 3000 and case in ground_shots
-    shot = ground_shots[case] if on_grid30 else shoot_ground_state(nl, grid)
+    shot = limit_solver._scan_shot(nl, grid)
     assert np.array_equal(shot.values, reference_shoot_ground_state(nl, grid).values)
+    if n == 750:
+        # below the ladder floor the shot is the single-level shot
+        assert np.array_equal(shoot_ground_state(nl, grid).values, shot.values)
 
 
-def test_one_march_per_shot(monkeypatch):
-    # the scan's march records the bracketing lanes, so a shot marches once
-    calls = 0
+@pytest.mark.parametrize("case", GROUND_CASES + [(1.0, 2.5, 0.0)])
+def test_nested_shot_is_the_single_level_shot(case, grid30, ground_shots):
+    # the shot at n=3000 Newton-solves the prolonged n=750 shot; both solve
+    # the grid equation to _SHOT_TOL, measured at most 4.6e-13 relative H1
+    # apart (q=5)
+    nl = canonical_family(*case)
+    shot = ground_shots[case] if case in ground_shots else shoot_ground_state(nl, grid30)
+    assert _h1_gap(shot, limit_solver._scan_shot(nl, grid30)) <= 1e-11
+
+
+def test_shot_falls_back_to_the_fine_scan(grid30):
+    # the n=750 scan of q=5.5 has no transition, so the shot at n=3000 is
+    # its own grid's scan, bit for bit
+    nl = canonical_family(1.0, 5.5, 0.0)
+    with pytest.raises(BracketFailure):
+        limit_solver._scan_shot(nl, make_grid(30.0, 750))
+    assert np.array_equal(shoot_ground_state(nl, grid30).values,
+                          limit_solver._scan_shot(nl, grid30).values)
+
+
+def test_one_march_per_shot(grid30, monkeypatch):
+    # the scan's march records the bracketing lanes, so a shot marches once,
+    # on the coarsest grid of the ladder; q=5.5 has no transition at n=750,
+    # so its shot at n=3000 marches once more, on its own grid
+    calls = []
     march = limit_solver._classify_shot
 
-    def counted(*args, **kwargs):
-        nonlocal calls
-        calls += 1
-        return march(*args, **kwargs)
+    def counted(nl, grid, *args, **kwargs):
+        calls.append(grid.n)
+        return march(nl, grid, *args, **kwargs)
 
     monkeypatch.setattr(limit_solver, "_classify_shot", counted)
-    shoot_ground_state(canonical_family(1.0, 3.0, 0.0), make_grid(30.0, 750))
-    assert calls == 1
+    for case, grid, marched in [((1.0, 3.0, 0.0), make_grid(30.0, 750), [750]),
+                                ((1.0, 3.0, 0.0), grid30, [750]),
+                                ((1.0, 5.5, 0.0), grid30, [750, 3000])]:
+        calls.clear()
+        shoot_ground_state(canonical_family(*case), grid)
+        assert calls == marched, case
 
 
 def test_march_record_is_linear_in_n(grid30):
@@ -302,9 +332,9 @@ def test_march_record_is_linear_in_n(grid30):
                          + [((1.0, 2.5, 0.0), 3000), ((1.0, 5.5, 0.0), 3000)])
 def test_shot_is_the_newton_solved_flow_state(case, n, grid30, ground_shots):
     # both routes solve the grid equation, so the shot equals the flow's omega
-    # Newton-solved at lam = 0; measured: at most 2.5e-12 relative H1 but
+    # Newton-solved at lam = 0; measured: at most 2.9e-12 relative H1 but
     # 3.5e-10 for mu=20, q=3, cw=1 at n=3000, where the flow's solve stops at
-    # residual 2.8e-10, just below its 1e-9 tolerance, and the shot's at 3.7e-15
+    # residual 2.8e-10, just below its 1e-9 tolerance, and the shot's at 3.8e-15
     nl = canonical_family(*case)
     grid = grid30 if n == 3000 else make_grid(30.0, n)
     on_grid30 = n == 3000 and case in ground_shots
@@ -342,10 +372,10 @@ def test_shot_amplitude_converges_to_the_continuum_transition(case, grid30, grou
 
 @pytest.mark.parametrize("case", GROUND_CASES)
 def test_shot_amplitude_matches_bisection_oracle(case, grid30, ground_shots):
-    # the Newton solve takes the shot from the graft of the scan's bracketing
-    # lanes, 0.2 to 0.8 % off in amplitude, onto the transition that one-lane
-    # bisection of the reference march finds from the scan's bracket;
-    # measured: at most 4.7e-14 relative
+    # the Newton solve takes the shot from the prolonged n=750 shot, 0.07 to
+    # 1.6 % off in amplitude, onto the transition that one-lane bisection of
+    # the reference march finds from the scan's bracket on grid30; measured:
+    # at most 4.1e-13 relative (q=5, whose solve stops at residual 1.7e-12)
     nl = canonical_family(*case)
     a_ref = march_transition(nl, grid30, *_auto_bracket(nl, grid30))
     assert ground_shots[case].values[0] == pytest.approx(a_ref, rel=1e-12, abs=0)
@@ -356,7 +386,7 @@ def test_shooting_amplitude_within_1e11_of_tight_transition(case, grid30, ground
     # the march has no integration error, so its undershoot/overshoot
     # transition is the grid equation's own; the Newton solve, not the
     # scan's bracket, sets the amplitude, and it lies within 1e-11 of that
-    # transition (measured: within 4.7e-14 at n=750 and 3000)
+    # transition (measured: within 4.1e-13 at n=3000)
     nl = canonical_family(*case)
     a = ground_shots[case].values[0]
     assert _classify_shot(nl, grid30, [a * (1.0 - 1e-11), a * (1.0 + 1e-11)]).tolist() == [
@@ -540,6 +570,27 @@ def test_handover_on_the_last_allowed_step_is_accepted(grid30, nl_cubic, ground_
 def test_polish_steps_recorded(case, grid30):
     gs = minimize_on_M(canonical_family(*case), grid30)
     assert 1 <= gs.polish_steps <= 8
+
+
+@pytest.mark.parametrize("case, n", [(c, 3000) for c in GROUND_CASES]
+                         + [((1.0, 5.5, 0.0), 750), ((1.0, 2.5, 0.0), 750)])
+def test_polish_is_bitwise_the_reference(case, n, monkeypatch):
+    # a trial whose constraint residual alone reaches the base fails without
+    # its field residual, and every accepted step is the reference's; q=5.5
+    # at n=750 runs into the step cap and skips 352 of its 851 trials
+    nl = canonical_family(*case)
+    u, theta, _, _ = limit_solver._ladder(nl, make_grid(30.0, n))
+    fields = {limit_solver: [], oracles: []}
+    for mod, calls in fields.items():
+        monkeypatch.setattr(mod, "laplacian_apply",
+                            lambda v, calls=calls: calls.append(1) or laplacian_apply(v))
+    got, steps = limit_solver._newton_polish(u, theta, nl, tol=1e-8)
+    want, want_steps = reference_newton_polish(u, theta, nl, tol=1e-8)
+    assert np.array_equal(got.values, want.values)
+    assert steps == want_steps
+    if case == (1.0, 5.5, 0.0):
+        assert steps == limit_solver._POLISH_MAX_STEPS
+        assert len(fields[limit_solver]) < len(fields[oracles])
 
 
 def test_polish_pairs_each_residual_once(nl_cubic, monkeypatch):
