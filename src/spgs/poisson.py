@@ -37,14 +37,14 @@ def newton_potential(grid: RadialGrid, rho: np.ndarray) -> np.ndarray:
     is replaced by its limit.
     """
     r = grid.nodes
-    a = grid.weights * rho / (4.0 * np.pi)  # W_j rho_j / 4pi
+    a = grid.weights * rho
+    a /= 4.0 * np.pi  # W_j rho_j / 4pi
 
-    interior = np.cumsum(a) - a  # sum over j < i
-    over_r = a / np.where(r > 0, r, np.inf)
-    exterior = (np.cumsum(over_r[::-1]))[::-1]  # sum over j >= i of a_j / r_j
-    pot = np.empty_like(a)
-    pot[1:] = interior[1:] / r[1:] + exterior[1:]
-    pot[0] = exterior[0]
+    pot = np.cumsum(a)
+    pot -= a  # sum over j < i, +0.0 at r = 0
+    pot[1:] /= r[1:]
+    over_r = np.divide(a, r, out=np.zeros_like(a), where=r > 0)
+    pot += np.cumsum(over_r[::-1])[::-1]  # sum over j >= i of a_j / r_j
     return pot
 
 

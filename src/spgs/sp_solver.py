@@ -7,9 +7,10 @@ recording residual-certified diagnostics at every accepted point.  Each
 Newton step costs O(n) per Krylov vector: GMRES on the Jacobian
 preconditioned by its local tridiagonal part, whose nonlocal remainder is
 one Newton-potential prefix sum.  The branch is anchored at lam = 0 by the
-discrete limit solution omega_0 and its first-order correction v_1
-(u_lam = omega_0 + lam^2 v_1 + O(lam^4)), and each point starts from the
-Hermite interpolant in lam^2 through that anchor and the points before it.
+discrete limit solution omega_0 and its lam^2 and lam^4 coefficients v_1 and
+v_2 (u_lam = omega_0 + lam^2 v_1 + lam^4 v_2 + O(lam^6)), and each point
+starts from the Hermite interpolant in lam^2 through that anchor and the
+points before it.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .grid import (  # noqa: F401
     solve_lu,
 )
 from .limit_solver import LimitGroundState, SolverFailure
-from .nonlinearity import Nonlinearity
+from .nonlinearity import Nonlinearity, _fd_derivative
 from .poisson import newton_potential
 
 
@@ -305,13 +306,14 @@ def continuation(nl: Nonlinearity, lambda_schedule, ground: LimitGroundState,
     """Branch following along a strictly decreasing lam schedule.
 
     The branch is anchored at lam = 0 first (_anchor): omega_0 is the
-    discrete solution at lam = 0 solved from omega, and v_1 its first-order
-    correction, u_lam = omega_0 + lam^2 v_1 + O(lam^4).  Every point starts
-    from the Hermite interpolant in lam^2 with a double node at 0 (value
-    omega_0, slope v_1) and the last three accepted points, clipped at 0: it
-    costs one weighted sum of at most five fields and no solve.  Each
-    point's h1_dist_to_omega is its H^1 distance to omega_0, which falls
-    like lam^2 |v_1|_H1.
+    discrete solution at lam = 0 solved from omega, and v_1 and v_2 its lam^2
+    and lam^4 coefficients, u_lam = omega_0 + lam^2 v_1 + lam^4 v_2
+    + O(lam^6).  Every point starts from the Hermite interpolant in lam^2
+    with a triple node at 0 (value omega_0, slope v_1, half second
+    derivative v_2) and the last three accepted points, clipped at 0: it
+    costs one weighted sum of at most six fields and no solve.  Each point's
+    h1_dist_to_omega is its H^1 distance to omega_0, which falls like
+    lam^2 |v_1|_H1.
 
     The scaling terms of omega are computed once, at lam = 1: A, B and C do
     not depend on lam and K(lam) = lam^2 K(1), so b_ref and every D_lam come
@@ -328,28 +330,36 @@ def continuation(nl: Nonlinearity, lambda_schedule, ground: LimitGroundState,
     omega = ground.omega
     terms = scaling_terms(omega, nl, 1.0)
     t0 = find_t0(omega, nl)
-    omega0, v1, K1 = _anchor(omega, nl, opts)
+    omega0, v1, v2, K1 = _anchor(omega, nl, opts)
     branch = SolutionBranch(points=[], b_ref=terms.I_value, K1=K1)
 
     for lam in schedule:
-        point = solve_at_lambda(_predict(omega0, v1, branch.points[-3:], lam), nl, lam, opts)
+        point = solve_at_lambda(_predict(omega0, v1, v2, branch.points[-3:], lam), nl, lam, opts)
         point.h1_dist_to_omega = math.sqrt(h1_norm_sq(point.u - omega0))
         point.D_lambda = _path_max(replace(terms, K=lam**2 * terms.K), t0)
         branch.points.append(point)
     return branch
 
 
-def _anchor(omega: RadialFunction, nl: Nonlinearity,
-            opts: SolverOptions | None) -> tuple[RadialFunction, np.ndarray, float]:
-    """The lam = 0 solution omega_0, the lam^2 derivative v_1 of the branch
-    there, and K_1 = (1/4) int phi_1[omega_0] omega_0^2.
+def _anchor(omega: RadialFunction, nl: Nonlinearity, opts: SolverOptions | None
+            ) -> tuple[RadialFunction, np.ndarray, np.ndarray, float]:
+    """The lam = 0 solution omega_0, the lam^2 and lam^4 coefficients v_1 and
+    v_2 of the branch there, and K_1 = (1/4) int phi_1[omega_0] omega_0^2.
 
     With eps = lam^2 the equation reads -Delta u + u + eps phi_1[u] u = f(u),
-    phi_1[u] = Newton[u^2], so L v_1 = -phi_1[omega_0] omega_0 with
-    L = -Delta + 1 - f'(omega_0): one tridiagonal solve.  L is invertible on
-    radial fields when omega_0 is nondegenerate; a singular factor raises
-    NonConvergence at lam = 0.  The first variation of the energy vanishes
-    at omega_0, so Gamma_lam = b + lam^2 K_1 + O(lam^4) needs no v_1.
+    phi_1[u] = Newton[u^2].  Inserting u = omega_0 + eps v_1 + eps^2 v_2 and
+    matching the powers of eps gives, with L = -Delta + 1 - f'(omega_0),
+
+        L v_1 = -phi_1[omega_0] omega_0,
+        L v_2 = (1/2) f''(omega_0) v_1^2 - phi_1[omega_0] v_1
+                - 2 Newton[omega_0 v_1] omega_0,
+
+    two back-solves of one tridiagonal factor.  f'' is the centred difference
+    of nl.fprime (_fd_derivative), finite also for q < 3, where the closed
+    form is unbounded at 0.  L is invertible on radial fields when omega_0 is
+    nondegenerate; a singular factor raises NonConvergence at lam = 0.  The
+    first variation of the energy vanishes at omega_0, so
+    Gamma_lam = b + lam^2 K_1 + O(lam^4) needs no v_1.
     """
     omega0 = solve_at_lambda(omega, nl, 0.0, opts).u
     grid = omega0.grid
@@ -361,24 +371,28 @@ def _anchor(omega: RadialFunction, nl: Nonlinearity,
         raise NonConvergence("the linearization at the lam=0 solution is singular",
                              lam=0.0) from exc
     v1 = solve_lu(lu, -phi1 * w)
-    return omega0, v1, 0.25 * integrate_values(grid, phi1 * w**2)
+    half_f2 = 0.5 * _fd_derivative(nl.fprime)(w)
+    v2 = solve_lu(lu, half_f2 * v1**2 - phi1 * v1 - 2.0 * newton_potential(grid, w * v1) * w)
+    return omega0, v1, v2, 0.25 * integrate_values(grid, phi1 * w**2)
 
 
-def _predict(omega0: RadialFunction, v1: np.ndarray, points: list[BranchPoint],
-             lam: float) -> RadialFunction:
+def _predict(omega0: RadialFunction, v1: np.ndarray, v2: np.ndarray,
+             points: list[BranchPoint], lam: float) -> RadialFunction:
     """Hermite interpolant in s = lam^2 at lam, clipped at 0, through omega0
-    with slope v1 at s = 0 and the points' fields at s_j = lam_j^2 > 0.
+    with slope v1 and half second derivative v2 at s = 0 (a triple node) and
+    the points' fields at s_j = lam_j^2 > 0.
 
-    It is omega0 + s v1 + s^2 sum_j l_j(s) (u_j - omega0 - s_j v1) / s_j^2
-    with the Lagrange basis l_j on the s_j, so it is one weighted sum of the
-    fields with scalar weights c_j = (s / s_j)^2 l_j(s) on the u_j.
+    It is omega0 + s v1 + s^2 v2 + s^3 sum_j l_j(s) (u_j - omega0 - s_j v1
+    - s_j^2 v2) / s_j^3 with the Lagrange basis l_j on the s_j, so it is one
+    weighted sum of the fields with scalar weights c_j = (s / s_j)^3 l_j(s)
+    on the u_j and s^k - sum_j c_j s_j^k on omega0, v1 and v2 (k = 0, 1, 2).
     """
     s = lam**2
     nodes = [p.lam**2 for p in points]
-    c = [(s / sj) ** 2 * math.prod((s - si) / (sj - si) for i, si in enumerate(nodes) if i != j)
+    c = [(s / sj) ** 3 * math.prod((s - si) / (sj - si) for i, si in enumerate(nodes) if i != j)
          for j, sj in enumerate(nodes)]
-    weights = [1.0 - sum(c), s - sum(cj * sj for cj, sj in zip(c, nodes)), *c]
-    fields = [omega0.values, v1, *(p.u.values for p in points)]
+    weights = [s**k - sum(cj * sj**k for cj, sj in zip(c, nodes)) for k in range(3)] + c
+    fields = [omega0.values, v1, v2, *(p.u.values for p in points)]
     vals = np.maximum(sum(wt * f for wt, f in zip(weights, fields)), 0.0)
     vals[-1] = 0.0
     return RadialFunction(omega0.grid, vals)

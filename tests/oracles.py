@@ -64,6 +64,21 @@ def dense_newton_oracle(grid, rho: np.ndarray) -> np.ndarray:
     return kernel @ (grid.weights * rho / (4.0 * np.pi))
 
 
+def reference_newton_potential(grid, rho: np.ndarray) -> np.ndarray:
+    """The prefix-sum Newton potential as it was written before its passes
+    were fused; poisson.newton_potential must equal it bit for bit."""
+    r = grid.nodes
+    a = grid.weights * rho / (4.0 * np.pi)  # W_j rho_j / 4pi
+
+    interior = np.cumsum(a) - a  # sum over j < i
+    over_r = a / np.where(r > 0, r, np.inf)
+    exterior = (np.cumsum(over_r[::-1]))[::-1]  # sum over j >= i of a_j / r_j
+    pot = np.empty_like(a)
+    pot[1:] = interior[1:] / r[1:] + exterior[1:]
+    pot[0] = exterior[0]
+    return pot
+
+
 def dense_phi_oracle(u: RadialFunction, lam: float) -> np.ndarray:
     """O(n^2) dense-kernel evaluation of the Newton potential of lam u^2."""
     return lam * dense_newton_oracle(u.grid, u.values**2)

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from oracles import dense_newton_oracle, dense_phi_oracle
-from spgs import RadialFunction, solve_phi
+from oracles import dense_newton_oracle, dense_phi_oracle, reference_newton_potential
+from spgs import RadialFunction, make_grid, solve_phi
 from spgs.checks import gaussian_poisson_errors
 from spgs.grid import integrate_values
 from spgs.poisson import coupling_scaling_check, newton_potential
@@ -56,6 +56,32 @@ def test_newton_potential_of_a_signed_density(grid12, gaussian12):
     pot = newton_potential(grid12, rho)
     dense = dense_newton_oracle(grid12, rho)
     assert np.max(np.abs(dense - pot)) <= 1e-13 * np.max(np.abs(dense))
+
+
+@pytest.mark.parametrize("n", [16, 100, 750, 3000, 12000])
+def test_newton_potential_is_bitwise_the_reference(n):
+    # the fused passes do the same floating-point operations in the same
+    # order: equal bit for bit, the sign of zero included, on random signed
+    # densities, some with runs of +0.0 and -0.0 in their tails
+    rng = np.random.default_rng(n)
+    for R in (12.0, 30.0, 40.0):
+        grid = make_grid(R, n)
+        for k in range(20):
+            rho = rng.standard_normal(n) * np.exp(-rng.uniform(0.0, 3.0) * grid.nodes)
+            if k % 2:
+                rho[rng.integers(1, n) :] = rng.choice([0.0, -0.0])
+            pot = newton_potential(grid, rho)
+            assert pot.tobytes() == reference_newton_potential(grid, rho).tobytes()
+
+
+def test_newton_potential_of_a_zero_density_is_plus_zero():
+    # the only densities where the reference differs: -0.0 at every r > 0 and
+    # a set sign bit at r = 0 gave -0.0 at r = 0; both are the zero potential
+    grid = make_grid(30.0, 100)
+    for rho in (np.zeros(100), -np.zeros(100), np.r_[-1.0, -np.zeros(99)]):
+        pot = newton_potential(grid, rho)
+        assert np.array_equal(pot, reference_newton_potential(grid, rho))
+        assert not np.signbit(pot).any()
 
 
 def test_dirichlet_energy_identity(gaussian12):

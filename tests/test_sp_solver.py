@@ -345,31 +345,72 @@ def test_predictor_branch_matches_warm_started_solves(monkeypatch):
         u_warm = ref.u
     total = sum(pt.iterations for pt in solves)
     assert total < warm_iterations
-    # a start from omega with the extrapolation through the last three points
-    # alone, no anchor, takes 35 Newton steps here
-    assert total < 35
+    # measured 17; the first-order start (no v_2, a double node at 0) takes
+    # 22 here, and a start through the last three points alone, no anchor, 35
+    assert total <= 17
 
 
 @pytest.fixture(scope="module")
-def branch_q4(ground_cubic, nl_cubic):
-    branch = continuation(nl_cubic, (0.1, 0.03, 0.01), ground_cubic)
-    return branch, _anchor(ground_cubic.omega, nl_cubic, None)
+def anchor_q4(ground_cubic, nl_cubic):
+    return _anchor(ground_cubic.omega, nl_cubic, None)
+
+
+@pytest.fixture(scope="module")
+def branch_q4(ground_cubic, nl_cubic, anchor_q4):
+    return continuation(nl_cubic, (0.1, 0.03, 0.01), ground_cubic), anchor_q4
 
 
 def test_anchor_slope_is_the_lambda_squared_derivative(branch_q4):
     # u_lam = omega_0 + lam^2 v_1 + O(lam^4): the remainder over lam^4 levels
     # off (measured 3.38, 3.39, 3.39 at mu=1, q=4, n=3000)
-    branch, (omega0, v1, _) = branch_q4
+    branch, (omega0, v1, _, _) = branch_q4
     ratios = [math.sqrt(h1_norm_sq(RadialFunction(omega0.grid, pt.u.values - omega0.values
                                                   - pt.lam**2 * v1))) / pt.lam**4
               for pt in branch.points]
     assert all(ratios[0] / 1.5 <= r <= 1.5 * ratios[0] for r in ratios)
 
 
+def test_anchor_v2_is_the_lambda_fourth_coefficient(branch, anchor_q4, nl_cubic):
+    # u_lam = omega_0 + lam^2 v_1 + lam^4 v_2 + O(lam^6) at mu=1, q=4, n=3000:
+    # the lam^4 remainder r_4 tends to |v_2|_H1 = 3.3924 (3.3923 at lam =
+    # 0.01), and the lam^6 remainder r_6 levels off at 2.49.  The points are
+    # polished to a residual of 1e-13, so that r_6 at lam = 0.01, a field of
+    # size 2.5e-12, is the branch's and not the predictor's
+    omega0, v1, v2, _ = anchor_q4
+    grid = omega0.grid
+
+    def h1(vals):
+        return math.sqrt(h1_norm_sq(RadialFunction(grid, vals)))
+
+    v2_norm = h1(v2)
+    assert abs(v2_norm - 3.3924) <= 1e-4
+    assert [pt.lam for pt in branch.points[:5]] == [0.2, 0.1, 0.05, 0.02, 0.01]
+    r4, r6 = [], []
+    for pt in branch.points[:5]:
+        u = solve_at_lambda(pt.u, nl_cubic, pt.lam, SolverOptions(tol=1e-13)).u
+        rest = u.values - omega0.values - pt.lam**2 * v1
+        r4.append(h1(rest) / pt.lam**4)
+        r6.append(h1(rest - pt.lam**4 * v2) / pt.lam**6)
+    assert abs(r4[-1] - v2_norm) <= 1e-3 * v2_norm
+    # measured 2.431, 2.474, 2.485, 2.488, 2.489
+    assert all(abs(r - 2.47) <= 0.05 for r in r6)
+    assert all(a < b + 1e-3 for a, b in zip(r6, r6[1:]))
+
+
+@pytest.mark.parametrize("q", [2.2, 2.5])
+def test_anchor_v2_is_finite_below_q3(q):
+    # f''(s) ~ s^(q-3) is unbounded at 0 for q < 3; the centred difference of
+    # f' is finite at every node (a RuntimeWarning is an error here)
+    nl = canonical_family(1.0, q, 0.0)
+    omega0, v1, v2, K1 = _anchor(minimize_on_M(nl, make_grid(30.0, 750)).omega, nl, None)
+    assert np.isfinite(v1).all() and np.isfinite(v2).all() and math.isfinite(K1)
+    assert np.max(np.abs(v2)) > 0.0
+
+
 def test_K1_is_the_lambda_squared_coefficient_of_the_energy(branch_q4, nl_cubic):
     # Gamma_lam = I(omega_0) + lam^2 K1 + O(lam^4): the gap of the difference
     # quotient falls like lam^2, about 11x from lam = 0.1 to 0.03
-    branch, (omega0, _, K1) = branch_q4
+    branch, (omega0, _, _, K1) = branch_q4
     assert branch.K1 == K1
     assert asymptotics_report(branch, nl_cubic).K1 == K1
     b0 = energy(omega0, nl_cubic, 0.0).I_value
