@@ -113,6 +113,8 @@ def validate(cfg: RunConfig) -> RunConfig:
         raise ConfigError("schedule entries must be nonnegative")
     if any(b >= a for a, b in zip(cfg.lambdas, cfg.lambdas[1:])):
         raise ConfigError("schedule must be strictly decreasing")
+    if cfg.seed < 0:
+        raise ConfigError(f"output seed = {cfg.seed} must be nonnegative")
     return cfg
 
 

@@ -282,6 +282,40 @@ def test_verify_failure_exits_4(tmp_path, capsys, monkeypatch):
     assert report["passed"] is False
 
 
+def test_negative_seed_exits_2_before_any_check(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("SPGS_OUTPUT_SEED", "-1")
+    code = main(["--output", str(tmp_path / "out"), "verify"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "output seed = -1 must be nonnegative" in captured.err
+    assert "[PASS]" not in captured.out
+    assert not (tmp_path / "out" / "verify.json").exists()
+
+
+def test_verify_is_reproducible_for_one_seed(tmp_path):
+    cfg = write_cfg(tmp_path, "[output]\nseed = 3\n")
+    written = []
+    for run in ("a", "b"):
+        assert main(["--config", str(cfg), "--output", str(tmp_path / run), "verify"]) == 0
+        written.append((tmp_path / run / "verify.json").read_bytes())
+    assert written[0] == written[1]
+
+
+def test_verify_loads_no_numpy_random_or_polynomial(tmp_path):
+    # the checks draw from the standard library's Mersenne Twister, and the
+    # identity nonlinearity comes with its F, so no Gauss-Legendre rule is built
+    code = ("import sys; from spgs.cli import main; "
+            "rc = main(['--output', sys.argv[1], 'verify']); "
+            "print(rc, sorted(m for m in sys.modules "
+            "if m.startswith(('numpy.random', 'numpy.polynomial'))))")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    run = subprocess.run([sys.executable, "-c", code, str(tmp_path / "out")],
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "0 []"
+
+
 def test_projection_overflow_is_solver_failure(tmp_path, capsys):
     # the initial projection asks for a dilation by 3e35
     cfg = write_cfg(tmp_path, "[nonlinearity]\nmu = 20.0\nq = 2.2\ncritical_weight = 1.0\n"

@@ -135,6 +135,15 @@ def test_env_override_validated():
         apply_env_overrides(RunConfig(), environ={"SPGS_NONLINEARITY_Q": "9.0"})
 
 
+def test_negative_seed_is_rejected():
+    # the checks' Mersenne Twister would seed from |seed| and alias -1 to 1
+    with pytest.raises(ConfigError, match="output seed = -1 must be nonnegative"):
+        parse_config("[output]\nseed = -1\n")
+    with pytest.raises(ConfigError, match="output seed = -3"):
+        apply_env_overrides(RunConfig(), environ={"SPGS_OUTPUT_SEED": "-3"})
+    assert parse_config("[output]\nseed = 0\n").seed == 0
+
+
 try:
     from hypothesis import given, settings
     from hypothesis import strategies as st

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -30,7 +32,7 @@ def test_energy_rejects_negative_lam(grid30, nl_cubic):
 
 def test_gradient_residual_is_energy_derivative(grid30, nl_cubic):
     # the registry's finite-difference loop on its own samples, at lam 0 and 0.2
-    assert gradient_fd_gap(grid30, nl_cubic, np.random.default_rng(7),
+    assert gradient_fd_gap(grid30, nl_cubic, random.Random(7),
                            trials=4, lams=(0.0, 0.2)) <= 1e-5
 
 
