@@ -19,6 +19,7 @@ from .grid import (
 )
 from .limit_solver import (
     LimitGroundState,
+    limit_ground_state,
     minimize_on_M,
     mountain_pass_b,
     shoot_ground_state,
@@ -69,6 +70,7 @@ __all__ = [
     "grad_norm_sq",
     "gradient_residual",
     "h1_norm_sq",
+    "limit_ground_state",
     "make_grid",
     "minimize_on_M",
     "mountain_pass_b",

@@ -20,8 +20,7 @@ from .config import RunConfig
 from .constants import SOBOLEV_S_CLOSED_FORM, best_Cq, compactness_threshold, mu_threshold
 from .functionals import V_value, energy, gradient_residual, scaling_terms
 from .grid import RadialFunction, integrate_values, make_grid, norm_lq
-from .limit_solver import (InitializationFailure, LimitGroundState, SolverFailure, Stagnation,
-                           minimize_on_M)
+from .limit_solver import LimitGroundState, SolverFailure, limit_ground_state
 from .nonlinearity import check_hypotheses, user_nonlinearity
 from .poisson import coupling_scaling_check, dirichlet_energy_direct, solve_phi
 from .sp_solver import solve_at_lambda
@@ -54,7 +53,7 @@ def gaussian_poisson_errors(n: int) -> dict[str, float]:
     }
 
 
-class RegimeFailure(Stagnation):
+class RegimeFailure(SolverFailure):
     """The limit solve failed where the existence theory gives no guarantee:
     a critical term with mu below the sufficient threshold mu*(q)."""
 
@@ -65,16 +64,17 @@ class CompactnessFailure(SolverFailure):
 
 
 def ground_state(cfg: RunConfig, nl, grid) -> LimitGroundState:
-    """Limit ground state of nl on grid at the polish tolerance cfg.flow_tol().
+    """Limit ground state of nl on grid, the shot's (limit_ground_state).
 
-    A failed solve with a critical term and mu below mu*(q) raises a
-    RegimeFailure chained from the solver's error; the threshold needs a
-    best_Cq solve, so only the failure path computes it.  A state with
-    b >= c* raises CompactnessFailure.
+    A failed solve (any SolverFailure: BracketFailure, NonConvergence,
+    PositivityLoss or ResolutionFailure) with a critical term and mu below
+    mu*(q) raises a RegimeFailure chained from the solver's error; the
+    threshold needs a best_Cq solve, so only the failure path computes it.
+    A state with b >= c* raises CompactnessFailure.
     """
     try:
-        ground = minimize_on_M(nl, grid, cfg.flow_tol())
-    except (Stagnation, InitializationFailure) as exc:
+        ground = limit_ground_state(nl, grid)
+    except SolverFailure as exc:
         if cfg.critical_weight > 0:
             mu_star = mu_threshold(cfg.q, SOBOLEV_S_CLOSED_FORM, best_Cq(cfg.q, grid))
             if cfg.mu < mu_star:
@@ -96,7 +96,7 @@ class Context:
     """What the checks share, built lazily from one RunConfig.
 
     Each piece is computed on first use and kept, so a run of every check
-    does one constrained flow and one coupled solve.
+    does one shot and one coupled solve.
     """
 
     def __init__(self, cfg: RunConfig):

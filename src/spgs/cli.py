@@ -69,12 +69,14 @@ def cmd_solve_limit(cfg: RunConfig, outdir: Path) -> dict:
     ground = ground_state(cfg, nl, grid)
     poh = functionals.pohozaev_P(ground.omega, nl)
     summary = {
-        "M": _num(ground.M_value, "computed (constrained flow)"),
+        "M": _num(ground.M_value, "computed (shot omega_0 dilated onto V = 1)"),
         "p": _num(ground.p_value, "derived (dilation identity from M, V)"),
-        "b": _num(ground.b_value, "computed (dilation-path maximum)"),
-        "t0_dilation": _num(ground.t0_dilation, "computed"),
+        "b": _num(ground.b_value, "computed (shot omega_0, dilation-path maximum)"),
+        "t0_dilation": _num(ground.t0_dilation, "computed (shot omega_0, V^(1/3))"),
         "t_star": _num(ground.t_star, "certificate (path maximizer)"),
         "pohozaev_residual": _num(poh, "certificate"),
+        "residual": _num(ground.residual,
+                         "certificate (dual norm of the lambda = 0 residual of omega_0)"),
         "grid": {"R": _num(cfg.R, "config"), "n": _num(cfg.n, "config")},
     }
     _write_json(outdir / "solve_limit.json", summary)
@@ -138,13 +140,18 @@ def cmd_sweep_lambda(cfg: RunConfig, outdir: Path) -> dict:
     return summary
 
 
+_CQ_METHODS = {
+    "shot": "computed (quotient of the shot omega_0)",
+    "flow": "computed (quotient of the constrained flow's omega; the shot failed)",
+}
+
+
 def cmd_constants(cfg: RunConfig, outdir: Path, q_list: list[float]) -> dict:
     grid = make_grid(cfg.R, cfg.n)
     report = constants_mod.constants_report(grid, q_list, cfg.flow_tol())
     summary = {
         "S": _num(report.S, "computed (quotient descent from a bubble)"),
-        "Cq": {str(q): _num(v, "computed (quotient of the ground state)")
-               for q, v in report.Cq.items()},
+        "Cq": {str(q): _num(v, _CQ_METHODS[report.Cq_routes[q]]) for q, v in report.Cq.items()},
         "mu_threshold": {str(q): _num(v, "derived (plug-in from closed-form S, computed Cq)")
                          for q, v in report.mu_thresholds.items()},
     }

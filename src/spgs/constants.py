@@ -6,7 +6,9 @@ quotient descent from a bubble of width 4h.  The known closed form
 oracle for S, and the code reads it wherever S enters a bound (mu* in
 constants_report and checks.ground_state, the compactness threshold c*, the
 poisson.T_bound_battery check, the distance budget of asymptotics_report).
-C_q is the H^1-to-L^q Rayleigh quotient of the pure-power limit ground state.
+C_q is the H^1-to-L^q Rayleigh quotient of the pure-power limit ground state:
+the shot's omega_0 (limit_solver.limit_ground_state), and the constrained
+flow's omega (minimize_on_M) only where the shot fails.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .grid import (  # noqa: F401
     norm_lq,
     solve_riesz,
 )
-from .limit_solver import minimize_on_M
+from .limit_solver import SolverFailure, limit_ground_state, minimize_on_M
 from .nonlinearity import canonical_family
 
 SOBOLEV_S_CLOSED_FORM = 3.0 * math.pi * (math.sqrt(math.pi) / 4.0) ** (2.0 / 3.0)
@@ -39,6 +41,8 @@ class ConstantsReport:
     S: float
     Cq: dict[float, float] = field(default_factory=dict)
     mu_thresholds: dict[float, float] = field(default_factory=dict)
+    # the route of each C_q: "shot", or "flow" where the shot failed
+    Cq_routes: dict[float, str] = field(default_factory=dict)
 
 
 def _bubble(grid: RadialGrid, eps: float) -> RadialFunction:
@@ -97,15 +101,25 @@ def _quotient_hq(u: RadialFunction, q: float) -> float:
 def best_Cq(q: float, grid: RadialGrid, tol: float = 1e-8) -> float:
     """Best constant of the H^1 to L^q embedding, q in (2, 6).
 
-    The minimizer is the ground state w of -Delta w + w = w^(q-1), found by
-    minimize_on_M at flow tolerance tol; its Rayleigh quotient
-    |w|_H1^2 / |w|_q^2 is returned.  As the quotient of an actual field it is
-    an upper estimate of the discrete infimum.
+    The minimizer is the ground state w of -Delta w + w = w^(q-1): the
+    shot's omega_0 (limit_ground_state), or, if the shot raises a
+    SolverFailure, the omega of minimize_on_M at flow tolerance tol.  Its
+    Rayleigh quotient |w|_H1^2 / |w|_q^2 is returned.  As the quotient of an
+    actual field it is an upper estimate of the discrete infimum.
     """
+    return _best_Cq(q, grid, tol)[0]
+
+
+def _best_Cq(q: float, grid: RadialGrid, tol: float) -> tuple[float, str]:
+    """best_Cq and its route, "shot" or "flow"."""
     if not 2.0 < q < 6.0:
         raise ValueError(f"q must lie in (2, 6), got {q}")
-    ground = minimize_on_M(canonical_family(1.0, q, 0.0), grid, tol)
-    return float(_quotient_hq(ground.omega, q))
+    nl = canonical_family(1.0, q, 0.0)
+    try:
+        omega, route = limit_ground_state(nl, grid).omega, "shot"
+    except SolverFailure:
+        omega, route = minimize_on_M(nl, grid, tol).omega, "flow"
+    return float(_quotient_hq(omega, q)), route
 
 
 def mu_threshold(q: float, S: float, Cq: float) -> float:
@@ -130,7 +144,7 @@ def constants_report(grid: RadialGrid, q_values, tol: float = 1e-8) -> Constants
     closed-form S, as checks.ground_state does, so it has one value."""
     report = ConstantsReport(S=sobolev_S(grid))
     for q in q_values:
-        cq = best_Cq(float(q), grid, tol)
+        cq, report.Cq_routes[float(q)] = _best_Cq(float(q), grid, tol)
         report.Cq[float(q)] = cq
         report.mu_thresholds[float(q)] = mu_threshold(float(q), SOBOLEV_S_CLOSED_FORM, cq)
     return report

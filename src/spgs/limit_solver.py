@@ -1,16 +1,17 @@
 """Ground states of the uncoupled limit problem -Delta u + u = f(u).
 
-Two independent routes to the ground state of the grid equation
--Delta_h u + u = f(u): a dilation-projected constrained flow on the set
-{int G(u) = 1} (the method of record), and shooting on the recurrence of the
+Two independent routes to the ground state omega_0 of the grid equation
+-Delta_h u + u = f(u).  The method of record (limit_ground_state) shoots the
 grid equation itself (scan, graft, and a Newton solve that sets the
-amplitude), a cross-check oracle.  Both reach the same discrete omega_0, so
-the flow is checked to Newton tolerance.  Both run on a ladder of 4x coarser
-grids (nested iteration): the flow hands its state on from the coarsest
-level, and the shot scans only there and Newton-solves once per finer level.
-The flow output is rescaled onto the Pohozaev manifold by the
-Coleman-Glazer-Martin dilation, which also yields the least-energy and
-mountain-pass levels and their interrelations.
+amplitude), so omega_0 carries its lam = 0 residual as its certificate.  The
+second route (minimize_on_M) is a dilation-projected constrained flow on the
+set {int G(u) = 1}, rescaled onto the Pohozaev manifold by the
+Coleman-Glazer-Martin dilation; it solves a neighbouring discrete problem,
+so its level agrees with the shot's to the discretization error.  Both run
+on a ladder of 4x coarser grids (nested iteration): the flow hands its state
+on from the coarsest level, and the shot scans only there and Newton-solves
+once per finer level.  The least-energy and mountain-pass levels and their
+interrelations follow from the scaling terms of either state.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functionals import T0_value, V_value, scaling_terms
+from .functionals import ScalingTerms, T0_value, V_value, gradient_residual, scaling_terms
 from .grid import (
     RadialFunction,
     RadialGrid,
@@ -97,6 +98,11 @@ class BracketFailure(SolverFailure):
     """The amplitude scan of shooting found no undershoot/overshoot transition."""
 
 
+class ResolutionFailure(SolverFailure):
+    """The shot solved the grid equation, but to a grid bubble: a core that
+    the grid does not resolve, told by its Pohozaev defect |A - 6V| / A."""
+
+
 @dataclass
 class MountainPassResult:
     b: float
@@ -105,11 +111,18 @@ class MountainPassResult:
 
 @dataclass
 class LimitGroundState:
-    """The constrained minimizer u on {V = 1}, its Pohozaev rescaling omega
-    and their levels, with the cost of the solve: iterations counts the
-    accepted flow steps summed over the levels of the ladder, levels holds
-    the n of every grid whose flow ran, coarsest first ((n,) for one level),
-    and polish_steps the Newton steps on the finest grid."""
+    """A limit ground state omega, its dilation u onto {V = 1} (u = omega(. t0)
+    up to resampling) and their levels, with the cost and the certificate of
+    the route that computed it.  levels holds the n of every grid of the
+    route's ladder, coarsest first ((n,) for one level).
+
+    From the shot (limit_ground_state): residual is the dual norm of omega's
+    lam = 0 residual; no flow ran, so iterations and polish_steps are 0 and
+    pg_norm is NaN.  From the flow (minimize_on_M): iterations counts the
+    accepted flow steps summed over the levels, polish_steps the Newton steps
+    on the finest grid, and pg_norm the dual norm of u's projected gradient,
+    its certificate; residual is NaN.
+    """
 
     u: RadialFunction
     omega: RadialFunction
@@ -122,6 +135,7 @@ class LimitGroundState:
     pg_norm: float = 0.0
     polish_steps: int = 0
     levels: tuple[int, ...] = ()
+    residual: float = math.nan
 
 
 def _g_field(nl: Nonlinearity, values: np.ndarray) -> np.ndarray:
@@ -314,11 +328,19 @@ def _flow(u: RadialFunction, nl: Nonlinearity):
     return u, theta, steps
 
 
+def _ladder_sizes(n: int) -> tuple[int, ...]:
+    """The n of every level of nested iteration on a grid of n nodes,
+    coarsest first: below n comes (n - 1)//4 + 1 while that is at least
+    _LADDER_FLOOR."""
+    n_c = (n - 1) // 4 + 1
+    return (_ladder_sizes(n_c) if n_c >= _LADDER_FLOOR else ()) + (n,)
+
+
 def _coarse_grid(grid: RadialGrid) -> RadialGrid | None:
-    """The next level down of nested iteration: the grid of (n - 1)//4 + 1
-    nodes over the same R, or None if it has fewer than _LADDER_FLOOR."""
-    n_c = (grid.n - 1) // 4 + 1
-    return make_grid(grid.R, n_c) if n_c >= _LADDER_FLOOR else None
+    """The next level down of nested iteration (_ladder_sizes) over the same
+    R, or None if grid is the coarsest level."""
+    sizes = _ladder_sizes(grid.n)
+    return make_grid(grid.R, sizes[-2]) if len(sizes) > 1 else None
 
 
 def _ladder(nl: Nonlinearity, grid: RadialGrid):
@@ -383,7 +405,11 @@ def mountain_pass_b(omega: RadialFunction, nl: Nonlinearity) -> MountainPassResu
 
     For a converged ground state t* = 1 and b = (1/3) |grad omega|_2^2.
     """
-    terms = scaling_terms(omega, nl)
+    return _mountain_pass(scaling_terms(omega, nl))
+
+
+def _mountain_pass(terms: ScalingTerms) -> MountainPassResult:
+    """mountain_pass_b from the scaling terms of omega at lam = 0."""
     if not terms.V > 0:
         raise ValueError(f"no mountain-pass geometry: int G(omega) = {terms.V} <= 0")
     t_star = terms.peak()
@@ -572,3 +598,52 @@ def shoot_ground_state(nl: Nonlinearity, grid: RadialGrid) -> RadialFunction:
     PositivityLoss.
     """
     return _shoot(nl, grid)
+
+
+# limit_ground_state rejects a shot whose Pohozaev defect |A - 6V| / A
+# exceeds this.  A discrete solution that resolves its core meets A = 6V up
+# to O(h^2); a grid bubble, whose V is near 0 or negative, misses it by O(1).
+# Over mu in {0.25, 1, 5, 20}, q in {2.2, 2.5, 3, 4, 5, 5.5} and cw in
+# {0, 1}, the 157 converged shots on (R, n) = (30, 750), (30, 3000),
+# (30, 12000), (20, 750) and (40, 750) read -9.2e-5 to 3.7e-3 (mu=20, q=5,
+# cw=1 on R=40, n=750); with the cut rule of _FIRST_DROP off, the 41 bubbles
+# it hides on R=30 read at least 0.9992
+_RESOLUTION_DEFECT = 0.1
+
+
+def limit_ground_state(nl: Nonlinearity, grid: RadialGrid) -> LimitGroundState:
+    """The limit ground state of record: the shot's omega_0
+    (shoot_ground_state), a solution of the grid equation
+    -Delta_h u + u = f(u) to _SHOT_TOL, with its levels from one
+    scaling_terms call and no flow.
+
+    omega is omega_0 and residual the dual norm of its lam = 0 residual,
+    evaluated afresh on the returned field (at most _SHOT_TOL); b and t* are
+    the dilation-path maximum through omega_0 (mountain_pass_b);
+    u is omega_0 projected onto {V = 1} (project_to_M), M = A(u)/2 and
+    p = (2 sqrt 3 / 9) M^(3/2), the level of the constrained minimizer;
+    t0_dilation = V(omega_0)^(1/3), so that u = omega_0(. t0) up to
+    resampling.  A shot whose Pohozaev defect |A - 6V| / A exceeds
+    _RESOLUTION_DEFECT is a grid bubble and raises ResolutionFailure; a shot
+    that fails raises its failure (BracketFailure, NonConvergence or
+    PositivityLoss).
+    """
+    omega = shoot_ground_state(nl, grid)
+    terms = scaling_terms(omega, nl)
+    defect = abs(terms.A - 6.0 * terms.V) / terms.A
+    if not defect <= _RESOLUTION_DEFECT:
+        a = float(omega.values[0])
+        raise ResolutionFailure(
+            f"the shot is a grid bubble: omega(0) = {a:.4g} with core width "
+            f"1/sqrt(f'(omega(0))) = {1.0 / math.sqrt(float(nl.fprime(a))) / grid.h:.3g} h "
+            f"at h = {grid.h:.4g}, Pohozaev defect |A - 6V| / A = {defect:.3g} "
+            f"(above {_RESOLUTION_DEFECT:g})")
+    mp = _mountain_pass(terms)
+    u = project_to_M(omega, nl)
+    M = 0.5 * grad_norm_sq(u)
+    residual = dual_norm(grid, gradient_residual(omega, nl, 0.0)[0].values)
+    return LimitGroundState(
+        u=u, omega=omega, M_value=M, p_value=2.0 * math.sqrt(3.0) / 9.0 * M**1.5,
+        b_value=mp.b, t0_dilation=terms.V ** (1.0 / 3.0), t_star=mp.t_star,
+        pg_norm=math.nan, levels=_ladder_sizes(grid.n), residual=residual,
+    )

@@ -8,6 +8,7 @@ from spgs import (
     canonical_family,
     checks,
     constants_report,
+    limit_ground_state,
     make_grid,
     minimize_on_M,
     mu_threshold,
@@ -16,7 +17,7 @@ from spgs import (
 )
 from spgs.config import RunConfig
 from spgs.constants import _quotient_hq
-from spgs.limit_solver import Stagnation
+from spgs.limit_solver import BracketFailure, Stagnation
 
 
 def test_closed_form_value():
@@ -32,24 +33,50 @@ def test_sobolev_S_close_to_closed_form(grid30):
     assert S >= SOBOLEV_S_CLOSED_FORM - 1e-10
 
 
-def test_best_Cq_matches_ground_state_identity(grid30, ground_cubic):
+def test_best_Cq_matches_ground_state_identity(grid30, nl_cubic):
     c4 = best_Cq(4.0, grid30)
+    omega = limit_ground_state(nl_cubic, grid30).omega
     # the pure-power ground state attains the quotient: C_q = |w|_q^(q-2)
     # up to the discretization error
-    identity = norm_lq(ground_cubic.omega, 4.0) ** 2
+    identity = norm_lq(omega, 4.0) ** 2
     assert c4 == pytest.approx(identity, rel=1e-4)
-    # C_q is the quotient of that ground state itself
-    assert c4 == _quotient_hq(ground_cubic.omega, 4.0)
+    # C_q is the quotient of the shot's omega_0 itself
+    assert c4 == _quotient_hq(omega, 4.0)
 
 
 @pytest.mark.parametrize("q", [2.5, 3.0, 4.0])
 def test_best_Cq_is_the_quotient_of_its_ground_state(q, grid30):
     coarse_grid = make_grid(30.0, 750)
     coarse = best_Cq(q, coarse_grid)
-    omega = minimize_on_M(canonical_family(1.0, q, 0.0), coarse_grid).omega
+    omega = limit_ground_state(canonical_family(1.0, q, 0.0), coarse_grid).omega
     assert coarse == _quotient_hq(omega, q)
-    # |omega|_q^(q-2) in its place lies 1.5e-3 off at q=4
-    assert coarse == pytest.approx(best_Cq(q, grid30), rel=1e-5)
+    # the shot's C_q converges at second order in h: from n = 750 to 3000 to
+    # 12000 the gap falls by 16.0, 16.1 and 18.1 for q = 2.5, 3 and 4, and
+    # the n = 3000 value lies at most 7.7e-7 from the n = 12000 one
+    # (measured); |omega|_q^(q-2) in its place lies 1.5e-3 off at q=4
+    fine, finest = best_Cq(q, grid30), best_Cq(q, make_grid(30.0, 12000))
+    assert fine == pytest.approx(finest, rel=1e-6)
+    assert 12.0 <= (fine - coarse) / (finest - fine) <= 24.0
+
+
+@pytest.mark.parametrize("q", [2.5, 3.0, 4.0, 5.0])
+def test_best_Cq_is_at_most_the_flow_quotient(q):
+    # both are quotients of actual fields, so both bound the discrete
+    # infimum from above; the shot's is the tighter: measured -6.2e-7,
+    # -2.5e-6, -2.0e-5 and -7.0e-3 relative at n = 750
+    grid = make_grid(30.0, 750)
+    flow = _quotient_hq(minimize_on_M(canonical_family(1.0, q, 0.0), grid).omega, q)
+    assert best_Cq(q, grid) <= flow
+
+
+def test_best_Cq_falls_back_to_the_flow_where_the_shot_fails():
+    # the scan of q = 5.5 at n = 750 is cut from a = 7.086 (core 0.38 h)
+    grid = make_grid(30.0, 750)
+    nl = canonical_family(1.0, 5.5, 0.0)
+    with pytest.raises(BracketFailure):
+        limit_ground_state(nl, grid)
+    assert best_Cq(5.5, grid) == _quotient_hq(minimize_on_M(nl, grid).omega, 5.5)
+    assert constants_report(grid, [5.5]).Cq_routes == {5.5: "flow"}
 
 
 def test_best_Cq_rejects_bad_exponent(grid30):
@@ -97,14 +124,14 @@ def test_reported_mu_threshold_is_the_diagnosed_one(monkeypatch):
     grid = make_grid(30.0, 750)
     diagnosed = []
 
-    def stalled(nl, grid, tol):
+    def stalled(nl, grid):
         raise Stagnation("stalled")
 
     def recorded(*args):
         diagnosed.append(mu_threshold(*args))
         return diagnosed[-1]
 
-    monkeypatch.setattr(checks, "minimize_on_M", stalled)
+    monkeypatch.setattr(checks, "limit_ground_state", stalled)
     monkeypatch.setattr(checks, "mu_threshold", recorded)
     cfg = RunConfig(mu=100.0, q=4.0, critical_weight=1.0)
     with pytest.raises(Stagnation):

@@ -29,18 +29,20 @@ from spgs import (
     energy,
     grad_norm_sq,
     h1_norm_sq,
+    limit_ground_state,
     make_grid,
     minimize_on_M,
     mountain_pass_b,
     shoot_ground_state,
     solve_at_lambda,
 )
-from spgs import limit_solver
-from spgs.functionals import T0_value, V_value
-from spgs.grid import laplacian_apply, monotone_slopes
+from spgs import limit_solver, sp_solver
+from spgs.functionals import T0_value, V_value, gradient_residual, scaling_terms
+from spgs.grid import dual_norm, laplacian_apply, monotone_slopes
 from spgs.limit_solver import (
     BracketFailure,
     InitializationFailure,
+    ResolutionFailure,
     Stagnation,
     _auto_bracket,
     _classify_shot,
@@ -641,3 +643,62 @@ def test_coarse_grid_flow_certificate_is_not_vacuous():
     nl = canonical_family(1.0, 5.5, 0.0)
     with pytest.raises(Stagnation):
         minimize_on_M(nl, make_grid(30.0, 750))
+
+
+def test_limit_ground_state_is_the_shot(nl_cubic, grid30, shot_cubic, ground_cubic):
+    # the record is the shot's omega_0 with its levels, and runs no flow
+    gs = limit_ground_state(nl_cubic, grid30)
+    assert np.array_equal(gs.omega.values, shot_cubic.values)
+    assert gs.residual == dual_norm(grid30, gradient_residual(gs.omega, nl_cubic, 0.0)[0].values)
+    assert gs.residual <= limit_solver._SHOT_TOL
+    mp = mountain_pass_b(gs.omega, nl_cubic)
+    assert (gs.b_value, gs.t_star) == (mp.b, mp.t_star)
+    assert gs.t0_dilation == scaling_terms(gs.omega, nl_cubic).V ** (1.0 / 3.0)
+    assert abs(V_value(gs.u, nl_cubic) - 1.0) <= 1e-13
+    assert gs.M_value == 0.5 * grad_norm_sq(gs.u)
+    assert gs.p_value == pytest.approx(2.0 * math.sqrt(3.0) / 9.0 * gs.M_value**1.5, rel=1e-15)
+    assert gs.levels == (750, 3000)
+    assert gs.iterations == gs.polish_steps == 0 and math.isnan(gs.pg_norm)
+    # the flow's state solves a neighbouring problem: b 18.897220140 against
+    # 18.897224049 (measured)
+    assert gs.b_value == pytest.approx(ground_cubic.b_value, rel=1e-6)
+    assert math.isnan(ground_cubic.residual)
+
+
+def test_continuation_anchored_on_the_shot_takes_no_newton_step_at_zero(nl_cubic, grid30,
+                                                                        monkeypatch):
+    gs = limit_ground_state(nl_cubic, grid30)
+    solves = []
+    solve = sp_solver.solve_at_lambda
+
+    def recorded(u, nl, lam, opts=None):
+        point = solve(u, nl, lam, opts)
+        solves.append((lam, point.iterations))
+        return point
+
+    monkeypatch.setattr(sp_solver, "solve_at_lambda", recorded)
+    sp_solver.continuation(nl_cubic, [0.05], gs)
+    assert solves[0] == (0.0, 0)
+
+
+def test_grid_bubble_raises_resolution_failure(monkeypatch):
+    # with the cut rule off, the shot of mu=0.25, q=3, cw=1 at n=750
+    # converges to a grid bubble: its core spans 0.2 h, and A - 6V misses 0
+    # by 1.01 A (at least 0.9992 A on every bubble the cut rule hides)
+    monkeypatch.setattr(limit_solver, "_FIRST_DROP", math.inf)
+    nl, grid = canonical_family(0.25, 3.0, 1.0), make_grid(30.0, 750)
+    bubble = shoot_ground_state(nl, grid)
+    terms = scaling_terms(bubble, nl)
+    assert abs(terms.A - 6.0 * terms.V) / terms.A > 0.9992
+    with pytest.raises(ResolutionFailure, match=(
+            r"omega\(0\) = 7\.432 with core width .* = 0\.202 h at h = 0\.04005, "
+            r"Pohozaev defect \|A - 6V\| / A = 1\.01 \(above 0\.1\)")):
+        limit_ground_state(nl, grid)
+
+
+@pytest.mark.parametrize("case", GROUND_CASES + [(20.0, 2.5, 0.0)])
+def test_resolved_shots_pass_the_resolution_guard(case, grid30):
+    # a resolved omega_0 meets A = 6V up to O(h^2), far below the guard
+    nl = canonical_family(*case)
+    terms = scaling_terms(limit_ground_state(nl, grid30).omega, nl)
+    assert abs(terms.A - 6.0 * terms.V) / terms.A <= 1e-3 * limit_solver._RESOLUTION_DEFECT
