@@ -20,7 +20,8 @@ from .config import RunConfig
 from .constants import SOBOLEV_S_CLOSED_FORM, best_Cq, compactness_threshold, mu_threshold
 from .functionals import V_value, energy, gradient_residual, scaling_terms
 from .grid import RadialFunction, integrate_values, make_grid, norm_lq
-from .limit_solver import LimitGroundState, SolverFailure, limit_ground_state
+from .limit_solver import (InitializationFailure, LimitGroundState, SolverFailure,
+                           limit_ground_state, project_to_M)
 from .nonlinearity import check_hypotheses, user_nonlinearity
 from .poisson import coupling_scaling_check, dirichlet_energy_direct, solve_phi
 from .sp_solver import solve_at_lambda
@@ -174,6 +175,16 @@ def _halved_kappa_accepted(ctx: Context) -> float:
     return float(check_hypotheses(halved)["growth_bound"].passed)
 
 
+def _constraint_on_M(ctx: Context) -> float:
+    """|V(u) - 1| of omega dilated onto {V = 1} (project_to_M), inf where
+    that dilation does not fit the ball: the failure of this check alone."""
+    try:
+        u = project_to_M(ctx.ground.omega, ctx.nl)
+    except InitializationFailure:
+        return math.inf
+    return abs(V_value(u, ctx.nl) - 1.0)
+
+
 def _pohozaev_on_arrival(ctx: Context) -> float:
     """|P(omega)| / |grad omega|^2 = |A - 6V| / A from one ScalingTerms."""
     terms = scaling_terms(ctx.ground.omega, ctx.nl)
@@ -239,8 +250,7 @@ CHECKS: tuple[Check, ...] = (
           _halved_kappa_accepted),
     Check("functionals.gradient_consistency", 1e-5, "max rel err over 20 samples",
           lambda c: gradient_fd_gap(c.grid, c.nl, c.rng())),
-    Check("limit.constraint_on_M", 1e-8, "|V - 1|",
-          lambda c: abs(V_value(c.ground.u, c.nl) - 1.0)),
+    Check("limit.constraint_on_M", 1e-8, "|V - 1|", _constraint_on_M),
     Check("limit.pohozaev_on_arrival", 1e-4, "|P| / |grad omega|^2", _pohozaev_on_arrival),
     Check("poisson.T_bound_battery", 1.0, "max coupling / bound over 20 samples",
           _interaction_bound),

@@ -69,7 +69,7 @@ def cmd_solve_limit(cfg: RunConfig, outdir: Path) -> dict:
     ground = ground_state(cfg, nl, grid)
     poh = functionals.pohozaev_P(ground.omega, nl)
     summary = {
-        "M": _num(ground.M_value, "computed (shot omega_0 dilated onto V = 1)"),
+        "M": _num(ground.M_value, "computed (shot omega_0, A / (2 V^(1/3)))"),
         "p": _num(ground.p_value, "derived (dilation identity from M, V)"),
         "b": _num(ground.b_value, "computed (shot omega_0, dilation-path maximum)"),
         "t0_dilation": _num(ground.t0_dilation, "computed (shot omega_0, V^(1/3))"),

@@ -113,18 +113,18 @@ class MountainPassResult:
 class LimitGroundState:
     """A limit ground state omega, its dilation u onto {V = 1} (u = omega(. t0)
     up to resampling) and their levels, with the cost and the certificate of
-    the route that computed it.  levels holds the n of every grid of the
-    route's ladder, coarsest first ((n,) for one level).
+    the route that computed it.  levels holds the n of every grid the route
+    ran on, coarsest first ((n,) for one level).
 
-    From the shot (limit_ground_state): residual is the dual norm of omega's
-    lam = 0 residual; no flow ran, so iterations and polish_steps are 0 and
-    pg_norm is NaN.  From the flow (minimize_on_M): iterations counts the
+    From the shot (limit_ground_state): u is None, residual is the dual norm
+    of omega's lam = 0 residual; no flow ran, so iterations and polish_steps
+    are 0 and pg_norm is NaN.  From the flow (minimize_on_M): iterations counts the
     accepted flow steps summed over the levels, polish_steps the Newton steps
     on the finest grid, and pg_norm the dual norm of u's projected gradient,
     its certificate; residual is NaN.
     """
 
-    u: RadialFunction
+    u: RadialFunction | None
     omega: RadialFunction
     M_value: float
     p_value: float
@@ -328,19 +328,11 @@ def _flow(u: RadialFunction, nl: Nonlinearity):
     return u, theta, steps
 
 
-def _ladder_sizes(n: int) -> tuple[int, ...]:
-    """The n of every level of nested iteration on a grid of n nodes,
-    coarsest first: below n comes (n - 1)//4 + 1 while that is at least
-    _LADDER_FLOOR."""
-    n_c = (n - 1) // 4 + 1
-    return (_ladder_sizes(n_c) if n_c >= _LADDER_FLOOR else ()) + (n,)
-
-
 def _coarse_grid(grid: RadialGrid) -> RadialGrid | None:
-    """The next level down of nested iteration (_ladder_sizes) over the same
-    R, or None if grid is the coarsest level."""
-    sizes = _ladder_sizes(grid.n)
-    return make_grid(grid.R, sizes[-2]) if len(sizes) > 1 else None
+    """The next level down of nested iteration: the grid of (n - 1)//4 + 1
+    nodes over the same R, or None if it has fewer than _LADDER_FLOOR."""
+    n_c = (grid.n - 1) // 4 + 1
+    return make_grid(grid.R, n_c) if n_c >= _LADDER_FLOOR else None
 
 
 def _ladder(nl: Nonlinearity, grid: RadialGrid):
@@ -567,18 +559,20 @@ def _scan_shot(nl: Nonlinearity, grid: RadialGrid) -> RadialFunction:
     return _shot_newton(RadialFunction(grid, vals), nl)
 
 
-def _shoot(nl: Nonlinearity, grid: RadialGrid) -> RadialFunction:
+def _shoot(nl: Nonlinearity, grid: RadialGrid) -> tuple[RadialFunction, tuple[int, ...]]:
     """The shot on grid by nested iteration: the shot on the coarser grid of
     _coarse_grid, prolonged by dilate and Newton-solved on grid, or grid's
     own scan (_scan_shot) if there is no coarser grid or that route raises a
-    SolverFailure."""
+    SolverFailure.  Returns the shot and the n of every level it ran on,
+    from the scanned level up."""
     coarse_grid = _coarse_grid(grid)
     if coarse_grid is not None:
         try:
-            return _shot_newton(dilate(_shoot(nl, coarse_grid), 1.0, onto=grid), nl)
+            coarse, levels = _shoot(nl, coarse_grid)
+            return _shot_newton(dilate(coarse, 1.0, onto=grid), nl), levels + (grid.n,)
         except SolverFailure:
             pass
-    return _scan_shot(nl, grid)
+    return _scan_shot(nl, grid), (grid.n,)
 
 
 def shoot_ground_state(nl: Nonlinearity, grid: RadialGrid) -> RadialFunction:
@@ -597,7 +591,7 @@ def shoot_ground_state(nl: Nonlinearity, grid: RadialGrid) -> RadialFunction:
     failure of the scan on grid: BracketFailure, NonConvergence or
     PositivityLoss.
     """
-    return _shoot(nl, grid)
+    return _shoot(nl, grid)[0]
 
 
 # limit_ground_state rejects a shot whose Pohozaev defect |A - 6V| / A
@@ -620,15 +614,17 @@ def limit_ground_state(nl: Nonlinearity, grid: RadialGrid) -> LimitGroundState:
     omega is omega_0 and residual the dual norm of its lam = 0 residual,
     evaluated afresh on the returned field (at most _SHOT_TOL); b and t* are
     the dilation-path maximum through omega_0 (mountain_pass_b);
-    u is omega_0 projected onto {V = 1} (project_to_M), M = A(u)/2 and
-    p = (2 sqrt 3 / 9) M^(3/2), the level of the constrained minimizer;
-    t0_dilation = V(omega_0)^(1/3), so that u = omega_0(. t0) up to
-    resampling.  A shot whose Pohozaev defect |A - 6V| / A exceeds
+    t0_dilation = V(omega_0)^(1/3), the dilation omega_0(. t0) onto {V = 1},
+    whose level is M = A(omega_0) / (2 t0), and p = (2 sqrt 3 / 9) M^(3/2),
+    the level of the constrained minimizer.  u is None: omega_0 dilated onto
+    {V = 1} is built only where it is measured (project_to_M), so a dilation
+    that does not fit the ball fails no solve.  levels are those the shot
+    ran on.  A shot whose Pohozaev defect |A - 6V| / A exceeds
     _RESOLUTION_DEFECT is a grid bubble and raises ResolutionFailure; a shot
     that fails raises its failure (BracketFailure, NonConvergence or
     PositivityLoss).
     """
-    omega = shoot_ground_state(nl, grid)
+    omega, levels = _shoot(nl, grid)
     terms = scaling_terms(omega, nl)
     defect = abs(terms.A - 6.0 * terms.V) / terms.A
     if not defect <= _RESOLUTION_DEFECT:
@@ -639,11 +635,11 @@ def limit_ground_state(nl: Nonlinearity, grid: RadialGrid) -> LimitGroundState:
             f"at h = {grid.h:.4g}, Pohozaev defect |A - 6V| / A = {defect:.3g} "
             f"(above {_RESOLUTION_DEFECT:g})")
     mp = _mountain_pass(terms)
-    u = project_to_M(omega, nl)
-    M = 0.5 * grad_norm_sq(u)
+    t0 = terms.V ** (1.0 / 3.0)
+    M = 0.5 * terms.A / t0
     residual = dual_norm(grid, gradient_residual(omega, nl, 0.0)[0].values)
     return LimitGroundState(
-        u=u, omega=omega, M_value=M, p_value=2.0 * math.sqrt(3.0) / 9.0 * M**1.5,
-        b_value=mp.b, t0_dilation=terms.V ** (1.0 / 3.0), t_star=mp.t_star,
-        pg_norm=math.nan, levels=_ladder_sizes(grid.n), residual=residual,
+        u=None, omega=omega, M_value=M, p_value=2.0 * math.sqrt(3.0) / 9.0 * M**1.5,
+        b_value=mp.b, t0_dilation=t0, t_star=mp.t_star,
+        pg_norm=math.nan, levels=levels, residual=residual,
     )

@@ -329,13 +329,27 @@ def test_verify_loads_no_numpy_random_or_polynomial(tmp_path):
     assert run.stdout.splitlines()[-1] == "0 []"
 
 
-def test_projection_overflow_is_solver_failure(tmp_path, capsys):
-    # the initial projection asks for a dilation by 3e35
+def test_projection_overflow_is_solver_failure(tmp_path):
+    # the flow's initial projection asks for a dilation by 3e35: a typed
+    # failure, not an OverflowError
+    nl, grid = canonical_family(20.0, 2.2, 1.0), make_grid(20.0, 750)
+    with pytest.raises(limit_solver.InitializationFailure,
+                       match="constraint projection diverged"):
+        limit_solver.minimize_on_M(nl, grid)
+    # the record dilates nothing, so solve-limit certifies the shot's omega_0
+    # (amplitude 1.4e-6), and verify fails the one check that dilates it
+    # onto {V = 1}, where it leaves the ball
     cfg = write_cfg(tmp_path, "[nonlinearity]\nmu = 20.0\nq = 2.2\ncritical_weight = 1.0\n"
                               "[grid]\nR = 20.0\nn = 750\n")
-    code = main(["--config", str(cfg), "--output", str(tmp_path / "out"), "solve-limit"])
-    assert code == 3
-    assert "constraint projection diverged" in capsys.readouterr().err
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--output", str(out), "solve-limit"]) == 0
+    summary = json.loads((out / "solve_limit.json").read_text())
+    assert summary["residual"]["value"] <= limit_solver._SHOT_TOL
+    assert main(["--config", str(cfg), "--output", str(out), "verify"]) == 4
+    checks_run = json.loads((out / "verify.json").read_text())["checks"]
+    constraint = next(c for c in checks_run if c["name"] == "limit.constraint_on_M")
+    assert constraint == {"name": "limit.constraint_on_M", "passed": False,
+                          "detail": "|V - 1| inf (tol 1e-08)"}
 
 
 def test_failure_below_mu_threshold_is_regime_failure(tmp_path, capsys):

@@ -45,15 +45,37 @@ def test_best_Cq_matches_ground_state_identity(grid30, nl_cubic):
 
 
 @pytest.mark.parametrize("q", [2.5, 3.0, 4.0])
-def test_best_Cq_is_the_quotient_of_its_ground_state(q, grid30):
+def test_best_Cq_is_the_quotient_of_its_ground_state(q):
     coarse_grid = make_grid(30.0, 750)
     coarse = best_Cq(q, coarse_grid)
     omega = limit_ground_state(canonical_family(1.0, q, 0.0), coarse_grid).omega
     assert coarse == _quotient_hq(omega, q)
-    # the shot's C_q converges at second order in h: from n = 750 to 3000 to
-    # 12000 the gap falls by 16.0, 16.1 and 18.1 for q = 2.5, 3 and 4, and
-    # the n = 3000 value lies at most 7.7e-7 from the n = 12000 one
-    # (measured); |omega|_q^(q-2) in its place lies 1.5e-3 off at q=4
+
+
+# the shot's omega_0 solves the grid equation, so its quotient is the
+# discrete value, and at n = 750 that lies O(h^2) below the limit; the flow's
+# quotient met this bound at q = 3 and 4 only by cancellation (at q = 4 its
+# n = 750 value lies 4.9e-6 above the extrapolated limit, its n = 3000 value
+# 9.3e-7 below)
+_COARSE_GAP = "the shot's C_q at n=750 lies {} below its n=3000 value (measured)"
+
+
+@pytest.mark.parametrize("q", [
+    2.5,
+    pytest.param(3.0, marks=pytest.mark.xfail(strict=True, reason=_COARSE_GAP.format("1.2e-5"))),
+    pytest.param(4.0, marks=pytest.mark.xfail(strict=True, reason=_COARSE_GAP.format("1.4e-5"))),
+])
+def test_best_Cq_on_the_coarse_grid_matches_the_fine_grid(q, grid30):
+    # |omega|_q^(q-2) in its place lies 1.5e-3 off at q=4
+    assert best_Cq(q, make_grid(30.0, 750)) == pytest.approx(best_Cq(q, grid30), rel=1e-5)
+
+
+@pytest.mark.parametrize("q", [2.5, 3.0, 4.0])
+def test_best_Cq_converges_at_second_order(q, grid30):
+    # from n = 750 to 3000 to 12000 the gap falls by 16.0, 16.1 and 18.1 for
+    # q = 2.5, 3 and 4, and the n = 3000 value lies at most 7.7e-7 from the
+    # n = 12000 one (measured)
+    coarse = best_Cq(q, make_grid(30.0, 750))
     fine, finest = best_Cq(q, grid30), best_Cq(q, make_grid(30.0, 12000))
     assert fine == pytest.approx(finest, rel=1e-6)
     assert 12.0 <= (fine - coarse) / (finest - fine) <= 24.0

@@ -653,9 +653,15 @@ def test_limit_ground_state_is_the_shot(nl_cubic, grid30, shot_cubic, ground_cub
     assert gs.residual <= limit_solver._SHOT_TOL
     mp = mountain_pass_b(gs.omega, nl_cubic)
     assert (gs.b_value, gs.t_star) == (mp.b, mp.t_star)
-    assert gs.t0_dilation == scaling_terms(gs.omega, nl_cubic).V ** (1.0 / 3.0)
-    assert abs(V_value(gs.u, nl_cubic) - 1.0) <= 1e-13
-    assert gs.M_value == 0.5 * grad_norm_sq(gs.u)
+    terms = scaling_terms(gs.omega, nl_cubic)
+    assert gs.t0_dilation == terms.V ** (1.0 / 3.0)
+    # M in closed form: the level of omega_0 dilated onto {V = 1}, which
+    # the record does not build; the level of the resampled dilation lies
+    # 3.8e-6 below it (measured), the order of omega_0's Pohozaev defect
+    assert gs.u is None
+    assert gs.M_value == 0.5 * terms.A / gs.t0_dilation
+    u = project_to_M(gs.omega, nl_cubic)
+    assert gs.M_value == pytest.approx(0.5 * grad_norm_sq(u), rel=1e-5)
     assert gs.p_value == pytest.approx(2.0 * math.sqrt(3.0) / 9.0 * gs.M_value**1.5, rel=1e-15)
     assert gs.levels == (750, 3000)
     assert gs.iterations == gs.polish_steps == 0 and math.isnan(gs.pg_norm)
@@ -663,6 +669,29 @@ def test_limit_ground_state_is_the_shot(nl_cubic, grid30, shot_cubic, ground_cub
     # 18.897224049 (measured)
     assert gs.b_value == pytest.approx(ground_cubic.b_value, rel=1e-6)
     assert math.isnan(ground_cubic.residual)
+
+
+def test_limit_ground_state_records_the_levels_the_shot_ran_on(nl_cubic, grid30, monkeypatch):
+    # a failed coarse route falls back to the fine grid's own scan, so the
+    # shot ran on one level
+    newton = limit_solver._shot_newton
+
+    def fine_only(u, nl):
+        if u.grid.n == 3000 and 3000 not in scanning:
+            raise sp_solver.NonConvergence("stub")
+        return newton(u, nl)
+
+    scan = limit_solver._scan_shot
+
+    def scanned(nl, grid):
+        scanning.append(grid.n)
+        return scan(nl, grid)
+
+    scanning = []
+    monkeypatch.setattr(limit_solver, "_shot_newton", fine_only)
+    monkeypatch.setattr(limit_solver, "_scan_shot", scanned)
+    assert limit_ground_state(nl_cubic, grid30).levels == (3000,)
+    assert scanning == [750, 3000]
 
 
 def test_continuation_anchored_on_the_shot_takes_no_newton_step_at_zero(nl_cubic, grid30,
