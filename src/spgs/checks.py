@@ -20,7 +20,7 @@ from .config import RunConfig
 from .constants import SOBOLEV_S_CLOSED_FORM, best_Cq, compactness_threshold, mu_threshold
 from .functionals import V_value, energy, gradient_residual, scaling_terms
 from .grid import RadialFunction, integrate_values, make_grid, norm_lq
-from .limit_solver import (InitializationFailure, LimitGroundState, SolverFailure,
+from .limit_solver import (_SHOT_TOL, InitializationFailure, LimitGroundState, SolverFailure,
                            limit_ground_state, project_to_M)
 from .nonlinearity import check_hypotheses, user_nonlinearity
 from .poisson import coupling_scaling_check, dirichlet_energy_direct, solve_phi
@@ -250,6 +250,8 @@ CHECKS: tuple[Check, ...] = (
           _halved_kappa_accepted),
     Check("functionals.gradient_consistency", 1e-5, "max rel err over 20 samples",
           lambda c: gradient_fd_gap(c.grid, c.nl, c.rng())),
+    Check("limit.shot_residual", _SHOT_TOL, "dual norm of the lam = 0 residual",
+          lambda c: c.ground.residual),
     Check("limit.constraint_on_M", 1e-8, "|V - 1|", _constraint_on_M),
     Check("limit.pohozaev_on_arrival", 1e-4, "|P| / |grad omega|^2", _pohozaev_on_arrival),
     Check("poisson.T_bound_battery", 1.0, "max coupling / bound over 20 samples",

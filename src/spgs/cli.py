@@ -142,13 +142,14 @@ def cmd_sweep_lambda(cfg: RunConfig, outdir: Path) -> dict:
 
 _CQ_METHODS = {
     "shot": "computed (quotient of the shot omega_0)",
-    "flow": "computed (quotient of the constrained flow's omega; the shot failed)",
+    "flow": ("computed (quotient of the constrained flow's handover field, an uncertified "
+             "upper estimate; the shot failed)"),
 }
 
 
 def cmd_constants(cfg: RunConfig, outdir: Path, q_list: list[float]) -> dict:
     grid = make_grid(cfg.R, cfg.n)
-    report = constants_mod.constants_report(grid, q_list, cfg.flow_tol())
+    report = constants_mod.constants_report(grid, q_list)
     summary = {
         "S": _num(report.S, "computed (quotient descent from a bubble)"),
         "Cq": {str(q): _num(v, _CQ_METHODS[report.Cq_routes[q]]) for q, v in report.Cq.items()},

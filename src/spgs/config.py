@@ -40,9 +40,6 @@ class RunConfig:
     def nonlinearity(self) -> Nonlinearity:
         return canonical_family(self.mu, self.q, self.critical_weight)
 
-    def flow_tol(self) -> float:
-        return max(self.tol, 1e-10)
-
     def solver_options(self) -> SolverOptions:
         return SolverOptions(tol=self.tol)
 

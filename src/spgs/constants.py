@@ -7,8 +7,9 @@ oracle for S, and the code reads it wherever S enters a bound (mu* in
 constants_report and checks.ground_state, the compactness threshold c*, the
 poisson.T_bound_battery check, the distance budget of asymptotics_report).
 C_q is the H^1-to-L^q Rayleigh quotient of the pure-power limit ground state:
-the shot's omega_0 (limit_solver.limit_ground_state), and the constrained
-flow's omega (minimize_on_M) only where the shot fails.
+the shot's omega_0 (limit_solver.limit_ground_state), and only where the shot
+fails the constrained flow's handover field (limit_solver.handover_omega), an
+uncertified upper estimate.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .grid import (  # noqa: F401
     norm_lq,
     solve_riesz,
 )
-from .limit_solver import SolverFailure, limit_ground_state, minimize_on_M
+from .limit_solver import SolverFailure, handover_omega, limit_ground_state
 from .nonlinearity import canonical_family
 
 SOBOLEV_S_CLOSED_FORM = 3.0 * math.pi * (math.sqrt(math.pi) / 4.0) ** (2.0 / 3.0)
@@ -98,19 +99,20 @@ def _quotient_hq(u: RadialFunction, q: float) -> float:
     return h1_norm_sq(u) / denom
 
 
-def best_Cq(q: float, grid: RadialGrid, tol: float = 1e-8) -> float:
+def best_Cq(q: float, grid: RadialGrid) -> float:
     """Best constant of the H^1 to L^q embedding, q in (2, 6).
 
     The minimizer is the ground state w of -Delta w + w = w^(q-1): the
     shot's omega_0 (limit_ground_state), or, if the shot raises a
-    SolverFailure, the omega of minimize_on_M at flow tolerance tol.  Its
-    Rayleigh quotient |w|_H1^2 / |w|_q^2 is returned.  As the quotient of an
-    actual field it is an upper estimate of the discrete infimum.
+    SolverFailure, the flow's handover field dilated onto the Pohozaev
+    manifold (handover_omega), which no certificate backs.  Its Rayleigh
+    quotient |w|_H1^2 / |w|_q^2 is returned.  As the quotient of an actual
+    field either is an upper estimate of the discrete infimum.
     """
-    return _best_Cq(q, grid, tol)[0]
+    return _best_Cq(q, grid)[0]
 
 
-def _best_Cq(q: float, grid: RadialGrid, tol: float) -> tuple[float, str]:
+def _best_Cq(q: float, grid: RadialGrid) -> tuple[float, str]:
     """best_Cq and its route, "shot" or "flow"."""
     if not 2.0 < q < 6.0:
         raise ValueError(f"q must lie in (2, 6), got {q}")
@@ -118,7 +120,7 @@ def _best_Cq(q: float, grid: RadialGrid, tol: float) -> tuple[float, str]:
     try:
         omega, route = limit_ground_state(nl, grid).omega, "shot"
     except SolverFailure:
-        omega, route = minimize_on_M(nl, grid, tol).omega, "flow"
+        omega, route = handover_omega(nl, grid), "flow"
     return float(_quotient_hq(omega, q)), route
 
 
@@ -139,12 +141,12 @@ def compactness_threshold(cw: float) -> float:
     return SOBOLEV_S_CLOSED_FORM**1.5 / (3.0 * math.sqrt(cw)) if cw > 0 else math.inf
 
 
-def constants_report(grid: RadialGrid, q_values, tol: float = 1e-8) -> ConstantsReport:
+def constants_report(grid: RadialGrid, q_values) -> ConstantsReport:
     """S computed on grid, and C_q and mu*(q) for each q; mu* plugs in the
     closed-form S, as checks.ground_state does, so it has one value."""
     report = ConstantsReport(S=sobolev_S(grid))
     for q in q_values:
-        cq, report.Cq_routes[float(q)] = _best_Cq(float(q), grid, tol)
+        cq, report.Cq_routes[float(q)] = _best_Cq(float(q), grid)
         report.Cq[float(q)] = cq
         report.mu_thresholds[float(q)] = mu_threshold(float(q), SOBOLEV_S_CLOSED_FORM, cq)
     return report

@@ -66,8 +66,10 @@ _STEP_CAP = 1e3
 # the polish: at most _POLISH_MAX_STEPS Newton steps, each with at most
 # _POLISH_HALVINGS halvings, until the dual norm of the residual meets tol and
 # |V(u) - 1| meets _POLISH_CONSTRAINT_TOL.  On `ground` a polish takes at most
-# 5 steps and 1 halving, on `cli` 60 steps (q=5.5 at n=750 runs into the
-# cap) and 14 halvings; a converged polish leaves |V(u) - 1| <= 2.2e-16
+# 5 steps and 1 halving; q=5.5 at n=750, handed over at 0.084 after a failed
+# line search, runs into the cap with 851 trials in 60 steps (no subcommand
+# polishes it: constants takes handover_omega); a converged polish leaves
+# |V(u) - 1| <= 2.2e-16
 _POLISH_MAX_STEPS = 60
 _POLISH_HALVINGS = 30
 _POLISH_CONSTRAINT_TOL = 1e-12
@@ -96,6 +98,12 @@ class Stagnation(SolverFailure):
 
 class BracketFailure(SolverFailure):
     """The amplitude scan of shooting found no undershoot/overshoot transition."""
+
+
+class _NoMaximum(BracketFailure):
+    """f(a) <= a at every amplitude of the scan, so no centre is a maximum
+    on any grid: a finer level cannot mend it, and _shoot raises it from the
+    coarsest level."""
 
 
 class ResolutionFailure(SolverFailure):
@@ -381,6 +389,14 @@ def minimize_on_M(nl: Nonlinearity, grid: RadialGrid, tol: float = 1e-8) -> Limi
     )
 
 
+def handover_omega(nl: Nonlinearity, grid: RadialGrid) -> RadialFunction:
+    """The flow ladder's handover state (_ladder) dilated onto the Pohozaev
+    manifold (cgm_rescale), as minimize_on_M builds its omega, but with no
+    polish, projection or certificate: an uncertified field, whose quotients
+    are upper estimates.  A SolverFailure on any level is the outcome."""
+    return cgm_rescale(_ladder(nl, grid)[0], nl)[0]
+
+
 def cgm_rescale(u0: RadialFunction, nl: Nonlinearity) -> tuple[RadialFunction, float]:
     """Coleman-Glazer-Martin dilation mapping the constrained minimizer onto
     the Pohozaev manifold: t = |grad u0|_2 / sqrt(6), omega = u0(./t)."""
@@ -500,7 +516,7 @@ def _auto_bracket(nl: Nonlinearity, grid: RadialGrid, record=None) -> tuple[floa
     ladder = np.logspace(-12, 2, 1401)
     peak = np.flatnonzero(nl.f(ladder) > ladder)
     if peak.size == 0:
-        raise BracketFailure("the centre is a minimum at every amplitude up to 100")
+        raise _NoMaximum("the centre is a minimum at every amplitude up to 100")
     amps = np.geomspace(ladder[max(peak[0] - 1, 0)], 100.0, 255)
     over = _classify_shot(nl, grid, amps, record)
     up = np.flatnonzero(~over[:-1] & over[1:])
@@ -563,13 +579,15 @@ def _shoot(nl: Nonlinearity, grid: RadialGrid) -> tuple[RadialFunction, tuple[in
     """The shot on grid by nested iteration: the shot on the coarser grid of
     _coarse_grid, prolonged by dilate and Newton-solved on grid, or grid's
     own scan (_scan_shot) if there is no coarser grid or that route raises a
-    SolverFailure.  Returns the shot and the n of every level it ran on,
-    from the scanned level up."""
+    SolverFailure that a finer grid can mend (any but _NoMaximum).  Returns
+    the shot and the n of every level it ran on, from the scanned level up."""
     coarse_grid = _coarse_grid(grid)
     if coarse_grid is not None:
         try:
             coarse, levels = _shoot(nl, coarse_grid)
             return _shot_newton(dilate(coarse, 1.0, onto=grid), nl), levels + (grid.n,)
+        except _NoMaximum:
+            raise
         except SolverFailure:
             pass
     return _scan_shot(nl, grid), (grid.n,)
@@ -589,7 +607,9 @@ def shoot_ground_state(nl: Nonlinearity, grid: RadialGrid) -> RadialFunction:
     SolverFailure (a scan without a transition there, or a failed Newton
     solve) falls back to its own scan, so a shot that fails raises the
     failure of the scan on grid: BracketFailure, NonConvergence or
-    PositivityLoss.
+    PositivityLoss.  Where f(a) <= a at every amplitude of the scan, the
+    BracketFailure does not depend on the grid and is raised once, from the
+    coarsest level.
     """
     return _shoot(nl, grid)[0]
 

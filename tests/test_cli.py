@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from spgs import canonical_family, checks, cli, limit_solver, sp_solver
+from spgs import best_Cq, canonical_family, checks, cli, limit_solver, sp_solver
 from spgs.cli import SWEEP_HEADER, main
 from spgs.config import RunConfig
 from spgs.grid import make_grid
@@ -411,21 +411,38 @@ def test_every_failure_of_the_shot_gets_the_regime_diagnosis(failure, monkeypatc
 
 def test_production_path_runs_no_flow(tmp_path, count_calls):
     # verify and the C_q of every q whose shot converges take the shot's
-    # omega_0; only q = 5.5 at n = 750, whose scan is cut, falls back to the flow
+    # omega_0; only q = 5.5 at n = 750, whose scan is cut, falls back to the
+    # flow, and there to its handover field: no polish runs on either command
     flows = count_calls(limit_solver.minimize_on_M)
+    polishes = count_calls(limit_solver._newton_polish)
     assert main(["--output", str(tmp_path / "verify"), "verify"]) == 0
-    assert flows == []
     cfg = write_cfg(tmp_path, "[grid]\nn = 750\n")
     out = tmp_path / "constants"
     assert main(["--config", str(cfg), "--output", str(out), "constants",
                  "--q", "2.5,3,4,5"]) == 0
-    assert flows == []
     cq = json.loads((out / "constants.json").read_text())["Cq"]
     assert all("shot omega_0" in v["method"] for v in cq.values())
     assert main(["--config", str(cfg), "--output", str(out), "constants", "--q", "5.5"]) == 0
-    assert flows == ["minimize_on_M"]
     method = json.loads((out / "constants.json").read_text())["Cq"]["5.5"]["method"]
-    assert "constrained flow" in method
+    assert method == cli._CQ_METHODS["flow"]
+    assert flows == [] and polishes == []
+
+
+def test_constants_past_the_shot_take_the_handover_field(tmp_path):
+    # at q = 5.8 the shot fails up to n = 3000 and the polish of
+    # minimize_on_M stagnates; the handover field's quotient falls with n
+    # towards the n = 12000 shot's 6.2216: 6.4762, 6.2966, 6.2342
+    with pytest.raises(limit_solver.Stagnation):
+        limit_solver.minimize_on_M(canonical_family(1.0, 5.8, 0.0), make_grid(30.0, 750))
+    values = []
+    for n in (750, 1500, 3000):
+        cfg = write_cfg(tmp_path, f"[grid]\nn = {n}\n")
+        out = tmp_path / f"n{n}"
+        assert main(["--config", str(cfg), "--output", str(out), "constants", "--q", "5.8"]) == 0
+        cq = json.loads((out / "constants.json").read_text())["Cq"]["5.8"]
+        assert cq["method"] == cli._CQ_METHODS["flow"]
+        values.append(cq["value"])
+    assert values[0] > values[1] > values[2] > best_Cq(5.8, make_grid(30.0, 12000))
 
 
 def test_verify_below_mu_threshold_is_regime_failure(tmp_path, capsys):

@@ -300,6 +300,22 @@ def test_shot_falls_back_to_the_fine_scan(grid30):
                           limit_solver._scan_shot(nl, grid30).values)
 
 
+def test_grid_independent_bracket_failure_is_raised_once(monkeypatch):
+    # f(a) <= a at every amplitude up to 100 on any grid, so the shot at
+    # n=12000 raises from the n=750 scan and scans no finer level
+    calls = []
+    scan = limit_solver._auto_bracket
+
+    def counted(nl, grid, *args, **kwargs):
+        calls.append(grid.n)
+        return scan(nl, grid, *args, **kwargs)
+
+    monkeypatch.setattr(limit_solver, "_auto_bracket", counted)
+    with pytest.raises(BracketFailure, match="the centre is a minimum at every amplitude"):
+        shoot_ground_state(canonical_family(1e-6, 2.2, 0.0), make_grid(30.0, 12000))
+    assert calls == [750]
+
+
 def test_one_march_per_shot(grid30, monkeypatch):
     # the scan's march records the bracketing lanes, so a shot marches once,
     # on the coarsest grid of the ladder; q=5.5 has no transition at n=750,
