@@ -19,7 +19,7 @@ import numpy as np
 from .config import RunConfig
 from .constants import SOBOLEV_S_CLOSED_FORM, best_Cq, compactness_threshold, mu_threshold
 from .functionals import V_value, energy, gradient_residual, scaling_terms
-from .grid import RadialFunction, integrate_values, make_grid, norm_lq
+from .grid import RadialFunction, RadialGrid, integrate_values, make_grid, norm_lq
 from .limit_solver import (_SHOT_TOL, InitializationFailure, LimitGroundState, SolverFailure,
                            limit_ground_state, project_to_M)
 from .nonlinearity import check_hypotheses, user_nonlinearity
@@ -27,8 +27,8 @@ from .poisson import coupling_scaling_check, dirichlet_energy_direct, solve_phi
 from .sp_solver import solve_at_lambda
 
 
-def gaussian_poisson_errors(n: int) -> dict[str, float]:
-    """Closed-form oracle for the Newton potential on make_grid(12, n).
+def gaussian_poisson_errors(grid: RadialGrid) -> dict[str, float]:
+    """Closed-form oracle for the Newton potential on grid, make_grid(12, n).
 
     For u = exp(-r^2/2) the potential of u^2 is (sqrt(pi)/4) erf(r)/r and
     int phi u^2 = pi^(3/2) / (2 sqrt 2).  Returns the largest relative error
@@ -36,7 +36,6 @@ def gaussian_poisson_errors(n: int) -> dict[str, float]:
     between the two routes to the Dirichlet energy.  The closed forms are for
     whole space; R = 12 keeps the truncated charge negligible.
     """
-    grid = make_grid(12.0, n)
     r = grid.nodes
     u = RadialFunction(grid, np.exp(-r**2 / 2.0))
     sol = solve_phi(u, 1.0)
@@ -125,7 +124,8 @@ class Context:
     @cached_property
     def gaussian_errors(self) -> dict[str, float]:
         # the oracle tolerances are calibrated at the reference resolution
-        return gaussian_poisson_errors(max(self.cfg.n, 4000))
+        n = self.cfg.n
+        return gaussian_poisson_errors(self.grid12 if n <= 4000 else make_grid(12.0, n))
 
     @cached_property
     def ground(self):
@@ -212,21 +212,23 @@ def gradient_fd_gap(grid, nl, rng: random.Random, trials: int = 20,
     return worst
 
 
-def _interaction_bound(ctx: Context) -> float:
-    """Largest int phi_u u^2 / (S^-1 |u|_{12/5}^4) at lambda = 1 over random
-    Gaussians; the bound follows from |grad phi|^2 = int phi u^2 <=
-    |phi|_6 |u|_{12/5}^2 and S |phi|_6^2 <= |grad phi|^2."""
-    grid, rng = ctx.grid, ctx.rng()
-    worst = 0.0
+def interaction_ratios(grid, rng: random.Random) -> list[float]:
+    """int phi_u u^2 / (S^-1 |u|_{12/5}^4) at lambda = 1 for 20 random
+    profiles amp exp(-(r/width)^p), each at most 1: |grad phi|^2 = int phi u^2 <=
+    |phi|_6 |u|_{12/5}^2 and S |phi|_6^2 <= |grad phi|^2.  The ratio does not
+    depend on amp or width, so the exponent p in [1, 4] sets it: 0.993 at
+    p = 1, 0.972 at p = 2 (the Gaussian) and 0.940 at p = 4."""
+    ratios = []
     for _ in range(20):
         width = rng.uniform(0.5, 3.0)
         amp = rng.uniform(0.1, 3.0)
-        vals = amp * np.exp(-grid.nodes**2 / (2.0 * width**2))
+        p = rng.uniform(1.0, 4.0)
+        vals = amp * np.exp(-(grid.nodes / width) ** p)
         vals[-1] = 0.0
         u = RadialFunction(grid, vals)
         bound = norm_lq(u, 12.0 / 5.0) ** 4 / SOBOLEV_S_CLOSED_FORM
-        worst = max(worst, solve_phi(u, 1.0).coupling / bound)
-    return worst
+        ratios.append(solve_phi(u, 1.0).coupling / bound)
+    return ratios
 
 
 CHECKS: tuple[Check, ...] = (
@@ -255,7 +257,7 @@ CHECKS: tuple[Check, ...] = (
     Check("limit.constraint_on_M", 1e-8, "|V - 1|", _constraint_on_M),
     Check("limit.pohozaev_on_arrival", 1e-4, "|P| / |grad omega|^2", _pohozaev_on_arrival),
     Check("poisson.T_bound_battery", 1.0, "max coupling / bound over 20 samples",
-          _interaction_bound),
+          lambda c: max(interaction_ratios(c.grid, c.rng()))),
     Check("sp.pohozaev_certificate", 1e-3, "rel residual",
           lambda c: c.point.pohozaev_res_rel),
     Check("sp.residual_certificate", 1.0, "dual norm / solver tol",

@@ -147,12 +147,20 @@ _CQ_METHODS = {
 }
 
 
+def _cq_entry(report: constants_mod.ConstantsReport, q: float) -> dict:
+    entry = _num(report.Cq[q], _CQ_METHODS[report.Cq_routes[q]])
+    if q in report.Cq_pg_rel:
+        # how far the flow's field is from stationary: its own handover measure
+        entry["relative_projected_gradient"] = report.Cq_pg_rel[q]
+    return entry
+
+
 def cmd_constants(cfg: RunConfig, outdir: Path, q_list: list[float]) -> dict:
     grid = make_grid(cfg.R, cfg.n)
     report = constants_mod.constants_report(grid, q_list)
     summary = {
         "S": _num(report.S, "computed (quotient descent from a bubble)"),
-        "Cq": {str(q): _num(v, _CQ_METHODS[report.Cq_routes[q]]) for q, v in report.Cq.items()},
+        "Cq": {str(q): _cq_entry(report, q) for q in report.Cq},
         "mu_threshold": {str(q): _num(v, "derived (plug-in from closed-form S, computed Cq)")
                          for q, v in report.mu_thresholds.items()},
     }
@@ -162,7 +170,7 @@ def cmd_constants(cfg: RunConfig, outdir: Path, q_list: list[float]) -> dict:
 
 def cmd_poisson_test(cfg: RunConfig, outdir: Path) -> dict:
     """Gaussian closed-form oracle for the Newton potential."""
-    errors = checks.gaussian_poisson_errors(cfg.n)
+    errors = checks.gaussian_poisson_errors(make_grid(12.0, cfg.n))
     summary = {
         "phi_max_rel_error": _num(errors["phi_max_rel_error"], "computed vs closed form"),
         "coupling_rel_error": _num(errors["coupling_rel_error"], "computed vs closed form"),

@@ -44,6 +44,8 @@ class ConstantsReport:
     mu_thresholds: dict[float, float] = field(default_factory=dict)
     # the route of each C_q: "shot", or "flow" where the shot failed
     Cq_routes: dict[float, str] = field(default_factory=dict)
+    # for each "flow" C_q, |pg| / |grad u|_2 of the handover field it came from
+    Cq_pg_rel: dict[float, float] = field(default_factory=dict)
 
 
 def _bubble(grid: RadialGrid, eps: float) -> RadialFunction:
@@ -112,16 +114,17 @@ def best_Cq(q: float, grid: RadialGrid) -> float:
     return _best_Cq(q, grid)[0]
 
 
-def _best_Cq(q: float, grid: RadialGrid) -> tuple[float, str]:
-    """best_Cq and its route, "shot" or "flow"."""
+def _best_Cq(q: float, grid: RadialGrid) -> tuple[float, str, float | None]:
+    """best_Cq, its route, "shot" or "flow", and for the flow the relative
+    projected gradient of its handover field (handover_omega), else None."""
     if not 2.0 < q < 6.0:
         raise ValueError(f"q must lie in (2, 6), got {q}")
     nl = canonical_family(1.0, q, 0.0)
     try:
-        omega, route = limit_ground_state(nl, grid).omega, "shot"
+        omega, route, pg_rel = limit_ground_state(nl, grid).omega, "shot", None
     except SolverFailure:
-        omega, route = handover_omega(nl, grid), "flow"
-    return float(_quotient_hq(omega, q)), route
+        (omega, pg_rel), route = handover_omega(nl, grid), "flow"
+    return float(_quotient_hq(omega, q)), route, pg_rel
 
 
 def mu_threshold(q: float, S: float, Cq: float) -> float:
@@ -146,7 +149,9 @@ def constants_report(grid: RadialGrid, q_values) -> ConstantsReport:
     closed-form S, as checks.ground_state does, so it has one value."""
     report = ConstantsReport(S=sobolev_S(grid))
     for q in q_values:
-        cq, report.Cq_routes[float(q)] = _best_Cq(float(q), grid)
+        cq, report.Cq_routes[float(q)], pg_rel = _best_Cq(float(q), grid)
         report.Cq[float(q)] = cq
+        if pg_rel is not None:
+            report.Cq_pg_rel[float(q)] = pg_rel
         report.mu_thresholds[float(q)] = mu_threshold(float(q), SOBOLEV_S_CLOSED_FORM, cq)
     return report

@@ -43,9 +43,17 @@ _PROJECTION_STEPS = 8
 # the flow hands over to the Newton polish once the dual norm of the projected
 # gradient is at most this fraction of |grad u|_2, which bounds the dual norm
 # of T0'(u) = -Delta u, so the test does not depend on the scale of the
-# problem; over R in {20, 30, 40}, n in {750, 3000} and 23 nonlinearities the
-# polish first fails from 0.1, and never from 0.05
-_FLOW_HANDOVER = 0.02
+# problem.  It sets only where the flow stops, never its iterates.  Against
+# 0.02, on mu in {0.25, 1, 5, 20} x q in {2.2, 2.5, 3, 4, 5, 5.5} x cw in
+# {0, 1} on (R, n) in {(30, 750), (30, 3000), (40, 750), (20, 750),
+# (30, 12000)}, no outcome changes (139 of 240 converge), b moves by at most
+# 2.4e-13 and omega by 4.8e-12 relative in H^1, and the flow takes 2 432
+# steps instead of 4 070; the polish first fails from 0.07, 7 times at 0.1.
+# Over R in {20, 30, 40}, n in {750, 3000} and 23 nonlinearities, 121 of 138
+# converge at 0.02 and at 0.05; the first failure again comes at 0.07.
+# Outside both, mu=2, q=4, cw=1 on (30, 12000), below mu* and with b within
+# 0.9 % of c*, converges from every handover up to 0.045 and stalls from 0.05
+_FLOW_HANDOVER = 0.05
 
 # flow steps per level before Stagnation; mu=1, q=2.5, cw=0 takes 64 on R=30
 # at any n from the initial bump
@@ -54,10 +62,9 @@ _FLOW_MAX_ITER = 3000
 # the flow's line search: at most _FLOW_HALVINGS halvings of the step eta per
 # flow step, acceptance on the Armijo decrease _ARMIJO eta slope, and growth
 # by _STEP_GROWTH after each accepted step up to _STEP_CAP.  Measured on the
-# `ground` (n=3000) and `cli` (verify at n=3000, constants at n=750)
-# benchmark workloads: an accepted step takes at most 2 and 3 halvings, its
-# decrease is at least 0.033 and 0.0017 of eta slope, and eta reaches at most
-# 5.06 and 3.38
+# `ground` (n=3000) and `cli` (the handover field of q=5.5 at n=750)
+# benchmark workloads: an accepted step takes at most 2 halvings, its
+# decrease is at least 0.034 of eta slope, and eta reaches at most 2.25
 _FLOW_HALVINGS = 40
 _ARMIJO = 1e-4
 _STEP_GROWTH = 1.5
@@ -65,11 +72,11 @@ _STEP_CAP = 1e3
 
 # the polish: at most _POLISH_MAX_STEPS Newton steps, each with at most
 # _POLISH_HALVINGS halvings, until the dual norm of the residual meets tol and
-# |V(u) - 1| meets _POLISH_CONSTRAINT_TOL.  On `ground` a polish takes at most
-# 5 steps and 1 halving; q=5.5 at n=750, handed over at 0.084 after a failed
-# line search, runs into the cap with 851 trials in 60 steps (no subcommand
-# polishes it: constants takes handover_omega); a converged polish leaves
-# |V(u) - 1| <= 2.2e-16
+# |V(u) - 1| meets _POLISH_CONSTRAINT_TOL.  On `ground` a polish takes 4 or 5
+# steps and at most 1 halving, and leaves |V(u) - 1| <= 1.2e-14; q=5.5 at
+# n=750, handed over at 0.084 after a failed line search, runs into the cap
+# with 851 trials in 60 steps (no subcommand polishes it: constants takes
+# handover_omega)
 _POLISH_MAX_STEPS = 60
 _POLISH_HALVINGS = 30
 _POLISH_CONSTRAINT_TOL = 1e-12
@@ -389,12 +396,17 @@ def minimize_on_M(nl: Nonlinearity, grid: RadialGrid, tol: float = 1e-8) -> Limi
     )
 
 
-def handover_omega(nl: Nonlinearity, grid: RadialGrid) -> RadialFunction:
-    """The flow ladder's handover state (_ladder) dilated onto the Pohozaev
+def handover_omega(nl: Nonlinearity, grid: RadialGrid) -> tuple[RadialFunction, float]:
+    """The flow ladder's handover state u (_ladder) dilated onto the Pohozaev
     manifold (cgm_rescale), as minimize_on_M builds its omega, but with no
     polish, projection or certificate: an uncertified field, whose quotients
-    are upper estimates.  A SolverFailure on any level is the outcome."""
-    return cgm_rescale(_ladder(nl, grid)[0], nl)[0]
+    are upper estimates.  Returns (omega, the dual norm of u's projected
+    gradient over |grad u|_2), the flow's own handover measure, which a flow
+    stopped by a failed line search leaves above _FLOW_HANDOVER.  A
+    SolverFailure on any level is the outcome."""
+    u = _ladder(nl, grid)[0]
+    pg_rel = dual_norm(grid, _projected_gradient(u, nl)[0]) / math.sqrt(2.0 * T0_value(u))
+    return cgm_rescale(u, nl)[0], pg_rel
 
 
 def cgm_rescale(u0: RadialFunction, nl: Nonlinearity) -> tuple[RadialFunction, float]:

@@ -168,7 +168,8 @@ def test_criterion_8_dilation_stationarity(report, branch, nl_cubic):
 
 def test_criterion_9_grid_convergence(report, nl_cubic):
     # true-error orders for the potential oracle under factor-2 refinement
-    errs = [gaussian_poisson_errors(n)["coupling_rel_error"] for n in (1000, 2000, 4000)]
+    errs = [gaussian_poisson_errors(make_grid(12.0, n))["coupling_rel_error"]
+            for n in (1000, 2000, 4000)]
     p_phi = min(math.log2(errs[0] / errs[1]), math.log2(errs[1] / errs[2]))
 
     # Richardson orders for the solver levels

@@ -428,10 +428,22 @@ def test_production_path_runs_no_flow(tmp_path, count_calls):
     assert flows == [] and polishes == []
 
 
+def test_constants_json_gives_the_flow_field_its_projected_gradient(tmp_path):
+    # only a "flow" C_q carries |pg| / |grad u|_2 of its handover field
+    cfg = write_cfg(tmp_path, "[grid]\nn = 750\n")
+    out = tmp_path / "constants"
+    assert main(["--config", str(cfg), "--output", str(out), "constants",
+                 "--q", "4,5.5"]) == 0
+    cq = json.loads((out / "constants.json").read_text())["Cq"]
+    assert set(cq["4.0"]) == {"value", "method"}
+    assert set(cq["5.5"]) == {"value", "method", "relative_projected_gradient"}
+    assert cq["5.5"]["relative_projected_gradient"] == pytest.approx(0.0839, abs=1e-4)
+
+
 def test_constants_past_the_shot_take_the_handover_field(tmp_path):
     # at q = 5.8 the shot fails up to n = 3000 and the polish of
     # minimize_on_M stagnates; the handover field's quotient falls with n
-    # towards the n = 12000 shot's 6.2216: 6.4762, 6.2966, 6.2342
+    # towards the n = 12000 shot's 6.2216: 6.4762, 6.2966, 6.2392
     with pytest.raises(limit_solver.Stagnation):
         limit_solver.minimize_on_M(canonical_family(1.0, 5.8, 0.0), make_grid(30.0, 750))
     values = []

@@ -18,6 +18,7 @@ from spgs import (
 )
 from spgs.config import RunConfig
 from spgs.constants import _quotient_hq
+from spgs.grid import dual_norm, grad_norm_sq
 from spgs.limit_solver import BracketFailure, Stagnation, cgm_rescale
 
 
@@ -106,6 +107,20 @@ def test_best_Cq_falls_back_to_the_flow_where_the_shot_fails():
     polished = _quotient_hq(minimize_on_M(nl, grid).omega, 5.5)
     assert best_Cq(5.5, make_grid(30.0, 12000)) < cq < polished
     assert constants_report(grid, [5.5]).Cq_routes == {5.5: "flow"}
+
+
+def test_flow_route_reports_how_stationary_its_field_is():
+    # the q = 5.5 flow at n = 750 stops on a failed line search at a relative
+    # projected gradient of 0.084, above the handover; a shot's C_q has none
+    grid = make_grid(30.0, 750)
+    nl = canonical_family(1.0, 5.5, 0.0)
+    u = limit_solver._ladder(nl, grid)[0]
+    pg = limit_solver._projected_gradient(u, nl)[0]
+    report = constants_report(grid, [4.0, 5.5])
+    assert report.Cq_routes == {4.0: "shot", 5.5: "flow"}
+    assert report.Cq_pg_rel == {5.5: dual_norm(grid, pg) / math.sqrt(grad_norm_sq(u))}
+    assert report.Cq_pg_rel[5.5] == pytest.approx(0.0839, abs=1e-4)
+    assert report.Cq_pg_rel[5.5] > limit_solver._FLOW_HANDOVER
 
 
 def test_best_Cq_rejects_bad_exponent(grid30):

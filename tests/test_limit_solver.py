@@ -460,6 +460,49 @@ def test_flow_handover_gives_the_tight_flow_ground_state(case, R, monkeypatch):
     assert np.max(np.abs(gs.omega.values - tight.omega.values)) <= 1e-10
 
 
+@pytest.mark.parametrize("n", [750, 3000])
+@pytest.mark.parametrize("case", GROUND_CASES)
+def test_handover_stops_the_same_flow_earlier(case, n, monkeypatch):
+    # the handover only decides where the flow stops: on every level of the
+    # ladder, the state returned after k steps is the k-th accepted iterate
+    # of the same flow run on to the tighter handover 0.02
+    nl = canonical_family(*case)
+    flow = limit_solver._flow
+    runs = []
+
+    def recorded(u, nl):
+        out = flow(u, nl)
+        runs.append((u, out))
+        return out
+
+    monkeypatch.setattr(limit_solver, "_flow", recorded)
+    limit_solver._ladder(nl, make_grid(30.0, n))
+    assert [start.grid.n for start, _ in runs] == {750: [750], 3000: [750, 3000]}[n]
+    monkeypatch.setattr(limit_solver, "_FLOW_HANDOVER", 0.02)
+    projected_gradient = limit_solver._projected_gradient
+    for start, (u, theta, k) in runs:
+        # the flow takes one projected gradient at each accepted iterate,
+        # the projected start first
+        iterates = []
+        monkeypatch.setattr(limit_solver, "_projected_gradient",
+                            lambda v, nl: iterates.append(v) or projected_gradient(v, nl))
+        _, _, k_tight = flow(start, nl)
+        assert k <= k_tight == len(iterates) - 1
+        assert np.array_equal(u.values, iterates[k].values)
+        assert theta == projected_gradient(iterates[k], nl)[1]
+
+
+@pytest.mark.parametrize("case", GROUND_CASES)
+def test_handover_keeps_the_ground_state_of_the_tighter_handover(case, monkeypatch):
+    nl, grid = canonical_family(*case), make_grid(30.0, 3000)
+    gs = minimize_on_M(nl, grid)
+    monkeypatch.setattr(limit_solver, "_FLOW_HANDOVER", 0.02)
+    tight = minimize_on_M(nl, grid)
+    assert abs(gs.b_value - tight.b_value) <= 1e-12 * tight.b_value
+    assert _h1_gap(gs.omega, tight.omega) <= 1e-10
+    assert gs.iterations < tight.iterations
+
+
 def _count_projected_gradients(monkeypatch) -> list:
     calls = []
     projected_gradient = limit_solver._projected_gradient

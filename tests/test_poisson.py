@@ -13,7 +13,7 @@ from spgs.poisson import coupling_scaling_check, newton_potential
 def test_phi_matches_closed_form():
     # the registry checks the reference grid; the oracle holds under refinement too
     for n in (4000, 8000):
-        assert gaussian_poisson_errors(n)["phi_max_rel_error"] <= 1e-5
+        assert gaussian_poisson_errors(make_grid(12.0, n))["phi_max_rel_error"] <= 1e-5
 
 
 def test_phi_linear_in_lam(grid12, gaussian12):
