@@ -66,9 +66,11 @@ class CompactnessFailure(SolverFailure):
 def ground_state(cfg: RunConfig, nl, grid) -> LimitGroundState:
     """Limit ground state of nl on grid, the shot's (limit_ground_state).
 
-    A failed solve (any SolverFailure: BracketFailure, NonConvergence,
-    PositivityLoss or ResolutionFailure) with a critical term and mu below
-    mu*(q) raises a RegimeFailure chained from the solver's error; the
+    A failed solve (any SolverFailure: ResolutionFailure for a grid bubble,
+    BracketFailure, NonConvergence or PositivityLoss) with a critical term
+    and mu below mu*(q) raises a RegimeFailure chained from the solver's
+    error, even a ResolutionFailure, which names a grid that does not
+    resolve the core rather than the regime; the
     threshold needs a best_Cq solve, so only the failure path computes it.
     A state with b >= c* raises CompactnessFailure.
     """

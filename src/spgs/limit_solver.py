@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functionals import ScalingTerms, T0_value, V_value, gradient_residual, scaling_terms
+from .functionals import ScalingTerms, T0_value, V_value, scaling_terms
 from .grid import (
     RadialFunction,
     RadialGrid,
@@ -436,16 +436,6 @@ def _mountain_pass(terms: ScalingTerms) -> MountainPassResult:
     return MountainPassResult(b=terms.gamma(t_star), t_star=t_star)
 
 
-# a lane whose first step falls by at least this fraction of its amplitude
-# starts in a core that the grid does not resolve, and undershoots at its
-# start.  The grid equation has positive solutions of its own, grid bubbles
-# with a core of 0.21 h and an amplitude growing like h^(-1/2), whose first
-# step falls by 0.76 to 0.82 (mu=1 with q=2.3, cw=0.5 and q=3, cw=1, mu=0.5
-# with q=4, cw=1 and q=5.5 at n=750, on R=30); a resolved transition falls
-# by 0.04 for q=5 at n=750 (core 1.0 h) and by 0.17 for mu=1, q=5, cw=1 at
-# n=3000 (core 0.44 h)
-_FIRST_DROP = 0.25
-
 # the graft starts at the last node of the leading run where both bracketing
 # lanes are positive and differ by at most this fraction of the smaller; the
 # scan's lanes are at most (100/1e-12)^(1/254) - 1 = 13.5 % apart, so the
@@ -455,13 +445,6 @@ _GRAFT_GAP = 0.2
 # the shot's Newton solve stops at this dual-norm residual: the floor is at
 # most 6.3e-13 up to n=12000, and at 1e-9 amplitudes end up to 1.2e-10 off
 _SHOT_TOL = 1e-11
-
-
-def _first_step(nl: Nonlinearity, grid: RadialGrid, amps: np.ndarray):
-    """The fall u_0 - u_1 of the march's first step from each amplitude, and
-    whether it cuts the lane: a fall of at least _FIRST_DROP of a."""
-    drop = grid.mass[0] / grid.conductance[0] * (nl.f(amps) - amps)
-    return drop, drop >= _FIRST_DROP * amps
 
 
 def _classify_shot(nl: Nonlinearity, grid: RadialGrid, amps, record: dict | None = None
@@ -474,11 +457,11 @@ def _classify_shot(nl: Nonlinearity, grid: RadialGrid, amps, record: dict | None
     the conductances c and masses m of the grid, with c_{-1} = 0.  A lane
     overshoots when u_{i+1} <= 0, and undershoots when u_{i+1} > u_i while
     still positive, or when it reaches R with neither.  A centre that is not
-    a maximum, f(a) <= a, undershoots at the start, and so does one whose
-    first step cuts it (_first_step).  Decided lanes drop out of the march.
-    A dict record receives the march's own arrays, not copies: "amps";
-    "values", whose entry i holds the live lanes' values at node i + 1 in
-    lane order; and "last", each lane's last step (-1 if never marched).
+    a maximum, f(a) <= a, undershoots at the start.  Decided lanes drop out
+    of the march.  A dict record receives the march's own arrays, not
+    copies: "amps"; "values", whose entry i holds the live lanes' values at
+    node i + 1 in lane order; and "last", each lane's last step (-1 if never
+    marched).
     """
     amps = np.asarray(amps, dtype=float)
     c = grid.conductance
@@ -486,8 +469,7 @@ def _classify_shot(nl: Nonlinearity, grid: RadialGrid, amps, record: dict | None
     alpha = np.concatenate(([0.0], c[:-1] / c[1:])).tolist()
     beta = (grid.mass[:-1] / c).tolist()
     over = np.zeros(amps.size, dtype=bool)
-    drop, cut = _first_step(nl, grid, amps)
-    values, last = [], np.where((drop > 0.0) & ~cut, grid.n - 2, -1)
+    values, last = [], np.where(nl.f(amps) > amps, grid.n - 2, -1)
     lanes = np.flatnonzero(last >= 0)
     u = prev = amps[lanes]
     if record is not None:
@@ -522,8 +504,9 @@ def _auto_bracket(nl: Nonlinearity, grid: RadialGrid, record=None) -> tuple[floa
     start, so the scan starts at the last amplitude before the first f(a) > a
     on a log ladder of 1401 over [1e-12, 100]: for mu=1 at a = 1, and for
     mu=20, q=2.2, cw=1 at 3.1e-7, below its transition at 1.37e-6 (R=40).
-    Shots whose core the grid does not resolve undershoot at their start too
-    (_first_step), so the grid's bubbles make no transition on the scan.
+    The transition may be a grid bubble's; _shot_newton tells it by its
+    Pohozaev defect.  A scan on which every lane undershoots raises
+    BracketFailure.
     """
     ladder = np.logspace(-12, 2, 1401)
     peak = np.flatnonzero(nl.f(ladder) > ladder)
@@ -533,11 +516,7 @@ def _auto_bracket(nl: Nonlinearity, grid: RadialGrid, record=None) -> tuple[floa
     over = _classify_shot(nl, grid, amps, record)
     up = np.flatnonzero(~over[:-1] & over[1:])
     if up.size == 0:
-        cut = amps[_first_step(nl, grid, amps)[1]]
-        why = "" if cut.size == 0 else (
-            f"; lanes are cut from a = {cut[0]:.4g}, where the core 1/sqrt(f'(a)) is "
-            f"{1.0 / math.sqrt(nl.fprime(cut[0])) / grid.h:.3g} h at h = {grid.h:.4g}")
-        raise BracketFailure(f"no undershoot/overshoot transition on the amplitude scan{why}")
+        raise BracketFailure("no undershoot/overshoot transition on the amplitude scan")
     return float(amps[up[0]]), float(amps[up[0] + 1])
 
 
@@ -558,24 +537,49 @@ def _bracketing_pair(nl: Nonlinearity, grid: RadialGrid) -> np.ndarray:
     return pair
 
 
-def _shot_newton(u: RadialFunction, nl: Nonlinearity) -> RadialFunction:
+# _shot_newton rejects a solution whose Pohozaev defect |A - 6V| / A
+# exceeds this.  A discrete solution that resolves its core meets A = 6V up
+# to O(h^2); a grid bubble, whose V is near 0 or negative, misses it by O(1).
+# Over mu in {0.25, 1, 5, 20}, q in {2.2, 2.5, 3, 4, 5, 5.5} and cw in
+# {0, 1} on (R, n) = (30, 750), (30, 3000), (30, 12000), (20, 750) and
+# (40, 750), the 157 resolved shots read -9.2e-5 to 3.7e-3 (mu=20, q=5,
+# cw=1 on R=40, n=750) and the 78 bubbles 0.9993 to 1.014
+_RESOLUTION_DEFECT = 0.1
+
+
+def _shot_newton(u: RadialFunction, nl: Nonlinearity
+                 ) -> tuple[RadialFunction, ScalingTerms, float]:
     """The damped Newton solve at lam = 0 from u, to _SHOT_TOL: one
-    tridiagonal solve per step.  It raises NonConvergence or PositivityLoss
-    if it fails."""
+    tridiagonal solve per step.  Returns omega_0, its scaling terms and the
+    dual norm of its lam = 0 residual, the solve's own.  It raises
+    NonConvergence or PositivityLoss if the solve fails, and
+    ResolutionFailure if omega_0 is a grid bubble: a Pohozaev defect
+    |A - 6V| / A above _RESOLUTION_DEFECT."""
     # sp_solver imports this module, so the import waits for the call
     from .sp_solver import SolverOptions, solve_at_lambda
 
-    return solve_at_lambda(u, nl, 0.0, SolverOptions(tol=_SHOT_TOL)).u
+    point = solve_at_lambda(u, nl, 0.0, SolverOptions(tol=_SHOT_TOL))
+    omega, terms = point.u, scaling_terms(point.u, nl)
+    defect = abs(terms.A - 6.0 * terms.V) / terms.A
+    if not defect <= _RESOLUTION_DEFECT:
+        a, h = float(omega.values[0]), omega.grid.h
+        raise ResolutionFailure(
+            f"the shot is a grid bubble: omega(0) = {a:.4g} with core width "
+            f"1/sqrt(f'(omega(0))) = {1.0 / math.sqrt(float(nl.fprime(a))) / h:.3g} h "
+            f"at h = {h:.4g}, Pohozaev defect |A - 6V| / A = {defect:.3g} "
+            f"(above {_RESOLUTION_DEFECT:g})")
+    return omega, terms, point.grad_residual_norm
 
 
-def _scan_shot(nl: Nonlinearity, grid: RadialGrid) -> RadialFunction:
+def _scan_shot(nl: Nonlinearity, grid: RadialGrid
+               ) -> tuple[RadialFunction, ScalingTerms, float]:
     """The shot from grid's own scan, in three steps and one march: the
     amplitude scan (_auto_bracket) brackets the centre amplitude between an
     undershoot and an overshoot of _classify_shot; the mean of its two
     bracketing lanes (_bracketing_pair, which drops the scan's record), up to
     the last node of the leading run where both are positive and agree to
     _GRAFT_GAP, is grafted onto c exp(-r)/r; and the Newton solve
-    (_shot_newton) sets the amplitude."""
+    (_shot_newton) sets the amplitude and tests the resolution."""
     lo, hi = _bracketing_pair(nl, grid).T
     agree = (lo > 0.0) & (hi > 0.0) & (np.abs(hi - lo) <= _GRAFT_GAP * np.minimum(lo, hi))
     k = grid.n - 1 if agree.all() else int(np.argmin(agree)) - 1
@@ -587,16 +591,19 @@ def _scan_shot(nl: Nonlinearity, grid: RadialGrid) -> RadialFunction:
     return _shot_newton(RadialFunction(grid, vals), nl)
 
 
-def _shoot(nl: Nonlinearity, grid: RadialGrid) -> tuple[RadialFunction, tuple[int, ...]]:
+def _shoot(nl: Nonlinearity, grid: RadialGrid
+           ) -> tuple[tuple[RadialFunction, ScalingTerms, float], tuple[int, ...]]:
     """The shot on grid by nested iteration: the shot on the coarser grid of
     _coarse_grid, prolonged by dilate and Newton-solved on grid, or grid's
     own scan (_scan_shot) if there is no coarser grid or that route raises a
-    SolverFailure that a finer grid can mend (any but _NoMaximum).  Returns
-    the shot and the n of every level it ran on, from the scanned level up."""
+    SolverFailure that a finer grid can mend (any but _NoMaximum), a grid
+    bubble's ResolutionFailure among them.  Returns the shot as _shot_newton
+    returns it and the n of every level it ran on, from the scanned level
+    up."""
     coarse_grid = _coarse_grid(grid)
     if coarse_grid is not None:
         try:
-            coarse, levels = _shoot(nl, coarse_grid)
+            (coarse, *_), levels = _shoot(nl, coarse_grid)
             return _shot_newton(dilate(coarse, 1.0, onto=grid), nl), levels + (grid.n,)
         except _NoMaximum:
             raise
@@ -615,61 +622,40 @@ def shoot_ground_state(nl: Nonlinearity, grid: RadialGrid) -> RadialFunction:
     two bracketing lanes onto c exp(-r)/r and Newton-solves at lam = 0 to
     _SHOT_TOL (_scan_shot); every finer level prolongs the shot of the level
     below and Newton-solves it once more, so 3000 scans 750 nodes and 12000
-    runs 750 -> 3000 -> 12000.  A level whose coarse route raises a
-    SolverFailure (a scan without a transition there, or a failed Newton
-    solve) falls back to its own scan, so a shot that fails raises the
-    failure of the scan on grid: BracketFailure, NonConvergence or
-    PositivityLoss.  Where f(a) <= a at every amplitude of the scan, the
-    BracketFailure does not depend on the grid and is raised once, from the
-    coarsest level.
+    runs 750 -> 3000 -> 12000.  Every level's Newton solve ends with the
+    resolution test of _shot_newton, so a grid bubble raises
+    ResolutionFailure on the level it forms on.  A level whose coarse route
+    raises a SolverFailure (a bubble or a scan without a transition there,
+    or a failed Newton solve) falls back to its own scan, so a shot that
+    fails raises the failure of the scan on grid: ResolutionFailure,
+    BracketFailure, NonConvergence or PositivityLoss.  Where f(a) <= a at
+    every amplitude of the scan, the BracketFailure does not depend on the
+    grid and is raised once, from the coarsest level.
     """
-    return _shoot(nl, grid)[0]
-
-
-# limit_ground_state rejects a shot whose Pohozaev defect |A - 6V| / A
-# exceeds this.  A discrete solution that resolves its core meets A = 6V up
-# to O(h^2); a grid bubble, whose V is near 0 or negative, misses it by O(1).
-# Over mu in {0.25, 1, 5, 20}, q in {2.2, 2.5, 3, 4, 5, 5.5} and cw in
-# {0, 1}, the 157 converged shots on (R, n) = (30, 750), (30, 3000),
-# (30, 12000), (20, 750) and (40, 750) read -9.2e-5 to 3.7e-3 (mu=20, q=5,
-# cw=1 on R=40, n=750); with the cut rule of _FIRST_DROP off, the 41 bubbles
-# it hides on R=30 read at least 0.9992
-_RESOLUTION_DEFECT = 0.1
+    return _shoot(nl, grid)[0][0]
 
 
 def limit_ground_state(nl: Nonlinearity, grid: RadialGrid) -> LimitGroundState:
     """The limit ground state of record: the shot's omega_0
     (shoot_ground_state), a solution of the grid equation
-    -Delta_h u + u = f(u) to _SHOT_TOL, with its levels from one
-    scaling_terms call and no flow.
+    -Delta_h u + u = f(u) to _SHOT_TOL that passed the resolution test, with
+    its levels from the scaling terms of that test and no flow.
 
-    omega is omega_0 and residual the dual norm of its lam = 0 residual,
-    evaluated afresh on the returned field (at most _SHOT_TOL); b and t* are
-    the dilation-path maximum through omega_0 (mountain_pass_b);
+    omega is omega_0 and residual the dual norm of its lam = 0 residual, the
+    finest Newton solve's own (at most _SHOT_TOL); b and t* are the
+    dilation-path maximum through omega_0 (mountain_pass_b);
     t0_dilation = V(omega_0)^(1/3), the dilation omega_0(. t0) onto {V = 1},
     whose level is M = A(omega_0) / (2 t0), and p = (2 sqrt 3 / 9) M^(3/2),
     the level of the constrained minimizer.  u is None: omega_0 dilated onto
     {V = 1} is built only where it is measured (project_to_M), so a dilation
     that does not fit the ball fails no solve.  levels are those the shot
-    ran on.  A shot whose Pohozaev defect |A - 6V| / A exceeds
-    _RESOLUTION_DEFECT is a grid bubble and raises ResolutionFailure; a shot
-    that fails raises its failure (BracketFailure, NonConvergence or
-    PositivityLoss).
+    ran on.  A shot that fails raises its failure (ResolutionFailure,
+    BracketFailure, NonConvergence or PositivityLoss).
     """
-    omega, levels = _shoot(nl, grid)
-    terms = scaling_terms(omega, nl)
-    defect = abs(terms.A - 6.0 * terms.V) / terms.A
-    if not defect <= _RESOLUTION_DEFECT:
-        a = float(omega.values[0])
-        raise ResolutionFailure(
-            f"the shot is a grid bubble: omega(0) = {a:.4g} with core width "
-            f"1/sqrt(f'(omega(0))) = {1.0 / math.sqrt(float(nl.fprime(a))) / grid.h:.3g} h "
-            f"at h = {grid.h:.4g}, Pohozaev defect |A - 6V| / A = {defect:.3g} "
-            f"(above {_RESOLUTION_DEFECT:g})")
+    (omega, terms, residual), levels = _shoot(nl, grid)
     mp = _mountain_pass(terms)
     t0 = terms.V ** (1.0 / 3.0)
     M = 0.5 * terms.A / t0
-    residual = dual_norm(grid, gradient_residual(omega, nl, 0.0)[0].values)
     return LimitGroundState(
         u=None, omega=omega, M_value=M, p_value=2.0 * math.sqrt(3.0) / 9.0 * M**1.5,
         b_value=mp.b, t0_dilation=t0, t_star=mp.t_star,

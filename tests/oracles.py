@@ -21,7 +21,6 @@ from spgs.grid import (
 )
 from spgs.limit_solver import (
     _ARMIJO,
-    _FIRST_DROP,
     _FLOW_HALVINGS,
     _FLOW_HANDOVER,
     _FLOW_MAX_ITER,
@@ -37,7 +36,6 @@ from spgs.limit_solver import (
     LimitGroundState,
     Stagnation,
     _auto_bracket,
-    _first_step,
     _g_field,
     _initial_bump,
     _projected_gradient,
@@ -364,16 +362,15 @@ def march_overshoots(nl, grid, a: float) -> bool:
     amplitude a overshoots, marched one node at a time in Python floats by
     row i of the equation, u_{i+1} = u_i + [c_{i-1} (u_i - u_{i-1})
     + m_i (u_i - f(u_i))] / c_i with c_{-1} = 0, from a centre that is a
-    maximum and falls by less than _FIRST_DROP of a in the first step: the
-    reference for the lanes of limit_solver._classify_shot."""
+    maximum, f(a) > a: the reference for the lanes of
+    limit_solver._classify_shot."""
     c, m = grid.conductance.tolist(), grid.mass.tolist()
 
     def f(s):
         return float(nl.f(np.asarray(s)))
 
     u_prev = u = float(a)
-    drop = m[0] / c[0] * (f(u) - u)
-    if not 0.0 < drop < _FIRST_DROP * u:
+    if not f(u) > u:
         return False
     for i in range(grid.n - 1):
         flux = c[i - 1] * (u - u_prev) if i > 0 else 0.0
@@ -410,8 +407,7 @@ def reference_march(nl, grid, amps, out: np.ndarray) -> np.ndarray:
     alpha = np.concatenate(([0.0], c[:-1] / c[1:])).tolist()
     beta = (grid.mass[:-1] / c).tolist()
     over = np.zeros(amps.size, dtype=bool)
-    drop, cut = _first_step(nl, grid, amps)
-    lanes = np.flatnonzero((drop > 0.0) & ~cut)
+    lanes = np.flatnonzero(nl.f(amps) > amps)
     u = prev = amps[lanes]
     out[0] = amps
     for i in range(grid.n - 1):

@@ -353,26 +353,27 @@ def test_projection_overflow_is_solver_failure(tmp_path):
 
 
 def test_failure_below_mu_threshold_is_regime_failure(tmp_path, capsys):
-    # mu = 1 lies below mu*(4) = 4.42, where the shot's scan finds no
-    # transition: the grid does not resolve the core of the lanes above 11.08
+    # mu = 1 lies below mu*(4) = 4.42, where the shot on the default grid
+    # ends in a grid bubble at n = 750 and at n = 3000: the grid does not
+    # resolve its core
     cfg = write_cfg(tmp_path, "[nonlinearity]\nmu = 1.0\nq = 4.0\ncritical_weight = 1.0\n")
     code = main(["--config", str(cfg), "--output", str(tmp_path / "out"), "solve-limit"])
     assert code == 3
     err = capsys.readouterr().err
     assert "mu = 1 lies below the sufficient threshold mu* = 4.42" in err
-    assert "lanes are cut from a = 11.08, where the core 1/sqrt(f'(a)) is 0.363 h" in err
+    assert "grid bubble: omega(0) = 14.83 with core width 1/sqrt(f'(omega(0))) = 0.203 h" in err
 
 
 def test_mu_half_q3_below_threshold_is_regime_failure(tmp_path, capsys):
-    # mu = 0.5 lies below mu*(3) = 3.196; the shot's scan is cut from
-    # a = 11.13 on the default grid (the constrained flow returned b = 4.6438
-    # >= c* there, from a state that does not solve the grid equation)
+    # mu = 0.5 lies below mu*(3) = 3.196; the shot ends in a grid bubble
+    # on the default grid (the constrained flow returned b = 4.6438 >= c*
+    # there, from a state that does not solve the grid equation)
     cfg = write_cfg(tmp_path, "[nonlinearity]\nmu = 0.5\nq = 3.0\ncritical_weight = 1.0\n")
     code = main(["--config", str(cfg), "--output", str(tmp_path / "out"), "solve-limit"])
     assert code == 3
     err = capsys.readouterr().err
     assert "mu = 0.5 lies below the sufficient threshold mu* = 3.196" in err
-    assert "lanes are cut from a = 11.13" in err
+    assert "grid bubble: omega(0) = 14.85 with core width 1/sqrt(f'(omega(0))) = 0.203 h" in err
     assert not (tmp_path / "out" / "solve_limit.json").exists()
 
 
@@ -411,8 +412,9 @@ def test_every_failure_of_the_shot_gets_the_regime_diagnosis(failure, monkeypatc
 
 def test_production_path_runs_no_flow(tmp_path, count_calls):
     # verify and the C_q of every q whose shot converges take the shot's
-    # omega_0; only q = 5.5 at n = 750, whose scan is cut, falls back to the
-    # flow, and there to its handover field: no polish runs on either command
+    # omega_0; only q = 5.5 at n = 750, whose shot is a grid bubble, falls
+    # back to the flow, and there to its handover field: no polish runs on
+    # either command
     flows = count_calls(limit_solver.minimize_on_M)
     polishes = count_calls(limit_solver._newton_polish)
     assert main(["--output", str(tmp_path / "verify"), "verify"]) == 0

@@ -19,7 +19,7 @@ from spgs import (
 from spgs.config import RunConfig
 from spgs.constants import _quotient_hq
 from spgs.grid import dual_norm, grad_norm_sq
-from spgs.limit_solver import BracketFailure, Stagnation, cgm_rescale
+from spgs.limit_solver import ResolutionFailure, Stagnation, cgm_rescale
 
 
 def test_closed_form_value():
@@ -94,13 +94,13 @@ def test_best_Cq_is_at_most_the_flow_quotient(q):
 
 
 def test_best_Cq_falls_back_to_the_flow_where_the_shot_fails():
-    # the scan of q = 5.5 at n = 750 is cut from a = 7.086 (core 0.38 h), so
+    # the shot of q = 5.5 at n = 750 is a grid bubble (core 0.21 h), so
     # C_q is the quotient of the flow's handover field, dilated onto the
     # Pohozaev manifold and not polished: 7.0741, against 7.5112 after the
     # polish and 7.0028 from the shot at n = 12000
     grid = make_grid(30.0, 750)
     nl = canonical_family(1.0, 5.5, 0.0)
-    with pytest.raises(BracketFailure):
+    with pytest.raises(ResolutionFailure):
         limit_ground_state(nl, grid)
     cq = best_Cq(5.5, grid)
     assert cq == _quotient_hq(cgm_rescale(limit_solver._ladder(nl, grid)[0], nl)[0], 5.5)

@@ -238,15 +238,28 @@ def test_pruned_scan_gives_the_unpruned_bracket(case, grid30):
 
 
 def test_scan_without_transition_raises(grid30):
-    # every lane of the scan undershoots, and those from the named amplitude
-    # up are cut at their start: the grid does not resolve their core
-    for case, grid, cut in [
-        ((1.0, 2.3, 0.5), grid30, r"a = 13\.18, where .* is 0\.364 h at h = 0\.01$"),
-        ((1.0, 5.5, 0.0), make_grid(30.0, 750), r"a = 7\.086, .* is 0\.382 h at h = 0\.04005$"),
+    # f(a) > a from a = 50 up, but the ground state of mu=0.02, q=3 is 50
+    # times mu=1's, amplitude 210, above the scan's 100: every lane undershoots
+    nl = canonical_family(0.02, 3.0, 0.0)
+    for grid in (make_grid(30.0, 750), grid30):
+        assert not _classify_shot(nl, grid, _scan_amplitudes(nl)).any()
+        with pytest.raises(BracketFailure,
+                           match="^no undershoot/overshoot transition on the amplitude scan$"):
+            shoot_ground_state(nl, grid)
+
+
+def test_grid_bubbles_on_the_scan_raise_resolution_failure(grid30):
+    # the scan's transition is a grid bubble's: its core spans about 0.2 h,
+    # and A - 6V misses 0 by about A; on grid30 the n=750 level is a bubble
+    # too, so the shot falls back to grid30's own scan, which ends in one
+    for case, grid, bubble in [
+        ((1.0, 2.3, 0.5), grid30, r"17\.66 with .* = 0\.203 h at h = 0\.01, .* = 1 "),
+        ((1.0, 5.5, 0.0), make_grid(30.0, 750),
+         r"9\.896 with .* = 0\.213 h at h = 0\.04005, .* = 1\.01 "),
     ]:
         nl = canonical_family(*case)
-        assert not _classify_shot(nl, grid, _scan_amplitudes(nl)).any()
-        with pytest.raises(BracketFailure, match="no undershoot/overshoot transition .* " + cut):
+        assert _classify_shot(nl, grid, _scan_amplitudes(nl)).any()
+        with pytest.raises(ResolutionFailure, match=r"grid bubble: omega\(0\) = " + bubble):
             shoot_ground_state(nl, grid)
 
 
@@ -273,7 +286,7 @@ def test_one_march_shot_is_bitwise_the_two_march_reference(case, R, n, grid30):
     grid = grid30 if n == 3000 else make_grid(R, n)
     assert np.array_equal(limit_solver._bracketing_pair(nl, grid), reference_pair(nl, grid),
                           equal_nan=True)
-    shot = limit_solver._scan_shot(nl, grid)
+    shot = limit_solver._scan_shot(nl, grid)[0]
     assert np.array_equal(shot.values, reference_shoot_ground_state(nl, grid).values)
     if n == 750:
         # below the ladder floor the shot is the single-level shot
@@ -287,17 +300,31 @@ def test_nested_shot_is_the_single_level_shot(case, grid30, ground_shots):
     # apart (q=5)
     nl = canonical_family(*case)
     shot = ground_shots[case] if case in ground_shots else shoot_ground_state(nl, grid30)
-    assert _h1_gap(shot, limit_solver._scan_shot(nl, grid30)) <= 1e-11
+    assert _h1_gap(shot, limit_solver._scan_shot(nl, grid30)[0]) <= 1e-11
 
 
 def test_shot_falls_back_to_the_fine_scan(grid30):
-    # the n=750 scan of q=5.5 has no transition, so the shot at n=3000 is
-    # its own grid's scan, bit for bit
+    # the n=750 scan of q=5.5 ends in a grid bubble, so the shot at n=3000
+    # is its own grid's scan, bit for bit
     nl = canonical_family(1.0, 5.5, 0.0)
-    with pytest.raises(BracketFailure):
+    with pytest.raises(ResolutionFailure):
         limit_solver._scan_shot(nl, make_grid(30.0, 750))
     assert np.array_equal(shoot_ground_state(nl, grid30).values,
-                          limit_solver._scan_shot(nl, grid30).values)
+                          limit_solver._scan_shot(nl, grid30)[0].values)
+
+
+def test_bubble_on_coarse_levels_falls_back_to_the_fine_scan():
+    # mu=1, q=5, cw=1 is a grid bubble at n=750 and n=3000 (core 0.2 h) and
+    # resolved at n=12000, where the shot converges from its own scan:
+    # omega(0) = 9.8405 (measured)
+    nl = canonical_family(1.0, 5.0, 1.0)
+    for n in (750, 3000):
+        with pytest.raises(ResolutionFailure, match="grid bubble"):
+            limit_ground_state(nl, make_grid(30.0, n))
+    gs = limit_ground_state(nl, make_grid(30.0, 12000))
+    assert gs.levels == (12000,)
+    assert gs.omega.values[0] == pytest.approx(9.8405, rel=1e-4)
+    assert gs.residual <= limit_solver._SHOT_TOL
 
 
 def test_grid_independent_bracket_failure_is_raised_once(monkeypatch):
@@ -686,8 +713,9 @@ def test_polish_pairs_each_residual_once(nl_cubic, monkeypatch):
 
 
 @pytest.mark.xfail(strict=True, reason=(
-    "at n=750 the flow stops short of the handover and the polish climbs to a "
-    "state with b = 9.6986 against 9.5826 at n=3000"))
+    "at n=750 the flow and the polish solve a neighbouring discrete problem "
+    "(items 1 and 4): the flow hands over after 12 steps, and the polish climbs "
+    "to b = 9.6986 against 9.5829 at n=3000"))
 def test_coarse_grid_q5_level_matches_fine_grid():
     nl = canonical_family(1.0, 5.0, 0.0)
     coarse = minimize_on_M(nl, make_grid(30.0, 750)).b_value
@@ -769,19 +797,17 @@ def test_continuation_anchored_on_the_shot_takes_no_newton_step_at_zero(nl_cubic
     assert solves[0] == (0.0, 0)
 
 
-def test_grid_bubble_raises_resolution_failure(monkeypatch):
-    # with the cut rule off, the shot of mu=0.25, q=3, cw=1 at n=750
-    # converges to a grid bubble: its core spans 0.2 h, and A - 6V misses 0
-    # by 1.01 A (at least 0.9992 A on every bubble the cut rule hides)
-    monkeypatch.setattr(limit_solver, "_FIRST_DROP", math.inf)
+def test_grid_bubble_raises_resolution_failure():
+    # the shot of mu=0.25, q=3, cw=1 at n=750 solves the grid equation to a
+    # grid bubble: its core spans 0.2 h, and A - 6V misses 0 by 1.01 A
+    # (0.9993 A to 1.014 A on the bubbles of the robustness matrix); the
+    # shot raises where its Newton solve ends, and the record with it
     nl, grid = canonical_family(0.25, 3.0, 1.0), make_grid(30.0, 750)
-    bubble = shoot_ground_state(nl, grid)
-    terms = scaling_terms(bubble, nl)
-    assert abs(terms.A - 6.0 * terms.V) / terms.A > 0.9992
-    with pytest.raises(ResolutionFailure, match=(
-            r"omega\(0\) = 7\.432 with core width .* = 0\.202 h at h = 0\.04005, "
-            r"Pohozaev defect \|A - 6V\| / A = 1\.01 \(above 0\.1\)")):
-        limit_ground_state(nl, grid)
+    for solve in (shoot_ground_state, limit_ground_state):
+        with pytest.raises(ResolutionFailure, match=(
+                r"omega\(0\) = 7\.432 with core width .* = 0\.202 h at h = 0\.04005, "
+                r"Pohozaev defect \|A - 6V\| / A = 1\.01 \(above 0\.1\)")):
+            solve(nl, grid)
 
 
 @pytest.mark.parametrize("case", GROUND_CASES + [(20.0, 2.5, 0.0)])
