@@ -24,7 +24,7 @@ from .limit_solver import (_SHOT_TOL, InitializationFailure, LimitGroundState, S
                            limit_ground_state, project_to_M)
 from .nonlinearity import check_hypotheses, user_nonlinearity
 from .poisson import coupling_scaling_check, dirichlet_energy_direct, solve_phi
-from .sp_solver import solve_at_lambda
+from .sp_solver import continuation
 
 
 def gaussian_poisson_errors(grid: RadialGrid) -> dict[str, float]:
@@ -135,8 +135,9 @@ class Context:
 
     @cached_property
     def point(self):
-        """Coupled solution at lambda = 0.05 from the limit ground state."""
-        return solve_at_lambda(self.ground.omega, self.nl, 0.05, self.cfg.solver_options())
+        """Coupled solution at lambda = 0.05 on the branch of the limit ground
+        state, the one-point continuation that `spgs solve` runs."""
+        return continuation(self.nl, [0.05], self.ground, self.cfg.solver_options()).points[0]
 
 
 @dataclass(frozen=True)
@@ -198,12 +199,13 @@ def gradient_fd_gap(grid, nl, rng: random.Random, trials: int = 20,
     """Worst relative gap between <gradient residual, v> and the central
     difference of the coupled energy along v, over random smooth (u, v, lam)."""
     worst = 0.0
+    minus_r2, wave = -grid.nodes**2, 1 + 0.3 * np.sin(grid.nodes)
     for k in range(trials):
         lam = lams[k % len(lams)]
         wu, wv = rng.uniform(0.8, 3.0), rng.uniform(0.8, 3.0)
         au, av = rng.uniform(0.3, 1.5), rng.uniform(0.3, 1.5)
-        u_vals = au * np.exp(-grid.nodes**2 / (2 * wu**2))
-        v_vals = av * np.exp(-grid.nodes**2 / (2 * wv**2)) * (1 + 0.3 * np.sin(grid.nodes))
+        u_vals = au * np.exp(minus_r2 / (2 * wu**2))
+        v_vals = av * np.exp(minus_r2 / (2 * wv**2)) * wave
         u_vals[-1] = v_vals[-1] = 0.0
         res, _ = gradient_residual(RadialFunction(grid, u_vals), nl, lam)
         pairing = integrate_values(grid, res.values * v_vals)
@@ -225,7 +227,11 @@ def interaction_ratios(grid, rng: random.Random) -> list[float]:
         width = rng.uniform(0.5, 3.0)
         amp = rng.uniform(0.1, 3.0)
         p = rng.uniform(1.0, 4.0)
-        vals = amp * np.exp(-(grid.nodes / width) ** p)
+        x = -(grid.nodes / width) ** p
+        # exp is exactly +0 below -746, where libm's exp takes a slow path
+        vals = np.zeros(grid.n)
+        np.exp(x, out=vals, where=x > -746.0)
+        vals *= amp
         vals[-1] = 0.0
         u = RadialFunction(grid, vals)
         bound = norm_lq(u, 12.0 / 5.0) ** 4 / SOBOLEV_S_CLOSED_FORM

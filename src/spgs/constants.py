@@ -26,8 +26,8 @@ from .grid import (  # noqa: F401
     dilate,
     grad_norm_sq,
     h1_norm_sq,
-    integrate_values,
     laplacian_apply,
+    lq_integral,
     norm_lq,
     solve_riesz,
 )
@@ -55,11 +55,11 @@ def _bubble(grid: RadialGrid, eps: float) -> RadialFunction:
     return RadialFunction(grid, np.maximum(vals, 0.0))
 
 
-def _l6_quotient(u: RadialFunction) -> float:
-    denom = norm_lq(u, 6.0) ** 2
-    if denom == 0.0:
-        return math.inf
-    return grad_norm_sq(u) / denom
+def _l6_terms(u: RadialFunction) -> tuple[float, float, float]:
+    """|grad u|^2, int u^6 and the quotient |grad u|^2 / |u|_6^2 of u."""
+    grad, int6 = grad_norm_sq(u), lq_integral(u, 6.0)
+    denom = float(int6 ** (1.0 / 6.0)) ** 2
+    return grad, int6, math.inf if denom == 0.0 else grad / denom
 
 
 def sobolev_S(grid: RadialGrid) -> float:
@@ -70,12 +70,11 @@ def sobolev_S(grid: RadialGrid) -> float:
     widths the grid resolves.
     """
     u = _bubble(grid, 4.0 * grid.h)
-    best = _l6_quotient(u)
+    grad, denom6, best = _l6_terms(u)
 
     # quotient descent polish; the quotient gradient is -Delta u - Q u^5/|u|_6^6
     for _ in range(80):
-        denom6 = integrate_values(grid, np.abs(u.values) ** 6)
-        q = grad_norm_sq(u) / denom6 ** (1.0 / 3.0)
+        q = grad / denom6 ** (1.0 / 3.0)
         g = -laplacian_apply(u) - (q / denom6 ** (2.0 / 3.0)) * u.values**5
         g[-1] = 0.0
         d = solve_riesz(grid, g)
@@ -83,9 +82,9 @@ def sobolev_S(grid: RadialGrid) -> float:
         improved = False
         for _ in range(12):
             cand = RadialFunction(grid, np.maximum(u.values - step * d, 0.0))
-            qc = _l6_quotient(cand)
+            cand_grad, cand_denom6, qc = _l6_terms(cand)
             if qc < best:
-                u, best = cand, qc
+                u, grad, denom6, best = cand, cand_grad, cand_denom6, qc
                 improved = True
                 break
             step *= 0.5

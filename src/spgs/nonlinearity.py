@@ -94,15 +94,16 @@ def canonical_family(mu: float, q: float, critical_weight: float) -> Nonlinearit
 
     # without a critical term its zero terms are skipped: adding 0 s^k changes
     # no value (short of s^k overflowing, where it gave NaN), yet it doubles
-    # the cost of f on every field of the flow and on every node of a shot
+    # the cost of f on every field of the flow and on every node of a shot;
+    # likewise the factor mu = 1, as 1.0 * x is x for every x, -0.0 included
     def f(s):
         sp = np.maximum(np.asarray(s, dtype=float), 0.0)
-        sub = mu * sp ** (q - 1.0)
+        sub = sp ** (q - 1.0) if mu == 1.0 else mu * sp ** (q - 1.0)
         return sub + cw * sp**5 if cw else sub
 
     def F(s):
         sp = np.maximum(np.asarray(s, dtype=float), 0.0)
-        sub = mu * sp**q / q
+        sub = (sp**q if mu == 1.0 else mu * sp**q) / q
         return sub + cw * sp**6 / 6.0 if cw else sub
 
     def fprime(s):

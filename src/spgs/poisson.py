@@ -40,11 +40,11 @@ def newton_potential(grid: RadialGrid, rho: np.ndarray) -> np.ndarray:
     a = grid.weights * rho
     a /= 4.0 * np.pi  # W_j rho_j / 4pi
 
-    pot = np.cumsum(a)
+    pot = a.cumsum()
     pot -= a  # sum over j < i, +0.0 at r = 0
     pot[1:] /= r[1:]
-    over_r = np.divide(a, r, out=np.zeros_like(a), where=r > 0)
-    pot += np.cumsum(over_r[::-1])[::-1]  # sum over j >= i of a_j / r_j
+    over_r = np.divide(a, r, out=np.zeros(grid.n), where=r > 0)
+    pot += over_r[::-1].cumsum()[::-1]  # sum over j >= i of a_j / r_j
     return pot
 
 

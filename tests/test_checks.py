@@ -1,9 +1,11 @@
 """Every entry of the verification registry, one test each, on the default
 configuration that `spgs verify` runs."""
 
+import json
+
 import pytest
 
-from spgs import checks
+from spgs import checks, cli
 from spgs.config import RunConfig
 from spgs.grid import make_grid
 
@@ -17,6 +19,19 @@ def ctx():
 def test_check(check, ctx):
     result = check.run(ctx)
     assert result["passed"], f"{check.name}: {result['detail']}"
+
+
+def test_coupled_checks_read_the_solve_point(ctx, tmp_path):
+    # the sp.* certificates are those of `spgs solve --lambda 0.05`
+    assert cli.main(["--output", str(tmp_path), "solve", "--lambda", "0.05"]) == 0
+    solve = json.loads((tmp_path / "solve.json").read_text())
+    point = ctx.point
+    assert point.lam == 0.05
+    for key, value in (("gamma_energy", point.gamma_energy),
+                       ("pohozaev_residual_relative", point.pohozaev_res_rel),
+                       ("grad_residual_norm", point.grad_residual_norm),
+                       ("iterations", point.iterations)):
+        assert solve[key]["value"] == value, key
 
 
 def test_gradient_consistency_samples_depend_on_the_seed():

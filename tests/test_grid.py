@@ -29,6 +29,7 @@ from spgs.grid import (
     integrate_values,
     laplacian_apply,
     monotone_slopes,
+    pair,
     solve_helmholtz,
     solve_lu,
     solve_riesz,
@@ -162,6 +163,38 @@ def test_norm_lq_and_validation():
         assert abs(norm_lq(u, q) ** q - exact) <= 1e-8 * exact
     with pytest.raises(ValueError):
         norm_lq(u, 0.5)
+
+
+@pytest.mark.parametrize("q", [2.0, 12.0 / 5.0, 3.0, 5.5, 6.0])
+def test_norm_lq_is_unchanged_by_underflowing_tails(q):
+    # |u|^q below the smallest normal float counts as 0, which leaves the
+    # norm of a profile with a tail of tiny, subnormal or zero values as it
+    # is, and the same bits as the sum over every |u|^q
+    g = make_grid(30.0, 3000)
+    vals = 2.0 * np.exp(-g.nodes**2 / 8.0)
+    vals[-1] = 0.0
+    tail = vals.copy()
+    tail[2000:] = np.resize([1e-100, -1e-150, 1e-200, 1e-300, 5e-324, -0.0], 1000)
+    tail[-1] = 0.0
+    with np.errstate(under="ignore"):
+        every = integrate_values(g, np.abs(tail) ** q) ** (1.0 / q)
+    assert norm_lq(RadialFunction(g, tail), q) == every == norm_lq(RadialFunction(g, vals), q)
+    # a field whose |u|^q is normal at every node keeps all of them
+    low = np.full(g.n, 1.01 * np.finfo(float).tiny ** (1.0 / q))
+    low[-1] = 0.0
+    every = integrate_values(g, low**q) ** (1.0 / q)
+    assert norm_lq(RadialFunction(g, low), q) == every > 0.0
+
+
+@pytest.mark.parametrize("n", [16, 750, 3000, 12000, 48000])
+def test_pair_is_bitwise_einsum(n):
+    # also past the 10 000 terms at which BLAS would split the sum, and on
+    # views: offset, reversed and the read-only arrays of a grid
+    g = make_grid(30.0, n)
+    y = np.sin(3.0 * g.nodes) * np.exp(-g.nodes / 7.0)
+    for a, b in ((g.weights, y), (g.conductance, y[1:]), (y[::-1], g.mass),
+                 (y[1:], y[:-1]), (g.nodes, g.weights)):
+        assert np.float64(pair(a, b)).tobytes() == np.einsum("i,i", a, b).tobytes()
 
 
 def test_dilate_scalings():

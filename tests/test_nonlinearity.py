@@ -39,6 +39,25 @@ def test_canonical_family_bitwise_equals_general_form(q, cw):
         assert getattr(nl, name)(s).tobytes() == ref.tobytes(), name
 
 
+@pytest.mark.parametrize("cw", [0.0, 1.0])
+@pytest.mark.parametrize("q", [2.5, 3.0, 4.0, 5.0, 5.5])
+def test_canonical_family_at_unit_mu_skips_only_the_factor(q, cw):
+    # at mu = 1 f and F leave out the multiply by 1.0, which changes no bit
+    ladder = np.logspace(-300, 100, 801)
+    s = np.concatenate(([0.0, -0.0, 1e100, -1e100], ladder, -ladder))
+    sp = np.maximum(s, 0.0)
+    nl = canonical_family(1.0, q, cw)
+    with np.errstate(over="ignore"):
+        want = {"f": 1.0 * sp ** (q - 1.0), "F": 1.0 * sp**q / q}
+        if cw:
+            want["f"] += cw * sp**5
+            want["F"] += cw * sp**6 / 6.0
+        for name, ref in want.items():
+            assert getattr(nl, name)(s).tobytes() == ref.tobytes(), name
+            for k, x in enumerate(s[:4]):
+                assert getattr(nl, name)(x).tobytes() == ref[k].tobytes(), (name, x)
+
+
 def test_G_shifted_primitive():
     nl = canonical_family(1.0, 4.0, 0.0)
     assert nl.G(2.0) == pytest.approx(2.0**4 / 4.0 - 2.0)
