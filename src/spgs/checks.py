@@ -21,7 +21,7 @@ from .constants import SOBOLEV_S_CLOSED_FORM, best_Cq, compactness_threshold, mu
 from .functionals import V_value, energy, gradient_residual, scaling_terms
 from .grid import RadialFunction, RadialGrid, integrate_values, make_grid, norm_lq
 from .limit_solver import (_SHOT_TOL, InitializationFailure, LimitGroundState, SolverFailure,
-                           limit_ground_state, project_to_M)
+                           _core_phrase, limit_ground_state, project_to_M)
 from .nonlinearity import check_hypotheses, user_nonlinearity
 from .poisson import coupling_scaling_check, dirichlet_energy_direct, solve_phi
 from .sp_solver import continuation
@@ -86,11 +86,9 @@ def ground_state(cfg: RunConfig, nl, grid) -> LimitGroundState:
         raise
     c_star = compactness_threshold(cfg.critical_weight)
     if ground.b_value >= c_star:
-        a = float(ground.omega.values[0])
         raise CompactnessFailure(
             f"b = {ground.b_value:.6g} is at or above the compactness threshold "
-            f"c* = {c_star:.6g}; omega(0) = {a:.4g} with core width 1/sqrt(f'(omega(0))) = "
-            f"{1.0 / math.sqrt(float(nl.fprime(a))) / grid.h:.3g} h")
+            f"c* = {c_star:.6g}; {_core_phrase(ground.omega, nl)}")
     return ground
 
 

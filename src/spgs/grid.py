@@ -388,15 +388,6 @@ def solve_riesz(grid: RadialGrid, rhs: np.ndarray) -> np.ndarray:
     return solve_lu(grid.riesz_lu, rhs)
 
 
-def solve_helmholtz(grid: RadialGrid, shift: np.ndarray | float, rhs: np.ndarray) -> np.ndarray:
-    """Solve (-Delta + shift) w = rhs with w(R) = 0, tridiagonal in O(n).
-
-    Factors the shifted matrix on every call, once for all columns of an
-    (n, k) rhs; solve_riesz serves shift 1.
-    """
-    return solve_lu(helmholtz_lu(grid, shift), rhs)
-
-
 def dual_norm(grid: RadialGrid, residual: np.ndarray) -> float:
     """H^-1 style dual norm of a strong-form residual field.
 

@@ -1,17 +1,18 @@
 """Ground states of the uncoupled limit problem -Delta u + u = f(u).
 
-Two independent routes to the ground state omega_0 of the grid equation
--Delta_h u + u = f(u).  The method of record (limit_ground_state) shoots the
-grid equation itself (scan, graft, and a Newton solve that sets the
-amplitude), so omega_0 carries its lam = 0 residual as its certificate.  The
-second route (minimize_on_M) is a dilation-projected constrained flow on the
-set {int G(u) = 1}, rescaled onto the Pohozaev manifold by the
-Coleman-Glazer-Martin dilation; it solves a neighbouring discrete problem,
-so its level agrees with the shot's to the discretization error.  Both run
-on a ladder of 4x coarser grids (nested iteration): the flow hands its state
-on from the coarsest level, and the shot scans only there and Newton-solves
-once per finer level.  The least-energy and mountain-pass levels and their
-interrelations follow from the scaling terms of either state.
+Two routes to the ground state omega_0 of the grid equation
+-Delta_h u + u = f(u), which end in the same Newton solve at lam = 0
+(_shot_newton), so both carry omega_0's lam = 0 residual as their
+certificate and reach the same discrete solution.  The method of record
+(limit_ground_state) shoots the grid equation itself (scan, graft, and the
+Newton solve that sets the amplitude).  The second route (minimize_on_M)
+starts that solve from a dilation-projected constrained flow on the set
+{int G(u) = 1}, rescaled onto the Pohozaev manifold by the
+Coleman-Glazer-Martin dilation.  Both run on a ladder of 4x coarser grids
+(nested iteration): the flow hands its state on from the coarsest level,
+and the shot scans only there and Newton-solves once per finer level.  The
+least-energy and mountain-pass levels and their interrelations follow from
+the scaling terms of omega_0.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .grid import (
     laplacian_apply,
     make_grid,
     monotone_slopes,
-    solve_helmholtz,
     solve_riesz,
 )
 from .nonlinearity import Nonlinearity
@@ -40,19 +40,16 @@ from .nonlinearity import Nonlinearity
 # resampled dilations project_to_M may try; flows at n >= 750 need five at most
 _PROJECTION_STEPS = 8
 
-# the flow hands over to the Newton polish once the dual norm of the projected
-# gradient is at most this fraction of |grad u|_2, which bounds the dual norm
-# of T0'(u) = -Delta u, so the test does not depend on the scale of the
-# problem.  It sets only where the flow stops, never its iterates.  Against
-# 0.02, on mu in {0.25, 1, 5, 20} x q in {2.2, 2.5, 3, 4, 5, 5.5} x cw in
-# {0, 1} on (R, n) in {(30, 750), (30, 3000), (40, 750), (20, 750),
-# (30, 12000)}, no outcome changes (139 of 240 converge), b moves by at most
-# 2.4e-13 and omega by 4.8e-12 relative in H^1, and the flow takes 2 432
-# steps instead of 4 070; the polish first fails from 0.07, 7 times at 0.1.
-# Over R in {20, 30, 40}, n in {750, 3000} and 23 nonlinearities, 121 of 138
-# converge at 0.02 and at 0.05; the first failure again comes at 0.07.
-# Outside both, mu=2, q=4, cw=1 on (30, 12000), below mu* and with b within
-# 0.9 % of c*, converges from every handover up to 0.045 and stalls from 0.05
+# the flow hands over to the Newton solve at lam = 0 once the dual norm of the
+# projected gradient is at most this fraction of |grad u|_2, which bounds the
+# dual norm of T0'(u) = -Delta u, so the test does not depend on the scale of
+# the problem.  It sets only where the flow stops, never its iterates.  On
+# mu in {0.25, 1, 5, 20} x q in {2.2, 2.5, 3, 4, 5, 5.5} x cw in {0, 1} on
+# (R, n) in {(30, 750), (30, 3000), (40, 750), (20, 750), (30, 12000)}, 125
+# of the 240 converge at 0.05 in 2 246 flow steps, each on the shot's omega_0
+# (b within 3.9e-14 relative); 128 converge at 0.02 in 3 883 steps, 124 at
+# 0.07 and 115 at 0.1.  0.05 was set for the bordered polish that finished
+# the flow before the Newton solve did
 _FLOW_HANDOVER = 0.05
 
 # flow steps per level before Stagnation; mu=1, q=2.5, cw=0 takes 64 on R=30
@@ -69,17 +66,6 @@ _FLOW_HALVINGS = 40
 _ARMIJO = 1e-4
 _STEP_GROWTH = 1.5
 _STEP_CAP = 1e3
-
-# the polish: at most _POLISH_MAX_STEPS Newton steps, each with at most
-# _POLISH_HALVINGS halvings, until the dual norm of the residual meets tol and
-# |V(u) - 1| meets _POLISH_CONSTRAINT_TOL.  On `ground` a polish takes 4 or 5
-# steps and at most 1 halving, and leaves |V(u) - 1| <= 1.2e-14; q=5.5 at
-# n=750, handed over at 0.084 after a failed line search, runs into the cap
-# with 851 trials in 60 steps (no subcommand polishes it: constants takes
-# handover_omega)
-_POLISH_MAX_STEPS = 60
-_POLISH_HALVINGS = 30
-_POLISH_CONSTRAINT_TOL = 1e-12
 
 # nested iteration (Brandt, Math. Comp. 31, 1977), for the flow (_ladder)
 # and the shot (_shoot) alike: a grid of n nodes first solves on the grid of
@@ -126,17 +112,16 @@ class MountainPassResult:
 
 @dataclass
 class LimitGroundState:
-    """A limit ground state omega, its dilation u onto {V = 1} (u = omega(. t0)
-    up to resampling) and their levels, with the cost and the certificate of
-    the route that computed it.  levels holds the n of every grid the route
-    ran on, coarsest first ((n,) for one level).
+    """A limit ground state omega_0 of the grid equation, its levels from its
+    scaling terms (_record), and the cost of the route that computed it.
+    residual is the dual norm of omega_0's lam = 0 residual, the certificate
+    of the Newton solve that both routes end in; levels holds the n of every
+    grid the route ran on, coarsest first ((n,) for one level).
 
-    From the shot (limit_ground_state): u is None, residual is the dual norm
-    of omega's lam = 0 residual; no flow ran, so iterations and polish_steps
-    are 0 and pg_norm is NaN.  From the flow (minimize_on_M): iterations counts the
-    accepted flow steps summed over the levels, polish_steps the Newton steps
-    on the finest grid, and pg_norm the dual norm of u's projected gradient,
-    its certificate; residual is NaN.
+    From the shot (limit_ground_state): u is None and iterations 0.  From
+    the flow (minimize_on_M): u is omega_0 dilated onto {V = 1}
+    (project_to_M), and iterations counts the accepted flow steps summed
+    over the levels.
     """
 
     u: RadialFunction | None
@@ -147,8 +132,6 @@ class LimitGroundState:
     t0_dilation: float
     t_star: float = 1.0
     iterations: int = 0
-    pg_norm: float = 0.0
-    polish_steps: int = 0
     levels: tuple[int, ...] = ()
     residual: float = math.nan
 
@@ -215,7 +198,7 @@ def _initial_bump(nl: Nonlinearity, grid: RadialGrid) -> RadialFunction:
 def _projected_gradient(u: RadialFunction, nl: Nonlinearity):
     """T0 gradient with its component along the constraint gradient removed.
 
-    Returns (projected gradient, theta, T0'(u) = -Delta u, V'(u) = f(u) - u).
+    Returns (projected gradient, T0'(u) = -Delta u, V'(u) = f(u) - u).
     """
     grid = u.grid
     t0g = -laplacian_apply(u)
@@ -224,63 +207,7 @@ def _projected_gradient(u: RadialFunction, nl: Nonlinearity):
     theta = integrate_values(grid, t0g * vg) / denom if denom > 0 else 0.0
     pg = t0g - theta * vg
     pg[-1] = 0.0
-    return pg, theta, t0g, vg
-
-
-def _newton_polish(u: RadialFunction, theta: float, nl: Nonlinearity, tol: float):
-    """Solve -Delta u = theta (f(u) - u), V(u) = 1 by a bordered Newton method.
-
-    Returns (u, accepted Newton steps).
-    """
-    grid = u.grid
-
-    def constraint(vals):
-        return integrate_values(grid, nl.G(vals)) - 1.0
-
-    def field(vals, th):
-        g = _g_field(nl, vals)
-        f1 = -laplacian_apply(RadialFunction(grid, vals)) - th * g
-        f1[-1] = 0.0
-        return f1, g
-
-    vals = u.values.copy()
-    f1, g = field(vals, theta)
-    f2 = constraint(vals)
-    nrm = dual_norm(grid, f1)
-    steps = 0
-    for _ in range(_POLISH_MAX_STEPS):
-        if nrm <= tol and abs(f2) <= _POLISH_CONSTRAINT_TOL:
-            break
-        gp = np.asarray(nl.fprime(vals), dtype=float) - 1.0
-        shift = -theta * gp
-        x, y = solve_helmholtz(grid, shift, np.column_stack((-f1, g))).T
-        denom = integrate_values(grid, g * y)
-        if denom == 0.0:
-            break
-        dtheta = -(integrate_values(grid, g * x) + f2) / denom
-        du = x + dtheta * y
-        # damped update on the combined residual
-        step = 1.0
-        accepted = False
-        base = nrm + abs(f2)
-        for _ in range(_POLISH_HALVINGS):
-            cand = vals + step * du
-            cth = theta + step * dtheta
-            # the rounded sum of |c2| and a dual norm >= 0 is never below |c2|,
-            # so a trial with |c2| >= base fails without its field residual
-            c2 = constraint(cand)
-            if abs(c2) < base:
-                c1, cg = field(cand, cth)
-                cnrm = dual_norm(grid, c1)
-                if cnrm + abs(c2) < base:
-                    vals, theta, f1, f2, g, nrm = cand, cth, c1, c2, cg, cnrm
-                    accepted = True
-                    break
-            step *= 0.5
-        if not accepted:
-            break
-        steps += 1
-    return RadialFunction(grid, vals), steps
+    return pg, t0g, vg
 
 
 def _flow(u: RadialFunction, nl: Nonlinearity):
@@ -290,8 +217,7 @@ def _flow(u: RadialFunction, nl: Nonlinearity):
     (_FLOW_HANDOVER).  A flow that has not reached the handover after
     _FLOW_MAX_ITER steps raises Stagnation.
 
-    Returns (u, theta, accepted steps), with theta from the projected
-    gradient at the returned u.
+    Returns (u, accepted steps).
     """
     grid = u.grid
     u = project_to_M(u, nl)
@@ -300,7 +226,7 @@ def _flow(u: RadialFunction, nl: Nonlinearity):
     steps = 0
     t0_here = T0_value(u)
     while True:
-        pg, theta, t0g, vg = _projected_gradient(u, nl)
+        pg, t0g, vg = _projected_gradient(u, nl)
         pg_nrm = dual_norm(grid, pg)
         if pg_nrm <= _FLOW_HANDOVER * math.sqrt(2.0 * t0_here):
             break
@@ -340,7 +266,7 @@ def _flow(u: RadialFunction, nl: Nonlinearity):
         if not accepted:
             break
         steps += 1
-    return u, theta, steps
+    return u, steps
 
 
 def _coarse_grid(grid: RadialGrid) -> RadialGrid | None:
@@ -355,51 +281,51 @@ def _ladder(nl: Nonlinearity, grid: RadialGrid):
     coarser grid of _coarse_grid, prolonged by the monotone cubic of dilate,
     or from _initial_bump if there is none.
 
-    Returns (u, theta, accepted steps over all levels, n of every level).
+    Returns (u, accepted steps over all levels, n of every level).
     """
     coarse_grid = _coarse_grid(grid)
     if coarse_grid is None:
         start, steps, levels = _initial_bump(nl, grid), 0, ()
     else:
-        coarse, _, steps, levels = _ladder(nl, coarse_grid)
+        coarse, steps, levels = _ladder(nl, coarse_grid)
         start = dilate(coarse, 1.0, onto=grid)
-    u, theta, k = _flow(start, nl)
-    return u, theta, steps + k, levels + (grid.n,)
+    u, k = _flow(start, nl)
+    return u, steps + k, levels + (grid.n,)
 
 
-def minimize_on_M(nl: Nonlinearity, grid: RadialGrid, tol: float = 1e-8) -> LimitGroundState:
-    """Constrained minimization of T0 over {V = 1}.
+def _newton_polish(u: RadialFunction, nl: Nonlinearity
+                   ) -> tuple[RadialFunction, ScalingTerms, float]:
+    """The flow's finish: the shot's Newton solve at lam = 0 (_shot_newton)
+    from the flow's state u dilated onto the Pohozaev manifold
+    (cgm_rescale).  Returns what _shot_newton returns and raises what it
+    raises."""
+    return _shot_newton(cgm_rescale(u, nl)[0], nl)
+
+
+def minimize_on_M(nl: Nonlinearity, grid: RadialGrid) -> LimitGroundState:
+    """The ground state omega_0 of the grid equation from constrained
+    minimization of T0 over {V = 1}, finished by the shot's Newton solve.
 
     The constrained flow (_flow) runs to its handover on a ladder of grids
     (_ladder): while the grid of (n - 1)//4 + 1 nodes has at least
     _LADDER_FLOOR nodes, the flow first solves there and hands its state on,
-    prolonged, to the finer grid.  Only the finest level is polished: a
-    bordered Newton polish of the stationarity system with tol on the dual
-    norm of its residual, then a projection onto {V = 1}, and a projected
-    gradient above 100 tol after it raises Stagnation.  A SolverFailure on
-    any level is the outcome.  The state's iterations are its accepted flow
-    steps summed over its levels, the n of every grid whose flow ran.
+    prolonged, to the finer grid.  The finest level's state, dilated onto the
+    Pohozaev manifold, starts the Newton solve at lam = 0 (_newton_polish),
+    so the record is the shot's (_record) with u = project_to_M(omega_0).  A
+    SolverFailure on any level, or of the Newton solve, is the outcome.  The
+    state's iterations are its accepted flow steps summed over its levels,
+    the n of every grid whose flow ran.
     """
-    u, theta, steps, levels = _ladder(nl, grid)
-    u, polish_steps = _newton_polish(u, theta, nl, tol=tol)
-    u = project_to_M(u, nl)
-    pg_nrm = dual_norm(grid, _projected_gradient(u, nl)[0])
-    if pg_nrm > 100 * tol:
-        raise Stagnation(f"Newton polish stalled at projected gradient {pg_nrm:.3e}")
-    terms = scaling_terms(u, nl)
-    omega, t0 = cgm_rescale(u, nl)
-    mp = mountain_pass_b(omega, nl)
-    return LimitGroundState(
-        u=u, omega=omega, M_value=0.5 * terms.A, p_value=terms.gamma(t0), b_value=mp.b,
-        t0_dilation=t0, t_star=mp.t_star, iterations=steps, pg_norm=pg_nrm,
-        polish_steps=polish_steps, levels=levels,
-    )
+    u, steps, levels = _ladder(nl, grid)
+    gs = _record(_newton_polish(u, nl), levels)
+    gs.u, gs.iterations = project_to_M(gs.omega, nl), steps
+    return gs
 
 
 def handover_omega(nl: Nonlinearity, grid: RadialGrid) -> tuple[RadialFunction, float]:
     """The flow ladder's handover state u (_ladder) dilated onto the Pohozaev
-    manifold (cgm_rescale), as minimize_on_M builds its omega, but with no
-    polish, projection or certificate: an uncertified field, whose quotients
+    manifold (cgm_rescale), as minimize_on_M starts its Newton solve, but
+    with no solve or certificate: an uncertified field, whose quotients
     are upper estimates.  Returns (omega, the dual norm of u's projected
     gradient over |grad u|_2), the flow's own handover measure, which a flow
     stopped by a failed line search leaves above _FLOW_HANDOVER.  A
@@ -562,13 +488,22 @@ def _shot_newton(u: RadialFunction, nl: Nonlinearity
     omega, terms = point.u, scaling_terms(point.u, nl)
     defect = abs(terms.A - 6.0 * terms.V) / terms.A
     if not defect <= _RESOLUTION_DEFECT:
-        a, h = float(omega.values[0]), omega.grid.h
         raise ResolutionFailure(
-            f"the shot is a grid bubble: omega(0) = {a:.4g} with core width "
-            f"1/sqrt(f'(omega(0))) = {1.0 / math.sqrt(float(nl.fprime(a))) / h:.3g} h "
-            f"at h = {h:.4g}, Pohozaev defect |A - 6V| / A = {defect:.3g} "
-            f"(above {_RESOLUTION_DEFECT:g})")
+            f"the shot is a grid bubble: {_core_phrase(omega, nl)} at h = {omega.grid.h:.4g}, "
+            f"Pohozaev defect |A - 6V| / A = {defect:.3g} (above {_RESOLUTION_DEFECT:g})")
     return omega, terms, point.grad_residual_norm
+
+
+def _core_phrase(omega: RadialFunction, nl: Nonlinearity) -> str:
+    """omega's centre a = omega(0) and the width 1/sqrt(f'(a)) of its core in
+    grid steps, for a failure message; where f'(a) <= 0 there is no such
+    width, and the phrase gives f'(a) instead."""
+    a = float(omega.values[0])
+    fp = float(nl.fprime(a))
+    if not fp > 0:
+        return f"omega(0) = {a:.4g} with f'(omega(0)) = {fp:.4g} <= 0"
+    return (f"omega(0) = {a:.4g} with core width 1/sqrt(f'(omega(0))) = "
+            f"{1.0 / math.sqrt(fp) / omega.grid.h:.3g} h")
 
 
 def _scan_shot(nl: Nonlinearity, grid: RadialGrid
@@ -652,12 +587,20 @@ def limit_ground_state(nl: Nonlinearity, grid: RadialGrid) -> LimitGroundState:
     ran on.  A shot that fails raises its failure (ResolutionFailure,
     BracketFailure, NonConvergence or PositivityLoss).
     """
-    (omega, terms, residual), levels = _shoot(nl, grid)
+    return _record(*_shoot(nl, grid))
+
+
+def _record(shot: tuple[RadialFunction, ScalingTerms, float], levels: tuple[int, ...]
+            ) -> LimitGroundState:
+    """The record of omega_0 from the Newton solve's (omega_0, scaling terms,
+    residual) and the route's levels, with u None and no iterations: b and
+    t* from the dilation path through omega_0 (_mountain_pass),
+    t0_dilation = V^(1/3), M = A / (2 t0) and p = (2 sqrt 3 / 9) M^(3/2)."""
+    omega, terms, residual = shot
     mp = _mountain_pass(terms)
     t0 = terms.V ** (1.0 / 3.0)
     M = 0.5 * terms.A / t0
     return LimitGroundState(
         u=None, omega=omega, M_value=M, p_value=2.0 * math.sqrt(3.0) / 9.0 * M**1.5,
-        b_value=mp.b, t0_dilation=t0, t_star=mp.t_star,
-        pg_norm=math.nan, levels=levels, residual=residual,
+        b_value=mp.b, t0_dilation=t0, t_star=mp.t_star, levels=levels, residual=residual,
     )

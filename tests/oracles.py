@@ -12,22 +12,13 @@ from scipy.optimize import brentq, minimize_scalar
 
 from spgs import RadialFunction, dilate, energy
 from spgs.functionals import T0_value, scaling_terms
-from spgs.grid import (
-    dual_norm,
-    integrate_values,
-    laplacian_apply,
-    solve_helmholtz,
-    solve_riesz,
-)
+from spgs.grid import dual_norm, integrate_values, solve_riesz
 from spgs.limit_solver import (
     _ARMIJO,
     _FLOW_HALVINGS,
     _FLOW_HANDOVER,
     _FLOW_MAX_ITER,
     _GRAFT_GAP,
-    _POLISH_CONSTRAINT_TOL,
-    _POLISH_HALVINGS,
-    _POLISH_MAX_STEPS,
     _PROJECTION_STEPS,
     _SHOT_TOL,
     _STEP_CAP,
@@ -36,11 +27,10 @@ from spgs.limit_solver import (
     LimitGroundState,
     Stagnation,
     _auto_bracket,
-    _g_field,
     _initial_bump,
+    _newton_polish,
     _projected_gradient,
-    cgm_rescale,
-    mountain_pass_b,
+    _record,
     project_to_M,
 )
 from spgs.sp_solver import SolverOptions, solve_at_lambda
@@ -85,7 +75,7 @@ def dense_phi_oracle(u: RadialFunction, lam: float) -> np.ndarray:
 def banded_helmholtz_solve(grid, shift, rhs: np.ndarray) -> np.ndarray:
     """(-Delta_h + shift) w = rhs with w(R) = 0 by scipy's solve_banded on the
     grid's bands plus shift on the interior diagonal, one column at a time:
-    the reference for spgs.grid.solve_riesz and solve_helmholtz."""
+    the reference for spgs.grid.solve_riesz and solve_lu."""
     ab = grid.bands.copy()
     ab[1, :-1] += np.broadcast_to(np.asarray(shift, dtype=float), (grid.n,))[:-1]
     b = np.array(rhs, dtype=float)
@@ -241,60 +231,15 @@ def reference_project_to_M(u: RadialFunction, nl) -> RadialFunction:
     raise InitializationFailure("constraint projection stalled")
 
 
-def reference_newton_polish(u: RadialFunction, theta: float, nl, tol: float):
-    """limit_solver._newton_polish as it was before its line search tested the
-    constraint residual first: every trial evaluates both residuals and the
-    dual norm.  The bitwise reference for the polish."""
-    grid = u.grid
-
-    def residuals(vals, th):
-        g = _g_field(nl, vals)
-        f1 = -laplacian_apply(RadialFunction(grid, vals)) - th * g
-        f1[-1] = 0.0
-        f2 = integrate_values(grid, nl.G(vals)) - 1.0
-        return f1, f2, g
-
-    vals = u.values.copy()
-    f1, f2, g = residuals(vals, theta)
-    nrm = dual_norm(grid, f1)
-    steps = 0
-    for _ in range(_POLISH_MAX_STEPS):
-        if nrm <= tol and abs(f2) <= _POLISH_CONSTRAINT_TOL:
-            break
-        gp = np.asarray(nl.fprime(vals), dtype=float) - 1.0
-        x, y = solve_helmholtz(grid, -theta * gp, np.column_stack((-f1, g))).T
-        denom = integrate_values(grid, g * y)
-        if denom == 0.0:
-            break
-        dtheta = -(integrate_values(grid, g * x) + f2) / denom
-        du = x + dtheta * y
-        step = 1.0
-        base = nrm + abs(f2)
-        for _ in range(_POLISH_HALVINGS):
-            cand = vals + step * du
-            cth = theta + step * dtheta
-            c1, c2, cg = residuals(cand, cth)
-            cnrm = dual_norm(grid, c1)
-            if cnrm + abs(c2) < base:
-                vals, theta, f1, f2, g, nrm = cand, cth, c1, c2, cg, cnrm
-                break
-            step *= 0.5
-        else:
-            break
-        steps += 1
-    return RadialFunction(grid, vals), steps
-
-
-def reference_minimize_on_M(nl, grid, tol: float = 1e-8) -> LimitGroundState:
+def reference_minimize_on_M(nl, grid) -> LimitGroundState:
     """spgs.minimize_on_M as one flow on grid from the initial bump, without
-    the ladder of coarser grids, followed by the reference polish
-    (reference_newton_polish) and its certificate: the bitwise reference for
-    grids below the ladder floor, and the solve that the ladder is compared
-    with above it."""
+    the ladder of coarser grids, followed by the same finish (_newton_polish,
+    the lam = 0 Newton solve): the bitwise reference for grids below the
+    ladder floor, and the solve that the ladder is compared with above it."""
     u = project_to_M(_initial_bump(nl, grid), nl)
     eta, steps, t0_here = 1.0, 0, T0_value(u)
     while True:
-        pg, theta, t0g, vg = _projected_gradient(u, nl)
+        pg, t0g, vg = _projected_gradient(u, nl)
         pg_nrm = dual_norm(grid, pg)
         if pg_nrm <= _FLOW_HANDOVER * math.sqrt(2.0 * t0_here):
             break
@@ -327,19 +272,9 @@ def reference_minimize_on_M(nl, grid, tol: float = 1e-8) -> LimitGroundState:
         else:
             break
         steps += 1
-    u, polish_steps = reference_newton_polish(u, theta, nl, tol=tol)
-    u = project_to_M(u, nl)
-    pg_nrm = dual_norm(grid, _projected_gradient(u, nl)[0])
-    if pg_nrm > 100 * tol:
-        raise Stagnation(f"Newton polish stalled at projected gradient {pg_nrm:.3e}")
-    terms = scaling_terms(u, nl)
-    omega, t0 = cgm_rescale(u, nl)
-    mp = mountain_pass_b(omega, nl)
-    return LimitGroundState(
-        u=u, omega=omega, M_value=0.5 * terms.A, p_value=terms.gamma(t0), b_value=mp.b,
-        t0_dilation=t0, t_star=mp.t_star, iterations=steps, pg_norm=pg_nrm,
-        polish_steps=polish_steps, levels=(grid.n,),
-    )
+    gs = _record(_newton_polish(u, nl), (grid.n,))
+    gs.u, gs.iterations = project_to_M(gs.omega, nl), steps
+    return gs
 
 
 def bounded_kappa(f) -> float:

@@ -55,3 +55,19 @@ def test_dilate_bindings_required_by_the_bench_selftest():
     for mod_name in ("spgs", "spgs.grid", "spgs.limit_solver", "spgs.sp_solver",
                      "spgs.constants", "spgs.poisson", "spgs.cli"):
         assert getattr(sys.modules[mod_name], "dilate", None) is spgs.grid.dilate, mod_name
+
+
+def test_flow_record_carries_what_the_bench_reads():
+    # bench/workloads.py certifies minimize_on_M's record from these fields,
+    # and the tracer's hook on it (_count_flow) reads u.grid.n and iterations
+    grid = spgs.make_grid(30.0, 750)
+    ground = spgs.minimize_on_M(spgs.canonical_family(1.0, 4.0, 0.0), grid)
+    assert ground.u is not None and ground.u.grid.n == grid.n
+    assert ground.omega.grid is grid
+    for name in ("M_value", "p_value", "b_value", "t_star"):
+        assert isinstance(getattr(ground, name), float), name
+    assert isinstance(ground.iterations, int) and ground.iterations > 0
+    counting = tracer.Tracer("ground")
+    assert tracer._count_flow(counting, 0, ground) is ground
+    assert counting.flow_n == {0: grid.n}
+    assert counting.counters[f"flow_iters.n{grid.n}"] == ground.iterations

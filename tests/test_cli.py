@@ -413,8 +413,8 @@ def test_every_failure_of_the_shot_gets_the_regime_diagnosis(failure, monkeypatc
 def test_production_path_runs_no_flow(tmp_path, count_calls):
     # verify and the C_q of every q whose shot converges take the shot's
     # omega_0; only q = 5.5 at n = 750, whose shot is a grid bubble, falls
-    # back to the flow, and there to its handover field: no polish runs on
-    # either command
+    # back to the flow, and there to its handover field: neither command
+    # runs minimize_on_M or its Newton finish
     flows = count_calls(limit_solver.minimize_on_M)
     polishes = count_calls(limit_solver._newton_polish)
     assert main(["--output", str(tmp_path / "verify"), "verify"]) == 0
@@ -443,10 +443,10 @@ def test_constants_json_gives_the_flow_field_its_projected_gradient(tmp_path):
 
 
 def test_constants_past_the_shot_take_the_handover_field(tmp_path):
-    # at q = 5.8 the shot fails up to n = 3000 and the polish of
-    # minimize_on_M stagnates; the handover field's quotient falls with n
+    # at q = 5.8 the shot fails up to n = 3000, and so does the Newton
+    # finish of minimize_on_M; the handover field's quotient falls with n
     # towards the n = 12000 shot's 6.2216: 6.4762, 6.2966, 6.2392
-    with pytest.raises(limit_solver.Stagnation):
+    with pytest.raises(sp_solver.PositivityLoss):
         limit_solver.minimize_on_M(canonical_family(1.0, 5.8, 0.0), make_grid(30.0, 750))
     values = []
     for n in (750, 1500, 3000):

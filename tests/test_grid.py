@@ -30,7 +30,6 @@ from spgs.grid import (
     laplacian_apply,
     monotone_slopes,
     pair,
-    solve_helmholtz,
     solve_lu,
     solve_riesz,
 )
@@ -345,7 +344,7 @@ def test_solve_helmholtz_manufactured():
     r = g.nodes
     w_exact = np.exp(-r**2)
     rhs = (-4.0 * r**2 + 6.0) * w_exact + w_exact
-    w = solve_helmholtz(g, 1.0, rhs)
+    w = solve_lu(helmholtz_lu(g, 1.0), rhs)
     assert np.max(np.abs(w - w_exact)) <= 2e-4
 
 
@@ -354,10 +353,10 @@ def test_solve_helmholtz_leaves_grid_bands_unchanged():
     bands = g.bands.copy()
     rhs = np.exp(-g.nodes)
     shift = 1.0 + np.exp(-g.nodes**2)
-    first = solve_helmholtz(g, shift, rhs)
-    solve_helmholtz(g, 2.0, rhs)
+    first = solve_lu(helmholtz_lu(g, shift), rhs)
+    solve_lu(helmholtz_lu(g, 2.0), rhs)
     assert np.array_equal(g.bands, bands)
-    assert np.array_equal(solve_helmholtz(g, shift, rhs), first)
+    assert np.array_equal(solve_lu(helmholtz_lu(g, shift), rhs), first)
 
 
 def test_grid_arrays_are_read_only():
@@ -393,7 +392,7 @@ def test_helmholtz_factor_solve_matches_solve_banded_bitwise(n):
     rhs = rng.standard_normal((n, 2))
     for shift in (1.0 + rng.random(n), 1.0 - 3.0 * np.exp(-g.nodes**2)):
         ref = banded_helmholtz_solve(g, shift, rhs)
-        assert np.array_equal(solve_helmholtz(g, shift, rhs), ref)
+        assert np.array_equal(solve_lu(helmholtz_lu(g, shift), rhs), ref)
         lu = helmholtz_lu(g, shift)
         assert all(np.array_equal(a, b) for a, b in zip(lu, lapack_helmholtz_lu(g, shift)))
         assert np.array_equal(solve_lu(lu, rhs[:, 0]), ref[:, 0])
@@ -450,10 +449,10 @@ def test_riesz_solve_rejects_non_finite_rhs(bad):
         rhs[node] = bad
         with pytest.raises(ValueError, match="^array must not contain infs or NaNs$"):
             solve_riesz(g, rhs)
-    # the Dirichlet row ignores the last entry of rhs, as solve_helmholtz does
+    # the Dirichlet row ignores the last entry of rhs, as every solve_lu does
     rhs = np.exp(-g.nodes)
     rhs[-1] = bad
-    assert np.array_equal(solve_riesz(g, rhs), solve_helmholtz(g, 1.0, rhs))
+    assert np.array_equal(solve_riesz(g, rhs), solve_lu(helmholtz_lu(g, 1.0), rhs))
 
 
 def _banded_apply(g, u):

@@ -5,7 +5,6 @@ import warnings
 import numpy as np
 import pytest
 
-import oracles
 from oracles import (
     bisect_amplitude,
     march_overshoots,
@@ -13,7 +12,6 @@ from oracles import (
     reference_dilate,
     reference_minimize_on_M,
     reference_monotone_slopes,
-    reference_newton_polish,
     reference_pair,
     reference_project_to_M,
     reference_shoot_ground_state,
@@ -35,14 +33,18 @@ from spgs import (
     mountain_pass_b,
     shoot_ground_state,
     solve_at_lambda,
+    user_nonlinearity,
 )
-from spgs import limit_solver, sp_solver
+from spgs import checks, limit_solver, sp_solver
+from spgs.config import RunConfig
+from spgs.sp_solver import NonConvergence, PositivityLoss
 from spgs.functionals import T0_value, V_value, gradient_residual, scaling_terms
-from spgs.grid import dual_norm, laplacian_apply, monotone_slopes
+from spgs.grid import dual_norm, monotone_slopes
 from spgs.limit_solver import (
     BracketFailure,
     InitializationFailure,
     ResolutionFailure,
+    SolverFailure,
     Stagnation,
     _auto_bracket,
     _classify_shot,
@@ -63,7 +65,7 @@ def test_ground_state_levels(ground_cubic):
     gs = ground_cubic
     assert gs.b_value == pytest.approx(B_CUBIC_REF, rel=5e-4)
     assert gs.omega.values[0] == pytest.approx(OMEGA0_CUBIC_REF, rel=2e-3)
-    assert gs.pg_norm <= 1e-6
+    assert gs.residual <= limit_solver._SHOT_TOL
 
 
 def test_p_level_identity(ground_cubic):
@@ -110,8 +112,8 @@ def test_project_to_M_rejects_nonpositive_constraint(grid30, nl_cubic):
 
 @pytest.fixture(scope="module", params=[750, 3000])
 def flow_inputs(request):
-    """The fields that the q=5.5 flow hands to project_to_M at n nodes: its
-    start, its trial steps and its polished state."""
+    """The fields that the q=5.5 flow ladder hands to project_to_M at n
+    nodes: its start and its trial steps."""
     nl = canonical_family(1.0, 5.5, 0.0)
     seen = []
     project = limit_solver.project_to_M
@@ -122,7 +124,7 @@ def flow_inputs(request):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(limit_solver, "project_to_M", recording)
-        minimize_on_M(nl, make_grid(30.0, request.param))
+        limit_solver._ladder(nl, make_grid(30.0, request.param))
     return nl, seen
 
 
@@ -377,15 +379,28 @@ def test_march_record_is_linear_in_n(grid30):
                          + [((1.0, 2.5, 0.0), 3000), ((1.0, 5.5, 0.0), 3000)])
 def test_shot_is_the_newton_solved_flow_state(case, n, grid30, ground_shots):
     # both routes solve the grid equation, so the shot equals the flow's omega
-    # Newton-solved at lam = 0; measured: at most 2.9e-12 relative H1 but
-    # 3.5e-10 for mu=20, q=3, cw=1 at n=3000, where the flow's solve stops at
-    # residual 2.8e-10, just below its 1e-9 tolerance, and the shot's at 3.8e-15
+    # Newton-solved at lam = 0, which the flow route's own finish already is
+    # (the solve takes 0 steps); measured: at most 8.6e-13 relative H1
+    # (mu=20, q=3, cw=1)
     nl = canonical_family(*case)
     grid = grid30 if n == 3000 else make_grid(30.0, n)
     on_grid30 = n == 3000 and case in ground_shots
     shot = ground_shots[case] if on_grid30 else shoot_ground_state(nl, grid)
     flow = solve_at_lambda(minimize_on_M(nl, grid).omega, nl, 0.0).u
     assert _h1_gap(shot, flow) <= 1e-9
+
+
+@pytest.mark.parametrize("case, n", [(c, 3000) for c in GROUND_CASES]
+                         + [((1.0, 4.0, 0.0), 12000)])
+def test_routes_reach_the_same_discrete_solution(case, n, grid30):
+    # the flow route ends in the shot's lam = 0 Newton solve, so both records
+    # hold the ground state of the same grid equation; measured: b at most
+    # 3.0e-15 relative and omega 8.5e-13 relative H1 apart (mu=20, q=3, cw=1)
+    nl = canonical_family(*case)
+    grid = grid30 if n == 3000 else make_grid(30.0, n)
+    flow, shot = minimize_on_M(nl, grid), limit_ground_state(nl, grid)
+    assert abs(flow.b_value - shot.b_value) <= 1e-12 * shot.b_value
+    assert _h1_gap(flow.omega, shot.omega) <= 1e-10
 
 
 @pytest.mark.parametrize("case", GROUND_CASES)
@@ -475,11 +490,19 @@ def test_stagnation_on_tiny_budget(grid30, nl_cubic, monkeypatch):
 
 @pytest.mark.parametrize("case, R", [(c, 30.0) for c in GROUND_CASES] + [((20.0, 2.2, 1.0), 40.0)])
 def test_flow_handover_gives_the_tight_flow_ground_state(case, R, monkeypatch):
-    # the polish from the relative handover lands on the ground state of a
-    # flow run 200x tighter; on R=40 with q=2.2, |grad u|_2 is 0.054, where an
-    # absolute handover at 0.1 leaves the polish stalled
+    # the Newton finish from the relative handover lands on the ground state
+    # of a flow run 200x tighter; on R=40 with q=2.2, |grad u|_2 is 0.054,
+    # and the flow's state fills the ball (t0 = 0.022) far from omega_0,
+    # whose amplitude is 1.4e-6: the finish fails from either handover
     nl = canonical_family(*case)
     grid = make_grid(R, 750)
+    if case == (20.0, 2.2, 1.0):
+        with pytest.raises(PositivityLoss):
+            minimize_on_M(nl, grid)
+        monkeypatch.setattr(limit_solver, "_FLOW_HANDOVER", 1e-4)
+        with pytest.raises(NonConvergence):
+            minimize_on_M(nl, grid)
+        return
     gs = minimize_on_M(nl, grid)
     monkeypatch.setattr(limit_solver, "_FLOW_HANDOVER", 1e-4)
     tight = minimize_on_M(nl, grid)
@@ -507,16 +530,15 @@ def test_handover_stops_the_same_flow_earlier(case, n, monkeypatch):
     assert [start.grid.n for start, _ in runs] == {750: [750], 3000: [750, 3000]}[n]
     monkeypatch.setattr(limit_solver, "_FLOW_HANDOVER", 0.02)
     projected_gradient = limit_solver._projected_gradient
-    for start, (u, theta, k) in runs:
+    for start, (u, k) in runs:
         # the flow takes one projected gradient at each accepted iterate,
         # the projected start first
         iterates = []
         monkeypatch.setattr(limit_solver, "_projected_gradient",
                             lambda v, nl: iterates.append(v) or projected_gradient(v, nl))
-        _, _, k_tight = flow(start, nl)
+        _, k_tight = flow(start, nl)
         assert k <= k_tight == len(iterates) - 1
         assert np.array_equal(u.values, iterates[k].values)
-        assert theta == projected_gradient(iterates[k], nl)[1]
 
 
 @pytest.mark.parametrize("case", GROUND_CASES)
@@ -543,32 +565,33 @@ def _count_projected_gradients(monkeypatch) -> list:
 
 
 def test_iterations_count_flow_steps(grid30, nl_cubic, ground_cubic, monkeypatch):
-    # every pass of the flow on each of the L levels and the certificate
-    # after the polish take one projected gradient, so k accepted steps over
-    # L levels take k + L + 1; grid30 runs the ladder 750 -> 3000
+    # every pass of the flow on each of the L levels takes one projected
+    # gradient, and the Newton finish none, so k accepted steps over L levels
+    # take k + L; grid30 runs the ladder 750 -> 3000
     calls = _count_projected_gradients(monkeypatch)
     gs = minimize_on_M(nl_cubic, grid30)
     assert gs.levels == (750, 3000)
-    assert gs.iterations == len(calls) - 3 == ground_cubic.iterations
+    assert gs.iterations == len(calls) - 2 == ground_cubic.iterations
     assert ground_cubic.iterations > 0
     # a start that already meets the handover takes no flow step on any level
+    # (the Newton finish from that start, the initial bump, loses positivity)
     calls.clear()
     monkeypatch.setattr(limit_solver, "_FLOW_HANDOVER", 1e9)
-    assert minimize_on_M(nl_cubic, grid30).iterations == 0
-    assert len(calls) == 3
+    assert limit_solver._ladder(nl_cubic, grid30)[1] == 0
+    assert len(calls) == 2
 
 
 def test_iterations_count_flow_steps_on_one_level(nl_cubic, monkeypatch):
-    # below the ladder floor one level runs: k accepted steps take k + 2
+    # below the ladder floor one level runs: k accepted steps take k + 1
     grid = make_grid(30.0, 750)
     calls = _count_projected_gradients(monkeypatch)
     gs = minimize_on_M(nl_cubic, grid)
     assert gs.levels == (750,)
-    assert gs.iterations == len(calls) - 2 > 0
+    assert gs.iterations == len(calls) - 1 > 0
     calls.clear()
     monkeypatch.setattr(limit_solver, "_FLOW_HANDOVER", 1e9)
-    assert minimize_on_M(nl_cubic, grid).iterations == 0
-    assert len(calls) == 2
+    assert limit_solver._ladder(nl_cubic, grid)[1] == 0
+    assert len(calls) == 1
 
 
 def _h1_gap(a, b) -> float:
@@ -584,8 +607,13 @@ def test_ladder_matches_the_direct_solve(case, n, monkeypatch):
     grid = make_grid(30.0, n)
     laddered = minimize_on_M(nl, grid)
     monkeypatch.setattr(limit_solver, "_LADDER_FLOOR", n + 1)
-    direct = minimize_on_M(nl, grid)
     assert laddered.levels == {3000: (750, 3000), 12000: (750, 3000, 12000)}[n]
+    if case == (1.0, 5.5, 0.0):
+        # the one-grid flow of q=5.5 hands over where the Newton finish fails
+        with pytest.raises(NonConvergence, match="line search failed"):
+            minimize_on_M(nl, grid)
+        return
+    direct = minimize_on_M(nl, grid)
     assert direct.levels == (n,)
     assert abs(laddered.b_value - direct.b_value) <= 1e-12 * direct.b_value
     assert _h1_gap(laddered.omega, direct.omega) <= 1e-10
@@ -593,14 +621,16 @@ def test_ladder_matches_the_direct_solve(case, n, monkeypatch):
 
 @pytest.mark.parametrize("case", GROUND_CASES + [(1.0, 5.5, 0.0), (0.5, 4.0, 1.0)])
 def test_below_the_ladder_floor_the_state_is_the_one_level_solve(case):
-    # n=750 runs no ladder: every field and figure equals the flow of one level
+    # n=750 runs no ladder: every field and figure equals the flow of one
+    # level, and a failure is the same failure
     grid = make_grid(30.0, 750)
     nl = canonical_family(*case)
     try:
         want = reference_minimize_on_M(nl, grid)
-    except Stagnation as failure:
-        with pytest.raises(Stagnation, match=f"^{re.escape(str(failure))}$"):
+    except SolverFailure as failure:
+        with pytest.raises(type(failure), match=f"^{re.escape(str(failure))}$") as err:
             minimize_on_M(nl, grid)
+        assert type(err.value) is type(failure)
         return
     _assert_same_state(minimize_on_M(nl, grid), want)
 
@@ -609,7 +639,7 @@ def _assert_same_state(got, want):
     assert np.array_equal(got.u.values, want.u.values)
     assert np.array_equal(got.omega.values, want.omega.values)
     for field in ("M_value", "p_value", "b_value", "t0_dilation", "t_star", "iterations",
-                  "pg_norm", "polish_steps", "levels"):
+                  "levels", "residual"):
         assert getattr(got, field) == getattr(want, field), field
 
 
@@ -627,21 +657,22 @@ def _count_initial_bumps(monkeypatch) -> list[int]:
 
 
 def test_failed_ladder_raises_the_direct_failure(monkeypatch):
-    # the flow on the fine grid alone stagnates too, with its own message
+    # the Newton finish fails from the flow on the fine grid alone too, with
+    # its own message
     nl, grid = canonical_family(2.0, 4.0, 1.0), make_grid(30.0, 3000)
-    with pytest.raises(Stagnation):
+    with pytest.raises(NonConvergence):
         reference_minimize_on_M(nl, grid)
     calls = _count_initial_bumps(monkeypatch)
-    with pytest.raises(Stagnation):
+    with pytest.raises(NonConvergence):
         minimize_on_M(nl, grid)
     assert calls == [750]
 
 
 def test_failed_ladder_is_the_outcome(monkeypatch):
-    # the ladder's polish stalls at mu=0.5, q=4, cw=1; the flow on the fine
-    # grid alone from the initial bump is not run again
+    # the ladder's Newton finish fails at mu=0.5, q=4, cw=1; the flow on the
+    # fine grid alone from the initial bump is not run again
     calls = _count_initial_bumps(monkeypatch)
-    with pytest.raises(Stagnation, match="Newton polish stalled"):
+    with pytest.raises(NonConvergence, match="line search failed"):
         minimize_on_M(canonical_family(0.5, 4.0, 1.0), make_grid(30.0, 3000))
     assert calls == [750]
 
@@ -654,81 +685,21 @@ def test_handover_on_the_last_allowed_step_is_accepted(grid30, nl_cubic, ground_
     assert gs.b_value == ground_cubic.b_value
 
 
-@pytest.mark.parametrize("case", GROUND_CASES)
-def test_polish_steps_recorded(case, grid30):
-    gs = minimize_on_M(canonical_family(*case), grid30)
-    assert 1 <= gs.polish_steps <= 8
-
-
-@pytest.mark.parametrize("case, n", [(c, 3000) for c in GROUND_CASES]
-                         + [((1.0, 5.5, 0.0), 750), ((1.0, 2.5, 0.0), 750)])
-def test_polish_is_bitwise_the_reference(case, n, monkeypatch):
-    # a trial whose constraint residual alone reaches the base fails without
-    # its field residual, and every accepted step is the reference's; q=5.5
-    # at n=750 runs into the step cap and skips 352 of its 851 trials
-    nl = canonical_family(*case)
-    u, theta, _, _ = limit_solver._ladder(nl, make_grid(30.0, n))
-    fields = {limit_solver: [], oracles: []}
-    for mod, calls in fields.items():
-        monkeypatch.setattr(mod, "laplacian_apply",
-                            lambda v, calls=calls: calls.append(1) or laplacian_apply(v))
-    got, steps = limit_solver._newton_polish(u, theta, nl, tol=1e-8)
-    want, want_steps = reference_newton_polish(u, theta, nl, tol=1e-8)
-    assert np.array_equal(got.values, want.values)
-    assert steps == want_steps
-    if case == (1.0, 5.5, 0.0):
-        assert steps == limit_solver._POLISH_MAX_STEPS
-        assert len(fields[limit_solver]) < len(fields[oracles])
-
-
-def test_polish_pairs_each_residual_once(nl_cubic, monkeypatch):
-    # one dual norm per residual evaluation: the accepted candidate's norm is
-    # the next step's stopping test
-    counts = {"residuals": 0, "dual_norms": 0}
-    inside = []
-    polish, laplacian, dual = (limit_solver._newton_polish, limit_solver.laplacian_apply,
-                               limit_solver.dual_norm)
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            if inside:
-                counts[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    def traced_polish(*args, **kwargs):
-        inside.append(1)
-        try:
-            return polish(*args, **kwargs)
-        finally:
-            inside.pop()
-
-    # the polish applies the Laplacian once per residual and nowhere else
-    monkeypatch.setattr(limit_solver, "laplacian_apply", counted("residuals", laplacian))
-    monkeypatch.setattr(limit_solver, "dual_norm", counted("dual_norms", dual))
-    monkeypatch.setattr(limit_solver, "_newton_polish", traced_polish)
-    gs = minimize_on_M(nl_cubic, make_grid(30.0, 750))
-    assert gs.polish_steps >= 1
-    assert counts["dual_norms"] == counts["residuals"] > gs.polish_steps
-
-
-@pytest.mark.xfail(strict=True, reason=(
-    "at n=750 the flow and the polish solve a neighbouring discrete problem "
-    "(items 1 and 4): the flow hands over after 12 steps, and the polish climbs "
-    "to b = 9.6986 against 9.5829 at n=3000"))
 def test_coarse_grid_q5_level_matches_fine_grid():
+    # at n=750 the flow hands over after 12 steps, and the Newton finish
+    # solves the grid equation: b = 9.5879 against 9.5829 at n=3000
     nl = canonical_family(1.0, 5.0, 0.0)
     coarse = minimize_on_M(nl, make_grid(30.0, 750)).b_value
     fine = minimize_on_M(nl, make_grid(30.0, 3000)).b_value
     assert coarse == pytest.approx(fine, rel=1e-3)
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "dual_norm clips the pairing <pg, w> = -3.9e-4 to 0, so this state is "
-    "certified with pg_norm 0.0 while max |pg| is about 1e4"))
 def test_coarse_grid_flow_certificate_is_not_vacuous():
+    # the flow's q=5.5 state at n=750 has a projected gradient whose pairing
+    # dual_norm clips from -3.9e-4 to 0 while max |pg| is about 1e4; the
+    # certificate is the Newton solve's residual, and the solve fails there
     nl = canonical_family(1.0, 5.5, 0.0)
-    with pytest.raises(Stagnation):
+    with pytest.raises(NonConvergence):
         minimize_on_M(nl, make_grid(30.0, 750))
 
 
@@ -751,11 +722,10 @@ def test_limit_ground_state_is_the_shot(nl_cubic, grid30, shot_cubic, ground_cub
     assert gs.M_value == pytest.approx(0.5 * grad_norm_sq(u), rel=1e-5)
     assert gs.p_value == pytest.approx(2.0 * math.sqrt(3.0) / 9.0 * gs.M_value**1.5, rel=1e-15)
     assert gs.levels == (750, 3000)
-    assert gs.iterations == gs.polish_steps == 0 and math.isnan(gs.pg_norm)
-    # the flow's state solves a neighbouring problem: b 18.897220140 against
-    # 18.897224049 (measured)
+    assert gs.iterations == 0
+    # the flow route ends in the same Newton solve (test_routes_reach_the_same_discrete_solution)
     assert gs.b_value == pytest.approx(ground_cubic.b_value, rel=1e-6)
-    assert math.isnan(ground_cubic.residual)
+    assert ground_cubic.residual <= limit_solver._SHOT_TOL
 
 
 def test_limit_ground_state_records_the_levels_the_shot_ran_on(nl_cubic, grid30, monkeypatch):
@@ -816,3 +786,31 @@ def test_resolved_shots_pass_the_resolution_guard(case, grid30):
     nl = canonical_family(*case)
     terms = scaling_terms(limit_ground_state(nl, grid30).omega, nl)
     assert abs(terms.A - 6.0 * terms.V) / terms.A <= 1e-3 * limit_solver._RESOLUTION_DEFECT
+
+
+def _wavy_cubic(s):
+    """s^3 (1 + 0.95 sin(6 ln s)) for s > 0 and 0 below: f'(a) < 0 at the
+    centre a = 1.9316 of its ground state at mu=0.01, q=4 on make_grid(30,
+    3000), so omega_0 has no core width 1/sqrt(f'(a))."""
+    s = np.maximum(np.asarray(s, dtype=float), 1e-300)
+    return s**3 * (1.0 + 0.95 * np.sin(6.0 * np.log(s)))
+
+
+NO_CORE = r"omega\(0\) = 1\.932 with f'\(omega\(0\)\) = -11\.18 <= 0"
+
+
+def test_resolution_failure_names_a_centre_without_core_width(grid30, monkeypatch):
+    # every shot fails the resolution test at a negative threshold; its
+    # message reports f'(omega(0)) <= 0 instead of taking its square root
+    nl = user_nonlinearity(_wavy_cubic, mu=0.01, q=4.0)
+    monkeypatch.setattr(limit_solver, "_RESOLUTION_DEFECT", -1.0)
+    with pytest.raises(ResolutionFailure, match=f"grid bubble: {NO_CORE} at h = 0\\.01, "):
+        limit_ground_state(nl, grid30)
+
+
+def test_compactness_failure_names_a_centre_without_core_width(grid30, monkeypatch):
+    # a threshold c* = 0 puts every level at or above it
+    nl = user_nonlinearity(_wavy_cubic, mu=0.01, q=4.0)
+    monkeypatch.setattr(checks, "compactness_threshold", lambda cw: 0.0)
+    with pytest.raises(checks.CompactnessFailure, match=f"c\\* = 0; {NO_CORE}$"):
+        checks.ground_state(RunConfig(mu=0.01, q=4.0), nl, grid30)

@@ -20,6 +20,7 @@ from spgs import (
 )
 from spgs.functionals import gradient_residual, scaling_terms
 from spgs.grid import dual_norm, h1_norm_sq, helmholtz_lu, integrate_values, solve_lu
+from spgs.limit_solver import handover_omega
 from spgs.poisson import newton_potential, solve_phi
 from spgs.sp_solver import (
     _GMRES_TOL,
@@ -70,12 +71,14 @@ def test_nonconvergence_carries_lambda(ground_cubic, nl_cubic, monkeypatch):
     assert err.value.lam == 0.1
 
 
-def test_failed_anchor_names_lambda_zero(ground_cubic, nl_cubic, monkeypatch):
+def test_failed_anchor_names_lambda_zero(ground_cubic, nl_cubic, grid30, monkeypatch):
     # the branch is anchored at lam = 0 before its first point: a failure
-    # there is a failure at lam = 0, not at the first schedule entry
+    # there is a failure at lam = 0, not at the first schedule entry; the
+    # flow's handover field is no lam = 0 solution, so the anchor needs a step
+    start = replace(ground_cubic, omega=handover_omega(nl_cubic, grid30)[0])
     monkeypatch.setattr(sp_solver, "_MAX_ITER", 0)
     with pytest.raises(NonConvergence, match=r"at lam=0\.0$") as err:
-        continuation(nl_cubic, (0.1, 0.05), ground_cubic)
+        continuation(nl_cubic, (0.1, 0.05), start)
     assert err.value.lam == 0.0
 
 
@@ -257,14 +260,17 @@ def test_loglog_slope_on_power_law():
 
 @pytest.fixture(scope="module")
 def omega_cubic_400(nl_cubic):
-    return minimize_on_M(nl_cubic, make_grid(30.0, 400)).omega
+    """The flow's handover field at n=400: no solution at any lam, so every
+    Newton step below moves it."""
+    return handover_omega(nl_cubic, make_grid(30.0, 400))[0]
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.05, 0.3])
 def test_newton_step_is_a_newton_step(lam, nl_cubic, omega_cubic_400):
     # along an exact Newton step delta, R(u + eps delta) = (1 - eps) R(u) + O(eps^2),
-    # so the remainder falls 100x per decade of eps (measured 3.85e-8 -> 3.85e-10
-    # at lam = 0.05, 4.08e-8 -> 4.08e-10 at lam = 0.3)
+    # so the remainder falls 100x per decade of eps (measured from the
+    # handover field 1.86e-7 -> 1.86e-9 at lam = 0, 1.91e-7 -> 1.91e-9 at
+    # lam = 0.05, 3.10e-7 -> 3.10e-9 at lam = 0.3)
     u = omega_cubic_400
     grid = u.grid
     res, psol = gradient_residual(u, nl_cubic, lam)
@@ -375,8 +381,10 @@ def test_anchor_v2_is_the_lambda_fourth_coefficient(branch, anchor_q4, nl_cubic)
     # the lam^4 remainder r_4 tends to |v_2|_H1 = 3.3924 (3.3923 at lam =
     # 0.01), and the lam^6 remainder r_6 levels off at 2.49.  The points are
     # polished to a residual of 1e-13, so that r_6 at lam = 0.01, a field of
-    # size 2.5e-12, is the branch's and not the predictor's
-    omega0, v1, v2, _ = anchor_q4
+    # size 2.5e-12, is the branch's and not the predictor's; so is omega_0,
+    # the flow route's solve to _SHOT_TOL, before v_1 and v_2 are taken there
+    omega0 = solve_at_lambda(anchor_q4[0], nl_cubic, 0.0, SolverOptions(tol=1e-13)).u
+    omega0, v1, v2, _ = _anchor(omega0, nl_cubic, None)
     grid = omega0.grid
 
     def h1(vals):
