@@ -72,13 +72,18 @@ def ground_state(cfg: RunConfig, nl, grid) -> LimitGroundState:
     error, even a ResolutionFailure, which names a grid that does not
     resolve the core rather than the regime; the
     threshold needs a best_Cq solve, so only the failure path computes it.
-    A state with b >= c* raises CompactnessFailure.
+    Where that solve fails too, there is no threshold to diagnose against,
+    and the solver's own error is raised.  A state with b >= c* raises
+    CompactnessFailure.
     """
     try:
         ground = limit_ground_state(nl, grid)
     except SolverFailure as exc:
         if cfg.critical_weight > 0:
-            mu_star = mu_threshold(cfg.q, SOBOLEV_S_CLOSED_FORM, best_Cq(cfg.q, grid))
+            try:
+                mu_star = mu_threshold(cfg.q, SOBOLEV_S_CLOSED_FORM, best_Cq(cfg.q, grid))
+            except SolverFailure:
+                mu_star = -math.inf  # no threshold to diagnose against
             if cfg.mu < mu_star:
                 raise RegimeFailure(
                     f"mu = {cfg.mu:g} lies below the sufficient threshold mu* = {mu_star:.4g} "

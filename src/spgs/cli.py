@@ -140,18 +140,12 @@ def cmd_sweep_lambda(cfg: RunConfig, outdir: Path) -> dict:
     return summary
 
 
-_CQ_METHODS = {
-    "shot": "computed (quotient of the shot omega_0)",
-    "flow": ("computed (quotient of the constrained flow's handover field, an uncertified "
-             "upper estimate; the shot failed)"),
-}
-
-
 def _cq_entry(report: constants_mod.ConstantsReport, q: float) -> dict:
-    entry = _num(report.Cq[q], _CQ_METHODS[report.Cq_routes[q]])
-    if q in report.Cq_pg_rel:
-        # how far the flow's field is from stationary: its own handover measure
-        entry["relative_projected_gradient"] = report.Cq_pg_rel[q]
+    if q not in report.Cq_n:
+        return _num(report.Cq[q], "computed (quotient of the shot omega_0)")
+    entry = _num(report.Cq[q], "computed (quotient of the shot omega_0 on the finer grid "
+                               "of n nodes; the shot failed on the run's grid)")
+    entry["n"] = report.Cq_n[q]
     return entry
 
 

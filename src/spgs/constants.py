@@ -6,10 +6,10 @@ quotient descent from a bubble of width 4h.  The known closed form
 oracle for S, and the code reads it wherever S enters a bound (mu* in
 constants_report and checks.ground_state, the compactness threshold c*, the
 poisson.T_bound_battery check, the distance budget of asymptotics_report).
-C_q is the H^1-to-L^q Rayleigh quotient of the pure-power limit ground state:
-the shot's omega_0 (limit_solver.limit_ground_state), and only where the shot
-fails the constrained flow's handover field (limit_solver.handover_omega), an
-uncertified upper estimate.
+C_q is the H^1-to-L^q Rayleigh quotient of the pure-power limit ground state,
+the shot's omega_0 (limit_solver.limit_ground_state): on the run's grid, or
+where the shot fails there, on the first finer level of the nested-iteration
+ladder whose shot resolves the core.
 """
 
 from __future__ import annotations
@@ -28,13 +28,20 @@ from .grid import (  # noqa: F401
     h1_norm_sq,
     laplacian_apply,
     lq_integral,
+    make_grid,
     norm_lq,
     solve_riesz,
 )
-from .limit_solver import SolverFailure, handover_omega, limit_ground_state
+from .limit_solver import SolverFailure, limit_ground_state
 from .nonlinearity import canonical_family
 
 SOBOLEV_S_CLOSED_FORM = 3.0 * math.pi * (math.sqrt(math.pi) / 4.0) ** (2.0 / 3.0)
+
+# levels above the run's grid that best_Cq shoots on where the run's shot
+# fails, each of 4n - 3 nodes (the grid whose _coarse_grid is the one below).
+# At n=750, q=5.5 resolves one level up and q=5.8 two; q=5.9 needs a third,
+# 64x the nodes, and there the run should raise its own n
+_FINER_LEVELS = 2
 
 
 @dataclass
@@ -42,10 +49,8 @@ class ConstantsReport:
     S: float
     Cq: dict[float, float] = field(default_factory=dict)
     mu_thresholds: dict[float, float] = field(default_factory=dict)
-    # the route of each C_q: "shot", or "flow" where the shot failed
-    Cq_routes: dict[float, str] = field(default_factory=dict)
-    # for each "flow" C_q, |pg| / |grad u|_2 of the handover field it came from
-    Cq_pg_rel: dict[float, float] = field(default_factory=dict)
+    # for each C_q shot on a finer grid than the report's, that grid's n
+    Cq_n: dict[float, int] = field(default_factory=dict)
 
 
 def _bubble(grid: RadialGrid, eps: float) -> RadialFunction:
@@ -104,26 +109,27 @@ def best_Cq(q: float, grid: RadialGrid) -> float:
     """Best constant of the H^1 to L^q embedding, q in (2, 6).
 
     The minimizer is the ground state w of -Delta w + w = w^(q-1): the
-    shot's omega_0 (limit_ground_state), or, if the shot raises a
-    SolverFailure, the flow's handover field dilated onto the Pohozaev
-    manifold (handover_omega), which no certificate backs.  Its Rayleigh
-    quotient |w|_H1^2 / |w|_q^2 is returned.  As the quotient of an actual
-    field either is an upper estimate of the discrete infimum.
+    shot's omega_0 (limit_ground_state) on grid, or, if that shot raises a
+    SolverFailure, on the grid of 4n - 3 nodes over the same R, then of
+    16n - 15 (_FINER_LEVELS).  Its Rayleigh quotient |w|_H1^2 / |w|_q^2 on
+    its own grid is returned: the quotient of a certified solution of that
+    grid's equation, and so an upper estimate of that grid's infimum.  If no
+    level resolves, the finest level's failure is raised.
     """
     return _best_Cq(q, grid)[0]
 
 
-def _best_Cq(q: float, grid: RadialGrid) -> tuple[float, str, float | None]:
-    """best_Cq, its route, "shot" or "flow", and for the flow the relative
-    projected gradient of its handover field (handover_omega), else None."""
+def _best_Cq(q: float, grid: RadialGrid) -> tuple[float, int]:
+    """best_Cq and the n of the grid whose shot it is the quotient of."""
     if not 2.0 < q < 6.0:
         raise ValueError(f"q must lie in (2, 6), got {q}")
-    nl = canonical_family(1.0, q, 0.0)
-    try:
-        omega, route, pg_rel = limit_ground_state(nl, grid).omega, "shot", None
-    except SolverFailure:
-        (omega, pg_rel), route = handover_omega(nl, grid), "flow"
-    return float(_quotient_hq(omega, q)), route, pg_rel
+    nl, level = canonical_family(1.0, q, 0.0), grid
+    for _ in range(_FINER_LEVELS):
+        try:
+            return float(_quotient_hq(limit_ground_state(nl, level).omega, q)), level.n
+        except SolverFailure:
+            level = make_grid(grid.R, 4 * level.n - 3)
+    return float(_quotient_hq(limit_ground_state(nl, level).omega, q)), level.n
 
 
 def mu_threshold(q: float, S: float, Cq: float) -> float:
@@ -148,9 +154,9 @@ def constants_report(grid: RadialGrid, q_values) -> ConstantsReport:
     closed-form S, as checks.ground_state does, so it has one value."""
     report = ConstantsReport(S=sobolev_S(grid))
     for q in q_values:
-        cq, report.Cq_routes[float(q)], pg_rel = _best_Cq(float(q), grid)
+        cq, n = _best_Cq(float(q), grid)
         report.Cq[float(q)] = cq
-        if pg_rel is not None:
-            report.Cq_pg_rel[float(q)] = pg_rel
+        if n != grid.n:
+            report.Cq_n[float(q)] = n
         report.mu_thresholds[float(q)] = mu_threshold(float(q), SOBOLEV_S_CLOSED_FORM, cq)
     return report

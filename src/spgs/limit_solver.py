@@ -5,10 +5,10 @@ Two routes to the ground state omega_0 of the grid equation
 (_shot_newton), so both carry omega_0's lam = 0 residual as their
 certificate and reach the same discrete solution.  The method of record
 (limit_ground_state) shoots the grid equation itself (scan, graft, and the
-Newton solve that sets the amplitude).  The second route (minimize_on_M)
-starts that solve from a dilation-projected constrained flow on the set
-{int G(u) = 1}, rescaled onto the Pohozaev manifold by the
-Coleman-Glazer-Martin dilation.  Both run on a ladder of 4x coarser grids
+Newton solve that sets the amplitude).  The second route (minimize_on_M),
+which no subcommand runs, starts that solve from a dilation-projected
+constrained flow on the set {int G(u) = 1}, rescaled onto the Pohozaev
+manifold by the Coleman-Glazer-Martin dilation.  Both run on a ladder of 4x coarser grids
 (nested iteration): the flow hands its state on from the coarsest level,
 and the shot scans only there and Newton-solves once per finer level.  The
 least-energy and mountain-pass levels and their interrelations follow from
@@ -59,9 +59,9 @@ _FLOW_MAX_ITER = 3000
 # the flow's line search: at most _FLOW_HALVINGS halvings of the step eta per
 # flow step, acceptance on the Armijo decrease _ARMIJO eta slope, and growth
 # by _STEP_GROWTH after each accepted step up to _STEP_CAP.  Measured on the
-# `ground` (n=3000) and `cli` (the handover field of q=5.5 at n=750)
-# benchmark workloads: an accepted step takes at most 2 halvings, its
-# decrease is at least 0.034 of eta slope, and eta reaches at most 2.25
+# flows of the `ground` benchmark workload (n=3000) and of the `branch`
+# set-up (n=12000): an accepted step takes at most 2 halvings, its decrease
+# is at least 0.034 of eta slope, and eta reaches at most 2.25
 _FLOW_HALVINGS = 40
 _ARMIJO = 1e-4
 _STEP_GROWTH = 1.5
@@ -320,19 +320,6 @@ def minimize_on_M(nl: Nonlinearity, grid: RadialGrid) -> LimitGroundState:
     gs = _record(_newton_polish(u, nl), levels)
     gs.u, gs.iterations = project_to_M(gs.omega, nl), steps
     return gs
-
-
-def handover_omega(nl: Nonlinearity, grid: RadialGrid) -> tuple[RadialFunction, float]:
-    """The flow ladder's handover state u (_ladder) dilated onto the Pohozaev
-    manifold (cgm_rescale), as minimize_on_M starts its Newton solve, but
-    with no solve or certificate: an uncertified field, whose quotients
-    are upper estimates.  Returns (omega, the dual norm of u's projected
-    gradient over |grad u|_2), the flow's own handover measure, which a flow
-    stopped by a failed line search leaves above _FLOW_HANDOVER.  A
-    SolverFailure on any level is the outcome."""
-    u = _ladder(nl, grid)[0]
-    pg_rel = dual_norm(grid, _projected_gradient(u, nl)[0]) / math.sqrt(2.0 * T0_value(u))
-    return cgm_rescale(u, nl)[0], pg_rel
 
 
 def cgm_rescale(u0: RadialFunction, nl: Nonlinearity) -> tuple[RadialFunction, float]:

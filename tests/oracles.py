@@ -28,9 +28,11 @@ from spgs.limit_solver import (
     Stagnation,
     _auto_bracket,
     _initial_bump,
+    _ladder,
     _newton_polish,
     _projected_gradient,
     _record,
+    cgm_rescale,
     project_to_M,
 )
 from spgs.sp_solver import SolverOptions, solve_at_lambda
@@ -275,6 +277,13 @@ def reference_minimize_on_M(nl, grid) -> LimitGroundState:
     gs = _record(_newton_polish(u, nl), (grid.n,))
     gs.u, gs.iterations = project_to_M(gs.omega, nl), steps
     return gs
+
+
+def flow_handover_field(nl, grid) -> RadialFunction:
+    """The flow ladder's handover state dilated onto the Pohozaev manifold,
+    as minimize_on_M starts its Newton solve, but with no solve: a field near
+    omega_0 that solves the grid equation at no lam."""
+    return cgm_rescale(_ladder(nl, grid)[0], nl)[0]
 
 
 def bounded_kappa(f) -> float:

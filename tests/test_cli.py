@@ -410,53 +410,51 @@ def test_every_failure_of_the_shot_gets_the_regime_diagnosis(failure, monkeypatc
     assert type(info.value.__cause__) is failure
 
 
+def test_threshold_that_fails_leaves_the_shot_its_own_failure():
+    # mu = 0.5, q = 5.9, cw = 1 at n = 750: the shot is a grid bubble at
+    # omega(0) = 6.818, and mu*(5.9) needs the pure power's C_q, which no
+    # level resolves (test_best_Cq_raises_where_no_finer_level_resolves), so
+    # there is no threshold and the user's own bubble is raised
+    cfg = replace(RunConfig(mu=0.5, q=5.9, critical_weight=1.0), n=750)
+    grid = make_grid(cfg.R, cfg.n)
+    with pytest.raises(limit_solver.ResolutionFailure, match="omega\\(0\\) = 6.818"):
+        checks.ground_state(cfg, cfg.nonlinearity(), grid)
+
+
 def test_production_path_runs_no_flow(tmp_path, count_calls):
-    # verify and the C_q of every q whose shot converges take the shot's
-    # omega_0; only q = 5.5 at n = 750, whose shot is a grid bubble, falls
-    # back to the flow, and there to its handover field: neither command
-    # runs minimize_on_M or its Newton finish
-    flows = count_calls(limit_solver.minimize_on_M)
-    polishes = count_calls(limit_solver._newton_polish)
+    # verify and every C_q take a shot's omega_0, so neither command runs
+    # the flow ladder: q = 5.5 at n = 750, whose shot is a grid bubble, takes
+    # the shot one level up, on 4n - 3 = 2997 nodes
+    ladders = count_calls(limit_solver._ladder)
     assert main(["--output", str(tmp_path / "verify"), "verify"]) == 0
     cfg = write_cfg(tmp_path, "[grid]\nn = 750\n")
     out = tmp_path / "constants"
     assert main(["--config", str(cfg), "--output", str(out), "constants",
-                 "--q", "2.5,3,4,5"]) == 0
+                 "--q", "2.5,3,4,5,5.5"]) == 0
     cq = json.loads((out / "constants.json").read_text())["Cq"]
     assert all("shot omega_0" in v["method"] for v in cq.values())
-    assert main(["--config", str(cfg), "--output", str(out), "constants", "--q", "5.5"]) == 0
-    method = json.loads((out / "constants.json").read_text())["Cq"]["5.5"]["method"]
-    assert method == cli._CQ_METHODS["flow"]
-    assert flows == [] and polishes == []
+    assert all(set(cq[q]) == {"value", "method"} for q in ("2.5", "3.0", "4.0", "5.0"))
+    assert cq["5.5"]["n"] == 2997
+    assert ladders == []
 
 
-def test_constants_json_gives_the_flow_field_its_projected_gradient(tmp_path):
-    # only a "flow" C_q carries |pg| / |grad u|_2 of its handover field
-    cfg = write_cfg(tmp_path, "[grid]\nn = 750\n")
-    out = tmp_path / "constants"
-    assert main(["--config", str(cfg), "--output", str(out), "constants",
-                 "--q", "4,5.5"]) == 0
-    cq = json.loads((out / "constants.json").read_text())["Cq"]
-    assert set(cq["4.0"]) == {"value", "method"}
-    assert set(cq["5.5"]) == {"value", "method", "relative_projected_gradient"}
-    assert cq["5.5"]["relative_projected_gradient"] == pytest.approx(0.0839, abs=1e-4)
-
-
-def test_constants_past_the_shot_take_the_handover_field(tmp_path):
-    # at q = 5.8 the shot fails up to n = 3000, and so does the Newton
-    # finish of minimize_on_M; the handover field's quotient falls with n
-    # towards the n = 12000 shot's 6.2216: 6.4762, 6.2966, 6.2392
-    with pytest.raises(sp_solver.PositivityLoss):
-        limit_solver.minimize_on_M(canonical_family(1.0, 5.8, 0.0), make_grid(30.0, 750))
-    values = []
-    for n in (750, 1500, 3000):
+def test_constants_past_the_shot_take_a_finer_shot(tmp_path):
+    # at q = 5.8 the shot fails up to n = 3000 and at 4n - 3 from n = 750, so
+    # C_q is the shot of the first finer level that resolves the core:
+    # 16n - 15 = 11985 from 750, 4n - 3 = 5997 and 11997 from 1500 and 3000.
+    # Each is that grid's own quotient, so the values need not fall with n:
+    # 6.221574, 6.224000, 6.221573
+    for n, finer in ((750, 11985), (1500, 5997), (3000, 11997)):
         cfg = write_cfg(tmp_path, f"[grid]\nn = {n}\n")
         out = tmp_path / f"n{n}"
         assert main(["--config", str(cfg), "--output", str(out), "constants", "--q", "5.8"]) == 0
         cq = json.loads((out / "constants.json").read_text())["Cq"]["5.8"]
-        assert cq["method"] == cli._CQ_METHODS["flow"]
-        values.append(cq["value"])
-    assert values[0] > values[1] > values[2] > best_Cq(5.8, make_grid(30.0, 12000))
+        assert cq["n"] == finer
+        assert cq["value"] == best_Cq(5.8, make_grid(30.0, finer))
+    # q = 5.9 at n = 750 resolves on none of 750, 2997 and 11985
+    cfg = write_cfg(tmp_path, "[grid]\nn = 750\n")
+    assert main(["--config", str(cfg), "--output", str(tmp_path / "q59"),
+                 "constants", "--q", "5.9"]) == 3
 
 
 def test_verify_below_mu_threshold_is_regime_failure(tmp_path, capsys):

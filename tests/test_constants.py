@@ -18,9 +18,7 @@ from spgs import (
 )
 from spgs.config import RunConfig
 from spgs.constants import _quotient_hq
-from spgs.grid import dual_norm, grad_norm_sq
-from spgs.limit_solver import ResolutionFailure, Stagnation, cgm_rescale
-from spgs.sp_solver import NonConvergence
+from spgs.limit_solver import ResolutionFailure, Stagnation
 
 
 def test_closed_form_value():
@@ -95,35 +93,33 @@ def test_best_Cq_is_at_most_the_flow_quotient(q):
     assert best_Cq(q, grid) == pytest.approx(flow, rel=1e-12, abs=0)
 
 
-def test_best_Cq_falls_back_to_the_flow_where_the_shot_fails():
-    # the shot of q = 5.5 at n = 750 is a grid bubble (core 0.21 h), and the
-    # Newton solve that finishes minimize_on_M fails from the flow's field,
-    # so C_q is the quotient of the flow's handover field, dilated onto the
-    # Pohozaev manifold: 7.0741, against 7.0028 from the shot at n = 12000
+def test_best_Cq_falls_back_to_the_finer_shot_where_the_shot_fails():
+    # the shot of q = 5.5 at n = 750 is a grid bubble (core 0.21 h), so C_q is
+    # the quotient of the shot one level up, on the grid of 4n - 3 = 2997
+    # nodes whose _coarse_grid is the run's: 7.0036, against 7.0028 from the
+    # shot at n = 12000
     grid = make_grid(30.0, 750)
     nl = canonical_family(1.0, 5.5, 0.0)
     with pytest.raises(ResolutionFailure):
         limit_ground_state(nl, grid)
-    with pytest.raises(NonConvergence):
-        minimize_on_M(nl, grid)
+    finer = make_grid(30.0, 2997)
+    assert limit_solver._coarse_grid(finer).n == grid.n
     cq = best_Cq(5.5, grid)
-    assert cq == _quotient_hq(cgm_rescale(limit_solver._ladder(nl, grid)[0], nl)[0], 5.5)
+    assert cq == _quotient_hq(limit_ground_state(nl, finer).omega, 5.5)
+    assert cq == pytest.approx(7.003597, abs=1e-6)
     assert best_Cq(5.5, make_grid(30.0, 12000)) < cq
-    assert constants_report(grid, [5.5]).Cq_routes == {5.5: "flow"}
+    assert constants_report(grid, [4.0, 5.5]).Cq_n == {5.5: 2997}
 
 
-def test_flow_route_reports_how_stationary_its_field_is():
-    # the q = 5.5 flow at n = 750 stops on a failed line search at a relative
-    # projected gradient of 0.084, above the handover; a shot's C_q has none
+def test_best_Cq_raises_where_no_finer_level_resolves():
+    # q = 5.9 at n = 750 needs 64n - 63 = 47937 nodes, past _FINER_LEVELS:
+    # the shots on 750, 2997 and 11985 are grid bubbles, and the finest
+    # level's failure is raised (omega(0) = 32.37 at h = 30 / 11984)
     grid = make_grid(30.0, 750)
-    nl = canonical_family(1.0, 5.5, 0.0)
-    u = limit_solver._ladder(nl, grid)[0]
-    pg = limit_solver._projected_gradient(u, nl)[0]
-    report = constants_report(grid, [4.0, 5.5])
-    assert report.Cq_routes == {4.0: "shot", 5.5: "flow"}
-    assert report.Cq_pg_rel == {5.5: dual_norm(grid, pg) / math.sqrt(grad_norm_sq(u))}
-    assert report.Cq_pg_rel[5.5] == pytest.approx(0.0839, abs=1e-4)
-    assert report.Cq_pg_rel[5.5] > limit_solver._FLOW_HANDOVER
+    with pytest.raises(ResolutionFailure, match="omega\\(0\\) = 32.37 .* h = 0.002503"):
+        best_Cq(5.9, grid)
+    with pytest.raises(ResolutionFailure):
+        constants_report(grid, [4.0, 5.9])
 
 
 def test_best_Cq_rejects_bad_exponent(grid30):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.linalg import LinAlgError
 
-from oracles import resampled_path_max, resampled_t0
+from oracles import flow_handover_field, resampled_path_max, resampled_t0
 from spgs import (
     RadialFunction,
     asymptotics_report,
@@ -20,7 +20,6 @@ from spgs import (
 )
 from spgs.functionals import gradient_residual, scaling_terms
 from spgs.grid import dual_norm, h1_norm_sq, helmholtz_lu, integrate_values, solve_lu
-from spgs.limit_solver import handover_omega
 from spgs.poisson import newton_potential, solve_phi
 from spgs.sp_solver import (
     _GMRES_TOL,
@@ -75,7 +74,7 @@ def test_failed_anchor_names_lambda_zero(ground_cubic, nl_cubic, grid30, monkeyp
     # the branch is anchored at lam = 0 before its first point: a failure
     # there is a failure at lam = 0, not at the first schedule entry; the
     # flow's handover field is no lam = 0 solution, so the anchor needs a step
-    start = replace(ground_cubic, omega=handover_omega(nl_cubic, grid30)[0])
+    start = replace(ground_cubic, omega=flow_handover_field(nl_cubic, grid30))
     monkeypatch.setattr(sp_solver, "_MAX_ITER", 0)
     with pytest.raises(NonConvergence, match=r"at lam=0\.0$") as err:
         continuation(nl_cubic, (0.1, 0.05), start)
@@ -262,7 +261,7 @@ def test_loglog_slope_on_power_law():
 def omega_cubic_400(nl_cubic):
     """The flow's handover field at n=400: no solution at any lam, so every
     Newton step below moves it."""
-    return handover_omega(nl_cubic, make_grid(30.0, 400))[0]
+    return flow_handover_field(nl_cubic, make_grid(30.0, 400))
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.05, 0.3])
