@@ -20,8 +20,9 @@ from .config import RunConfig
 from .constants import SOBOLEV_S_CLOSED_FORM, best_Cq, compactness_threshold, mu_threshold
 from .functionals import V_value, energy, gradient_residual, scaling_terms
 from .grid import RadialFunction, RadialGrid, integrate_values, make_grid, norm_lq
-from .limit_solver import (_SHOT_TOL, InitializationFailure, LimitGroundState, SolverFailure,
-                           _core_phrase, limit_ground_state, project_to_M)
+from .limit_solver import (_SHOT_TOL, InitializationFailure, LimitGroundState,
+                           ResolutionFailure, SolverFailure, _core_phrase, limit_ground_state,
+                           project_to_M)
 from .nonlinearity import check_hypotheses, user_nonlinearity
 from .poisson import coupling_scaling_check, dirichlet_energy_direct, solve_phi
 from .sp_solver import continuation
@@ -66,18 +67,19 @@ class CompactnessFailure(SolverFailure):
 def ground_state(cfg: RunConfig, nl, grid) -> LimitGroundState:
     """Limit ground state of nl on grid, the shot's (limit_ground_state).
 
-    A failed solve (any SolverFailure: ResolutionFailure for a grid bubble,
-    BracketFailure, NonConvergence or PositivityLoss) with a critical term
-    and mu below mu*(q) raises a RegimeFailure chained from the solver's
-    error, even a ResolutionFailure, which names a grid that does not
-    resolve the core rather than the regime; the
-    threshold needs a best_Cq solve, so only the failure path computes it.
-    Where that solve fails too, there is no threshold to diagnose against,
-    and the solver's own error is raised.  A state with b >= c* raises
-    CompactnessFailure.
+    A ResolutionFailure (a grid bubble) names a grid that does not resolve
+    the core, whatever the regime, and is raised as it is.  Any other failed
+    solve (BracketFailure, NonConvergence or PositivityLoss) with a critical
+    term and mu below mu*(q) raises a RegimeFailure chained from the solver's
+    error; the threshold needs a best_Cq solve, so only that failure path
+    computes it.  Where that solve fails too, there is no threshold to
+    diagnose against, and the solver's own error is raised.  A state with
+    b >= c* raises CompactnessFailure.
     """
     try:
         ground = limit_ground_state(nl, grid)
+    except ResolutionFailure:
+        raise
     except SolverFailure as exc:
         if cfg.critical_weight > 0:
             try:

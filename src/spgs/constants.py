@@ -32,7 +32,7 @@ from .grid import (  # noqa: F401
     norm_lq,
     solve_riesz,
 )
-from .limit_solver import SolverFailure, limit_ground_state
+from .limit_solver import SolverFailure, _NoMaximum, _scan_shot, limit_ground_state
 from .nonlinearity import canonical_family
 
 SOBOLEV_S_CLOSED_FORM = 3.0 * math.pi * (math.sqrt(math.pi) / 4.0) ** (2.0 / 3.0)
@@ -114,22 +114,34 @@ def best_Cq(q: float, grid: RadialGrid) -> float:
     16n - 15 (_FINER_LEVELS).  Its Rayleigh quotient |w|_H1^2 / |w|_q^2 on
     its own grid is returned: the quotient of a certified solution of that
     grid's equation, and so an upper estimate of that grid's infimum.  If no
-    level resolves, the finest level's failure is raised.
+    level resolves, the finest level's failure is raised, its message
+    prefixed with q and the two grids' n.
     """
     return _best_Cq(q, grid)[0]
 
 
 def _best_Cq(q: float, grid: RadialGrid) -> tuple[float, int]:
-    """best_Cq and the n of the grid whose shot it is the quotient of."""
+    """best_Cq and the n of the grid whose shot it is the quotient of.
+
+    The levels are walked up once.  A finer level's own nested iteration
+    would start from the level below, whose whole route has just failed, so
+    a finer level takes its own scan (_scan_shot) alone.  The failure raised
+    names q, the n of the level that raised it and the run's n, and keeps
+    its type; _NoMaximum does not depend on the grid and is raised from the
+    run's grid."""
     if not 2.0 < q < 6.0:
         raise ValueError(f"q must lie in (2, 6), got {q}")
     nl, level = canonical_family(1.0, q, 0.0), grid
-    for _ in range(_FINER_LEVELS):
+    for finer in range(_FINER_LEVELS + 1):
         try:
-            return float(_quotient_hq(limit_ground_state(nl, level).omega, q)), level.n
-        except SolverFailure:
-            level = make_grid(grid.R, 4 * level.n - 3)
-    return float(_quotient_hq(limit_ground_state(nl, level).omega, q)), level.n
+            omega = _scan_shot(nl, level)[0] if finer else limit_ground_state(nl, level).omega
+            return float(_quotient_hq(omega, q)), level.n
+        except SolverFailure as exc:
+            if finer == _FINER_LEVELS or isinstance(exc, _NoMaximum):
+                exc.args = (f"C_q for q = {q:g} on the grid of n = {level.n} "
+                            f"(the run's n = {grid.n}): {exc}",)
+                raise
+        level = make_grid(grid.R, 4 * level.n - 3)
 
 
 def mu_threshold(q: float, S: float, Cq: float) -> float:

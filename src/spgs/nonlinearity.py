@@ -80,7 +80,11 @@ def smallest_kappa(f: Callable) -> float:
 def canonical_family(mu: float, q: float, critical_weight: float) -> Nonlinearity:
     """f(s) = critical_weight * s_+^5 + mu * s_+^(q-1), closed-form F and f'.
 
-    kappa is the smallest constant valid for this family, found numerically.
+    kappa is the smallest constant valid for this family, in closed form:
+    (f(s) - s/2)/s^5 = cw + mu s^(q-6) - s^(-4)/2 is largest at
+    s*^(q-2) = 2 / (mu (6 - q)), where it is
+    cw + (q - 2) / (2 (6 - q)) * (mu (6 - q) / 2)^(4 / (q - 2)).  Near q = 2
+    that power can exceed the largest float, and kappa is then inf.
     """
     mu = float(mu)
     q = float(q)
@@ -111,7 +115,10 @@ def canonical_family(mu: float, q: float, critical_weight: float) -> Nonlinearit
         sub = mu * (q - 1.0) * sp ** (q - 2.0)
         return sub + 5.0 * cw * sp**4 if cw else sub
 
-    kappa = smallest_kappa(f)
+    try:
+        kappa = cw + (q - 2.0) / (2.0 * (6.0 - q)) * (0.5 * mu * (6.0 - q)) ** (4.0 / (q - 2.0))
+    except OverflowError:
+        kappa = math.inf
     return Nonlinearity(f=f, F=F, fprime=fprime, mu=mu, q=q, critical_weight=cw, kappa=kappa)
 
 
@@ -222,12 +229,15 @@ def check_hypotheses(nl: Nonlinearity) -> HypothesisReport:
     gap = upper - np.asarray(nl.f(ladder), dtype=float)
     tol = 1e-10 * np.maximum(upper, 1.0)
     bad = gap < -tol
-    k = int(np.argmin(gap / np.maximum(upper, 1e-300)))
+    # an infinite bound (kappa = inf) has the full relative slack 1
+    slack = np.divide(gap, np.maximum(upper, 1e-300), out=np.ones_like(gap),
+                      where=np.isfinite(upper))
+    k = int(np.argmin(slack))
     report.checks.append(HypothesisCheck(
         name="growth_bound",
         passed=bool(not np.any(bad)),
         worst_s=float(ladder[k]),
-        margin=float((gap / np.maximum(upper, 1e-300))[k]),
+        margin=float(slack[k]),
         detail="relative slack of s/2 + kappa s^5 - f(s)",
     ))
 

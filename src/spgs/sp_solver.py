@@ -36,7 +36,7 @@ from .grid import (  # noqa: F401
 )
 from .limit_solver import LimitGroundState, SolverFailure
 from .nonlinearity import Nonlinearity, _fd_derivative
-from .poisson import newton_potential
+from .poisson import newton_potential, solve_phi
 
 
 class NonConvergence(SolverFailure):
@@ -64,9 +64,15 @@ class SolverOptions:
 
 @dataclass
 class BranchPoint:
+    """A certified point (lam, u) of the branch and its diagnostics.
+
+    u is the one field a point holds.  Its potential phi is solved from u on
+    each access; phi_d12, the energies and the Pohozaev balance were taken
+    from the solve's own potential of u, which phi reproduces bit for bit.
+    """
+
     lam: float
     u: RadialFunction
-    phi: RadialFunction
     gamma_energy: float
     i_energy: float
     h1_dist_to_omega: float
@@ -76,6 +82,11 @@ class BranchPoint:
     grad_residual_norm: float
     D_lambda: float = math.nan
     iterations: int = 0
+
+    @property
+    def phi(self) -> RadialFunction:
+        """The potential phi_u = lam Newton[u^2] of u (solve_phi), in O(n)."""
+        return solve_phi(self.u, self.lam).phi
 
 
 @dataclass
@@ -137,7 +148,10 @@ _CLIP_LOST = 0.5
 def _gmres(apply, b: np.ndarray) -> np.ndarray:
     """Solve apply(x) = b by GMRES from x = 0 (Saad & Schultz, SIAM J. Sci.
     Stat. Comput. 7, 1986): modified Gram-Schmidt Arnoldi, with Givens
-    rotations that keep the least-squares residual at hand."""
+    rotations that keep the least-squares residual at hand.  The rotated
+    Hessenberg factor is upper triangular, so the Krylov coefficients come
+    from one back-substitution in Python floats (_back_substitute): no
+    LAPACK call."""
     beta = math.sqrt(pair(b, b))
     m = _GMRES_MAX_ITER
     hess = np.zeros((m + 1, m))
@@ -163,8 +177,17 @@ def _gmres(apply, b: np.ndarray) -> np.ndarray:
         if abs(g[k + 1]) <= _GMRES_TOL * beta or h_next == 0.0:
             break
         basis.append(w / h_next)
-    y = np.linalg.solve(np.triu(hess[: k + 1, : k + 1]), g[: k + 1])
+    y = _back_substitute(hess[: k + 1, : k + 1].tolist(), g[: k + 1].tolist())
     return sum(c * v for c, v in zip(y, basis))
+
+
+def _back_substitute(tri: list[list[float]], rhs: list[float]) -> list[float]:
+    """y with tri y = rhs for the upper-triangular tri, by back-substitution
+    in Python floats; the entries below the diagonal are not read."""
+    y = list(rhs)
+    for i in reversed(range(len(y))):
+        y[i] = (y[i] - sum(tri[i][j] * y[j] for j in range(i + 1, len(y)))) / tri[i][i]
+    return y
 
 
 def _newton_step(u_vals, phi, nl, lam, grid, residual):
@@ -263,7 +286,6 @@ def solve_at_lambda(u_init: RadialFunction, nl: Nonlinearity, lam: float,
     return BranchPoint(
         lam=lam,
         u=u,
-        phi=psol.phi,
         gamma_energy=terms.Gamma_value,
         i_energy=terms.I_value,
         h1_dist_to_omega=math.nan,
@@ -279,16 +301,24 @@ def find_t0(omega: RadialFunction, nl: Nonlinearity) -> float:
     """Dilation at which the limit energy (A/2) t - V t^3 along the path
     through omega has dropped to -2, times a 1.05 margin.
 
-    With V > 0 the cubic V t^3 - (A/2) t - 2 has exactly one positive root,
-    and its other roots have negative real parts.
+    With V > 0 the cubic g(t) = V t^3 - (A/2) t - 2 has exactly one positive
+    root.  g is convex on t > 0 with g(0) = -2, and at
+    t = sqrt(A / 2V) + (2/V)^(1/3) it is at least A (2/V)^(1/3) > 0, so Newton's
+    method from there decreases monotonically to the root; it stops at the
+    first step that does not decrease, at the root to rounding.
     """
     terms = scaling_terms(omega, nl)
     if not terms.V > 0:
         raise RangeFailure(
             f"limit energy never drops below -2 along the dilation path (V = {terms.V:.3e})"
         )
-    roots = np.roots([terms.V, 0.0, -0.5 * terms.A, -2.0])
-    return 1.05 * float(np.max(roots.real))
+    V, half_A = terms.V, 0.5 * terms.A
+    t = math.sqrt(half_A / V) + (2.0 / V) ** (1.0 / 3.0)
+    while True:
+        t_next = t - (V * t**3 - half_A * t - 2.0) / (3.0 * V * t**2 - half_A)
+        if not t_next < t:
+            return 1.05 * t
+        t = t_next
 
 
 def path_max_D(omega: RadialFunction, nl: Nonlinearity, lam: float, t0: float) -> float:
@@ -399,12 +429,18 @@ def _predict(omega0: RadialFunction, v1: np.ndarray, v2: np.ndarray,
 
 
 def _loglog_slope(x, y) -> float:
+    """Least-squares slope of log y against log x over the pairs with x > 0
+    and y > 0, in closed form: sum (X - mean X)(Y - mean Y) / sum (X - mean X)^2
+    with X = log x and Y = log y.  NaN with fewer than two such pairs."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     mask = (x > 0) & (y > 0)
     if mask.sum() < 2:
         return math.nan
-    return float(np.polyfit(np.log(x[mask]), np.log(y[mask]), 1)[0])
+    lx, ly = np.log(x[mask]), np.log(y[mask])
+    lx -= lx.mean()
+    ly -= ly.mean()
+    return pair(lx, ly) / pair(lx, lx)
 
 
 @dataclass

@@ -352,28 +352,26 @@ def test_projection_overflow_is_solver_failure(tmp_path):
                           "detail": "|V - 1| inf (tol 1e-08)"}
 
 
-def test_failure_below_mu_threshold_is_regime_failure(tmp_path, capsys):
-    # mu = 1 lies below mu*(4) = 4.42, where the shot on the default grid
-    # ends in a grid bubble at n = 750 and at n = 3000: the grid does not
-    # resolve its core
-    cfg = write_cfg(tmp_path, "[nonlinearity]\nmu = 1.0\nq = 4.0\ncritical_weight = 1.0\n")
+@pytest.mark.parametrize("mu, q, centre, core", [
+    pytest.param(1.0, 4.0, "14.83", "0.203", id="mu1-q4"),
+    pytest.param(0.5, 3.0, "14.85", "0.203", id="mu0.5-q3"),
+    pytest.param(2.0, 4.0, "14.82", "0.203", id="mu2-q4"),
+    pytest.param(1.0, 5.0, "14.61", "0.204", id="mu1-q5"),
+])
+def test_grid_bubble_below_mu_threshold_is_a_resolution_failure(mu, q, centre, core, tmp_path,
+                                                                capsys):
+    # with cw = 1 each mu lies below mu*(q) (4.42 at q = 4, 3.196 at q = 3,
+    # 3.36 at q = 5), and on the default grid (n = 3000) each shot ends in a
+    # grid bubble: the grid does not resolve the core, which says nothing of
+    # the regime (at n = 12000 mu=2, q=4 and mu=1, q=5 solve), so the bubble
+    # is the failure reported and no mu* is computed
+    cfg = write_cfg(tmp_path, f"[nonlinearity]\nmu = {mu}\nq = {q}\ncritical_weight = 1.0\n")
     code = main(["--config", str(cfg), "--output", str(tmp_path / "out"), "solve-limit"])
     assert code == 3
     err = capsys.readouterr().err
-    assert "mu = 1 lies below the sufficient threshold mu* = 4.42" in err
-    assert "grid bubble: omega(0) = 14.83 with core width 1/sqrt(f'(omega(0))) = 0.203 h" in err
-
-
-def test_mu_half_q3_below_threshold_is_regime_failure(tmp_path, capsys):
-    # mu = 0.5 lies below mu*(3) = 3.196; the shot ends in a grid bubble
-    # on the default grid (the constrained flow returned b = 4.6438 >= c*
-    # there, from a state that does not solve the grid equation)
-    cfg = write_cfg(tmp_path, "[nonlinearity]\nmu = 0.5\nq = 3.0\ncritical_weight = 1.0\n")
-    code = main(["--config", str(cfg), "--output", str(tmp_path / "out"), "solve-limit"])
-    assert code == 3
-    err = capsys.readouterr().err
-    assert "mu = 0.5 lies below the sufficient threshold mu* = 3.196" in err
-    assert "grid bubble: omega(0) = 14.85 with core width 1/sqrt(f'(omega(0))) = 0.203 h" in err
+    assert (f"grid bubble: omega(0) = {centre} with core width 1/sqrt(f'(omega(0))) = {core} h"
+            in err)
+    assert "threshold" not in err
     assert not (tmp_path / "out" / "solve_limit.json").exists()
 
 
@@ -399,26 +397,38 @@ def test_level_at_or_above_the_compactness_threshold_exits_3(tmp_path, capsys, m
     limit_solver.BracketFailure, limit_solver.ResolutionFailure,
     sp_solver.NonConvergence, sp_solver.PositivityLoss,
 ])
-def test_every_failure_of_the_shot_gets_the_regime_diagnosis(failure, monkeypatch):
+def test_every_failure_of_the_shot_gets_the_regime_diagnosis(failure, monkeypatch, count_calls):
+    # every failure but a grid bubble: a ResolutionFailure names a grid that
+    # does not resolve the core, and is raised as it is, with no C_q solve
     def failed(nl, grid):
         raise failure("failed")
 
     monkeypatch.setattr(checks, "limit_ground_state", failed)
+    cq_solves = count_calls(best_Cq)
     cfg = replace(RunConfig(mu=1.0, q=4.0, critical_weight=1.0), n=750)
-    with pytest.raises(checks.RegimeFailure, match="mu = 1 lies below .* mu\\* = 4.42") as info:
-        checks.ground_state(cfg, cfg.nonlinearity(), make_grid(cfg.R, cfg.n))
-    assert type(info.value.__cause__) is failure
-
-
-def test_threshold_that_fails_leaves_the_shot_its_own_failure():
-    # mu = 0.5, q = 5.9, cw = 1 at n = 750: the shot is a grid bubble at
-    # omega(0) = 6.818, and mu*(5.9) needs the pure power's C_q, which no
-    # level resolves (test_best_Cq_raises_where_no_finer_level_resolves), so
-    # there is no threshold and the user's own bubble is raised
-    cfg = replace(RunConfig(mu=0.5, q=5.9, critical_weight=1.0), n=750)
     grid = make_grid(cfg.R, cfg.n)
-    with pytest.raises(limit_solver.ResolutionFailure, match="omega\\(0\\) = 6.818"):
+    if failure is limit_solver.ResolutionFailure:
+        with pytest.raises(failure, match="^failed$"):
+            checks.ground_state(cfg, cfg.nonlinearity(), grid)
+        assert cq_solves == []
+        return
+    with pytest.raises(checks.RegimeFailure, match="mu = 1 lies below .* mu\\* = 4.42") as info:
         checks.ground_state(cfg, cfg.nonlinearity(), grid)
+    assert type(info.value.__cause__) is failure
+    assert cq_solves == ["best_Cq"]
+
+
+def test_threshold_that_fails_leaves_the_shot_its_own_failure(monkeypatch):
+    # mu = 0.5, q = 5.9, cw = 1 at n = 750: mu*(5.9) needs the pure power's
+    # C_q, which no level resolves (test_best_Cq_raises_where_no_finer_level_resolves),
+    # so there is no threshold and the shot's own failure is raised
+    def failed(nl, grid):
+        raise sp_solver.NonConvergence("failed")
+
+    monkeypatch.setattr(checks, "limit_ground_state", failed)
+    cfg = replace(RunConfig(mu=0.5, q=5.9, critical_weight=1.0), n=750)
+    with pytest.raises(sp_solver.NonConvergence, match="^failed$"):
+        checks.ground_state(cfg, cfg.nonlinearity(), make_grid(cfg.R, cfg.n))
 
 
 def test_production_path_runs_no_flow(tmp_path, count_calls):
@@ -457,12 +467,23 @@ def test_constants_past_the_shot_take_a_finer_shot(tmp_path):
                  "constants", "--q", "5.9"]) == 3
 
 
-def test_verify_below_mu_threshold_is_regime_failure(tmp_path, capsys):
+def test_constants_failure_names_its_q_and_grids(tmp_path, capsys):
+    # q = 5.9 at n = 750 resolves on none of 750, 2997 and 11985; the message
+    # names the q, the finest level that raised and the run's grid
+    cfg = write_cfg(tmp_path, "[grid]\nn = 750\n")
+    assert main(["--config", str(cfg), "--output", str(tmp_path / "out"),
+                 "constants", "--q", "4,5.9"]) == 3
+    assert capsys.readouterr().err.startswith(
+        "solver failure: C_q for q = 5.9 on the grid of n = 11985 (the run's n = 750): "
+        "the shot is a grid bubble: omega(0) = 32.37 ")
+
+
+def test_verify_of_a_grid_bubble_below_mu_threshold_exits_3(tmp_path, capsys):
     # verify builds its ground state with the same diagnosis as solve-limit
     cfg = write_cfg(tmp_path, "[nonlinearity]\nmu = 1.0\nq = 4.0\ncritical_weight = 1.0\n")
     code = main(["--config", str(cfg), "--output", str(tmp_path / "out"), "verify"])
     assert code == 3
-    assert "mu = 1 lies below the sufficient threshold mu* = 4.42" in capsys.readouterr().err
+    assert "solver failure: the shot is a grid bubble: omega(0) = 14.83" in capsys.readouterr().err
 
 
 def test_public_names_resolve():
@@ -483,6 +504,38 @@ def test_import_footprint():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, check=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+# replaces the numpy calls that reach its own LAPACK (dgesv, dgeev, dgelsd)
+# before spgs is imported, so that every binding of them refuses to run
+_REFUSE_NUMPY_LAPACK = """
+import sys, numpy as np
+
+def refuse(*args, **kwargs):
+    raise AssertionError("numpy LAPACK called")
+
+np.linalg.solve = np.linalg.eigvals = np.linalg.lstsq = np.roots = np.polyfit = refuse
+from spgs.cli import main
+
+runs = (["solve-limit"], ["solve", "--lambda", "0.05"], ["sweep-lambda"],
+        ["constants", "--q", "4,5.5"], ["verify"])
+codes = [main(["--output", f"{sys.argv[1]}/{i}", *argv]) for i, argv in enumerate(runs)]
+print(codes, file=sys.stderr)
+"""
+
+
+def test_no_subcommand_calls_numpy_lapack(tmp_path):
+    # the only LAPACK of spgs is the tridiagonal pair dgttrf / dgttrs, loaded
+    # from scipy's extension: the coupled Newton step's GMRES back-substitutes
+    # its triangular factor, find_t0 Newton-solves its cubic and
+    # _loglog_slope fits in closed form, and each numpy LAPACK routine's
+    # first call touches fresh workspace (about 0.5-1.3 MB of peak RSS)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run([sys.executable, "-c", _REFUSE_NUMPY_LAPACK, str(tmp_path)],
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stderr.splitlines()[-1] == "[0, 0, 0, 0, 0]"
 
 
 def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):

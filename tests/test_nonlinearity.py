@@ -96,6 +96,30 @@ def test_smallest_kappa_matches_bounded_search_oracle():
         assert nl.kappa == pytest.approx(bounded_kappa(nl.f), rel=1e-10)
 
 
+# every (mu, q, cw) of this grid whose maximizer s*, s*^(q-2) = 2/(mu (6-q)),
+# lies in the range [1e-6, 1e6] that smallest_kappa scans
+_KAPPA_CASES = [
+    (mu, q, cw) for mu in (0.05, 0.25, 1.0, 5.0, 20.0)
+    for q in (2.1, 2.2, 2.5, 3.0, 4.0, 5.0, 5.5, 5.9) for cw in (0.0, 1.0)
+    if 1e-6 <= (2.0 / (mu * (6.0 - q))) ** (1.0 / (q - 2.0)) <= 1e6
+]
+
+
+@pytest.mark.parametrize("mu, q, cw", _KAPPA_CASES)
+def test_canonical_kappa_is_the_scanned_maximum(mu, q, cw):
+    nl = canonical_family(mu, q, cw)
+    assert nl.kappa == pytest.approx(smallest_kappa(nl.f), rel=1e-13, abs=0)
+
+
+def test_canonical_kappa_past_the_largest_float_is_inf():
+    # (mu (6 - q) / 2)^(4 / (q - 2)) = 1.9995^4000 at q = 2.001; no growth
+    # bound is violated, and its relative slack is the full 1
+    nl = canonical_family(1.0, 2.001, 0.0)
+    assert nl.kappa == math.inf
+    growth = check_hypotheses(nl)["growth_bound"]
+    assert growth.passed and growth.margin == 1.0
+
+
 def test_user_nonlinearity_fills_missing_pieces():
     nl = user_nonlinearity(lambda s: np.maximum(s, 0.0) ** 3, mu=1.0, q=4.0)
     s = np.array([0.5, 1.5])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from dataclasses import replace
 
@@ -7,6 +8,7 @@ from numpy.linalg import LinAlgError
 
 from oracles import flow_handover_field, resampled_path_max, resampled_t0
 from spgs import (
+    BranchPoint,
     RadialFunction,
     asymptotics_report,
     canonical_family,
@@ -18,7 +20,7 @@ from spgs import (
     solve_at_lambda,
     sp_solver,
 )
-from spgs.functionals import gradient_residual, scaling_terms
+from spgs.functionals import ScalingTerms, gradient_residual, scaling_terms
 from spgs.grid import dual_norm, h1_norm_sq, helmholtz_lu, integrate_values, solve_lu
 from spgs.poisson import newton_potential, solve_phi
 from spgs.sp_solver import (
@@ -255,6 +257,66 @@ def test_asymptotic_slopes(branch, nl_cubic):
 def test_loglog_slope_on_power_law():
     x = np.array([0.1, 0.2, 0.4, 0.8])
     assert _loglog_slope(x, 3.0 * x**2) == pytest.approx(2.0, abs=1e-12)
+
+
+def test_loglog_slope_is_the_least_squares_slope():
+    # np.polyfit (LAPACK dgelsd) as the reference, with pairs dropped where
+    # x or y is not positive
+    rng = np.random.default_rng(5)
+    for size in (2, 3, 6, 24, 60):
+        for _ in range(20):
+            x = np.geomspace(0.3, 1e-3, size)
+            y = x ** rng.uniform(0.5, 4.0) * np.exp(rng.normal(0.0, 0.3, size))
+            y[rng.uniform(size=size) < 0.1] *= -1.0
+            keep = y > 0
+            if keep.sum() < 2:
+                assert math.isnan(_loglog_slope(x, y))
+                continue
+            ref = np.polyfit(np.log(x[keep]), np.log(y[keep]), 1)[0]
+            assert _loglog_slope(x, y) == pytest.approx(ref, rel=1e-13, abs=0)
+
+
+def test_find_t0_is_the_positive_root_of_the_cubic(monkeypatch):
+    # np.roots (LAPACK dgeev) as the reference over a sweep of the scaling
+    # terms A and V of the path through omega
+    for A in np.geomspace(1e-2, 1e3, 11):
+        for V in np.geomspace(1e-3, 1e3, 13):
+            terms = ScalingTerms(A=float(A), B=0.0, C=float(V), K=0.0)
+            monkeypatch.setattr(sp_solver, "scaling_terms", lambda omega, nl: terms)
+            ref = 1.05 * float(np.max(np.roots([V, 0.0, -0.5 * A, -2.0]).real))
+            assert find_t0(None, None) == pytest.approx(ref, rel=1e-13, abs=0)
+
+
+def test_back_substitution_matches_lapack_on_recorded_factors(nl_cubic, ground_cubic,
+                                                              monkeypatch):
+    # the triangular factors of the GMRES solves of the Newton steps from
+    # omega to the coupled solution at each lam, recorded as _gmres hands
+    # them on, with np.linalg.solve (LAPACK dgesv) as the reference
+    back, factors = sp_solver._back_substitute, []
+
+    def recorded(tri, rhs):
+        factors.append((tri, rhs))
+        return back(tri, rhs)
+
+    monkeypatch.setattr(sp_solver, "_back_substitute", recorded)
+    for lam in SCHEDULE:
+        solve_at_lambda(ground_cubic.omega, nl_cubic, lam)
+    assert len(factors) >= 10
+    assert max(len(rhs) for _, rhs in factors) >= 3
+    for tri, rhs in factors:
+        ref = np.linalg.solve(np.triu(tri), rhs)
+        got = np.array(back(tri, rhs))
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_branch_point_holds_u_alone_and_solves_its_potential(branch, nl_cubic):
+    for p in branch.points:
+        arrays = [f.name for f in dataclasses.fields(BranchPoint)
+                  if isinstance(getattr(p, f.name), (RadialFunction, np.ndarray))]
+        assert arrays == ["u"]
+        phi = gradient_residual(p.u, nl_cubic, p.lam)[1].phi
+        assert p.phi.grid is p.u.grid
+        assert p.phi.values.tobytes() == phi.values.tobytes()
 
 
 @pytest.fixture(scope="module")
