@@ -153,7 +153,7 @@ def cmd_constants(cfg: RunConfig, outdir: Path, q_list: list[float]) -> dict:
     grid = make_grid(cfg.R, cfg.n)
     report = constants_mod.constants_report(grid, q_list)
     summary = {
-        "S": _num(report.S, "computed (quotient descent from a bubble)"),
+        "S": _num(report.S, "computed (least quotient over the bubble widths)"),
         "Cq": {str(q): _cq_entry(report, q) for q in report.Cq},
         "mu_threshold": {str(q): _num(v, "derived (plug-in from closed-form S, computed Cq)")
                          for q, v in report.mu_thresholds.items()},

@@ -1,13 +1,14 @@
 """Best Sobolev embedding constants and the coupling threshold for mu.
 
-S is the best constant of the gradient-to-L^6 embedding, computed by
-quotient descent from a bubble of width 4h.  The known closed form
+S is the best constant of the gradient-to-L^6 embedding, computed as the
+least L^6 Rayleigh quotient over the truncated bubbles, one scalar search
+over their width.  The known closed form
 3*pi*(sqrt(pi)/4)^(2/3) is SOBOLEV_S_CLOSED_FORM: the tests use it as the
 oracle for S, and the code reads it wherever S enters a bound (mu* in
 constants_report and checks.ground_state, the compactness threshold c*, the
 poisson.T_bound_battery check, the distance budget of asymptotics_report).
 C_q is the H^1-to-L^q Rayleigh quotient of the pure-power limit ground state,
-the shot's omega_0 (limit_solver.limit_ground_state): on the run's grid, or
+the shot's omega_0 (limit_solver.shoot_ground_state): on the run's grid, or
 where the shot fails there, on the first finer level of the nested-iteration
 ladder whose shot resolves the core.
 """
@@ -26,14 +27,11 @@ from .grid import (  # noqa: F401
     dilate,
     grad_norm_sq,
     h1_norm_sq,
-    laplacian_apply,
-    lq_integral,
     make_grid,
     norm_lq,
-    solve_riesz,
 )
-from .limit_solver import SolverFailure, _NoMaximum, _scan_shot, limit_ground_state
-from .nonlinearity import canonical_family
+from .limit_solver import SolverFailure, _NoMaximum, _scan_shot, shoot_ground_state
+from .nonlinearity import _golden_min, canonical_family
 
 SOBOLEV_S_CLOSED_FORM = 3.0 * math.pi * (math.sqrt(math.pi) / 4.0) ** (2.0 / 3.0)
 
@@ -60,42 +58,24 @@ def _bubble(grid: RadialGrid, eps: float) -> RadialFunction:
     return RadialFunction(grid, np.maximum(vals, 0.0))
 
 
-def _l6_terms(u: RadialFunction) -> tuple[float, float, float]:
-    """|grad u|^2, int u^6 and the quotient |grad u|^2 / |u|_6^2 of u."""
-    grad, int6 = grad_norm_sq(u), lq_integral(u, 6.0)
-    denom = float(int6 ** (1.0 / 6.0)) ** 2
-    return grad, int6, math.inf if denom == 0.0 else grad / denom
-
-
 def sobolev_S(grid: RadialGrid) -> float:
-    """Best constant of the gradient-to-L^6 embedding via Rayleigh quotients.
+    """Best constant of the gradient-to-L^6 embedding on grid: the least L^6
+    Rayleigh quotient over the truncated bubbles of width eps, the
+    extremals of the whole space (Talenti, Ann. Mat. Pura Appl. 110, 1976).
 
-    Preconditioned quotient descent from the bubble of width 4h: on a ball
-    the truncated bubble's quotient falls as its width shrinks, down to the
-    widths the grid resolves.
+    A log scan of 32 widths from h/4 to R/8, then the golden-section polish
+    of smallest_kappa (_golden_min) to 1e-6 in log eps.  On R = 30 the
+    quotient has one minimum over the scan, at 2.0h, 2.7h, 4.2h and 6.7h for
+    n = 750, 3000, 12000 and 48000.
     """
-    u = _bubble(grid, 4.0 * grid.h)
-    grad, denom6, best = _l6_terms(u)
 
-    # quotient descent polish; the quotient gradient is -Delta u - Q u^5/|u|_6^6
-    for _ in range(80):
-        q = grad / denom6 ** (1.0 / 3.0)
-        g = -laplacian_apply(u) - (q / denom6 ** (2.0 / 3.0)) * u.values**5
-        g[-1] = 0.0
-        d = solve_riesz(grid, g)
-        step = 0.2
-        improved = False
-        for _ in range(12):
-            cand = RadialFunction(grid, np.maximum(u.values - step * d, 0.0))
-            cand_grad, cand_denom6, qc = _l6_terms(cand)
-            if qc < best:
-                u, grad, denom6, best = cand, cand_grad, cand_denom6, qc
-                improved = True
-                break
-            step *= 0.5
-        if not improved:
-            break
-    return float(best)
+    def quotient(x):
+        u = _bubble(grid, math.exp(x))
+        return grad_norm_sq(u) / norm_lq(u, 6.0) ** 2
+
+    xs = np.linspace(math.log(grid.h / 4.0), math.log(grid.R / 8.0), 32)
+    vals = np.array([quotient(x) for x in xs])
+    return float(_golden_min(quotient, xs, vals, 1e-6))
 
 
 def _quotient_hq(u: RadialFunction, q: float) -> float:
@@ -109,7 +89,7 @@ def best_Cq(q: float, grid: RadialGrid) -> float:
     """Best constant of the H^1 to L^q embedding, q in (2, 6).
 
     The minimizer is the ground state w of -Delta w + w = w^(q-1): the
-    shot's omega_0 (limit_ground_state) on grid, or, if that shot raises a
+    shot's omega_0 (shoot_ground_state) on grid, or, if that shot raises a
     SolverFailure, on the grid of 4n - 3 nodes over the same R, then of
     16n - 15 (_FINER_LEVELS).  Its Rayleigh quotient |w|_H1^2 / |w|_q^2 on
     its own grid is returned: the quotient of a certified solution of that
@@ -134,7 +114,7 @@ def _best_Cq(q: float, grid: RadialGrid) -> tuple[float, int]:
     nl, level = canonical_family(1.0, q, 0.0), grid
     for finer in range(_FINER_LEVELS + 1):
         try:
-            omega = _scan_shot(nl, level)[0] if finer else limit_ground_state(nl, level).omega
+            omega = _scan_shot(nl, level)[0] if finer else shoot_ground_state(nl, level)
             return float(_quotient_hq(omega, q)), level.n
         except SolverFailure as exc:
             if finer == _FINER_LEVELS or isinstance(exc, _NoMaximum):

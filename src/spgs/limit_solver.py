@@ -120,8 +120,8 @@ class LimitGroundState:
 
     From the shot (limit_ground_state): u is None and iterations 0.  From
     the flow (minimize_on_M): u is omega_0 dilated onto {V = 1}
-    (project_to_M), and iterations counts the accepted flow steps summed
-    over the levels.
+    (project_to_M), or None where that dilation does not fit the ball, and
+    iterations counts the accepted flow steps summed over the levels.
     """
 
     u: RadialFunction | None
@@ -311,14 +311,20 @@ def minimize_on_M(nl: Nonlinearity, grid: RadialGrid) -> LimitGroundState:
     _LADDER_FLOOR nodes, the flow first solves there and hands its state on,
     prolonged, to the finer grid.  The finest level's state, dilated onto the
     Pohozaev manifold, starts the Newton solve at lam = 0 (_newton_polish),
-    so the record is the shot's (_record) with u = project_to_M(omega_0).  A
+    so the record is the shot's (_record) with u = project_to_M(omega_0), or
+    None where that dilation does not fit the ball: the solve has converged,
+    and only what measures that dilation (checks._constraint_on_M) fails.  A
     SolverFailure on any level, or of the Newton solve, is the outcome.  The
     state's iterations are its accepted flow steps summed over its levels,
     the n of every grid whose flow ran.
     """
     u, steps, levels = _ladder(nl, grid)
     gs = _record(_newton_polish(u, nl), levels)
-    gs.u, gs.iterations = project_to_M(gs.omega, nl), steps
+    gs.iterations = steps
+    try:
+        gs.u = project_to_M(gs.omega, nl)
+    except InitializationFailure:
+        pass  # omega_0 dilated onto {V = 1} does not fit the ball
     return gs
 
 

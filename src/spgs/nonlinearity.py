@@ -46,35 +46,41 @@ def _fd_derivative(f: Callable) -> Callable:
     return fprime
 
 
-def smallest_kappa(f: Callable) -> float:
-    """Smallest valid constant in f(s) <= s/2 + kappa s^5, by maximizing
-    (f(s) - s/2)/s^5 over s in [1e-6, 1e6] (coarse log scan plus
-    golden-section polish)."""
-
-    def ratio(x):
-        s = np.exp(x)
-        return float((f(np.asarray(s)) - 0.5 * s) / s**5)
-
-    xs = np.linspace(np.log(1e-6), np.log(1e6), 400)
-    s = np.exp(xs)
-    vals = (np.asarray(f(s), dtype=float) - 0.5 * s) / s**5
-    k = int(np.argmax(vals))
-    # golden-section search for the maximum of the ratio between the scan
-    # neighbours of the best sample, to 1e-12 in log s
+def _golden_min(fn: Callable, xs: np.ndarray, vals: np.ndarray, width: float):
+    """Least value of fn near the least sample vals[k] = fn(xs[k]) of a scan:
+    golden-section search between the scan neighbours of xs[k], down to an
+    interval of the given width, never above vals[k]."""
+    k = int(np.argmin(vals))
     g = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = xs[max(k - 1, 0)], xs[min(k + 1, len(xs) - 1)]
     c, d = b - g * (b - a), a + g * (b - a)
-    fc, fd = ratio(c), ratio(d)
-    while b - a > 1e-12:
-        if fc >= fd:
+    fc, fd = fn(c), fn(d)
+    while b - a > width:
+        if fc <= fd:
             b, d, fd = d, c, fc
             c = b - g * (b - a)
-            fc = ratio(c)
+            fc = fn(c)
         else:
             a, c, fc = c, d, fd
             d = a + g * (b - a)
-            fd = ratio(d)
-    return max(vals[k], fc, fd, 0.0)
+            fd = fn(d)
+    return min(vals[k], fc, fd)
+
+
+def smallest_kappa(f: Callable) -> float:
+    """Smallest valid constant in f(s) <= s/2 + kappa s^5, by maximizing
+    (f(s) - s/2)/s^5 over s in [1e-6, 1e6]: a log scan of 400 points, then
+    the golden-section polish of _golden_min on the negated ratio, to 1e-12
+    in log s."""
+
+    def neg_ratio(x):
+        s = np.exp(x)
+        return -float((f(np.asarray(s)) - 0.5 * s) / s**5)
+
+    xs = np.linspace(np.log(1e-6), np.log(1e6), 400)
+    s = np.exp(xs)
+    vals = -((np.asarray(f(s), dtype=float) - 0.5 * s) / s**5)
+    return max(-_golden_min(neg_ratio, xs, vals, 1e-12), 0.0)
 
 
 def canonical_family(mu: float, q: float, critical_weight: float) -> Nonlinearity:

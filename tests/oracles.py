@@ -10,7 +10,8 @@ from scipy.linalg import solve_banded
 from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.optimize import brentq, minimize_scalar
 
-from spgs import RadialFunction, dilate, energy
+from spgs import RadialFunction, dilate, energy, grad_norm_sq, norm_lq
+from spgs.constants import _bubble
 from spgs.functionals import T0_value, scaling_terms
 from spgs.grid import dual_norm, integrate_values, solve_riesz
 from spgs.limit_solver import (
@@ -275,7 +276,11 @@ def reference_minimize_on_M(nl, grid) -> LimitGroundState:
             break
         steps += 1
     gs = _record(_newton_polish(u, nl), (grid.n,))
-    gs.u, gs.iterations = project_to_M(gs.omega, nl), steps
+    gs.iterations = steps
+    try:
+        gs.u = project_to_M(gs.omega, nl)
+    except InitializationFailure:
+        pass
     return gs
 
 
@@ -299,6 +304,22 @@ def bounded_kappa(f) -> float:
     res = minimize_scalar(neg_ratio, bounds=(xs[max(k - 1, 0)], xs[min(k + 1, len(xs) - 1)]),
                           method="bounded", options={"xatol": 1e-12})
     return max(-min(res.fun, vals[k]), 0.0)
+
+
+def bounded_S(grid) -> float:
+    """spgs.sobolev_S with scipy's bounded scalar search as the polish, over
+    log eps between the scan neighbours of the least of its 32 widths."""
+
+    def quotient(x):
+        u = _bubble(grid, np.exp(x))
+        return grad_norm_sq(u) / norm_lq(u, 6.0) ** 2
+
+    xs = np.linspace(np.log(grid.h / 4.0), np.log(grid.R / 8.0), 32)
+    vals = np.array([quotient(x) for x in xs])
+    k = int(np.argmin(vals))
+    res = minimize_scalar(quotient, bounds=(xs[max(k - 1, 0)], xs[min(k + 1, len(xs) - 1)]),
+                          method="bounded", options={"xatol": 1e-12})
+    return min(res.fun, vals[k])
 
 
 def march_overshoots(nl, grid, a: float) -> bool:

@@ -1,7 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 
+from oracles import bounded_S
 from spgs import (
     SOBOLEV_S_CLOSED_FORM,
     best_Cq,
@@ -9,6 +11,7 @@ from spgs import (
     checks,
     constants,
     constants_report,
+    grad_norm_sq,
     limit_ground_state,
     limit_solver,
     make_grid,
@@ -18,7 +21,8 @@ from spgs import (
     sobolev_S,
 )
 from spgs.config import RunConfig
-from spgs.constants import _quotient_hq
+from spgs.constants import _bubble, _quotient_hq
+from spgs.grid import solve_riesz
 from spgs.limit_solver import ResolutionFailure, Stagnation
 
 
@@ -33,6 +37,26 @@ def test_sobolev_S_close_to_closed_form(grid30):
     assert S == pytest.approx(SOBOLEV_S_CLOSED_FORM, rel=1e-2)
     # truncation can only push the variational value up
     assert S >= SOBOLEV_S_CLOSED_FORM - 1e-10
+
+
+@pytest.mark.parametrize("n, gap", [(750, 6.1e-3), (3000, 2.3e-3)])
+def test_sobolev_S_is_the_least_bubble_quotient(n, gap):
+    # the least quotient over the bubble widths, against scipy's bounded
+    # search and against 400 widths on the scanned range [h/4, R/8]; S lies
+    # 6.04e-3 and 2.24e-3 above the closed form at n = 750 and 3000 (measured)
+    grid = make_grid(30.0, n)
+    S = sobolev_S(grid)
+    assert S == pytest.approx(bounded_S(grid), rel=1e-12, abs=0)
+    for eps in np.geomspace(grid.h / 4.0, grid.R / 8.0, 400):
+        u = _bubble(grid, eps)
+        assert S <= grad_norm_sq(u) / norm_lq(u, 6.0) ** 2
+    assert SOBOLEV_S_CLOSED_FORM <= S <= (1.0 + gap) * SOBOLEV_S_CLOSED_FORM
+
+
+def test_sobolev_S_solves_nothing(count_calls):
+    riesz_solves = count_calls(solve_riesz)
+    sobolev_S(make_grid(30.0, 750))
+    assert riesz_solves == []
 
 
 def test_best_Cq_matches_ground_state_identity(grid30, nl_cubic):

@@ -703,6 +703,20 @@ def test_coarse_grid_flow_certificate_is_not_vacuous():
         minimize_on_M(nl, make_grid(30.0, 750))
 
 
+@pytest.mark.parametrize("cw", [0.0, 1.0])
+def test_flow_record_whose_dilation_leaves_the_ball_keeps_its_level(cw):
+    # mu=20, q=2.5 on R=20: the Newton finish converges on the shot's
+    # omega_0 (b = 5.0914e-4), whose dilation onto {V = 1} stalls at
+    # |V - 1| = 1.42e-11 in project_to_M; the record leaves u None, as the
+    # shot's does, and only checks._constraint_on_M fails on it
+    nl, grid = canonical_family(20.0, 2.5, cw), make_grid(20.0, 750)
+    with pytest.raises(InitializationFailure, match="projection stalled"):
+        project_to_M(limit_ground_state(nl, grid).omega, nl)
+    gs = minimize_on_M(nl, grid)
+    assert gs.u is None and gs.iterations > 0
+    assert gs.b_value == pytest.approx(limit_ground_state(nl, grid).b_value, rel=1e-12, abs=0)
+
+
 def test_limit_ground_state_is_the_shot(nl_cubic, grid30, shot_cubic, ground_cubic):
     # the record is the shot's omega_0 with its levels, and runs no flow
     gs = limit_ground_state(nl_cubic, grid30)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import bounded_kappa
+from test_limit_solver import _wavy_cubic
 from spgs import canonical_family, check_hypotheses, smallest_kappa, user_nonlinearity
 
 
@@ -109,6 +110,44 @@ _KAPPA_CASES = [
 def test_canonical_kappa_is_the_scanned_maximum(mu, q, cw):
     nl = canonical_family(mu, q, cw)
     assert nl.kappa == pytest.approx(smallest_kappa(nl.f), rel=1e-13, abs=0)
+
+
+# smallest_kappa on _KAPPA_CASES, in their order, and on the wavy cubic of
+# test_limit_solver.py, as its own golden-section loop returned them before
+# the polish was shared with sobolev_S: the shared polish keeps every bit
+_KAPPA_BITS = [
+    9.433840063383117e-23, 1.0, 2.4543493986129787e-10,
+    1.000000000245435, 5.273437500000003e-06, 1.0000052734375,
+    0.0012500000000000002, 1.00125, 0.01096506651829825,
+    1.0109650665182983, 0.02339419250116798, 1.023394192501168,
+    0.04180758997364232, 1.0418075899736423, 4.235358712693467e-15,
+    1.0000000000000042, 8.99681097353251e-09, 1.000000008996811,
+    9.587302338331942e-05, 1.0000958730233833, 0.0032958984375000004,
+    1.0032958984375002, 0.03125, 1.03125,
+    0.09375000000000001, 1.09375, 0.14720783356916398,
+    1.147207833569164, 0.21784492415743978, 1.2178449241574398,
+    5120234503.104658, 5120234504.104662, 9892.098278301462,
+    9893.098278301472, 6.283134460449221, 7.283134460449225,
+    0.84375, 1.8437500000000002, 0.5,
+    1.5, 0.5952753944880748, 1.5952753944880749,
+    0.7177934365066833, 1.7177934365066834, 0.9029108507964809,
+    1.9029108507964811, 9.433840063382331e+17, 9.433840063382331e+17,
+    2454349.398612976, 2454350.398612978, 527.34375,
+    528.3437500000001, 12.500000000000002, 13.500000000000002,
+    5.08953303111545, 6.08953303111545, 4.516711433106258,
+    5.5167114331062574, 4.704756862012265, 5.704756862012266,
+    160848242187.50006, 160848242188.50006, 135000.00000000006,
+    135001.0000000001, 200.00000000000003, 201.00000000000003,
+    32.31652035047826, 33.316520350478264, 22.023731636231968,
+    23.023731636231968, 19.500000000000004, 20.500000000000004,
+]
+_WAVY_KAPPA_BITS = 1.040342746774719
+
+
+def test_smallest_kappa_keeps_its_bits():
+    got = [smallest_kappa(canonical_family(*case).f) for case in _KAPPA_CASES]
+    assert got == _KAPPA_BITS
+    assert smallest_kappa(_wavy_cubic) == _WAVY_KAPPA_BITS
 
 
 def test_canonical_kappa_past_the_largest_float_is_inf():
