@@ -366,6 +366,18 @@ _GRAFT_GAP = 0.2
 _SHOT_TOL = 1e-11
 
 
+# nodes per block of the scan's march (_classify_shot).  Median march time
+# of the 188 scans of mu in {0.25, 1, 5, 20} x q in {2.2, 2.5, 3, 4, 5, 5.5}
+# x cw in {0, 1} on (R, n) in {(30, 750), (40, 750), (20, 750), (30, 3000)},
+# 21 repeats, one BLAS thread: 451 ms marched node by node, and 415, 380,
+# 364, 353, 354, 376 and 461 ms at 8, 12, 16, 24, 32, 64 and 128 nodes; the
+# seven scans of the cli benchmark 10.7 ms, and 8.1 ms at 16.  At 16 one
+# scan reads slower, by 11 % (mu=0.25, q=2.2, cw=1 on R=40: 49 nodes, so
+# the last block runs 15 past the last decision); at 32, 16 scans read over
+# 5 % slower, short marches whose last block runs long
+_BLOCK = 16
+
+
 def _classify_shot(nl: Nonlinearity, grid: RadialGrid, amps, record: dict | None = None
                    ) -> np.ndarray:
     """Overshoot flags of the shots of the grid equation from the centre
@@ -376,11 +388,26 @@ def _classify_shot(nl: Nonlinearity, grid: RadialGrid, amps, record: dict | None
     the conductances c and masses m of the grid, with c_{-1} = 0.  A lane
     overshoots when u_{i+1} <= 0, and undershoots when u_{i+1} > u_i while
     still positive, or when it reaches R with neither.  A centre that is not
-    a maximum, f(a) <= a, undershoots at the start.  Decided lanes drop out
-    of the march.  A dict record receives the march's own arrays, not
-    copies: "amps"; "values", whose entry i holds the live lanes' values at
-    node i + 1 in lane order; and "last", each lane's last step (-1 if never
-    marched).
+    a maximum, f(a) <= a, undershoots at the start.
+
+    The live lanes advance _BLOCK nodes at a time into one (_BLOCK + 1,
+    lanes) array, whose row 0 holds their values at the block's first node;
+    per node the block pays only the call of f and the recurrence.  At the
+    block's end each lane's first deciding node is read from the array, and
+    the decided lanes drop out.  A lane decided inside a block marches on to
+    the block's end, so f sees values past a lane's decision (negative after
+    an overshoot, rising after an undershoot) for at most _BLOCK - 1 nodes;
+    those values are never read, and the floating-point warnings they raise
+    (overflow, or a log of a negative value in a user's f) are silenced; a
+    live lane stays in (0, a] and raises none of its own.  Every array handed to f is a contiguous row, because
+    numpy's SIMD pow gives each element the same bits wherever it sits only
+    on contiguous input: so each lane gets the values it would get marched
+    alone, bit for bit.
+
+    A dict record receives the march's own arrays, not copies: "amps";
+    "blocks", one (first node, live lanes, block) triple per block, the
+    block's column k holding lane lanes[k] from its first node on (read by
+    _marched_lane); and "last", each lane's last step (-1 if never marched).
     """
     amps = np.asarray(amps, dtype=float)
     c = grid.conductance
@@ -388,36 +415,62 @@ def _classify_shot(nl: Nonlinearity, grid: RadialGrid, amps, record: dict | None
     alpha = np.concatenate(([0.0], c[:-1] / c[1:])).tolist()
     beta = (grid.mass[:-1] / c).tolist()
     over = np.zeros(amps.size, dtype=bool)
-    values, last = [], np.where(nl.f(amps) > amps, grid.n - 2, -1)
+    blocks, last = [], np.where(nl.f(amps) > amps, grid.n - 2, -1)
     lanes = np.flatnonzero(last >= 0)
     u = prev = amps[lanes]
     if record is not None:
-        record.update(amps=amps, values=values, last=last)
-    for i in range(grid.n - 1):
-        if not lanes.size:
-            break
-        g = u - nl.f(u)
-        g *= beta[i]
-        nxt = u - prev
-        nxt *= alpha[i]
-        nxt += u
-        nxt += g
-        values.append(nxt)
-        cross = nxt <= 0.0
-        done = nxt > u
-        done |= cross
-        if np.count_nonzero(done):
-            over[lanes[cross]] = True
-            last[lanes[done]] = i
-            keep = ~done
-            lanes, u, nxt = lanes[keep], u[keep], nxt[keep]
-        prev, u = u, nxt
+        record.update(amps=amps, blocks=blocks, last=last)
+    start = 0
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        while lanes.size and start < grid.n - 1:
+            size = min(_BLOCK, grid.n - 1 - start)
+            block = np.empty((size + 1, lanes.size))
+            block[0] = u
+            rows = list(block)
+            for i in range(start, start + size):
+                u = rows[i - start]
+                g = u - nl.f(u)
+                g *= beta[i]
+                nxt = rows[i - start + 1]
+                np.subtract(u, prev, out=nxt)
+                nxt *= alpha[i]
+                nxt += u
+                nxt += g
+                prev = u
+            blocks.append((start, lanes, block))
+            # each lane's first deciding step in the block, if it has one
+            done = block[1:] > block[:-1]
+            done |= block[1:] <= 0.0
+            decided = done.any(axis=0)
+            cols = np.flatnonzero(decided)
+            steps = done.argmax(axis=0)[cols]
+            last[lanes[cols]] = start + steps
+            over[lanes[cols[block[steps + 1, cols] <= 0.0]]] = True
+            keep = ~decided
+            lanes, u, prev = lanes[keep], block[size, keep], block[size - 1, keep]
+            start += size
     return over
+
+
+def _marched_lane(record: dict, j: int) -> np.ndarray:
+    """Lane j of the march that filled record (_classify_shot) at nodes 0 to
+    last[j] + 1, the node that decides it: its amplitude, then its column of
+    each block that holds it, each block from the node after its first."""
+    stop = int(record["last"][j]) + 2
+    lane = np.empty(stop)
+    lane[0] = record["amps"][j]
+    for start, lanes, block in record["blocks"]:
+        if start + 1 >= stop:
+            break
+        end = min(start + block.shape[0], stop)
+        lane[start + 1:end] = block[1:end - start, lanes.searchsorted(j)]
+    return lane
 
 
 def _auto_bracket(nl: Nonlinearity, grid: RadialGrid, record=None) -> tuple[float, float]:
     """First undershoot/overshoot transition on a log scan of 255 amplitudes
-    up to 100; a dict record receives the scan's march (_classify_shot).
+    up to 100; a dict record receives the scan's march (_classify_shot),
+    from which _marched_lane reads any lane up to its deciding node.
 
     A shot whose centre is not a maximum, f(a) <= a, undershoots at its
     start, so the scan starts at the last amplitude before the first f(a) > a
@@ -441,18 +494,14 @@ def _auto_bracket(nl: Nonlinearity, grid: RadialGrid, record=None) -> tuple[floa
 
 def _bracketing_pair(nl: Nonlinearity, grid: RadialGrid) -> np.ndarray:
     """The two bracketing lanes of the scan (_auto_bracket) at every node,
-    read from the record of its march, NaN after the step that decides each:
-    step i holds the lanes whose last step is i or later, in lane order, so
-    lane j sits there at j less the lanes below it decided before step i."""
+    read from the record of its march by _marched_lane, NaN after the node
+    that decides each."""
     record = {}
     a_lo = _auto_bracket(nl, grid, record)[0]
-    amps, values, last = record["amps"], record["values"], record["last"]
-    lanes = np.searchsorted(amps, a_lo) + np.arange(2)
-    pair = np.vstack((amps[lanes], np.full((grid.n - 1, 2), np.nan)))
-    for col, j in enumerate(lanes):
-        # gone[i]: the lanes below j whose last step comes before step i
-        gone = np.cumsum(np.bincount(last[:j] + 1, minlength=last[j] + 1))[:last[j] + 1]
-        pair[1:last[j] + 2, col] = [v[k] for v, k in zip(values, (j - gone).tolist())]
+    pair = np.full((grid.n, 2), np.nan)
+    for col, j in enumerate(np.searchsorted(record["amps"], a_lo) + np.arange(2)):
+        lane = _marched_lane(record, j)
+        pair[:lane.size, col] = lane
     return pair
 
 

@@ -364,8 +364,9 @@ def march_transition(nl, grid, a_lo: float, a_hi: float) -> float:
 
 
 def reference_march(nl, grid, amps, out: np.ndarray) -> np.ndarray:
-    """limit_solver._classify_shot as it was before it kept a record: the
-    lanes marched together, with each lane's values written into the dense
+    """limit_solver._classify_shot as it was before it kept a record or
+    marched in blocks: the lanes marched together node by node, each decided
+    lane dropped at once, with each lane's values written into the dense
     array out of shape (n, amps.size) up to the node that decides it."""
     amps = np.asarray(amps, dtype=float)
     c = grid.conductance

@@ -12,6 +12,7 @@ from oracles import (
     reference_dilate,
     reference_minimize_on_M,
     reference_monotone_slopes,
+    reference_march,
     reference_pair,
     reference_project_to_M,
     reference_shoot_ground_state,
@@ -48,6 +49,7 @@ from spgs.limit_solver import (
     Stagnation,
     _auto_bracket,
     _classify_shot,
+    _marched_lane,
     cgm_rescale,
     project_to_M,
 )
@@ -276,9 +278,13 @@ def test_graft_gap_exceeds_the_widest_scan_spacing():
         assert np.max(amps[1:] / amps[:-1]) - 1.0 <= widest
 
 
-@pytest.mark.parametrize("case, R, n", [(c, 30.0, n) for n in (750, 3000) for c in GROUND_CASES]
-                         + [((1.0, 2.5, 0.0), 30.0, 3000), ((1.0, 5.5, 0.0), 30.0, 3000),
-                            ((20.0, 2.2, 1.0), 40.0, 750)])
+# the scans whose record is checked against reference_march
+SCAN_RECORD_CASES = ([(c, 30.0, n) for n in (750, 3000) for c in GROUND_CASES]
+                     + [((1.0, 2.5, 0.0), 30.0, 3000), ((1.0, 5.5, 0.0), 30.0, 3000),
+                        ((20.0, 2.2, 1.0), 40.0, 750)])
+
+
+@pytest.mark.parametrize("case, R, n", SCAN_RECORD_CASES)
 def test_one_march_shot_is_bitwise_the_two_march_reference(case, R, n, grid30):
     # the pair read from the scan's record is the second march of the two
     # bracketing lanes, NaN after each lane's deciding node included, so the
@@ -366,13 +372,71 @@ def test_one_march_per_shot(grid30, monkeypatch):
 
 
 def test_march_record_is_linear_in_n(grid30):
-    # the record holds one value per live lane per marched node, not a dense
-    # (n, 255) array; mu=1, q=2.5, cw=0 keeps the most lanes live longest of
-    # the cases measured: 29.5 n values at n=3000 (the ground cases: 8.0 n to
-    # 18.2 n)
+    # the record holds the march's blocks, each _BLOCK + 1 nodes of the lanes
+    # live at its start, not a dense (n, 255) array; a lane decided inside a
+    # block keeps its tail there.  mu=1, q=2.5, cw=0 keeps the most lanes live
+    # longest of the cases measured: 32.0 n values at n=3000 with _BLOCK = 16,
+    # against 29.5 n up to each lane's deciding node (the ground cases: 10.0 n
+    # to 20.0 n)
     record = {}
     _auto_bracket(canonical_family(1.0, 2.5, 0.0), grid30, record)
-    assert sum(v.size for v in record["values"]) <= 40 * grid30.n
+    assert sum(block.size for _, _, block in record["blocks"]) <= 40 * grid30.n
+
+
+@pytest.mark.parametrize("case, R, n", SCAN_RECORD_CASES)
+def test_march_record_gives_every_lane(case, R, n, grid30):
+    # every lane of the scan, read from the block record up to the node that
+    # decides it (_marched_lane, which _bracketing_pair reads too), is the
+    # dense march of reference_march bit for bit, NaN beyond that node
+    nl = canonical_family(*case)
+    grid = grid30 if n == 3000 else make_grid(R, n)
+    amps, record = _scan_amplitudes(nl), {}
+    over = _classify_shot(nl, grid, amps, record)
+    dense = np.full((grid.n, amps.size), np.nan)
+    assert over.tolist() == reference_march(nl, grid, amps, out=dense).tolist()
+    for j in range(amps.size):
+        lane = _marched_lane(record, j)
+        assert lane.tobytes() == dense[:lane.size, j].tobytes(), j
+        assert np.isnan(dense[lane.size:, j]).all(), j
+
+
+def _wavy_cubic_with_logs(s):
+    """_wavy_cubic without its clamp: ln s of every value, so f warns on the
+    negative values of a lane past its overshoot, and 0 where s <= 0."""
+    s = np.asarray(s, dtype=float)
+    return np.where(s > 0.0, s**3 * (1.0 + 0.95 * np.sin(6.0 * np.log(s))), 0.0)
+
+
+def _odd_quintic(s):
+    """s^3 + s^5 on both half-lines: past an overshoot from a = 100 at n=750
+    a lane swings to -2.7e6, 9.7e28 and -9.0e141, and overflows a node later.
+    A canonical lane does not: f vanishes on negatives, so past an overshoot
+    the recurrence is linear, and on the 188 scans of the robustness matrix
+    the largest value a block holds is 1.9e7 (mu=20, q=5.5, cw=1 on
+    R=40, n=750)."""
+    s = np.asarray(s, dtype=float)
+    return s**3 + s**5
+
+
+@pytest.mark.parametrize("f, n, tail", [(_odd_quintic, 750, "overflows"),
+                                        (_wavy_cubic_with_logs, 3000, "goes negative")])
+def test_lanes_marched_past_their_decision_raise_no_warning(f, n, tail):
+    # a lane decided inside a block marches on to the block's end; its values
+    # there are never read, and the warnings of f and of the recurrence on
+    # them stay inside the march
+    nl, grid = user_nonlinearity(f, mu=0.01, q=4.0), make_grid(30.0, n)
+    amps, record = _scan_amplitudes(nl), {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        over = _classify_shot(nl, grid, amps, record)
+    assert over.tolist() == [march_overshoots(nl, grid, a) for a in amps]
+    blocks = [block for _, _, block in record["blocks"]]
+    if tail == "overflows":
+        assert any(np.isinf(block).any() for block in blocks)
+    else:
+        assert any((block < 0.0).any() for block in blocks)
+        with pytest.warns(RuntimeWarning, match="invalid value encountered in log"):
+            f(-1.0)
 
 
 @pytest.mark.parametrize("case, n", [(c, n) for n in (750, 3000) for c in GROUND_CASES]
