@@ -8,56 +8,71 @@ of the radial extension.
 
 from __future__ import annotations
 
+import ctypes
 import math
-import os
-import sys
 from dataclasses import dataclass
-from importlib.machinery import EXTENSION_SUFFIXES
-from importlib.util import find_spec, module_from_spec, spec_from_file_location
 
 import numpy as np
-from numpy.linalg import LinAlgError  # the class scipy.linalg re-exports
-
-try:
-    from numpy._core.multiarray import c_einsum
-except ImportError:  # numpy < 2
-    from numpy.core.multiarray import c_einsum
+from numpy._core import _multiarray_umath
+from numpy._core.multiarray import c_einsum
+from numpy.linalg import LinAlgError
 
 
-def load_scipy():
-    """scipy's LAPACK extension, the file scipy/linalg/_flapack, loaded from
-    that file without importing the scipy package or scipy.linalg.
+def _numpy_lapack(name: str):
+    """The LAPACK routine `name` of the OpenBLAS that numpy itself links.
 
-    Their __init__ modules pull in scipy._lib and through it numpy.f2py,
-    numpy.testing and numpy.ma: most of the time and close to half the memory
-    of `import spgs`, for two LAPACK routines.  The module is left out of
-    sys.modules, so a later import of scipy.linalg binds it as its own
-    attribute, from the same routines.  A missing file fails with an
-    ImportError that names the directory it looked in.
+    numpy's wheels (2.0 and later) link scipy-openblas64, whose symbols carry
+    the prefix scipy_ and the ILP64 suffix 64_.  The ctypes handle of numpy's
+    core extension resolves them through the libraries that extension links,
+    so no second BLAS is loaded.  A numpy without the routine fails with an
+    ImportError that names it and the file.
     """
-    spec = find_spec("scipy")
-    if spec is None:
-        raise ModuleNotFoundError("spgs needs scipy", name="scipy")
-    where = os.path.join(spec.submodule_search_locations[0], "linalg")
-    for suffix in EXTENSION_SUFFIXES:
-        file = os.path.join(where, "_flapack" + suffix)
-        if os.path.isfile(file):
-            break
-    else:
-        raise ImportError(f"scipy's _flapack not found in {where}")
-    name = "scipy.linalg._flapack"
-    registered = name in sys.modules
-    module = module_from_spec(spec_from_file_location(name, file))
-    module.__spec__.loader.exec_module(module)
-    if not registered:
-        sys.modules.pop(name, None)
-    return module
+    file = _multiarray_umath.__file__
+    try:
+        routine = getattr(ctypes.CDLL(file), name)
+    except AttributeError:
+        raise ImportError(f"spgs needs the LAPACK routine {name}, "
+                          f"not found in {file}") from None
+    routine.restype = None
+    return routine
 
 
-# dgttrf and dgttrs are the f2py routines that scipy.linalg.lapack exports, so
-# every factor and solve is unchanged
-_flapack = load_scipy()
-dgttrf, dgttrs = _flapack.dgttrf, _flapack.dgttrs
+# dgttrf(n, dl, d, du, du2, ipiv, info) and
+# dgttrs(trans, n, nrhs, dl, d, du, du2, ipiv, b, ldb, info), every integer
+# int64 and every argument passed by address, plus gfortran's hidden length
+# of trans after the last.  Every argument is passed as a ctypes object of
+# its C type (byref pointers, c_char_p, c_size_t), never as a Python int, so
+# argtypes are left undeclared: their conversion of 12 arguments costs about
+# 1 us per call, 7 % of a back-solve at n = 750
+_dgttrf = _numpy_lapack("scipy_dgttrf_64_")
+_dgttrs = _numpy_lapack("scipy_dgttrs_64_")
+_NO_TRANS = ctypes.c_char_p(b"N")
+_TRANS_LEN = ctypes.c_size_t(1)
+_ONE_RHS = ctypes.byref(ctypes.c_int64(1))
+_byref = ctypes.byref
+_buffer = ctypes.c_char.from_buffer  # a C-contiguous, writable array's memory
+
+
+class _Factor(tuple):
+    """The dgttrf factor (dl, d, du, du2, ipiv) of a tridiagonal matrix, as
+    views of two arrays: rows, whose rows hold du (from column 1), d, dl and
+    du2, and ints, which holds ipiv, then n, then an info slot.  `lapack`
+    keeps n and the addresses that dgttrf and dgttrs read, so that a
+    back-solve computes only the address of its right side."""
+
+    def __new__(cls, rows: np.ndarray, ints: np.ndarray):
+        n = rows.shape[1]
+        lu = super().__new__(cls, (rows[2, :-1], rows[1], rows[0, 1:], rows[3, :-2], ints[:n]))
+        r, i = _buffer(rows), _buffer(ints)
+        lu.lapack = (n, _byref(i, 8 * n),
+                     (_byref(r, 16 * n), _byref(r, 8 * n), _byref(r, 8), _byref(r, 24 * n),
+                      _byref(i)),
+                     _byref(i, 8 * n + 8))
+        return lu
+
+    def __reduce__(self):
+        # a copy or an unpickled factor takes the addresses of its own arrays
+        return _Factor, (self[1].base, self[4].base)
 
 
 @dataclass(frozen=True)
@@ -74,10 +89,10 @@ class RadialGrid:
     cell at R).  Then -Delta_h u = -diff(conductance * diff(u)) / mass, so
     mass * (-Delta_h) is symmetric and sum(conductance * diff(u)**2) is its
     quadratic form.  bands holds the three diagonals of -Delta_h (upper,
-    main, lower, in the layout of scipy.linalg.solve_banded), with the last
-    row replaced by the Dirichlet identity.  riesz_lu is the helmholtz_lu
-    factor of the Riesz operator -Delta_h + 1, which solve_riesz back-solves.
-    All arrays are read-only.
+    main, lower, in the layout of LAPACK's band storage), with the last row
+    replaced by the Dirichlet identity.  riesz_lu is the helmholtz_lu factor
+    of the Riesz operator -Delta_h + 1, which solve_riesz back-solves.  All
+    arrays are read-only.
     """
 
     R: float
@@ -353,13 +368,25 @@ def laplacian_apply(u: RadialFunction) -> np.ndarray:
 
 def _shifted_lu(bands: np.ndarray, shift: np.ndarray | float) -> tuple[np.ndarray, ...]:
     """LAPACK dgttrf factor (dl, d, du, du2, ipiv) of the tridiagonal bands
-    plus diag(shift) on every row but the last (Dirichlet) one."""
-    diag = bands[1].copy()
-    diag[:-1] += np.broadcast_to(np.asarray(shift, dtype=float), diag.shape)[:-1]
-    *lu, info = dgttrf(bands[2, :-1], diag, bands[0, 1:])
-    if info > 0:
+    plus diag(shift) on every row but the last (Dirichlet) one.
+
+    The rows du, d, dl and du2 of one (4, n) array hold the factor: du and dl
+    are copied from bands in one pass, the shifted diagonal is written
+    straight into its row, and dgttrf overwrites them in place.
+    """
+    n = bands.shape[1]
+    rows = np.empty((4, n))
+    rows[::2] = bands[::2]
+    np.add(bands[1], shift, out=rows[1])
+    rows[1, -1] = bands[1, -1]
+    ints = np.empty(n + 2, dtype=np.int64)
+    ints[n] = n
+    lu = _Factor(rows, ints)
+    _, n_ref, factor, info_ref = lu.lapack
+    _dgttrf(n_ref, *factor, info_ref)
+    if ints[n + 1] > 0:
         raise LinAlgError("singular matrix")
-    return tuple(lu)
+    return lu
 
 
 def helmholtz_lu(grid: RadialGrid, shift: np.ndarray | float) -> tuple[np.ndarray, ...]:
@@ -371,16 +398,23 @@ def helmholtz_lu(grid: RadialGrid, shift: np.ndarray | float) -> tuple[np.ndarra
 
 
 def solve_lu(lu: tuple[np.ndarray, ...], rhs: np.ndarray) -> np.ndarray:
-    """Back-solve a helmholtz_lu factor; rhs is one field (n,) or k fields
-    as the columns of an (n, k) array, whose last row is taken as 0.
+    """Back-solve a helmholtz_lu factor by LAPACK dgttrs; rhs is one field
+    (n,) or k fields as the columns of an (n, k) array, whose last row is
+    taken as 0.  k fields are solved in one call, in Fortran order.
 
-    A non-finite rhs raises ValueError, as scipy's check_finite does.
+    A non-finite rhs raises ValueError, as does one of another length.
     """
-    b = np.array(rhs, dtype=float)
+    b = np.array(rhs, dtype=float, order="F")
     b[-1] = 0.0
     if not np.isfinite(b).all():
         raise ValueError("array must not contain infs or NaNs")
-    return dgttrs(*lu, b, overwrite_b=1)[0]
+    n, n_ref, factor, info_ref = lu.lapack
+    if b.shape[0] != n or b.ndim > 2:
+        raise ValueError(f"rhs of shape {b.shape} for a factor of {n} rows")
+    nrhs = _ONE_RHS if b.ndim == 1 else _byref(ctypes.c_int64(b.shape[1]))
+    _dgttrs(_NO_TRANS, n_ref, nrhs, *factor, _byref(_buffer(b.T)), n_ref, info_ref,
+            _TRANS_LEN)
+    return b
 
 
 def solve_riesz(grid: RadialGrid, rhs: np.ndarray) -> np.ndarray:

@@ -105,16 +105,22 @@ def canonical_family(mu: float, q: float, critical_weight: float) -> Nonlinearit
     # without a critical term its zero terms are skipped: adding 0 s^k changes
     # no value (short of s^k overflowing, where it gave NaN), yet it doubles
     # the cost of f on every field of the flow and on every node of a shot;
-    # likewise the factor mu = 1, as 1.0 * x is x for every x, -0.0 included
+    # likewise the factors mu = 1 and cw = 1 of f and F, as 1.0 * x is x for
+    # every x, -0.0 included (f' multiplies them into its scalar coefficients
+    # first, so it has no array product to leave out)
     def f(s):
         sp = np.maximum(np.asarray(s, dtype=float), 0.0)
         sub = sp ** (q - 1.0) if mu == 1.0 else mu * sp ** (q - 1.0)
-        return sub + cw * sp**5 if cw else sub
+        if not cw:
+            return sub
+        return sub + (sp**5 if cw == 1.0 else cw * sp**5)
 
     def F(s):
         sp = np.maximum(np.asarray(s, dtype=float), 0.0)
         sub = (sp**q if mu == 1.0 else mu * sp**q) / q
-        return sub + cw * sp**6 / 6.0 if cw else sub
+        if not cw:
+            return sub
+        return sub + (sp**6 if cw == 1.0 else cw * sp**6) / 6.0
 
     def fprime(s):
         sp = np.maximum(np.asarray(s, dtype=float), 0.0)

@@ -43,7 +43,8 @@ def newton_potential(grid: RadialGrid, rho: np.ndarray) -> np.ndarray:
     pot = a.cumsum()
     pot -= a  # sum over j < i, +0.0 at r = 0
     pot[1:] /= r[1:]
-    over_r = np.divide(a, r, out=np.zeros(grid.n), where=r > 0)
+    over_r = np.zeros(grid.n)  # +0.0 at r = 0, the only node where r is 0
+    np.divide(a[1:], r[1:], out=over_r[1:])
     pot += over_r[::-1].cumsum()[::-1]  # sum over j >= i of a_j / r_j
     return pot
 

@@ -90,8 +90,8 @@ def banded_helmholtz_solve(grid, shift, rhs: np.ndarray) -> np.ndarray:
 
 def lapack_helmholtz_lu(grid, shift) -> tuple[np.ndarray, ...]:
     """dgttrf factor of -Delta_h + shift with w(R) = 0 through
-    scipy.linalg.lapack: the reference for spgs.grid.helmholtz_lu, which loads
-    the same routine without importing scipy.linalg."""
+    scipy.linalg.lapack: the reference for spgs.grid.helmholtz_lu, which calls
+    the same routine in the OpenBLAS that numpy links."""
     diag = grid.bands[1].copy()
     diag[:-1] += np.broadcast_to(np.asarray(shift, dtype=float), (grid.n,))[:-1]
     *lu, info = dgttrf(grid.bands[2, :-1], diag, grid.bands[0, 1:])

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import os
@@ -493,11 +494,10 @@ def test_public_names_resolve():
 
 
 def test_import_footprint():
-    # the package and its command line load numpy and one file of scipy, its
-    # LAPACK extension, from that file, so no scipy module stays registered:
-    # not scipy itself, whose __init__ loads scipy._lib, nor scipy.linalg,
-    # scipy.integrate or any module inside them;
-    # the Krylov solver of the coupled Newton step is numpy, not scipy.sparse
+    # the package and its command line load numpy alone, so no scipy module
+    # is registered: not scipy itself, whose __init__ loads scipy._lib, nor
+    # scipy.linalg, scipy.integrate or any module inside them; the Krylov
+    # solver of the coupled Newton step is numpy, not scipy.sparse
     code = ("import sys, spgs, spgs.cli; "
             "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -525,17 +525,52 @@ print(codes, file=sys.stderr)
 
 
 def test_no_subcommand_calls_numpy_lapack(tmp_path):
-    # the only LAPACK of spgs is the tridiagonal pair dgttrf / dgttrs, loaded
-    # from scipy's extension: the coupled Newton step's GMRES back-substitutes
-    # its triangular factor, find_t0 Newton-solves its cubic and
-    # _loglog_slope fits in closed form, and each numpy LAPACK routine's
-    # first call touches fresh workspace (about 0.5-1.3 MB of peak RSS)
+    # the only LAPACK of spgs is the tridiagonal pair dgttrf / dgttrs, bound
+    # by ctypes from the OpenBLAS that numpy links, not numpy.linalg's
+    # routines: the coupled Newton step's GMRES back-substitutes its
+    # triangular factor, find_t0 Newton-solves its cubic and _loglog_slope
+    # fits in closed form, and each numpy.linalg routine's first call touches
+    # fresh workspace (about 0.5-1.3 MB of peak RSS)
     src = str(Path(__file__).resolve().parents[1] / "src")
     out = subprocess.run([sys.executable, "-c", _REFUSE_NUMPY_LAPACK, str(tmp_path)],
                          capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, timeout=300)
     assert out.returncode == 0, out.stderr
     assert out.stderr.splitlines()[-1] == "[0, 0, 0, 0, 0]"
+
+
+# runs every subcommand in one interpreter, then prints their exit codes, the
+# scipy modules registered and the files mapped from the directories given
+_SCIPY_FOOTPRINT = """
+import sys
+from spgs.cli import main
+
+runs = (["solve-limit"], ["solve", "--lambda", "0.05"], ["sweep-lambda"],
+        ["constants", "--q", "4,5.5"], ["poisson-test"], ["verify"])
+print([main(["--output", f"{sys.argv[1]}/{i}", *argv]) for i, argv in enumerate(runs)])
+print([m for m in sys.modules if m.split(".")[0] == "scipy"])
+with open("/proc/self/maps") as maps:
+    files = {line.split()[-1] for line in maps}
+print(sorted(f for f in files if f.startswith(tuple(sys.argv[2:]))))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/maps").exists(), reason="needs /proc/self/maps")
+def test_no_subcommand_loads_scipy(tmp_path):
+    # the tridiagonal factor and solve run in the OpenBLAS that numpy links,
+    # so import spgs, spgs.cli and every subcommand leave scipy unloaded: no
+    # scipy module, and no shared object from scipy's package directory or
+    # from scipy.libs, where its wheels put their own OpenBLAS
+    spec = importlib.util.find_spec("scipy")
+    where = [] if spec is None else [os.path.join(d + tail, "")
+                                     for d in spec.submodule_search_locations
+                                     for tail in ("", ".libs")]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run([sys.executable, "-c", _SCIPY_FOOTPRINT, str(tmp_path), *where],
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-3:] == ["[0, 0, 0, 0, 0, 0]", "[]", "[]"]
 
 
 def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):

@@ -1,6 +1,8 @@
 import ast
+import copy
 import math
 import os
+import pickle
 import subprocess
 import sys
 import warnings
@@ -401,6 +403,22 @@ def test_helmholtz_factor_solve_matches_solve_banded_bitwise(n):
             assert np.array_equal(solve_lu(lu, b), lapack_helmholtz_solve(g, shift, b))
 
 
+def test_copied_and_unpickled_factors_solve_from_their_own_arrays():
+    # a factor keeps the addresses of its arrays; a copy takes those of its
+    # own, so it still solves after the original is gone
+    g = make_grid(30.0, 750)
+    rhs = np.exp(-g.nodes)
+    want = solve_riesz(g, rhs)
+    lu = helmholtz_lu(g, 1.0)
+    copies = [copy.copy(lu), copy.deepcopy(lu), pickle.loads(pickle.dumps(lu))]
+    del lu
+    for other in copies:
+        assert all(np.array_equal(a, b) for a, b in zip(other, g.riesz_lu))
+        assert np.array_equal(solve_lu(other, rhs), want)
+    assert copies[1][1].base is not copies[0][1].base
+    assert np.array_equal(solve_riesz(pickle.loads(pickle.dumps(g)), rhs), want)
+
+
 def test_singular_helmholtz_factor_raises():
     # a zero interior diagonal leaves an odd-sized tridiagonal block, which is
     # singular
@@ -410,35 +428,40 @@ def test_singular_helmholtz_factor_raises():
         helmholtz_lu(g, -g.bands[1])
 
 
-def _fresh_python(code: str, *path: Path) -> subprocess.CompletedProcess:
+def _fresh_python(code: str) -> subprocess.CompletedProcess:
     src = Path(__file__).resolve().parents[1] / "src"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(map(str, (*path, src)))}
+    env = {**os.environ, "PYTHONPATH": str(src)}
     return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=120)
 
 
-def test_scipy_linalg_imports_after_spgs():
-    # spgs loads scipy's LAPACK extension from its file; scipy.linalg, imported
-    # afterwards, still binds it and exports the same routines
+def test_scipy_linalg_solves_after_spgs():
+    # spgs loads no file of scipy; scipy.linalg, imported afterwards, loads its
+    # own LAPACK and solves, and its dgttrs back-solves spgs's Riesz factor to
+    # the bits of spgs's own back-solve through numpy's OpenBLAS
     out = _fresh_python(
-        "import spgs.grid as g, numpy as np, scipy.linalg as sl; "
-        "from scipy.linalg import lapack; "
-        "assert g.dgttrf is lapack.dgttrf and g.dgttrs is lapack.dgttrs; "
-        "assert sl._flapack.dgttrs is g.dgttrs; "
-        "print(sl.solve_banded((1, 1), np.array([[0, 1.], [2, 2], [1, 0]]), np.ones(2)))")
+        "import numpy as np, spgs.grid as g; "
+        "import scipy.linalg as sl; from scipy.linalg.lapack import dgttrs; "
+        "print(sl.solve_banded((1, 1), np.array([[0, 1.], [2, 2], [1, 0]]), np.ones(2))); "
+        "grid = g.make_grid(30.0, 750); rhs = np.exp(-grid.nodes); rhs[-1] = 0.0; "
+        "w, info = dgttrs(*grid.riesz_lu, rhs); "
+        "print(info, np.array_equal(w, g.solve_riesz(grid, rhs)))")
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["[0.33333333", "0.33333333]"]
+    assert out.stdout.split() == ["[0.33333333", "0.33333333]", "0", "True"]
 
 
-def test_missing_lapack_extension_names_the_directory(tmp_path):
-    # a scipy without linalg/_flapack fails the import of spgs, naming where
-    # it looked
-    (tmp_path / "scipy" / "linalg").mkdir(parents=True)
-    (tmp_path / "scipy" / "__init__.py").write_text("")
-    out = _fresh_python("import spgs", tmp_path)
+def test_numpy_without_the_lapack_routines_fails_the_import_naming_them():
+    # the handle is pointed at another numpy extension, which links no
+    # OpenBLAS, as on a numpy built against a LAPACK without the scipy_
+    # prefix: import spgs fails with an ImportError that names the routine
+    # and the file
+    out = _fresh_python(
+        "import numpy._core._multiarray_umath as m, numpy._core._multiarray_tests as t; "
+        "m.__file__ = t.__file__; print(t.__file__); import spgs")
     assert out.returncode == 1
-    assert "ImportError" in out.stderr
-    assert str(tmp_path / "scipy" / "linalg") in out.stderr
+    file = out.stdout.strip()
+    assert (f"ImportError: spgs needs the LAPACK routine scipy_dgttrf_64_, not found in {file}"
+            in out.stderr)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

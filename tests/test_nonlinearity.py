@@ -59,6 +59,25 @@ def test_canonical_family_at_unit_mu_skips_only_the_factor(q, cw):
                 assert getattr(nl, name)(x).tobytes() == ref[k].tobytes(), (name, x)
 
 
+@pytest.mark.parametrize("mu", [1.0, 1.7])
+@pytest.mark.parametrize("q", [2.5, 3.0, 4.0, 5.0, 5.5])
+def test_canonical_family_at_unit_cw_skips_only_the_factor(q, mu):
+    # at cw = 1 f and F leave out the multiply by 1.0 of their critical term,
+    # which changes no bit: the unskipped expressions, overflow included
+    ladder = np.logspace(-300, 100, 801)
+    s = np.concatenate(([0.0, -0.0, 1e100, -1e100], ladder, -ladder))
+    sp = np.maximum(s, 0.0)
+    nl = canonical_family(mu, q, 1.0)
+    with np.errstate(over="ignore"):
+        want = {"f": mu * sp ** (q - 1.0) + 1.0 * sp**5,
+                "F": mu * sp**q / q + 1.0 * sp**6 / 6.0,
+                "fprime": mu * (q - 1.0) * sp ** (q - 2.0) + 5.0 * 1.0 * sp**4}
+        for name, ref in want.items():
+            assert getattr(nl, name)(s).tobytes() == ref.tobytes(), name
+            for k, x in enumerate(s[:4]):
+                assert getattr(nl, name)(x).tobytes() == ref[k].tobytes(), (name, x)
+
+
 def test_G_shifted_primitive():
     nl = canonical_family(1.0, 4.0, 0.0)
     assert nl.G(2.0) == pytest.approx(2.0**4 / 4.0 - 2.0)

@@ -74,6 +74,30 @@ def test_newton_potential_is_bitwise_the_reference(n):
             assert pot.tobytes() == reference_newton_potential(grid, rho).tobytes()
 
 
+@pytest.mark.parametrize("n", [16, 750, 12000])
+def test_exterior_divide_is_bitwise_the_masked_divide(n):
+    # newton_potential divides a[1:] by r[1:] into a zeroed slot, which is the
+    # masked np.divide(a, r, out=np.zeros(n), where=r > 0) that it replaced:
+    # r vanishes at node 0 only, which both leave at +0.0, whatever a[0]
+    rng = np.random.default_rng(n)
+    grid = make_grid(30.0, n)
+    r = grid.nodes
+    for k in range(10):
+        rho = rng.standard_normal(n) * np.exp(-rng.uniform(0.0, 3.0) * r)
+        if k % 2:
+            rho[rng.integers(1, n):] = rng.choice([0.0, -0.0])
+        if k < 3:
+            rho[0] = (-0.0, 0.0, -1.0)[k]
+        a = grid.weights * rho
+        a /= 4.0 * np.pi
+        masked = np.divide(a, r, out=np.zeros(n), where=r > 0)
+        pot = a.cumsum()
+        pot -= a
+        pot[1:] /= r[1:]
+        pot += masked[::-1].cumsum()[::-1]
+        assert newton_potential(grid, rho).tobytes() == pot.tobytes()
+
+
 def test_newton_potential_of_a_zero_density_is_plus_zero():
     # the only densities where the reference differs: -0.0 at every r > 0 and
     # a set sign bit at r = 0 gave -0.0 at r = 0; both are the zero potential
