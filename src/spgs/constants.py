@@ -30,8 +30,8 @@ from .grid import (  # noqa: F401
     make_grid,
     norm_lq,
 )
-from .limit_solver import SolverFailure, _NoMaximum, _scan_shot, shoot_ground_state
-from .nonlinearity import _golden_min, canonical_family
+from .limit_solver import SolverFailure, _caught, _NoMaximum, _scan_shot, _shoot_all
+from .nonlinearity import Nonlinearity, _golden_min, canonical_family
 
 SOBOLEV_S_CLOSED_FORM = 3.0 * math.pi * (math.sqrt(math.pi) / 4.0) ** (2.0 / 3.0)
 
@@ -97,11 +97,21 @@ def best_Cq(q: float, grid: RadialGrid) -> float:
     level resolves, the finest level's failure is raised, its message
     prefixed with q and the two grids' n.
     """
-    return _best_Cq(q, grid)[0]
+    nl = _pure_power(q)
+    return _best_Cq(q, nl, grid, _shoot_all([nl], grid)[0])[0]
 
 
-def _best_Cq(q: float, grid: RadialGrid) -> tuple[float, int]:
-    """best_Cq and the n of the grid whose shot it is the quotient of.
+def _pure_power(q: float) -> Nonlinearity:
+    """The pure power f(s) = s_+^(q-1) whose ground state gives C_q."""
+    if not 2.0 < q < 6.0:
+        raise ValueError(f"q must lie in (2, 6), got {q}")
+    return canonical_family(1.0, q, 0.0)
+
+
+def _best_Cq(q: float, nl: Nonlinearity, grid: RadialGrid, shot) -> tuple[float, int]:
+    """best_Cq and the n of the grid whose shot it is the quotient of, from
+    shot, the outcome of the shot of nl = _pure_power(q) on the run's grid
+    (limit_solver._shoot_all: the shot and its levels, or its failure).
 
     The levels are walked up once.  A finer level's own nested iteration
     would start from the level below, whose whole route has just failed, so
@@ -109,19 +119,18 @@ def _best_Cq(q: float, grid: RadialGrid) -> tuple[float, int]:
     names q, the n of the level that raised it and the run's n, and keeps
     its type; _NoMaximum does not depend on the grid and is raised from the
     run's grid."""
-    if not 2.0 < q < 6.0:
-        raise ValueError(f"q must lie in (2, 6), got {q}")
-    nl, level = canonical_family(1.0, q, 0.0), grid
+    level = grid
     for finer in range(_FINER_LEVELS + 1):
-        try:
-            omega = _scan_shot(nl, level)[0] if finer else shoot_ground_state(nl, level)
-            return float(_quotient_hq(omega, q)), level.n
-        except SolverFailure as exc:
-            if finer == _FINER_LEVELS or isinstance(exc, _NoMaximum):
-                exc.args = (f"C_q for q = {q:g} on the grid of n = {level.n} "
-                            f"(the run's n = {grid.n}): {exc}",)
-                raise
-        level = make_grid(grid.R, 4 * level.n - 3)
+        if finer:
+            level = make_grid(grid.R, 4 * level.n - 3)
+            shot = _caught(lambda: (_scan_shot(nl, level), (level.n,)))
+        if not isinstance(shot, SolverFailure):
+            return float(_quotient_hq(shot[0][0], q)), level.n
+        if isinstance(shot, _NoMaximum):
+            break
+    shot.args = (f"C_q for q = {q:g} on the grid of n = {level.n} "
+                 f"(the run's n = {grid.n}): {shot}",)
+    raise shot
 
 
 def mu_threshold(q: float, S: float, Cq: float) -> float:
@@ -143,12 +152,18 @@ def compactness_threshold(cw: float) -> float:
 
 def constants_report(grid: RadialGrid, q_values) -> ConstantsReport:
     """S computed on grid, and C_q and mu*(q) for each q; mu* plugs in the
-    closed-form S, as checks.ground_state does, so it has one value."""
+    closed-form S, as checks.ground_state does, so it has one value.
+
+    The shots of the whole q list scan the coarsest level of grid's ladder
+    in one march (limit_solver._shoot_all); each q then takes its Newton
+    solves, ladder and finer levels on its own (_best_Cq)."""
     report = ConstantsReport(S=sobolev_S(grid))
-    for q in q_values:
-        cq, n = _best_Cq(float(q), grid)
-        report.Cq[float(q)] = cq
+    qs = [float(q) for q in q_values]
+    nls = [_pure_power(q) for q in qs]
+    for q, nl, shot in zip(qs, nls, _shoot_all(nls, grid)):
+        cq, n = _best_Cq(q, nl, grid, shot)
+        report.Cq[q] = cq
         if n != grid.n:
-            report.Cq_n[float(q)] = n
-        report.mu_thresholds[float(q)] = mu_threshold(float(q), SOBOLEV_S_CLOSED_FORM, cq)
+            report.Cq_n[q] = n
+        report.mu_thresholds[q] = mu_threshold(q, SOBOLEV_S_CLOSED_FORM, cq)
     return report

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -377,11 +378,15 @@ _SHOT_TOL = 1e-11
 # 5 % slower, short marches whose last block runs long
 _BLOCK = 16
 
+# lanes of each problem's amplitude scan (_auto_bracket)
+_SCAN_LANES = 255
 
-def _classify_shot(nl: Nonlinearity, grid: RadialGrid, amps, record: dict | None = None
-                   ) -> np.ndarray:
+
+def _classify_shot(nls: list[Nonlinearity], grid: RadialGrid, amps, record: dict | None = None
+                   ) -> list[np.ndarray]:
     """Overshoot flags of the shots of the grid equation from the centre
-    amplitudes amps, all marched together, one lane each.
+    amplitudes, amps[k] for the nonlinearity nls[k], all problems marched
+    together on grid, one lane per amplitude.
 
     Row i of -Delta_h u + u = f(u) is the two-term recurrence
     u_{i+1} = u_i + [c_{i-1} (u_i - u_{i-1}) + m_i (u_i - f(u_i))] / c_i in
@@ -390,36 +395,49 @@ def _classify_shot(nl: Nonlinearity, grid: RadialGrid, amps, record: dict | None
     still positive, or when it reaches R with neither.  A centre that is not
     a maximum, f(a) <= a, undershoots at the start.
 
-    The live lanes advance _BLOCK nodes at a time into one (_BLOCK + 1,
-    lanes) array, whose row 0 holds their values at the block's first node;
-    per node the block pays only the call of f and the recurrence.  At the
-    block's end each lane's first deciding node is read from the array, and
-    the decided lanes drop out.  A lane decided inside a block marches on to
-    the block's end, so f sees values past a lane's decision (negative after
-    an overshoot, rising after an undershoot) for at most _BLOCK - 1 nodes;
-    those values are never read, and the floating-point warnings they raise
-    (overflow, or a log of a negative value in a user's f) are silenced; a
-    live lane stays in (0, a] and raises none of its own.  Every array handed to f is a contiguous row, because
+    The lanes stand in problem order, so each problem's live lanes are one
+    contiguous segment, and the compaction keeps that order.  The live lanes
+    advance _BLOCK nodes at a time into one (_BLOCK + 1, lanes) array, whose
+    row 0 holds their values at the block's first node; per node the block
+    pays one call of each live problem's f, on its own segment (on the whole
+    row where one problem is live), and the recurrence once for all lanes.
+    At the block's end each lane's first deciding node is read from the
+    array, and the decided lanes drop out.  A lane decided inside a block
+    marches on to the block's end, so f sees values past a lane's decision
+    (negative after an overshoot, rising after an undershoot) for at most
+    _BLOCK - 1 nodes; those values are never read, and the floating-point
+    warnings they raise (overflow, or a log of a negative value in a user's
+    f) are silenced; a live lane stays in (0, a] and raises none of its own.
+    Every array handed to f is a contiguous row or slice of a row, because
     numpy's SIMD pow gives each element the same bits wherever it sits only
     on contiguous input: so each lane gets the values it would get marched
     alone, bit for bit.
 
-    A dict record receives the march's own arrays, not copies: "amps";
-    "blocks", one (first node, live lanes, block) triple per block, the
-    block's column k holding lane lanes[k] from its first node on (read by
-    _marched_lane); and "last", each lane's last step (-1 if never marched).
+    A dict record receives the march's own arrays, not copies: "amps", all
+    problems' amplitudes in order; "starts", the index there of each
+    problem's first lane; "blocks", one (first node, live lanes, block)
+    triple per block, the block's column k holding lane lanes[k] from its
+    first node on (read by _marched_lane); and "last", each lane's last step
+    (-1 if never marched).
     """
-    amps = np.asarray(amps, dtype=float)
+    fs = [nl.f for nl in nls]
+    amps = [np.asarray(a, dtype=float) for a in amps]
+    ends = list(accumulate(map(len, amps)))
+    starts = [0] + ends[:-1]
     c = grid.conductance
     # u_{i+1} = u_i + alpha_i (u_i - u_{i-1}) + beta_i (u_i - f(u_i))
     alpha = np.concatenate(([0.0], c[:-1] / c[1:])).tolist()
     beta = (grid.mass[:-1] / c).tolist()
+    # the lanes whose centre is a maximum; no f is called on an empty segment
+    peak = np.concatenate([f(a) > a if a.size else a.astype(bool) for f, a in zip(fs, amps)])
+    amps = np.concatenate(amps)
+    last = np.where(peak, grid.n - 2, -1)
     over = np.zeros(amps.size, dtype=bool)
-    blocks, last = [], np.where(nl.f(amps) > amps, grid.n - 2, -1)
+    blocks = []
     lanes = np.flatnonzero(last >= 0)
     u = prev = amps[lanes]
     if record is not None:
-        record.update(amps=amps, blocks=blocks, last=last)
+        record.update(amps=amps, starts=starts, blocks=blocks, last=last)
     start = 0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         while lanes.size and start < grid.n - 1:
@@ -427,9 +445,24 @@ def _classify_shot(nl: Nonlinearity, grid: RadialGrid, amps, record: dict | None
             block = np.empty((size + 1, lanes.size))
             block[0] = u
             rows = list(block)
+            # where several problems are live: each one's f, the rows of its
+            # segment and its part of g
+            f, segs = fs[0], None
+            if len(fs) > 1:
+                bounds = lanes.searchsorted(ends).tolist()
+                live = [(f, a, b) for f, a, b in zip(fs, [0] + bounds, bounds) if a < b]
+                f = live[0][0]
+                if len(live) > 1:
+                    g = np.empty(lanes.size)
+                    segs = [(f, list(block[:size, a:b]), g[a:b]) for f, a, b in live]
             for i in range(start, start + size):
                 u = rows[i - start]
-                g = u - nl.f(u)
+                if segs is None:
+                    g = u - f(u)
+                else:
+                    for fk, seg, gk in segs:
+                        useg = seg[i - start]
+                        np.subtract(useg, fk(useg), out=gk)
                 g *= beta[i]
                 nxt = rows[i - start + 1]
                 np.subtract(u, prev, out=nxt)
@@ -449,7 +482,7 @@ def _classify_shot(nl: Nonlinearity, grid: RadialGrid, amps, record: dict | None
             keep = ~decided
             lanes, u, prev = lanes[keep], block[size, keep], block[size - 1, keep]
             start += size
-    return over
+    return [over[a:b] for a, b in zip(starts, ends)]
 
 
 def _marched_lane(record: dict, j: int) -> np.ndarray:
@@ -467,42 +500,61 @@ def _marched_lane(record: dict, j: int) -> np.ndarray:
     return lane
 
 
-def _auto_bracket(nl: Nonlinearity, grid: RadialGrid, record=None) -> tuple[float, float]:
-    """First undershoot/overshoot transition on a log scan of 255 amplitudes
-    up to 100; a dict record receives the scan's march (_classify_shot),
+def _auto_bracket(nls: list[Nonlinearity], grid: RadialGrid, record=None) -> list:
+    """For each nonlinearity of nls, its first undershoot/overshoot
+    transition (a_lo, a_hi) on a log scan of 255 amplitudes up to 100, or the
+    BracketFailure it raised; the scans of all problems share one march
+    (_classify_shot), one lane segment each, and a dict record receives it,
     from which _marched_lane reads any lane up to its deciding node.
 
     A shot whose centre is not a maximum, f(a) <= a, undershoots at its
-    start, so the scan starts at the last amplitude before the first f(a) > a
+    start, so a scan starts at the last amplitude before the first f(a) > a
     on a log ladder of 1401 over [1e-12, 100]: for mu=1 at a = 1, and for
     mu=20, q=2.2, cw=1 at 3.1e-7, below its transition at 1.37e-6 (R=40).
-    The transition may be a grid bubble's; _shot_newton tells it by its
-    Pohozaev defect.  A scan on which every lane undershoots raises
-    BracketFailure.
+    Where f(a) <= a on the whole ladder the problem's failure is _NoMaximum,
+    and its segment is empty.  The transition may be a grid bubble's;
+    _shot_newton tells it by its Pohozaev defect.  A scan on which every lane
+    undershoots gives BracketFailure.
     """
-    ladder = np.logspace(-12, 2, 1401)
-    peak = np.flatnonzero(nl.f(ladder) > ladder)
-    if peak.size == 0:
-        raise _NoMaximum("the centre is a minimum at every amplitude up to 100")
-    amps = np.geomspace(ladder[max(peak[0] - 1, 0)], 100.0, 255)
-    over = _classify_shot(nl, grid, amps, record)
-    up = np.flatnonzero(~over[:-1] & over[1:])
-    if up.size == 0:
-        raise BracketFailure("no undershoot/overshoot transition on the amplitude scan")
-    return float(amps[up[0]]), float(amps[up[0] + 1])
+    ladder, amps = np.logspace(-12, 2, 1401), []
+    for nl in nls:
+        peak = np.flatnonzero(nl.f(ladder) > ladder)
+        amps.append(np.geomspace(ladder[max(peak[0] - 1, 0)], 100.0, _SCAN_LANES) if peak.size
+                    else np.empty(0))
+    overs = (_classify_shot(nls, grid, amps, record) if any(a.size for a in amps)
+             else [None] * len(amps))
+    brackets = []
+    for a, over in zip(amps, overs):
+        if not a.size:
+            brackets.append(_NoMaximum("the centre is a minimum at every amplitude up to 100"))
+            continue
+        up = np.flatnonzero(~over[:-1] & over[1:])
+        if not up.size:
+            brackets.append(BracketFailure(
+                "no undershoot/overshoot transition on the amplitude scan"))
+        else:
+            brackets.append((float(a[up[0]]), float(a[up[0] + 1])))
+    return brackets
 
 
-def _bracketing_pair(nl: Nonlinearity, grid: RadialGrid) -> np.ndarray:
-    """The two bracketing lanes of the scan (_auto_bracket) at every node,
-    read from the record of its march by _marched_lane, NaN after the node
-    that decides each."""
+def _bracketing_pair(nls: list[Nonlinearity], grid: RadialGrid) -> list:
+    """For each nonlinearity of nls, the two bracketing lanes of its scan
+    (_auto_bracket) at every node, read from the record of the shared march
+    by _marched_lane, NaN after the node that decides each; or the
+    BracketFailure its scan gave.  The record is dropped once every pair is
+    read, so what the march leaves is two lanes per problem."""
     record = {}
-    a_lo = _auto_bracket(nl, grid, record)[0]
-    pair = np.full((grid.n, 2), np.nan)
-    for col, j in enumerate(np.searchsorted(record["amps"], a_lo) + np.arange(2)):
-        lane = _marched_lane(record, j)
-        pair[:lane.size, col] = lane
-    return pair
+    pairs = _auto_bracket(nls, grid, record)
+    for k, bracket in enumerate(pairs):
+        if isinstance(bracket, SolverFailure):
+            continue
+        start = record["starts"][k]
+        pair = pairs[k] = np.full((grid.n, 2), np.nan)
+        j = start + np.searchsorted(record["amps"][start:start + _SCAN_LANES], bracket[0])
+        for col in range(2):
+            lane = _marched_lane(record, j + col)
+            pair[:lane.size, col] = lane
+    return pairs
 
 
 # _shot_newton rejects a solution whose Pohozaev defect |A - 6V| / A
@@ -550,14 +602,24 @@ def _core_phrase(omega: RadialFunction, nl: Nonlinearity) -> str:
 
 def _scan_shot(nl: Nonlinearity, grid: RadialGrid
                ) -> tuple[RadialFunction, ScalingTerms, float]:
-    """The shot from grid's own scan, in three steps and one march: the
-    amplitude scan (_auto_bracket) brackets the centre amplitude between an
-    undershoot and an overshoot of _classify_shot; the mean of its two
-    bracketing lanes (_bracketing_pair, which drops the scan's record), up to
-    the last node of the leading run where both are positive and agree to
-    _GRAFT_GAP, is grafted onto c exp(-r)/r; and the Newton solve
-    (_shot_newton) sets the amplitude and tests the resolution."""
-    lo, hi = _bracketing_pair(nl, grid).T
+    """The shot from grid's own scan (_graft_shot of nl's _bracketing_pair),
+    in one march."""
+    return _graft_shot(nl, grid, _bracketing_pair([nl], grid)[0])
+
+
+def _graft_shot(nl: Nonlinearity, grid: RadialGrid, pair
+                ) -> tuple[RadialFunction, ScalingTerms, float]:
+    """The shot from a scan on grid, in three steps: the amplitude scan
+    (_auto_bracket) brackets the centre amplitude between an undershoot and
+    an overshoot of _classify_shot, and pair holds the two bracketing lanes
+    (_bracketing_pair), or is the BracketFailure the scan gave, which is
+    raised; the mean of the two lanes, up to the last node of the leading run
+    where both are positive and agree to _GRAFT_GAP, is grafted onto
+    c exp(-r)/r; and the Newton solve (_shot_newton) sets the amplitude and
+    tests the resolution."""
+    if isinstance(pair, SolverFailure):
+        raise pair
+    lo, hi = pair.T
     agree = (lo > 0.0) & (hi > 0.0) & (np.abs(hi - lo) <= _GRAFT_GAP * np.minimum(lo, hi))
     k = grid.n - 1 if agree.all() else int(np.argmin(agree)) - 1
     r = grid.nodes
@@ -568,25 +630,53 @@ def _scan_shot(nl: Nonlinearity, grid: RadialGrid
     return _shot_newton(RadialFunction(grid, vals), nl)
 
 
-def _shoot(nl: Nonlinearity, grid: RadialGrid
-           ) -> tuple[tuple[RadialFunction, ScalingTerms, float], tuple[int, ...]]:
-    """The shot on grid by nested iteration: the shot on the coarser grid of
-    _coarse_grid, prolonged by dilate and Newton-solved on grid, or grid's
-    own scan (_scan_shot) if there is no coarser grid or that route raises a
-    SolverFailure that a finer grid can mend (any but _NoMaximum), a grid
-    bubble's ResolutionFailure among them.  Returns the shot as _shot_newton
-    returns it and the n of every level it ran on, from the scanned level
-    up."""
+def _caught(fn, *args):
+    """fn(*args), or the SolverFailure it raised."""
+    try:
+        return fn(*args)
+    except SolverFailure as exc:
+        return exc
+
+
+def _shoot_all(nls: list[Nonlinearity], grid: RadialGrid) -> list:
+    """The shot on grid for each nonlinearity of nls by nested iteration:
+    the shot on the coarser grid of _coarse_grid, prolonged by dilate and
+    Newton-solved on grid, or grid's own scan if there is no coarser grid or
+    that route raised a SolverFailure that a finer grid can mend (any but
+    _NoMaximum), a grid bubble's ResolutionFailure among them.  The scans of
+    the coarsest level share one march (_bracketing_pair), and each problem
+    grafts from its own pair (_graft_shot); a finer level's scan is its
+    problem's own (_scan_shot).  Returns, per problem, the shot as
+    _shot_newton returns it and the n of every level it ran on, from the
+    scanned level up, or the SolverFailure it raised."""
     coarse_grid = _coarse_grid(grid)
-    if coarse_grid is not None:
+    if coarse_grid is None:
+        return [_caught(lambda nl, pair: (_graft_shot(nl, grid, pair), (grid.n,)), nl, pair)
+                for nl, pair in zip(nls, _bracketing_pair(nls, grid))]
+    return [_caught(_prolonged_shot, nl, grid, coarse)
+            for nl, coarse in zip(nls, _shoot_all(nls, coarse_grid))]
+
+
+def _prolonged_shot(nl: Nonlinearity, grid: RadialGrid, coarse):
+    """One level of _shoot_all: the coarse level's outcome for nl prolonged and
+    Newton-solved on grid, or grid's own scan where that fails."""
+    if isinstance(coarse, _NoMaximum):
+        raise coarse
+    if not isinstance(coarse, SolverFailure):
         try:
-            (coarse, *_), levels = _shoot(nl, coarse_grid)
-            return _shot_newton(dilate(coarse, 1.0, onto=grid), nl), levels + (grid.n,)
-        except _NoMaximum:
-            raise
+            return _shot_newton(dilate(coarse[0][0], 1.0, onto=grid), nl), coarse[1] + (grid.n,)
         except SolverFailure:
             pass
     return _scan_shot(nl, grid), (grid.n,)
+
+
+def _shoot(nl: Nonlinearity, grid: RadialGrid):
+    """_shoot_all for the one problem nl: its shot and levels, or its
+    failure raised."""
+    shot = _shoot_all([nl], grid)[0]
+    if isinstance(shot, SolverFailure):
+        raise shot
+    return shot
 
 
 def shoot_ground_state(nl: Nonlinearity, grid: RadialGrid) -> RadialFunction:
@@ -607,7 +697,9 @@ def shoot_ground_state(nl: Nonlinearity, grid: RadialGrid) -> RadialFunction:
     fails raises the failure of the scan on grid: ResolutionFailure,
     BracketFailure, NonConvergence or PositivityLoss.  Where f(a) <= a at
     every amplitude of the scan, the BracketFailure does not depend on the
-    grid and is raised once, from the coarsest level.
+    grid and is raised once, from the coarsest level.  This is the case of
+    one problem of _shoot_all, whose problems share the coarsest level's
+    march.
     """
     return _shoot(nl, grid)[0][0]
 

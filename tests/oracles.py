@@ -402,7 +402,7 @@ def reference_pair(nl, grid) -> np.ndarray:
     reference_march into a dense (n, 2) array, NaN after each lane's
     deciding node."""
     pair = np.full((grid.n, 2), np.nan)
-    reference_march(nl, grid, np.array(_auto_bracket(nl, grid)), out=pair)
+    reference_march(nl, grid, np.array(_auto_bracket([nl], grid)[0]), out=pair)
     return pair
 
 

@@ -432,16 +432,27 @@ def test_threshold_that_fails_leaves_the_shot_its_own_failure(monkeypatch):
         checks.ground_state(cfg, cfg.nonlinearity(), make_grid(cfg.R, cfg.n))
 
 
-def test_production_path_runs_no_flow(tmp_path, count_calls):
+def test_production_path_runs_no_flow(tmp_path, count_calls, monkeypatch):
     # verify and every C_q take a shot's omega_0, so neither command runs
     # the flow ladder: q = 5.5 at n = 750, whose shot is a grid bubble, takes
-    # the shot one level up, on 4n - 3 = 2997 nodes
+    # the shot one level up, on 4n - 3 = 2997 nodes.  The five scans at
+    # n = 750 share one march, so constants marches twice: all five q at 750,
+    # then q = 5.5 alone at 2997 (one march per scan made six)
     ladders = count_calls(limit_solver._ladder)
+    march, marches = limit_solver._classify_shot, []
+
+    def recorded(nls, grid, *args):
+        marches.append((grid.n, len(nls)))
+        return march(nls, grid, *args)
+
+    monkeypatch.setattr(limit_solver, "_classify_shot", recorded)
     assert main(["--output", str(tmp_path / "verify"), "verify"]) == 0
     cfg = write_cfg(tmp_path, "[grid]\nn = 750\n")
     out = tmp_path / "constants"
+    marches.clear()
     assert main(["--config", str(cfg), "--output", str(out), "constants",
                  "--q", "2.5,3,4,5,5.5"]) == 0
+    assert marches == [(750, 5), (2997, 1)]
     cq = json.loads((out / "constants.json").read_text())["Cq"]
     assert all("shot omega_0" in v["method"] for v in cq.values())
     assert all(set(cq[q]) == {"value", "method"} for q in ("2.5", "3.0", "4.0", "5.0"))
@@ -470,13 +481,58 @@ def test_constants_past_the_shot_take_a_finer_shot(tmp_path):
 
 def test_constants_failure_names_its_q_and_grids(tmp_path, capsys):
     # q = 5.9 at n = 750 resolves on none of 750, 2997 and 11985; the message
-    # names the q, the finest level that raised and the run's grid
+    # names the q, the finest level that raised and the run's grid, and is
+    # the one recorded when each q marched alone
     cfg = write_cfg(tmp_path, "[grid]\nn = 750\n")
     assert main(["--config", str(cfg), "--output", str(tmp_path / "out"),
                  "constants", "--q", "4,5.9"]) == 3
-    assert capsys.readouterr().err.startswith(
+    assert capsys.readouterr() == ("", (
         "solver failure: C_q for q = 5.9 on the grid of n = 11985 (the run's n = 750): "
-        "the shot is a grid bubble: omega(0) = 32.37 ")
+        "the shot is a grid bubble: omega(0) = 32.37 with core width "
+        "1/sqrt(f'(omega(0))) = 0.205 h at h = 0.002503, "
+        "Pohozaev defect |A - 6V| / A = 0.999 (above 0.1)\n"))
+
+
+# constants outputs recorded when each q marched its own scan, before the
+# scans of a q list shared one march: (n or None for the default 3000, --q,
+# S, {q: (C_q, n of the finer grid it was shot on or None, mu*)})
+RECORDED_CONSTANTS = [
+    (750, "2.5,3,4,5,5.5", 5.510978377890025, {
+        "2.5": (3.8211137011722998, None, 2.0894758482123947),
+        "3.0": (6.398431607243939, None, 3.1962039383862457),
+        "4.0": (8.694065028203735, None, 4.421660518130929),
+        "5.0": (7.994003232710851, None, 3.360408765064046),
+        "5.5": (7.003597054283568, 2997, 2.240858209624898)}),
+    (None, "3,4", 5.49018567604787, {
+        "3.0": (6.398508710123993, None, 3.19626171127961),
+        "4.0": (8.694186595653653, None, 4.421784173463605)}),
+    (750, "4,5.8", 5.510978377890025, {
+        "4.0": (8.694065028203735, None, 4.421660518130929),
+        "5.8": (6.22157400431443, 11985, 1.5237324487907633)}),
+]
+
+
+@pytest.mark.parametrize("n, q_list, S, cq", RECORDED_CONSTANTS)
+def test_constants_writes_the_recorded_bytes(n, q_list, S, cq, tmp_path, capsys):
+    # stdout and constants.json are byte for byte the recorded output: the
+    # shared march gives each q the bits of its own, at n = 750 and where the
+    # scans run on the 750 level of n = 3000's ladder, and the finer levels
+    # of q = 5.5 and 5.8 are unchanged
+    config = [] if n is None else ["--config", str(write_cfg(tmp_path, f"[grid]\nn = {n}\n"))]
+    shot = "computed (quotient of the shot omega_0"
+    entries = {q: {"method": shot + ")", "value": v} if finer is None else
+               {"method": shot + " on the finer grid of n nodes; the shot failed on the "
+                "run's grid)", "n": finer, "value": v} for q, (v, finer, _) in cq.items()}
+    expected = json.dumps({
+        "Cq": entries,
+        "S": {"method": "computed (least quotient over the bubble widths)", "value": S},
+        "mu_threshold": {q: {"method": "derived (plug-in from closed-form S, computed Cq)",
+                             "value": mu} for q, (_, _, mu) in cq.items()},
+    }, indent=2, sort_keys=True) + "\n"
+    out = tmp_path / "out"
+    assert main([*config, "--output", str(out), "constants", "--q", q_list]) == 0
+    assert capsys.readouterr() == (expected, "")
+    assert (out / "constants.json").read_text() == expected
 
 
 def test_verify_of_a_grid_bubble_below_mu_threshold_exits_3(tmp_path, capsys):

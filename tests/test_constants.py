@@ -150,18 +150,18 @@ def test_best_Cq_raises_where_no_finer_level_resolves():
 @pytest.mark.parametrize("q, scanned", [(5.5, [750, 2997]), (5.8, [750, 2997, 11985])])
 def test_best_Cq_scans_each_level_once(q, scanned, monkeypatch):
     # a finer level's coarse route is the level that just failed, so each
-    # level is scanned once, the run's grid first
-    scan, calls = limit_solver._scan_shot, []
+    # level is scanned once, the run's grid first: one march of q's lanes
+    # alone per level
+    march, calls = limit_solver._classify_shot, []
 
-    def recorded(nl, grid):
-        calls.append(grid.n)
-        return scan(nl, grid)
+    def recorded(nls, grid, *args):
+        calls.append((grid.n, len(nls)))
+        return march(nls, grid, *args)
 
-    for module in (limit_solver, constants):
-        monkeypatch.setattr(module, "_scan_shot", recorded)
+    monkeypatch.setattr(limit_solver, "_classify_shot", recorded)
     assert best_Cq(q, make_grid(30.0, 750)) == pytest.approx(
         {5.5: 7.003597, 5.8: 6.221574}[q], abs=1e-6)
-    assert calls == scanned
+    assert calls == [(n, 1) for n in scanned]
 
 
 def test_best_Cq_rejects_bad_exponent(grid30):

@@ -209,10 +209,11 @@ def test_batched_labels_match_one_shot_oracle(case, grid30):
     # 40 lanes over [0.1, 100], with the fixed point a = 1 of f for mu = 1,
     # and 9 lanes across the bracket of the scan, which march furthest
     nl = canonical_family(*case)
-    amps = np.concatenate((np.logspace(-1, 2, 40), np.linspace(*_auto_bracket(nl, grid30), 9)))
+    bracket = _auto_bracket([nl], grid30)[0]
+    amps = np.concatenate((np.logspace(-1, 2, 40), np.linspace(*bracket, 9)))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        over = _classify_shot(nl, grid30, amps)
+        over = _classify_shot([nl], grid30, [amps])[0]
     assert over.tolist() == [march_overshoots(nl, grid30, a) for a in amps]
 
 
@@ -234,11 +235,11 @@ def test_pruned_scan_gives_the_unpruned_bracket(case, grid30):
     nl = canonical_family(*case)
     amps = _scan_amplitudes(nl)
     over = np.array([march_overshoots(nl, grid30, a) for a in amps])
-    assert _classify_shot(nl, grid30, amps).tolist() == over.tolist()
+    assert _classify_shot([nl], grid30, [amps])[0].tolist() == over.tolist()
     # the lowest lane's centre is not a maximum, so it undershoots
     assert not over[0]
     i = int(np.flatnonzero(~over[:-1] & over[1:])[0])
-    assert _auto_bracket(nl, grid30) == (amps[i], amps[i + 1])
+    assert _auto_bracket([nl], grid30) == [(amps[i], amps[i + 1])]
 
 
 def test_scan_without_transition_raises(grid30):
@@ -246,7 +247,7 @@ def test_scan_without_transition_raises(grid30):
     # times mu=1's, amplitude 210, above the scan's 100: every lane undershoots
     nl = canonical_family(0.02, 3.0, 0.0)
     for grid in (make_grid(30.0, 750), grid30):
-        assert not _classify_shot(nl, grid, _scan_amplitudes(nl)).any()
+        assert not _classify_shot([nl], grid, [_scan_amplitudes(nl)])[0].any()
         with pytest.raises(BracketFailure,
                            match="^no undershoot/overshoot transition on the amplitude scan$"):
             shoot_ground_state(nl, grid)
@@ -262,7 +263,7 @@ def test_grid_bubbles_on_the_scan_raise_resolution_failure(grid30):
          r"9\.896 with .* = 0\.213 h at h = 0\.04005, .* = 1\.01 "),
     ]:
         nl = canonical_family(*case)
-        assert _classify_shot(nl, grid, _scan_amplitudes(nl)).any()
+        assert _classify_shot([nl], grid, [_scan_amplitudes(nl)])[0].any()
         with pytest.raises(ResolutionFailure, match=r"grid bubble: omega\(0\) = " + bubble):
             shoot_ground_state(nl, grid)
 
@@ -292,7 +293,7 @@ def test_one_march_shot_is_bitwise_the_two_march_reference(case, R, n, grid30):
     # unchanged
     nl = canonical_family(*case)
     grid = grid30 if n == 3000 else make_grid(R, n)
-    assert np.array_equal(limit_solver._bracketing_pair(nl, grid), reference_pair(nl, grid),
+    assert np.array_equal(limit_solver._bracketing_pair([nl], grid)[0], reference_pair(nl, grid),
                           equal_nan=True)
     shot = limit_solver._scan_shot(nl, grid)[0]
     assert np.array_equal(shot.values, reference_shoot_ground_state(nl, grid).values)
@@ -353,14 +354,16 @@ def test_grid_independent_bracket_failure_is_raised_once(monkeypatch):
 
 def test_one_march_per_shot(grid30, monkeypatch):
     # the scan's march records the bracketing lanes, so a shot marches once,
-    # on the coarsest grid of the ladder; q=5.5 has no transition at n=750,
-    # so its shot at n=3000 marches once more, on its own grid
+    # on the coarsest grid of the ladder, with its own lanes alone; q=5.5
+    # has no transition at n=750, so its shot at n=3000 marches once more, on
+    # its own grid
     calls = []
     march = limit_solver._classify_shot
 
-    def counted(nl, grid, *args, **kwargs):
+    def counted(nls, grid, *args, **kwargs):
+        assert len(nls) == 1
         calls.append(grid.n)
-        return march(nl, grid, *args, **kwargs)
+        return march(nls, grid, *args, **kwargs)
 
     monkeypatch.setattr(limit_solver, "_classify_shot", counted)
     for case, grid, marched in [((1.0, 3.0, 0.0), make_grid(30.0, 750), [750]),
@@ -379,7 +382,7 @@ def test_march_record_is_linear_in_n(grid30):
     # against 29.5 n up to each lane's deciding node (the ground cases: 10.0 n
     # to 20.0 n)
     record = {}
-    _auto_bracket(canonical_family(1.0, 2.5, 0.0), grid30, record)
+    _auto_bracket([canonical_family(1.0, 2.5, 0.0)], grid30, record)
     assert sum(block.size for _, _, block in record["blocks"]) <= 40 * grid30.n
 
 
@@ -391,7 +394,7 @@ def test_march_record_gives_every_lane(case, R, n, grid30):
     nl = canonical_family(*case)
     grid = grid30 if n == 3000 else make_grid(R, n)
     amps, record = _scan_amplitudes(nl), {}
-    over = _classify_shot(nl, grid, amps, record)
+    over = _classify_shot([nl], grid, [amps], record)[0]
     dense = np.full((grid.n, amps.size), np.nan)
     assert over.tolist() == reference_march(nl, grid, amps, out=dense).tolist()
     for j in range(amps.size):
@@ -428,7 +431,7 @@ def test_lanes_marched_past_their_decision_raise_no_warning(f, n, tail):
     amps, record = _scan_amplitudes(nl), {}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        over = _classify_shot(nl, grid, amps, record)
+        over = _classify_shot([nl], grid, [amps], record)[0]
     assert over.tolist() == [march_overshoots(nl, grid, a) for a in amps]
     blocks = [block for _, _, block in record["blocks"]]
     if tail == "overflows":
@@ -437,6 +440,64 @@ def test_lanes_marched_past_their_decision_raise_no_warning(f, n, tail):
         assert any((block < 0.0).any() for block in blocks)
         with pytest.warns(RuntimeWarning, match="invalid value encountered in log"):
             f(-1.0)
+
+
+def _shared_march_groups():
+    """(label, R, n, [(nl, amps)]) groups of problems marched on one grid:
+    SCAN_RECORD_CASES grouped by grid, with the wavy cubic written without
+    its clamp inside the canonical group at n=3000; a problem decided in its
+    first block, all its lanes live, after one that marches 192 nodes; and a
+    group whose lanes include some with f(a) <= a, one problem having no
+    other kind."""
+    groups = {}
+    for case, R, n in SCAN_RECORD_CASES:
+        nl = canonical_family(*case)
+        groups.setdefault((R, n), []).append((nl, _scan_amplitudes(nl)))
+    wavy = user_nonlinearity(_wavy_cubic_with_logs, mu=0.01, q=4.0)
+    groups[(30.0, 3000)].insert(2, (wavy, _scan_amplitudes(wavy)))
+    cubic, quartic, slow = (canonical_family(1.0, q, 0.0) for q in (4.0, 5.0, 2.5))
+    groups = [(f"scan cases on ({R:g}, {n})", R, n, problems)
+              for (R, n), problems in groups.items()] + [
+        ("first block beside 192 nodes", 30.0, 750,
+         [(slow, _scan_amplitudes(slow)), (cubic, np.geomspace(30.0, 100.0, 16))]),
+        ("lanes with f(a) <= a", 30.0, 750,
+         [(cubic, np.linspace(0.5, 6.0, 23)), (quartic, np.array([0.2, 0.5, 1.0])),
+          (slow, np.linspace(0.25, 4.0, 16))]),
+    ]
+    return [pytest.param(*group, id=group[0]) for group in groups]
+
+
+@pytest.mark.parametrize("label, R, n, problems", _shared_march_groups())
+def test_shared_march_is_each_problems_own_march(label, R, n, problems, grid30):
+    # problems marched together, one segment of lanes each, give each lane
+    # the bits of its problem's own march and of reference_march: over, last
+    # and every lane up to the node that decides it, with every
+    # floating-point warning an error
+    grid = grid30 if n == 3000 else make_grid(R, n)
+    nls, amps = [nl for nl, _ in problems], [a for _, a in problems]
+    shared = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        overs = _classify_shot(nls, grid, amps, shared)
+        for k, (nl, a) in enumerate(problems):
+            alone, dense = {}, np.full((grid.n, a.size), np.nan)
+            over = _classify_shot([nl], grid, [a], alone)[0]
+            assert overs[k].tolist() == over.tolist(), k
+            assert over.tolist() == reference_march(nl, grid, a, out=dense).tolist(), k
+            start = shared["starts"][k]
+            assert shared["last"][start:start + a.size].tolist() == alone["last"].tolist(), k
+            for j in range(a.size):
+                lane = _marched_lane(shared, start + j)
+                assert lane.tobytes() == _marched_lane(alone, j).tobytes(), (k, j)
+                assert lane.tobytes() == dense[:lane.size, j].tobytes(), (k, j)
+    last = [shared["last"][start:start + a.size]
+            for start, a in zip(shared["starts"], amps)]
+    if label == "first block beside 192 nodes":
+        assert last[1].min() >= 0 and last[1].max() < limit_solver._BLOCK
+        assert 11 * limit_solver._BLOCK <= last[0].max() < 12 * limit_solver._BLOCK
+        assert len(shared["blocks"]) == 12
+    if label == "lanes with f(a) <= a":
+        assert [int((lane < 0).sum()) for lane in last] == [3, 3, 4]
 
 
 @pytest.mark.parametrize("case, n", [(c, n) for n in (750, 3000) for c in GROUND_CASES]
@@ -501,7 +562,7 @@ def test_shot_amplitude_matches_bisection_oracle(case, grid30, ground_shots):
     # the reference march finds from the scan's bracket on grid30; measured:
     # at most 4.1e-13 relative (q=5, whose solve stops at residual 1.7e-12)
     nl = canonical_family(*case)
-    a_ref = march_transition(nl, grid30, *_auto_bracket(nl, grid30))
+    a_ref = march_transition(nl, grid30, *_auto_bracket([nl], grid30)[0])
     assert ground_shots[case].values[0] == pytest.approx(a_ref, rel=1e-12, abs=0)
 
 
@@ -513,7 +574,7 @@ def test_shooting_amplitude_within_1e11_of_tight_transition(case, grid30, ground
     # transition (measured: within 4.1e-13 at n=3000)
     nl = canonical_family(*case)
     a = ground_shots[case].values[0]
-    assert _classify_shot(nl, grid30, [a * (1.0 - 1e-11), a * (1.0 + 1e-11)]).tolist() == [
+    assert _classify_shot([nl], grid30, [[a * (1.0 - 1e-11), a * (1.0 + 1e-11)]])[0].tolist() == [
         False, True]
 
 
@@ -524,7 +585,7 @@ def test_small_amplitude_shoots_from_the_scan():
     # 1.51214e-11 at n=750 and 1.51217e-11 at n=3000
     nl = canonical_family(20.0, 2.2, 1.0)
     grid = make_grid(40.0, 750)
-    a_lo, a_hi = _auto_bracket(nl, grid)
+    a_lo, a_hi = _auto_bracket([nl], grid)[0]
     assert 1e-6 < a_lo < 1.37e-6 < a_hi < 1e-5
     w = shoot_ground_state(nl, grid)
     assert energy(w, nl, 0.0).I_value == pytest.approx(1.5121e-11, rel=1e-3)
@@ -808,7 +869,7 @@ def test_limit_ground_state_is_the_shot(nl_cubic, grid30, shot_cubic, ground_cub
 
 def test_limit_ground_state_records_the_levels_the_shot_ran_on(nl_cubic, grid30, monkeypatch):
     # a failed coarse route falls back to the fine grid's own scan, so the
-    # shot ran on one level
+    # shot ran on one level; each scan is one march of _classify_shot
     newton = limit_solver._shot_newton
 
     def fine_only(u, nl):
@@ -816,15 +877,15 @@ def test_limit_ground_state_records_the_levels_the_shot_ran_on(nl_cubic, grid30,
             raise sp_solver.NonConvergence("stub")
         return newton(u, nl)
 
-    scan = limit_solver._scan_shot
+    march = limit_solver._classify_shot
 
-    def scanned(nl, grid):
+    def scanned(nls, grid, *args):
         scanning.append(grid.n)
-        return scan(nl, grid)
+        return march(nls, grid, *args)
 
     scanning = []
     monkeypatch.setattr(limit_solver, "_shot_newton", fine_only)
-    monkeypatch.setattr(limit_solver, "_scan_shot", scanned)
+    monkeypatch.setattr(limit_solver, "_classify_shot", scanned)
     assert limit_ground_state(nl_cubic, grid30).levels == (3000,)
     assert scanning == [750, 3000]
 
